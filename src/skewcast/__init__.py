@@ -40,7 +40,6 @@ from .learner import (
     fit_arrays,
     in_sample_fit_report,
     load_model,
-    predict,
     save_model,
 )
 from .losses import (
@@ -63,7 +62,7 @@ from .metrics import (
     relativize,
     version_metrics,
 )
-from .panel import ForecastVersion, SalesObservation, SalesPanel, read_panel, write_panel
+from .panel import ForecastVersion, SalesPanel, read_panel, write_panel
 from .transform import TargetTransform, jensen_gap
 
 __version__ = "0.1.0"
@@ -83,7 +82,6 @@ __all__ = [
     "LearnerConfig",
     "LossSpec",
     "RelativeMetrics",
-    "SalesObservation",
     "SalesPanel",
     "SkewcastError",
     "TargetTransform",
@@ -112,7 +110,6 @@ __all__ = [
     "load_model",
     "mean_from_score",
     "percent_error",
-    "predict",
     "read_panel",
     "relativize",
     "run_backtest",

@@ -47,10 +47,8 @@ from .metrics import (
     version_metrics,
     write_metrics_csv,
 )
-from .panel import ForecastVersion, SalesPanel, read_panel
+from .panel import HORIZONS, ForecastVersion, SalesPanel, _fmt, read_panel
 from .transform import TargetTransform, inverse
-
-HORIZONS = (6, 12, 24)
 
 LADDER_SCHEMES = (
     WeightScheme(kind="unit"),
@@ -60,10 +58,6 @@ LADDER_SCHEMES = (
 )
 
 SWEEP_POWERS = (1.1, 1.3, 1.5, 1.7, 1.9)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def worker_count() -> int:
@@ -252,9 +246,10 @@ def version_origins(panel: SalesPanel, plan: BacktestPlan) -> list[dt.date]:
 def _train_slice(panel: SalesPanel, origin: dt.date, window_days: int) -> SalesPanel:
     train = panel.slice_days(origin - dt.timedelta(days=window_days),
                              origin - dt.timedelta(days=1))
-    for obs in train.observations:  # no-leakage contract, checked every fit
-        if obs.day >= origin:
-            raise DataError(f"leakage: training row on {obs.day} at origin {origin}")
+    late = train.day_ordinals >= origin.toordinal()  # no-leakage contract, checked every fit
+    if late.any():
+        day = dt.date.fromordinal(int(train.day_ordinals[late][0]))
+        raise DataError(f"leakage: training row on {day} at origin {origin}")
     return train
 
 
@@ -284,16 +279,10 @@ def _score_versions(
         train = _train_slice(panel, origin, plan.train_window_days)
         model = fit_arm(arm, train, plan.learner)
         preds = model.predict(test.feature_matrix)
-    forecasts: dict[str, dict[dt.date, float]] = {}
-    actuals: dict[str, dict[dt.date, float]] = {}
-    for obs, p in zip(test.observations, preds):
-        actuals.setdefault(obs.item_id, {})[obs.day] = obs.sales
-        forecasts.setdefault(obs.item_id, {})[obs.day] = float(p)
-    rows = []
-    for h in sorted(plan.horizons):
-        version = ForecastVersion.from_origin(origin, h)
-        rows.append((arm.id, version_metrics(forecasts, actuals, version)))
-    return rows
+    return [
+        (arm.id, version_metrics(preds, test, ForecastVersion.from_origin(origin, h)))
+        for h in sorted(plan.horizons)
+    ]
 
 
 @dataclass
@@ -350,18 +339,10 @@ def _run_grid(
 ) -> tuple[list[tuple[str, VersionMetrics]], dict[str, dict[int, AggregateMetrics]]]:
     """Run every (arm, origin) job; sorted rows and per-arm aggregates."""
     origins = version_origins(panel, plan)
-    jobs = [(arm, origin) for arm in arms for origin in origins]
-    results: dict[tuple[str, dt.date], list[tuple[str, VersionMetrics]]] = {}
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        futures = {
-            pool.submit(_score_versions, arm, plan, panel, origin): (arm.id, origin)
-            for arm, origin in jobs
-        }
-        for fut, key in futures.items():
-            results[key] = fut.result()
-    rows: list[tuple[str, VersionMetrics]] = []
-    for arm, origin in jobs:
-        rows.extend(results[(arm.id, origin)])
+        futures = [pool.submit(_score_versions, arm, plan, panel, origin)
+                   for arm in arms for origin in origins]
+        rows = [row for fut in futures for row in fut.result()]
     rows.sort(key=lambda r: (r[0], r[1].version.label, r[1].horizon_weeks))
     aggregates = {
         arm.id: aggregate_versions([vm for aid, vm in rows if aid == arm.id])
@@ -370,12 +351,18 @@ def _run_grid(
     return rows, aggregates
 
 
+def _panel_of(plan: BacktestPlan, panel: SalesPanel | None) -> SalesPanel:
+    """The supplied panel, else the one at the plan's panel_path."""
+    if panel is not None:
+        return panel
+    if plan.panel_path is None:
+        raise ConfigError("plan has no panel_path and no panel was supplied")
+    return read_panel(plan.panel_path)
+
+
 def run_backtest(plan: BacktestPlan, panel: SalesPanel | None = None) -> BacktestReport:
     """Run the experiment grid and relativize against the baseline arm."""
-    if panel is None:
-        if plan.panel_path is None:
-            raise ConfigError("plan has no panel_path and no panel was supplied")
-        panel = read_panel(plan.panel_path)
+    panel = _panel_of(plan, panel)
     ids = [arm.id for arm in plan.arms]
     if plan.baseline_id not in ids:
         raise ConfigError(f"baseline arm {plan.baseline_id!r} is not in the plan")
@@ -495,10 +482,7 @@ def run_weight_ladder(
     The expected trend: wbias climbs from strongly negative toward zero
     as weights escalate from unit to linear-in-sales.
     """
-    if panel is None:
-        if plan.panel_path is None:
-            raise ConfigError("plan has no panel_path and no panel was supplied")
-        panel = read_panel(plan.panel_path)
+    panel = _panel_of(plan, panel)
     log = TargetTransform(kind="log")
     arms = [
         ExperimentArm(f"W{i}-{s.label()}", log, LossSpec.mse(), s)
@@ -519,10 +503,7 @@ def run_power_sweep(
     as p rises; wmape bottoms out near the generator's true power, which
     is recorded in the report when the plan points at its config.
     """
-    if panel is None:
-        if plan.panel_path is None:
-            raise ConfigError("plan has no panel_path and no panel was supplied")
-        panel = read_panel(plan.panel_path)
+    panel = _panel_of(plan, panel)
     identity = TargetTransform(kind="identity")
     unit = WeightScheme(kind="unit")
     arms = [

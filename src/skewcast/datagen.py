@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .panel import SalesObservation, SalesPanel
+from .panel import SalesPanel
 from .rng import keyed_stream
 
 FEATURE_NAMES = ["log_price", "weekly_index", "spike_mult", "log_popularity"]
@@ -128,42 +128,44 @@ def generate(cfg: GenConfig) -> SalesPanel:
     """Generate the panel for a config (deterministic, item-parallel safe)."""
     spikes = dict(cfg.spike_days)
     mu_pop, sigma_pop = cfg.base_rate_lognormal
-    weekly = np.asarray(cfg.weekly_seasonality, dtype=np.float64)
+    n = cfg.n_days
+    weekly = np.asarray(cfg.weekly_seasonality, dtype=np.float64)[np.arange(n) % 7]
+    spike_mult = np.array([spikes.get(d, 1.0) for d in range(n)])
     p = theoretical_tweedie_power(cfg)
-    observations: list[SalesObservation] = []
+    sales = np.empty(cfg.n_items * n)
+    features = np.empty((cfg.n_items * n, len(FEATURE_NAMES)))
     for i in range(cfg.n_items):
-        item_id = f"item_{i:04d}"
         item_gen = keyed_stream(cfg.seed, i, a=0, b=_ITEM_STREAM)
         log_pop = float(item_gen.normal(mu_pop, sigma_pop))
         popularity = float(np.exp(log_pop))
         log_price0 = float(item_gen.normal(0.0, 0.1))
-        steps = item_gen.normal(0.0, cfg.price_walk_sigma, size=cfg.n_days)
+        steps = item_gen.normal(0.0, cfg.price_walk_sigma, size=n)
         log_price = log_price0 + np.cumsum(steps)
-        for d in range(cfg.n_days):
-            day = cfg.start_day + dt.timedelta(days=d)
-            wk = weekly[d % 7]
-            spike_mult = spikes.get(d, 1.0)
+        for d in range(n):
             level = (
                 popularity
-                * wk
-                * spike_mult
+                * weekly[d]
+                * spike_mult[d]
                 * float(np.exp(cfg.price_elasticity * log_price[d]))
             )
             cell_gen = keyed_stream(cfg.seed, i, a=d, b=0)
-            sales = _compound_sales(
+            sales[i * n + d] = _compound_sales(
                 cell_gen,
                 lam=level ** (2.0 - p),
                 shape=cfg.gamma_shape,
                 scale=cfg.gamma_scale * level ** (p - 1.0),
             )
-            features = (
-                float(log_price[d]),
-                float(wk),
-                spike_mult,
-                log_pop,
-            )
-            observations.append(SalesObservation(item_id, day, sales, features))
-    return SalesPanel(observations, list(FEATURE_NAMES))
+        features[i * n:(i + 1) * n] = np.column_stack(
+            [log_price, weekly, spike_mult, np.full(n, log_pop)])
+    start = cfg.start_day.toordinal()
+    return SalesPanel(
+        [f"item_{i:04d}" for i in range(cfg.n_items)],
+        np.repeat(np.arange(cfg.n_items), n),
+        np.tile(np.arange(start, start + n), cfg.n_items),
+        sales,
+        features,
+        list(FEATURE_NAMES),
+    )
 
 
 def _compound_sales(gen: np.random.Generator, lam: float, shape: float, scale: float) -> float:

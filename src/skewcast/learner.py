@@ -23,6 +23,7 @@ import numpy as np
 from .biascorr import BiasCorrector
 from .errors import (
     ConfigError,
+    DataError,
     DegenerateData,
     DomainError,
     EmptyInput,
@@ -176,6 +177,8 @@ def _check_matrix(X, n_features: int) -> np.ndarray:
         raise ShapeMismatch(
             f"feature matrix must be (n, {n_features}), got {X.shape}"
         )
+    if not np.isfinite(X).all():
+        raise DataError("feature matrix has non-finite values")
     return X
 
 
@@ -226,12 +229,11 @@ def fit_arrays(
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeMismatch(f"feature matrix must be 2-D, got shape {X.shape}")
-    if feature_names is not None:
-        X = _check_matrix(X, len(feature_names))
-    if len(X) != len(y):
-        raise ShapeMismatch(f"{len(X)} feature rows vs {len(y)} targets")
     if feature_names is None:
         feature_names = [f"f{j}" for j in range(X.shape[1])]
+    X = _check_matrix(X, len(feature_names))
+    if len(X) != len(y):
+        raise ShapeMismatch(f"{len(X)} feature rows vs {len(y)} targets")
     if loss.log_link and not transform.is_identity:
         raise ConfigError(
             f"{loss.kind} loss works on raw sales; combine it with the identity transform"
@@ -307,14 +309,6 @@ def _linear_step(Xa: np.ndarray, g: np.ndarray, h: np.ndarray, l2_reg: float) ->
         raise DegenerateData(
             "singular normal equations in linear step; increase l2_reg"
         ) from None
-
-
-def predict(model: FitModel, X, in_raw_units: bool = True) -> np.ndarray:
-    """Predict; raw units apply the inverse transform and bias corrector,
-    otherwise the internal score is returned."""
-    if in_raw_units:
-        return model.predict(X)
-    return model.score(X)
 
 
 def in_sample_fit_report(model: FitModel, panel) -> dict:

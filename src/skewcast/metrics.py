@@ -16,8 +16,9 @@ configuration: wmape_rel = wmape / baseline wmape, wbias_rel = wbias /
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DegenerateBaseline,
@@ -27,13 +28,9 @@ from .errors import (
     NoValidItems,
     ZeroActual,
 )
-from .panel import ForecastVersion
+from .panel import ForecastVersion, SalesPanel, _fmt
 
 METRICS_CSV_HEADER = "config_id,version,horizon_weeks,wmape,wbias,total_actual,skipped_items"
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 @dataclass(frozen=True)
@@ -78,29 +75,35 @@ def percent_error(forecast_by_day, actual_by_day, horizon) -> float:
     return (total_f - total_a) / total_a
 
 
-def version_metrics(forecasts, actuals, version: ForecastVersion) -> VersionMetrics:
+def version_metrics(forecasts, panel: SalesPanel, version: ForecastVersion) -> VersionMetrics:
     """Actual-weighted |PE| and PE across items for one version.
 
-    ``forecasts`` and ``actuals`` map item_id -> {day -> value}.  Items
+    ``forecasts`` holds one value per row of ``panel``, whose sales are
+    the actuals.  Both are summed per item over the version's window,
+    day by day in row order.  Every item of the panel is scored; items
     whose actual total over the window is zero carry no weight and are
     skipped (the percent error is undefined there); they are counted in
     ``skipped_items``.
     """
-    if set(forecasts) != set(actuals):
-        raise LengthMismatch("forecast and actual item sets differ")
-    if not actuals:
+    forecasts = np.asarray(forecasts, dtype=np.float64)
+    if forecasts.shape != panel.sales.shape:
+        raise LengthMismatch(f"{forecasts.shape} forecasts for {len(panel)} panel rows")
+    if not len(panel):
         raise NoValidItems("no items to score")
-    days = _window_days(version)
+    days = panel.day_ordinals
+    inside = (days >= version.window_start.toordinal()) & (days <= version.window_end.toordinal())
+    codes, n_items = panel.item_codes[inside], len(panel.item_ids)
+    # bincount adds in row order, as a running sum would; np.sum would not
+    actual = np.bincount(codes, weights=panel.sales[inside], minlength=n_items)
+    forecast = np.bincount(codes, weights=forecasts[inside], minlength=n_items)
     abs_sum = 0.0
     signed_sum = 0.0
     total_actual = 0.0
     skipped = 0
-    for item in sorted(actuals):
-        a_i = sum(actuals[item].get(day, 0.0) for day in days)
+    for a_i, f_i in zip(actual.tolist(), forecast.tolist()):
         if a_i <= 0.0:
             skipped += 1
             continue
-        f_i = sum(forecasts[item].get(day, 0.0) for day in days)
         pe = (f_i - a_i) / a_i
         abs_sum += a_i * abs(pe)
         signed_sum += a_i * pe
@@ -115,11 +118,6 @@ def version_metrics(forecasts, actuals, version: ForecastVersion) -> VersionMetr
         total_actual=total_actual,
         skipped_items=skipped,
     )
-
-
-def _window_days(version: ForecastVersion) -> list[dt.date]:
-    n = 7 * version.horizon_weeks
-    return [version.origin_day + dt.timedelta(days=k) for k in range(1, n + 1)]
 
 
 def aggregate_versions(per_version: list[VersionMetrics]) -> dict[int, AggregateMetrics]:

@@ -1,7 +1,9 @@
 """Sales panel data model and its CSV contract.
 
 A panel is the universal currency between modules: item x day rows with
-non-negative sales and a fixed-length feature vector.  CSV is the sole
+non-negative sales and a fixed-length feature vector, held as parallel
+columns ordered by (item, day).  ``item_codes`` index the ascending
+``item_ids`` and days are ``date.toordinal()`` values.  CSV is the sole
 on-disk format: ``item_id,day,sales,<feature names...>`` with ISO dates,
 floats at 12 significant digits, and no quoting (item ids containing
 commas are rejected outright).
@@ -10,8 +12,8 @@ commas are rejected outright).
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -24,98 +26,91 @@ from .errors import (
     NegativeSales,
 )
 
-_HORIZONS = (6, 12, 24)
+HORIZONS = (6, 12, 24)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-@dataclass(frozen=True)
-class SalesObservation:
-    """One item on one day: sales plus its feature vector."""
-
-    item_id: str
-    day: dt.date
-    sales: float
-    features: tuple[float, ...]
-
-
-@dataclass(eq=True)
+@dataclass(eq=False)
 class SalesPanel:
-    """Validated, canonically ordered collection of observations.
+    """Validated, canonically ordered panel columns.
 
-    Construction sorts rows by (item_id, day), checks non-negative sales,
-    consistent feature-vector length, uniqueness of (item, day), and that
-    every day lies inside ``date_range``.  Instances are treated as
-    immutable after construction and are safe to share across threads.
+    ``item_codes[r]`` indexes ``item_ids`` for row r.  Construction
+    accepts the ids in any order, keeps those that have rows, sorts them
+    ascending and re-codes the rows, then sorts rows by (item, day).  It
+    checks that the columns agree in length, item ids are distinct and
+    CSV-representable, (item, day) pairs are unique, sales and features
+    are finite, sales are non-negative, and every day lies inside
+    ``date_range``.  Instances are treated as immutable after
+    construction and are safe to share across threads.
     """
 
-    observations: list[SalesObservation]
+    item_ids: list[str]
+    item_codes: np.ndarray
+    day_ordinals: np.ndarray
+    sales: np.ndarray
+    feature_matrix: np.ndarray
     feature_names: list[str]
     date_range: tuple[dt.date, dt.date] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        self.observations = sorted(self.observations, key=lambda o: (o.item_id, o.day))
-        k = len(self.feature_names)
-        seen: set[tuple[str, dt.date]] = set()
-        for obs in self.observations:
-            if "," in obs.item_id or "\n" in obs.item_id or "\r" in obs.item_id or not obs.item_id:
-                raise DataError(f"item_id {obs.item_id!r} is not representable in panel CSV")
-            if obs.sales < 0:
-                raise DataError(f"negative sales for ({obs.item_id}, {obs.day})")
-            if len(obs.features) != k:
-                raise DataError(
-                    f"({obs.item_id}, {obs.day}) has {len(obs.features)} features, expected {k}"
-                )
-            key = (obs.item_id, obs.day)
-            if key in seen:
-                raise DuplicateKey(*key)
-            seen.add(key)
+        ids = list(self.item_ids)
+        codes = np.asarray(self.item_codes, dtype=np.int64)
+        days = np.asarray(self.day_ordinals, dtype=np.int64)
+        sales = np.asarray(self.sales, dtype=np.float64)
+        X = np.asarray(self.feature_matrix, dtype=np.float64)
+        n, k = len(codes), len(self.feature_names)
+        if days.shape != (n,) or sales.shape != (n,) or X.shape != (n, k):
+            raise DataError(f"{n} rows with {k} features expected, got days {days.shape}, "
+                            f"sales {sales.shape}, features {X.shape}")
+        if len(set(ids)) != len(ids):
+            raise DataError("item ids are not distinct")
+        if n and (codes.min() < 0 or codes.max() >= len(ids)):
+            raise DataError(f"item codes must lie in [0, {len(ids)})")
+        keep = sorted(np.unique(codes).tolist(), key=ids.__getitem__)
+        recode = np.zeros(len(ids), dtype=np.int64)
+        recode[keep] = np.arange(len(keep))
+        self.item_ids = [ids[c] for c in keep]
+        for item in self.item_ids:
+            if not item or any(c in item for c in ",\n\r"):
+                raise DataError(f"item_id {item!r} is not representable in panel CSV")
+        codes = recode[codes]
+        order = np.lexsort((days, codes))
+        codes, days, sales, X = codes[order], days[order], sales[order], X[order]
+
+        def first_key(mask) -> tuple[str, dt.date]:
+            r = int(np.argmax(mask))
+            return self.item_ids[codes[r]], dt.date.fromordinal(int(days[r]))
+
+        repeated = (codes[1:] == codes[:-1]) & (days[1:] == days[:-1])
+        if repeated.any():
+            raise DuplicateKey(*first_key(repeated))
+        bad = ~np.isfinite(sales) | ~np.isfinite(X).all(axis=1)
+        if bad.any():
+            raise DataError("non-finite value for (%s, %s)" % first_key(bad))
+        if (sales < 0).any():
+            raise DataError("negative sales for (%s, %s)" % first_key(sales < 0))
         if self.date_range is None:
-            if self.observations:
-                days = [o.day for o in self.observations]
-                self.date_range = (min(days), max(days))
-            else:
-                self.date_range = (dt.date.min, dt.date.min)
+            ends = (int(days.min()), int(days.max())) if n else (1, 1)  # 1 is date.min
+            self.date_range = tuple(dt.date.fromordinal(d) for d in ends)
         first, last = self.date_range
-        for obs in self.observations:
-            if not first <= obs.day <= last:
-                raise DataError(f"({obs.item_id}, {obs.day}) lies outside {first}..{last}")
+        outside = (days < first.toordinal()) | (days > last.toordinal())
+        if outside.any():
+            raise DataError("(%s, %s) lies outside %s..%s" % (*first_key(outside), first, last))
+        self.item_codes, self.day_ordinals, self.sales, self.feature_matrix = codes, days, sales, X
+        self.feature_names = list(self.feature_names)
 
     def __len__(self) -> int:
-        return len(self.observations)
-
-    @cached_property
-    def sales(self) -> np.ndarray:
-        return np.array([o.sales for o in self.observations], dtype=np.float64)
-
-    @cached_property
-    def feature_matrix(self) -> np.ndarray:
-        n, k = len(self.observations), len(self.feature_names)
-        out = np.empty((n, k), dtype=np.float64)
-        for i, o in enumerate(self.observations):
-            out[i] = o.features
-        return out
-
-    @cached_property
-    def day_ordinals(self) -> np.ndarray:
-        return np.array([o.day.toordinal() for o in self.observations], dtype=np.int64)
-
-    @cached_property
-    def item_ids(self) -> list[str]:
-        """Distinct item ids, ascending."""
-        return sorted({o.item_id for o in self.observations})
-
-    @cached_property
-    def item_codes(self) -> np.ndarray:
-        index = {item: i for i, item in enumerate(self.item_ids)}
-        return np.array([index[o.item_id] for o in self.observations], dtype=np.int64)
+        return len(self.sales)
 
     def slice_days(self, first: dt.date, last: dt.date) -> "SalesPanel":
-        """Sub-panel of observations with first <= day <= last."""
-        rows = [o for o in self.observations if first <= o.day <= last]
-        return SalesPanel(rows, list(self.feature_names), (first, last))
+        """Sub-panel of the rows with first <= day <= last."""
+        keep = (self.day_ordinals >= first.toordinal()) & (self.day_ordinals <= last.toordinal())
+        return SalesPanel(self.item_ids, self.item_codes[keep], self.day_ordinals[keep],
+                          self.sales[keep], self.feature_matrix[keep], self.feature_names,
+                          (first, last))
 
 
 @dataclass(frozen=True)
@@ -128,8 +123,8 @@ class ForecastVersion:
     horizon_weeks: int
 
     def __post_init__(self):
-        if self.horizon_weeks not in _HORIZONS:
-            raise ConfigError(f"horizon_weeks must be one of {_HORIZONS}")
+        if self.horizon_weeks not in HORIZONS:
+            raise ConfigError(f"horizon_weeks must be one of {HORIZONS}")
         expect = f"VDP_{self.origin_day:%Y%m%d}"
         if self.label != expect:
             raise ConfigError(f"label {self.label!r} does not match origin {expect!r}")
@@ -165,46 +160,43 @@ def read_panel(path) -> SalesPanel:
     header = lines[0].split(",")
     if header[:3] != ["item_id", "day", "sales"]:
         raise MalformedRow(1, f"header must start with item_id,day,sales (got {lines[0]!r})")
-    feature_names = header[3:]
     ncol = len(header)
-    observations: list[SalesObservation] = []
-    seen: set[tuple[str, dt.date]] = set()
+    codes: dict[str, int] = {}  # item id -> code, in order of first appearance
+    item_codes: list[int] = []
+    days: list[int] = []
+    values: list[list[float]] = []  # sales then features, one list per row
     for line_no, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != ncol:
             raise MalformedRow(line_no, f"expected {ncol} columns, got {len(parts)}")
-        item_id = parts[0]
-        if not item_id:
+        if not parts[0]:
             raise MalformedRow(line_no, "empty item_id")
         try:
             day = dt.date.fromisoformat(parts[1])
         except ValueError:
             raise MalformedRow(line_no, f"bad date {parts[1]!r}") from None
         try:
-            sales = float(parts[2])
-            features = tuple(float(p) for p in parts[3:])
+            row = [float(p) for p in parts[2:]]
         except ValueError as exc:
             raise MalformedRow(line_no, str(exc)) from None
-        if not np.isfinite(sales) or not all(np.isfinite(f) for f in features):
+        if not all(math.isfinite(v) for v in row):
             raise MalformedRow(line_no, "non-finite value")
-        if sales < 0:
-            raise NegativeSales(line_no, sales)
-        key = (item_id, day)
-        if key in seen:
-            raise DuplicateKey(item_id, day)
-        seen.add(key)
-        observations.append(SalesObservation(item_id, day, sales, features))
-    return SalesPanel(observations, feature_names)
+        if row[0] < 0:
+            raise NegativeSales(line_no, row[0])
+        item_codes.append(codes.setdefault(parts[0], len(codes)))
+        days.append(day.toordinal())
+        values.append(row)
+    table = np.array(values, dtype=np.float64).reshape(len(values), ncol - 2)
+    return SalesPanel(list(codes), item_codes, days, table[:, 0], table[:, 1:], header[3:])
 
 
 def write_panel(panel: SalesPanel, path) -> None:
     """Write a panel CSV with deterministic (item_id, day) row order."""
-    out = ["item_id,day,sales," + ",".join(panel.feature_names) if panel.feature_names
-           else "item_id,day,sales"]
-    for o in panel.observations:
-        cells = [o.item_id, o.day.isoformat(), _fmt(o.sales)]
-        cells.extend(_fmt(f) for f in o.features)
-        out.append(",".join(cells))
+    out = [",".join(["item_id", "day", "sales", *panel.feature_names])]
+    iso = {d: dt.date.fromordinal(d).isoformat() for d in set(panel.day_ordinals.tolist())}
+    for code, day, sales, features in zip(panel.item_codes.tolist(), panel.day_ordinals.tolist(),
+                                          panel.sales.tolist(), panel.feature_matrix.tolist()):
+        out.append(",".join([panel.item_ids[code], iso[day], _fmt(sales), *map(_fmt, features)]))
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("\n".join(out) + "\n")

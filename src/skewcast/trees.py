@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 _LEAF = -1
 
 
@@ -67,13 +69,37 @@ class Tree:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Tree":
-        return cls(
-            feature=np.asarray(obj["feature"], dtype=np.int64),
-            threshold=np.asarray(obj["threshold"], dtype=np.float64),
-            left=np.asarray(obj["left"], dtype=np.int64),
-            right=np.asarray(obj["right"], dtype=np.int64),
-            value=np.asarray(obj["value"], dtype=np.float64),
-        )
+        """Load a tree, rejecting any structure ``predict`` cannot walk.
+
+        Children of internal nodes must point forward (and so every walk
+        ends in a leaf), leaves must carry no children, and thresholds
+        and values must be finite.
+        """
+        try:
+            tree = cls(
+                feature=np.asarray(obj["feature"], dtype=np.int64),
+                threshold=np.asarray(obj["threshold"], dtype=np.float64),
+                left=np.asarray(obj["left"], dtype=np.int64),
+                right=np.asarray(obj["right"], dtype=np.int64),
+                value=np.asarray(obj["value"], dtype=np.float64),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad tree JSON: {exc!r}") from None
+        n = tree.feature.size
+        arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+        if n == 0 or any(a.shape != (n,) for a in arrays):
+            raise ConfigError("tree arrays must be one-dimensional, non-empty and of equal length")
+        if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()):
+            raise ConfigError("tree thresholds and values must be finite")
+        leaf = tree.feature == _LEAF
+        childless = (tree.left[leaf] == _LEAF) & (tree.right[leaf] == _LEAF)
+        if (tree.feature < _LEAF).any() or not childless.all():
+            raise ConfigError("tree leaves must have feature, left and right all -1")
+        node = np.nonzero(~leaf)[0]
+        for child in (tree.left[~leaf], tree.right[~leaf]):
+            if ((child <= node) | (child >= n)).any():
+                raise ConfigError("tree children must point forward to an existing node")
+        return tree
 
 
 def grow_tree(

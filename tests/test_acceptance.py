@@ -283,17 +283,19 @@ class TestMetricsAlgebra:
         import datetime as dt
         origin = dt.date(2021, 6, 7)
         version = sc.ForecastVersion.from_origin(origin, 6)
-        days = [origin + dt.timedelta(days=k) for k in range(1, 43)]
-        forecasts, actuals = {}, {}
+        forecasts, actuals = np.empty((8, 42)), np.empty((8, 42))
         for i in range(8):
-            forecasts[f"i{i}"] = {d: float(rng.uniform(1, 30)) for d in days}
-            actuals[f"i{i}"] = {d: float(rng.uniform(1, 30)) for d in days}
-        vm = sc.version_metrics(forecasts, actuals, version)
+            forecasts[i] = rng.uniform(1, 30, size=42)
+            actuals[i] = rng.uniform(1, 30, size=42)
+
+        def panel_of(sales):
+            return sc.SalesPanel([f"i{i}" for i in range(8)], np.repeat(np.arange(8), 42),
+                                 np.tile(origin.toordinal() + np.arange(1, 43), 8),
+                                 sales.ravel(), np.zeros((8 * 42, 0)), [])
+
+        vm = sc.version_metrics(forecasts.ravel(), panel_of(actuals), version)
         c = 7.3
-        vm_scaled = sc.version_metrics(
-            {i: {d: c * v for d, v in s.items()} for i, s in forecasts.items()},
-            {i: {d: c * v for d, v in s.items()} for i, s in actuals.items()},
-            version)
+        vm_scaled = sc.version_metrics(c * forecasts.ravel(), panel_of(c * actuals), version)
         scale_ok = (abs(vm_scaled.wmape - vm.wmape) <= 1e-12
                     and abs(vm_scaled.wbias - vm.wbias) <= 1e-12)
 

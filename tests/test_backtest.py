@@ -26,38 +26,45 @@ from skewcast.metrics import METRICS_CSV_HEADER
 FAST_LEARNER = sc.LearnerConfig(rounds=12, max_depth=3)
 
 
+def _item_day_panel(sales, features, feature_names, start):
+    """Items item00, item01, ... (rows of ``sales``) over consecutive days
+    from ``start`` (columns); ``features`` is (items, days, k)."""
+    n_items, n_days = sales.shape
+    return sc.SalesPanel(
+        [f"item{i:02d}" for i in range(n_items)],
+        np.repeat(np.arange(n_items), n_days),
+        np.tile(start.toordinal() + np.arange(n_days), n_items),
+        sales.ravel(),
+        features.reshape(n_items * n_days, -1),
+        feature_names,
+    )
+
+
+def _item_code_feature(n_items, n_days):
+    return np.repeat(np.arange(n_items, dtype=float), n_days).reshape(n_items, n_days, 1)
+
+
 def _flat_panel(n_items=4, n_days=400, level=5.0, start=dt.date(2020, 1, 6)):
-    rows = []
-    for i in range(n_items):
-        for d in range(n_days):
-            rows.append(sc.SalesObservation(
-                f"item{i:02d}", start + dt.timedelta(days=d), level, (float(i),)))
-    return sc.SalesPanel(rows, ["item_code"])
+    return _item_day_panel(np.full((n_items, n_days), level),
+                           _item_code_feature(n_items, n_days), ["item_code"], start)
 
 
 def _wavy_panel(n_items=3, n_days=300, start=dt.date(2020, 1, 6)):
     """Deterministic panel whose sales vary by item and weekday."""
-    rows = []
-    for i in range(n_items):
-        for d in range(n_days):
-            level = 5.0 + 2.0 * i + 0.3 * (d % 7)
-            rows.append(sc.SalesObservation(
-                f"item{i:02d}", start + dt.timedelta(days=d), level, (float(i),)))
-    return sc.SalesPanel(rows, ["item_code"])
+    item, day = np.meshgrid(np.arange(n_items), np.arange(n_days), indexing="ij")
+    return _item_day_panel(5.0 + 2.0 * item + 0.3 * (day % 7),
+                           _item_code_feature(n_items, n_days), ["item_code"], start)
 
 
 def _symmetric_panel(n_items=20, n_days=180, start=dt.date(2020, 1, 6)):
     """Sales symmetric around 100 and independent of the features."""
     gen = np.random.default_rng(11)
-    rows = []
+    sales = np.empty((n_items, n_days))
+    features = np.empty((n_items, n_days, 2))
     for i in range(n_items):
-        draws = gen.normal(100.0, 8.0, size=n_days)
-        for d in range(n_days):
-            rows.append(sc.SalesObservation(
-                f"item{i:02d}", start + dt.timedelta(days=d),
-                float(max(draws[d], 0.0)),
-                (float(gen.uniform(-1, 1)), float(gen.uniform(-1, 1)))))
-    return sc.SalesPanel(rows, ["f0", "f1"])
+        sales[i] = np.maximum(gen.normal(100.0, 8.0, size=n_days), 0.0)
+        features[i] = gen.uniform(-1, 1, size=(n_days, 2))
+    return _item_day_panel(sales, features, ["f0", "f1"], start)
 
 
 class TestScheduling:
@@ -89,9 +96,9 @@ class TestScheduling:
         panel = _flat_panel(n_days=400)
         origin = dt.date(2020, 10, 5)
         train = _train_slice(panel, origin, 90)
-        days = [o.day for o in train.observations]
-        assert max(days) == origin - dt.timedelta(days=1)
-        assert min(days) == origin - dt.timedelta(days=90)
+        days = train.day_ordinals
+        assert days.max() == (origin - dt.timedelta(days=1)).toordinal()
+        assert days.min() == (origin - dt.timedelta(days=90)).toordinal()
 
     def test_plan_validation(self):
         with pytest.raises(ConfigError):

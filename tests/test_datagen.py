@@ -96,7 +96,9 @@ class TestGenerate:
         cfg = sc.GenConfig(n_items=6, n_days=50, seed=123)
         a = sc.generate(cfg)
         b = sc.generate(cfg)
-        assert a.observations == b.observations
+        assert a.item_ids == b.item_ids
+        for name in ("item_codes", "day_ordinals", "sales", "feature_matrix"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_shape_and_names(self):
         cfg = sc.GenConfig(n_items=6, n_days=50, seed=123)

@@ -7,12 +7,13 @@ import pytest
 import skewcast as sc
 from skewcast.errors import (
     ConfigError,
+    DataError,
     DegenerateData,
     EmptyInput,
     IoFailure,
     ShapeMismatch,
 )
-from skewcast.learner import FitModel, predict, write_pairs_csv
+from skewcast.learner import FitModel, write_pairs_csv
 
 IDENTITY = sc.TargetTransform(kind="identity")
 LOG = sc.TargetTransform(kind="log")
@@ -151,13 +152,14 @@ class TestPredictionContracts:
         zhat = model.predict_transformed(X)
         np.testing.assert_array_equal(model.predict(X), np.maximum(np.expm1(zhat), 0.0))
 
-    def test_module_level_predict_units(self, small_panel):
+    def test_non_finite_features_rejected(self, small_panel):
         model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT,
-                       _quick_config(rounds=3))
-        X = small_panel.feature_matrix
-        np.testing.assert_array_equal(predict(model, X), model.predict(X))
-        np.testing.assert_array_equal(predict(model, X, in_raw_units=False),
-                                      model.score(X))
+                       _quick_config(rounds=1))
+        for bad in (np.nan, np.inf, -np.inf):
+            X = small_panel.feature_matrix[:3].copy()
+            X[1, 0] = bad
+            with pytest.raises(DataError):
+                model.predict(X)
 
     def test_wrong_feature_count_rejected(self, small_panel):
         model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT,
@@ -176,6 +178,13 @@ class TestFitValidation:
         y = np.full(50, 4.0)
         with pytest.raises(DegenerateData):
             sc.fit_arrays(X, y, IDENTITY, sc.LossSpec.mse(), UNIT, _quick_config())
+
+    def test_non_finite_features_rejected(self, rng):
+        X = rng.normal(size=(50, 2))
+        X[7, 1] = np.nan
+        with pytest.raises(DataError):
+            sc.fit_arrays(X, rng.lognormal(size=50), IDENTITY, sc.LossSpec.mse(), UNIT,
+                          _quick_config())
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):

@@ -31,6 +31,72 @@ def _flat(total, n_days=42):
     return {d: total / n_days for d in _days(n_days)}
 
 
+def _columns(forecasts, actuals):
+    """Per-row forecasts and the panel of actuals holding the same
+    item -> {day -> value} data; a day missing on one side counts 0."""
+    ids = sorted(set(forecasts) | set(actuals))
+    codes, days, sales, preds = [], [], [], []
+    for code, item in enumerate(ids):
+        f, a = forecasts.get(item, {}), actuals.get(item, {})
+        for day in sorted(set(f) | set(a)):
+            codes.append(code)
+            days.append(day.toordinal())
+            sales.append(a.get(day, 0.0))
+            preds.append(f.get(day, 0.0))
+    return np.array(preds), sc.SalesPanel(ids, codes, days, sales, np.zeros((len(codes), 0)), [])
+
+
+def _score(forecasts, actuals, version=V6):
+    return sc.version_metrics(*_columns(forecasts, actuals), version)
+
+
+def _as_dicts(preds, panel):
+    """item -> {day -> value} forecasts and actuals of a panel's rows."""
+    forecasts, actuals = {}, {}
+    for code, day, a, f in zip(panel.item_codes.tolist(), panel.day_ordinals.tolist(),
+                               panel.sales.tolist(), np.asarray(preds).tolist()):
+        item, day = panel.item_ids[code], dt.date.fromordinal(day)
+        actuals.setdefault(item, {})[day] = a
+        forecasts.setdefault(item, {})[day] = f
+    return forecasts, actuals
+
+
+def _running_sum(values):
+    total = 0.0  # left to right; sum() compensates rounding from Python 3.12 on
+    for v in values:
+        total += v
+    return total
+
+
+def _reference_version_metrics(forecasts, actuals, version):
+    """The dict-of-dicts scorer version_metrics replaced: per item, sum
+    forecasts and actuals day by day over the window."""
+    if set(forecasts) != set(actuals):
+        raise LengthMismatch("forecast and actual item sets differ")
+    if not actuals:
+        raise NoValidItems("no items to score")
+    days = [version.origin_day + dt.timedelta(days=k)
+            for k in range(1, 7 * version.horizon_weeks + 1)]
+    abs_sum = 0.0
+    signed_sum = 0.0
+    total_actual = 0.0
+    skipped = 0
+    for item in sorted(actuals):
+        a_i = _running_sum(actuals[item].get(day, 0.0) for day in days)
+        if a_i <= 0.0:
+            skipped += 1
+            continue
+        f_i = _running_sum(forecasts[item].get(day, 0.0) for day in days)
+        pe = (f_i - a_i) / a_i
+        abs_sum += a_i * abs(pe)
+        signed_sum += a_i * pe
+        total_actual += a_i
+    if total_actual <= 0.0:
+        raise NoValidItems("every item has zero actuals over the horizon")
+    return sc.VersionMetrics(version, version.horizon_weeks, abs_sum / total_actual,
+                             signed_sum / total_actual, total_actual, skipped)
+
+
 class TestPercentError:
     def test_hand_value(self):
         days = _days(2)
@@ -67,7 +133,7 @@ class TestVersionMetrics:
         and wbias -0.125."""
         forecasts = {"item1": _flat(110.0), "item2": _flat(240.0)}
         actuals = {"item1": _flat(100.0), "item2": _flat(300.0)}
-        vm = sc.version_metrics(forecasts, actuals, V6)
+        vm = _score(forecasts, actuals)
         assert vm.wmape == pytest.approx(0.175, rel=1e-12)
         assert vm.wbias == pytest.approx(-0.125, rel=1e-12)
         assert vm.total_actual == pytest.approx(400.0)
@@ -77,42 +143,44 @@ class TestVersionMetrics:
     def test_single_item(self):
         forecasts = {"a": _flat(90.0)}
         actuals = {"a": _flat(100.0)}
-        vm = sc.version_metrics(forecasts, actuals, V6)
+        vm = _score(forecasts, actuals)
         assert vm.wmape == pytest.approx(0.10, rel=1e-12)
         assert vm.wbias == pytest.approx(-0.10, rel=1e-12)
 
     def test_perfect_forecasts(self):
         forecasts = {"a": _flat(100.0), "b": _flat(30.0)}
-        vm = sc.version_metrics(forecasts, {k: dict(v) for k, v in forecasts.items()}, V6)
+        vm = _score(forecasts, {k: dict(v) for k, v in forecasts.items()})
         assert vm.wmape == 0.0
         assert vm.wbias == 0.0
 
     def test_zero_actual_items_are_skipped_and_counted(self):
         forecasts = {"a": _flat(110.0), "dead": _flat(5.0)}
         actuals = {"a": _flat(100.0), "dead": {}}
-        vm = sc.version_metrics(forecasts, actuals, V6)
+        vm = _score(forecasts, actuals)
         assert vm.skipped_items == 1
         assert vm.wmape == pytest.approx(0.10, rel=1e-12)
 
     def test_all_items_zero_actual(self):
         with pytest.raises(NoValidItems):
-            sc.version_metrics({"a": _flat(1.0)}, {"a": {}}, V6)
+            _score({"a": _flat(1.0)}, {"a": {}})
 
     def test_item_sets_must_align(self):
+        """Forecasts come one per panel row."""
+        preds, panel = _columns({"a": _flat(1.0)}, {"a": _flat(1.0)})
         with pytest.raises(LengthMismatch):
-            sc.version_metrics({"a": _flat(1.0)}, {"b": _flat(1.0)}, V6)
+            sc.version_metrics(preds[:-1], panel, V6)
 
     def test_no_items(self):
         with pytest.raises(NoValidItems):
-            sc.version_metrics({}, {}, V6)
+            _score({}, {})
 
     def test_item_relabeling_invariance(self, rng):
         base_f = {f"i{k}": _flat(float(rng.uniform(50, 150))) for k in range(6)}
         base_a = {f"i{k}": _flat(float(rng.uniform(50, 150))) for k in range(6)}
-        vm1 = sc.version_metrics(base_f, base_a, V6)
+        vm1 = _score(base_f, base_a)
         renamed_f = {f"x{k}": base_f[f"i{k}"] for k in range(6)}
         renamed_a = {f"x{k}": base_a[f"i{k}"] for k in range(6)}
-        vm2 = sc.version_metrics(renamed_f, renamed_a, V6)
+        vm2 = _score(renamed_f, renamed_a)
         assert vm1.wmape == pytest.approx(vm2.wmape, rel=1e-14)
         assert vm1.wbias == pytest.approx(vm2.wbias, rel=1e-14)
 
@@ -122,19 +190,79 @@ class TestVersionMetrics:
                          for k in range(5)}
             actuals = {f"i{k}": _flat(float(rng.uniform(10, 200)))
                        for k in range(5)}
-            vm = sc.version_metrics(forecasts, actuals, V6)
+            vm = _score(forecasts, actuals)
             assert abs(vm.wbias) <= vm.wmape + 1e-15
 
     def test_scale_invariance(self, rng):
         c = 7.3
         forecasts = {f"i{k}": _flat(float(rng.uniform(10, 200))) for k in range(5)}
         actuals = {f"i{k}": _flat(float(rng.uniform(10, 200))) for k in range(5)}
-        vm = sc.version_metrics(forecasts, actuals, V6)
+        vm = _score(forecasts, actuals)
         scaled_f = {i: {d: c * v for d, v in s.items()} for i, s in forecasts.items()}
         scaled_a = {i: {d: c * v for d, v in s.items()} for i, s in actuals.items()}
-        vm_c = sc.version_metrics(scaled_f, scaled_a, V6)
+        vm_c = _score(scaled_f, scaled_a)
         assert abs(vm_c.wmape - vm.wmape) <= 1e-12
         assert abs(vm_c.wbias - vm.wbias) <= 1e-12
+
+
+def _ragged_rows(rng, n_days=7 * 24):
+    """Rows of (item, day offset after ORIGIN, actual, forecast) for an
+    item per kind of gap the scorer must treat like the dict scorer."""
+    rows = []
+    for item, days in [
+        ("a_full", range(1, n_days + 1)),
+        ("b_gappy", [d for d in range(1, n_days + 1) if d % 5 and d % 11]),
+        ("c_gone", range(1, 15)),               # drops out after two weeks
+        ("d_zero", range(1, n_days + 1)),
+        ("e_before", range(-20, 1)),            # rows only before the origin
+        ("f_late", range(50, n_days + 1)),      # rows only past the 6-week window
+    ]:
+        for d in days:
+            actual = 0.0 if item == "d_zero" else float(rng.gamma(0.6, 20.0))
+            rows.append((item, d, actual, float(rng.uniform(0.0, 40.0))))
+    return rows
+
+
+class TestVersionMetricsMatchesReference:
+    """The columnar scorer equals the dict-of-dicts reference bit for bit."""
+
+    @staticmethod
+    def _check(rows):
+        forecasts, actuals = {}, {}
+        for item, d, a, f in rows:
+            actuals.setdefault(item, {})[ORIGIN + dt.timedelta(days=d)] = a
+            forecasts.setdefault(item, {})[ORIGIN + dt.timedelta(days=d)] = f
+        preds, panel = _columns(forecasts, actuals)
+        skipped = {}
+        for h in (6, 12, 24):
+            version = sc.ForecastVersion.from_origin(ORIGIN, h)
+            new = sc.version_metrics(preds, panel, version)
+            ref = _reference_version_metrics(*_as_dicts(preds, panel), version)
+            assert new.wmape == ref.wmape
+            assert new.wbias == ref.wbias
+            assert new.total_actual == ref.total_actual
+            assert new.skipped_items == ref.skipped_items
+            skipped[h] = new.skipped_items
+        return skipped
+
+    def test_ragged_panel(self, rng):
+        """Every item with a row counts: "d_zero" and "e_before" sell
+        nothing in any window, and "f_late" nothing in the 6-week one."""
+        assert self._check(_ragged_rows(rng)) == {6: 3, 12: 2, 24: 2}
+
+    def test_random_ragged_panels(self, rng):
+        for _ in range(10):
+            rows = [r for r in _ragged_rows(rng) if rng.random() < 0.7]
+            self._check(rows)
+
+    def test_backtest_slice_matches_reference(self, small_panel):
+        origin = small_panel.date_range[1] - dt.timedelta(days=7 * 24)
+        test = small_panel.slice_days(origin + dt.timedelta(days=1), small_panel.date_range[1])
+        preds = 0.9 * test.sales + np.sin(np.arange(len(test))) ** 2
+        for h in (6, 12, 24):
+            version = sc.ForecastVersion.from_origin(origin, h)
+            assert sc.version_metrics(preds, test, version) == \
+                _reference_version_metrics(*_as_dicts(preds, test), version)
 
 
 def _vm(total_actual, wmape, wbias, horizon=6, origin=ORIGIN):

@@ -18,25 +18,35 @@ from skewcast.errors import (
 D0 = dt.date(2021, 3, 1)
 
 
-def _obs(item, day_offset, sales, features=(1.0, 2.0)):
-    return sc.SalesObservation(item, D0 + dt.timedelta(days=day_offset), sales, features)
+def _panel(items, day_offsets, sales, features=None, date_range=None):
+    """A panel from per-row columns; every row's features default to (1.0, 2.0)."""
+    ids = sorted(set(items))
+    if features is None:
+        features = [(1.0, 2.0)] * len(items)
+    return sc.SalesPanel(ids, [ids.index(item) for item in items],
+                         [D0.toordinal() + d for d in day_offsets], sales,
+                         np.array(features, dtype=float).reshape(len(items), -1),
+                         ["f_one", "f_two"], date_range)
 
 
 def _tiny_panel():
-    rows = [
-        _obs("b", 1, 3.0),
-        _obs("a", 0, 0.0),
-        _obs("a", 1, 2.5),
-        _obs("b", 0, 1.0),
-    ]
-    return sc.SalesPanel(rows, ["f_one", "f_two"])
+    return _panel(["b", "a", "a", "b"], [1, 0, 1, 0], [3.0, 0.0, 2.5, 1.0])
+
+
+def _assert_same_panel(a, b):
+    assert a.item_ids == b.item_ids
+    assert a.feature_names == b.feature_names
+    assert a.date_range == b.date_range
+    for name in ("item_codes", "day_ordinals", "sales", "feature_matrix"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 class TestSalesPanel:
     def test_rows_sorted_by_item_then_day(self):
         panel = _tiny_panel()
-        keys = [(o.item_id, o.day) for o in panel.observations]
+        keys = list(zip(panel.item_codes.tolist(), panel.day_ordinals.tolist()))
         assert keys == sorted(keys)
+        assert panel.item_ids == sorted(panel.item_ids)
 
     def test_cached_arrays(self):
         panel = _tiny_panel()
@@ -46,31 +56,71 @@ class TestSalesPanel:
         np.testing.assert_array_equal(panel.item_codes, [0, 0, 1, 1])
         assert panel.date_range == (D0, D0 + dt.timedelta(days=1))
 
+    def test_ids_recoded_ascending_and_unused_dropped(self):
+        panel = sc.SalesPanel(["z", "unused", "m"], [2, 0, 2], [5, 5, 6], [1.0, 2.0, 3.0],
+                              np.zeros((3, 0)), [])
+        assert panel.item_ids == ["m", "z"]
+        np.testing.assert_array_equal(panel.item_codes, [0, 0, 1])
+        np.testing.assert_array_equal(panel.sales, [1.0, 3.0, 2.0])
+
     def test_slice_days_inclusive(self):
         panel = _tiny_panel()
         sub = panel.slice_days(D0 + dt.timedelta(days=1), D0 + dt.timedelta(days=1))
         assert len(sub) == 2
-        assert all(o.day == D0 + dt.timedelta(days=1) for o in sub.observations)
+        assert (sub.day_ordinals == D0.toordinal() + 1).all()
+
+    def test_slice_days_is_a_row_filter(self):
+        panel = sc.generate(sc.GenConfig(n_items=4, n_days=30, seed=3))
+        first = panel.date_range[0] + dt.timedelta(days=7)
+        last = panel.date_range[0] + dt.timedelta(days=19)
+        sub = panel.slice_days(first, last)
+        keep = [r for r, d in enumerate(panel.day_ordinals)
+                if first.toordinal() <= d <= last.toordinal()]
+        assert len(sub) == len(keep) == 4 * 13
+        assert sub.item_ids == panel.item_ids
+        assert sub.date_range == (first, last)
+        np.testing.assert_array_equal(sub.item_codes, panel.item_codes[keep])
+        np.testing.assert_array_equal(sub.day_ordinals, panel.day_ordinals[keep])
+        np.testing.assert_array_equal(sub.sales, panel.sales[keep])
+        np.testing.assert_array_equal(sub.feature_matrix, panel.feature_matrix[keep])
+        keys = list(zip(sub.item_codes.tolist(), sub.day_ordinals.tolist()))
+        assert keys == sorted(keys)
+
+    def test_slice_days_drops_items_without_rows(self):
+        panel = _panel(["a", "b", "b"], [0, 3, 4], [1.0, 2.0, 3.0])
+        sub = panel.slice_days(D0 + dt.timedelta(days=2), D0 + dt.timedelta(days=9))
+        assert sub.item_ids == ["b"]
+        np.testing.assert_array_equal(sub.item_codes, [0, 0])
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(DuplicateKey):
-            sc.SalesPanel([_obs("a", 0, 1.0), _obs("a", 0, 2.0)], ["f_one", "f_two"])
+            _panel(["a", "a"], [0, 0], [1.0, 2.0])
 
     def test_negative_sales_rejected(self):
         with pytest.raises(DataError):
-            sc.SalesPanel([_obs("a", 0, -1.0)], ["f_one", "f_two"])
+            _panel(["a"], [0], [-1.0])
+
+    @pytest.mark.parametrize("sales, features", [
+        (float("nan"), (1.0, 2.0)),
+        (float("inf"), (1.0, 2.0)),
+        (1.0, (float("inf"), 2.0)),
+        (1.0, (1.0, float("nan"))),
+    ])
+    def test_non_finite_values_rejected(self, sales, features):
+        with pytest.raises(DataError):
+            _panel(["a", "b"], [0, 0], [1.0, sales], [(1.0, 2.0), features])
 
     def test_feature_length_mismatch_rejected(self):
         with pytest.raises(DataError):
-            sc.SalesPanel([_obs("a", 0, 1.0, (1.0,))], ["f_one", "f_two"])
+            _panel(["a"], [0], [1.0], [(1.0,)])
 
     def test_comma_in_item_id_rejected(self):
         with pytest.raises(DataError):
-            sc.SalesPanel([_obs("a,b", 0, 1.0)], ["f_one", "f_two"])
+            _panel(["a,b"], [0], [1.0])
 
     def test_day_outside_declared_range_rejected(self):
         with pytest.raises(DataError):
-            sc.SalesPanel([_obs("a", 5, 1.0)], ["f_one", "f_two"], (D0, D0))
+            _panel(["a"], [5], [1.0], date_range=(D0, D0))
 
 
 class TestCsvRoundTrip:
@@ -79,8 +129,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "panel.csv"
         sc.write_panel(panel, path)
         back = sc.read_panel(path)
-        assert back.feature_names == panel.feature_names
-        assert back.observations == panel.observations
+        _assert_same_panel(back, panel)
 
     def test_generated_panel_round_trip(self, tmp_path):
         """Values survive at the format's 12 significant digits, and a

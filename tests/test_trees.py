@@ -4,6 +4,7 @@ and structural determinism."""
 import numpy as np
 import pytest
 
+from skewcast.errors import ConfigError
 from skewcast.trees import Tree, grow_tree
 
 
@@ -164,3 +165,32 @@ class TestSerialization:
         back = Tree.from_json(tree.to_json())
         np.testing.assert_array_equal(back.predict(X), tree.predict(X))
         assert back.n_nodes == tree.n_nodes
+
+    @pytest.mark.parametrize("change", [
+        {"feature": [0], "threshold": [0.0], "left": [0], "right": [0], "value": [1.0]},
+        {"left": [5, -1, -1]},
+        {"right": [2, -1, -7]},
+        {"feature": [0, 0, -1], "left": [1, 0, -1], "right": [2, 2, -1]},
+        {"value": [0.0, 10.0]},
+        {"feature": [[0, -1, -1]]},
+        {"feature": 0},
+        {"feature": [], "threshold": [], "left": [], "right": [], "value": []},
+        {"left": [1, 2, -1]},
+        {"feature": [0, -2, -1]},
+        {"value": [0.0, float("nan"), 20.0]},
+        {"threshold": [float("inf"), 0.0, 0.0]},
+        {"value": ["ten", 10.0, 20.0]},
+    ], ids=["self-loop", "child-out-of-range", "negative-child", "child-points-back",
+            "unequal-lengths", "not-one-dimensional", "scalar", "empty", "leaf-with-child",
+            "bad-leaf-marker", "nan-value", "inf-threshold", "non-numeric"])
+    def test_corrupt_tree_rejected(self, change):
+        obj = {"feature": [0, -1, -1], "threshold": [1.5, 0.0, 0.0],
+               "left": [1, -1, -1], "right": [2, -1, -1], "value": [0.0, 10.0, 20.0]}
+        Tree.from_json(obj)  # the unchanged tree loads
+        obj.update(change)
+        with pytest.raises(ConfigError):
+            Tree.from_json(obj)
+
+    def test_missing_field_rejected(self):
+        with pytest.raises(ConfigError):
+            Tree.from_json({"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1]})
