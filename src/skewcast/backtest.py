@@ -35,6 +35,8 @@ from .errors import (
     ConfigError,
     DataError,
     InsufficientHistory,
+    IoFailure,
+    write_text,
 )
 from .learner import FitModel, LearnerConfig, fit
 from .losses import LossSpec, WeightScheme, deviance
@@ -385,17 +387,23 @@ def run_backtest(plan: BacktestPlan, panel: SalesPanel | None = None) -> Backtes
     )
 
 
+def make_out_dir(out_dir) -> None:
+    """Create an output directory (and its parents) if it is missing."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create output directory {out_dir}: {exc}") from exc
+
+
 def write_backtest_outputs(report: BacktestReport, out_dir) -> None:
     """Emit metrics.csv and report.json into out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
+    make_out_dir(out_dir)
     write_metrics_csv(report.rows, os.path.join(out_dir, "metrics.csv"))
     _write_json(report.to_json(), os.path.join(out_dir, "report.json"))
 
 
 def _write_json(obj: dict, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _count_inversions(values: list[float], direction: str) -> int:
@@ -525,7 +533,7 @@ def run_power_sweep(
 
 def write_trend_outputs(report: TrendReport, out_dir, csv_name: str) -> None:
     """Emit <csv_name> (trend table), metrics.csv (per-version), report.json."""
-    os.makedirs(out_dir, exist_ok=True)
+    make_out_dir(out_dir)
     write_metrics_csv(report.rows, os.path.join(out_dir, "metrics.csv"))
     header = [report.axis_name, "horizon_weeks", "wmape", "wbias",
               "total_actual", "n_versions", "skipped_items"]
@@ -540,8 +548,7 @@ def write_trend_outputs(report: TrendReport, out_dir, csv_name: str) -> None:
             str(row["n_versions"]),
             str(row["skipped_items"]),
         ]))
-    with open(os.path.join(out_dir, csv_name), "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(os.path.join(out_dir, csv_name), "\n".join(lines) + "\n")
     _write_json(report.to_json(), os.path.join(out_dir, "report.json"))
 
 

@@ -80,6 +80,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_backtest(args) -> int:
     plan = bt.load_plan(args.plan)
+    bt.make_out_dir(args.out_dir)  # fail before the grid, not after it
     report = bt.run_backtest(plan)
     bt.write_backtest_outputs(report, args.out_dir)
     print(f"wrote metrics.csv and report.json to {args.out_dir}")
@@ -88,6 +89,7 @@ def _cmd_backtest(args) -> int:
 
 def _cmd_ladder(args) -> int:
     plan = bt.load_plan(args.plan)
+    bt.make_out_dir(args.out_dir)  # fail before the grid, not after it
     report = bt.run_weight_ladder(plan)
     bt.write_trend_outputs(report, args.out_dir, "ladder.csv")
     print(f"wrote ladder.csv, metrics.csv and report.json to {args.out_dir}")
@@ -96,6 +98,7 @@ def _cmd_ladder(args) -> int:
 
 def _cmd_sweep(args) -> int:
     plan = bt.load_plan(args.plan)
+    bt.make_out_dir(args.out_dir)  # fail before the grid, not after it
     report = bt.run_power_sweep(plan)
     bt.write_trend_outputs(report, args.out_dir, "sweep.csv")
     print(f"wrote sweep.csv, metrics.csv and report.json to {args.out_dir}")

@@ -41,6 +41,15 @@ class IoFailure(DataError):
     """Filesystem write failed."""
 
 
+def write_text(path, text: str) -> None:
+    """Write a whole text file as UTF-8; an ``OSError`` becomes ``IoFailure``."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
 class DomainError(DataError):
     """Value outside the valid domain of a transform or loss."""
 

@@ -29,6 +29,7 @@ from .errors import (
     EmptyInput,
     IoFailure,
     ShapeMismatch,
+    write_text,
 )
 from .losses import (
     LossSpec,
@@ -41,7 +42,7 @@ from .losses import (
 )
 from .rng import keyed_stream
 from .transform import TargetTransform, forward, inverse
-from .trees import Tree, grow_tree
+from .trees import Tree, grow_tree, presort
 
 MODEL_FORMAT = "skewcast-model-v1"
 
@@ -157,7 +158,7 @@ class FitModel:
             raise ConfigError(
                 f"unsupported model version {obj.get('version')!r}, expected {MODEL_FORMAT!r}"
             )
-        return cls(
+        model = cls(
             transform=TargetTransform.from_json(obj["transform"]),
             loss=LossSpec.from_json(obj["loss"]),
             weight_scheme=WeightScheme.from_json(obj["weight_scheme"]),
@@ -165,10 +166,31 @@ class FitModel:
             feature_names=list(obj["feature_names"]),
             base_score=float(obj["base_score"]),
             trees=[Tree.from_json(t) for t in obj["trees"]],
-            betas=[np.asarray(b, dtype=np.float64) for b in obj["betas"]],
+            betas=[_beta_from_json(b) for b in obj["betas"]],
             training_loss=[float(v) for v in obj["training_loss"]],
             bias_corrector=BiasCorrector.from_json(obj["bias_corrector"]),
         )
+        n_features = len(model.feature_names)
+        for tree in model.trees:
+            if (tree.feature >= n_features).any():
+                raise ConfigError(f"tree splits on a feature beyond the model's {n_features}")
+        for beta in model.betas:
+            if beta.shape != (n_features + 1,):
+                raise ConfigError(
+                    f"betas must have {n_features + 1} entries (features and intercept), "
+                    f"got shape {beta.shape}"
+                )
+        return model
+
+
+def _beta_from_json(obj) -> np.ndarray:
+    try:
+        beta = np.asarray(obj, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad betas JSON: {exc!r}") from None
+    if not np.isfinite(beta).all():
+        raise ConfigError("betas must be finite")
+    return beta
 
 
 def _check_matrix(X, n_features: int) -> np.ndarray:
@@ -261,24 +283,32 @@ def fit_arrays(
         base_score=base,
     )
     Xa = _augment(X) if config.base == "linear" else None
+    # without subsampling every round grows on all rows: sort the features
+    # once, and take each row's step from the leaf it grew into
+    order = presort(X) if config.base == "tree" and config.subsample >= 1.0 else None
     for rnd in range(config.rounds):
         gh = grad_hess(loss, z, scores)
         g = w * gh.grad
         h = w * gh.hess
-        rows = _round_rows(config, rnd, len(y))
-        if config.base == "tree":
-            tree = grow_tree(
-                X[rows], g[rows], h[rows],
-                max_depth=config.max_depth,
-                min_child_weight=config.min_child_weight,
-                l2_reg=config.l2_reg,
-            )
-            model.trees.append(tree)
-            scores += config.learning_rate * tree.predict(X)
-        else:
+        if config.base == "linear":
+            rows = _round_rows(config, rnd, len(y))
             beta = _linear_step(Xa[rows], g[rows], h[rows], config.l2_reg)
             model.betas.append(beta)
-            scores += config.learning_rate * np.einsum("ij,j->i", Xa, beta)
+            step = np.einsum("ij,j->i", Xa, beta)
+        elif order is not None:
+            step = np.empty(len(y))
+            model.trees.append(grow_tree(
+                X, g, h, config.max_depth, config.min_child_weight, config.l2_reg,
+                order=order, out=step,
+            ))
+        else:
+            rows = _round_rows(config, rnd, len(y))
+            model.trees.append(grow_tree(
+                X[rows], g[rows], h[rows],
+                config.max_depth, config.min_child_weight, config.l2_reg,
+            ))
+            step = model.trees[-1].predict(X)
+        scores += config.learning_rate * step
         curve.append(total_loss(loss, w, z, mean_from_score(loss, scores)) / w_total)
     model.training_loss = curve
     return model
@@ -344,17 +374,11 @@ def write_pairs_csv(report: dict, path) -> None:
     lines = ["actual,predicted"]
     for a, p in report["pairs"]:
         lines.append(f"{a:.12g},{p:.12g}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def save_model(model: FitModel, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(model.to_json(), fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write model {path}: {exc}") from exc
+    write_text(path, json.dumps(model.to_json(), sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_model(path) -> FitModel:

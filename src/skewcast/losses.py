@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .errors import ConfigError, DomainError, LengthMismatch
+from .errors import ConfigError, DomainError, LengthMismatch, write_text
 
 HESS_FLOOR = 1e-16
 WEIGHT_FLOOR = 1e-6
@@ -317,11 +317,10 @@ class ConvexityTable:
         return self.values[self.labels.index(label)]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("mu," + ",".join(self.labels) + "\n")
-            for j, m in enumerate(self.mu_grid):
-                row = [f"{m:.12g}"] + [f"{v:.12g}" for v in self.values[:, j]]
-                fh.write(",".join(row) + "\n")
+        lines = ["mu," + ",".join(self.labels)]
+        for j, m in enumerate(self.mu_grid):
+            lines.append(",".join([f"{m:.12g}"] + [f"{v:.12g}" for v in self.values[:, j]]))
+        write_text(path, "\n".join(lines) + "\n")
 
 
 def convexity_profile(specs: list[LossSpec], actual: float, mu_grid) -> ConvexityTable:

@@ -23,10 +23,10 @@ import numpy as np
 from .errors import (
     DegenerateBaseline,
     EmptyInput,
-    IoFailure,
     LengthMismatch,
     NoValidItems,
     ZeroActual,
+    write_text,
 )
 from .panel import ForecastVersion, SalesPanel, _fmt
 
@@ -167,8 +167,4 @@ def write_metrics_csv(rows: list[tuple[str, VersionMetrics]], path) -> None:
             _fmt(vm.total_actual),
             str(vm.skipped_items),
         ]))
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_text(path, "\n".join(lines) + "\n")

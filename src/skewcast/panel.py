@@ -24,6 +24,7 @@ from .errors import (
     IoFailure,
     MalformedRow,
     NegativeSales,
+    write_text,
 )
 
 HORIZONS = (6, 12, 24)
@@ -197,8 +198,4 @@ def write_panel(panel: SalesPanel, path) -> None:
     for code, day, sales, features in zip(panel.item_codes.tolist(), panel.day_ordinals.tolist(),
                                           panel.sales.tolist(), panel.feature_matrix.tolist()):
         out.append(",".join([panel.item_ids[code], iso[day], _fmt(sales), *map(_fmt, features)]))
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(out) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_text(path, "\n".join(out) + "\n")

@@ -9,6 +9,18 @@ and assigning leaf values -G / (H + reg), where G and H are sums of
 per-row gradients and hessians.  Nodes are stored in flat parallel
 arrays so prediction is a vectorized level-by-level descent.
 
+Growth sorts each feature once (``presort``, the "column block" layout
+of XGBoost) instead of once per node.  Every node carries its rows in
+ascending order plus, per feature, its rows sorted by that feature; a
+split filters both with the chosen ``x <= threshold`` mask, so no node
+sorts again.  A stable sort filtered to a subset is that subset's own
+stable sort: the node sees its rows in (value, row) order, exactly as a
+per-node stable argsort would give them, so prefix sums, gains, chosen
+splits and leaf values are the same bits.  All candidates of a node are
+scored in one pass over a (features, rows) block.  A leaf can also
+write its value to its rows, which saves the boosting loop a ``predict``
+over its own training rows.
+
 Determinism: features are scanned in index order, sorts are stable, and
 ties in gain resolve to the lowest feature index and then the lowest
 threshold, so the same inputs always grow the same tree.
@@ -102,6 +114,12 @@ class Tree:
         return tree
 
 
+def presort(X: np.ndarray) -> np.ndarray:
+    """Rows of every column in ascending (value, row) order: shape (n_features, n)."""
+    X = np.asarray(X, dtype=np.float64)
+    return np.argsort(X.T, axis=1, kind="stable")
+
+
 def grow_tree(
     X: np.ndarray,
     grad: np.ndarray,
@@ -109,12 +127,22 @@ def grow_tree(
     max_depth: int,
     min_child_weight: float,
     l2_reg: float,
+    order: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> Tree:
-    """Grow one tree to ``max_depth`` by exact greedy splitting."""
+    """Grow one tree to ``max_depth`` by exact greedy splitting.
+
+    ``order`` is ``presort(X)`` when the caller already has it.  If ``out``
+    is given, each row's leaf value is written to it: what ``predict(X)``
+    would return.
+    """
     X = np.asarray(X, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     hess = np.asarray(hess, dtype=np.float64)
-    n_features = X.shape[1]
+    if order is None:
+        order = presort(X)
+    XT = np.ascontiguousarray(X.T)
+    went_left = np.empty(len(X), dtype=bool)  # per row: side of its node's split
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -131,29 +159,38 @@ def grow_tree(
         return len(feature) - 1
 
     root = new_node()
-    # stack of (node_id, row indices, depth); children pushed right-first so
-    # nodes are numbered in depth-first left-to-right order
-    stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(len(X)), 0)]
+    # stack of (node_id, ascending rows, the rows sorted per feature, depth);
+    # children pushed right-first so nodes are numbered in depth-first
+    # left-to-right order
+    stack = [(root, np.arange(len(X)), order, 0)]
     while stack:
-        node_id, rows, depth = stack.pop()
+        node_id, rows, idx, depth = stack.pop()
         g_sum = float(np.sum(grad[rows]))
         h_sum = float(np.sum(hess[rows]))
         value[node_id] = -g_sum / (h_sum + l2_reg)
-        if depth >= max_depth or len(rows) < 2:
-            continue
-        split = _best_split(X, grad, hess, rows, g_sum, h_sum, n_features,
-                            min_child_weight, l2_reg)
+        split = None
+        if depth < max_depth and len(rows) >= 2:
+            split = _best_split(XT, grad, hess, idx, g_sum, h_sum, min_child_weight, l2_reg)
         if split is None:
+            if out is not None:
+                out[rows] = value[node_id]
             continue
-        feat, thr, left_rows, right_rows = split
+        feat, thr = split
+        go_left = XT[feat, rows] <= thr
+        left_idx = right_idx = None  # children at max_depth never split
+        if depth + 1 < max_depth:
+            went_left[rows] = go_left
+            mask = went_left[idx]
+            left_idx = idx[mask].reshape(len(idx), -1)
+            right_idx = idx[~mask].reshape(len(idx), -1)
         feature[node_id] = feat
         threshold[node_id] = thr
         left_id = new_node()
         right_id = new_node()
         left[node_id] = left_id
         right[node_id] = right_id
-        stack.append((right_id, right_rows, depth + 1))
-        stack.append((left_id, left_rows, depth + 1))
+        stack.append((right_id, rows[~go_left], right_idx, depth + 1))
+        stack.append((left_id, rows[go_left], left_idx, depth + 1))
 
     return Tree(
         feature=np.asarray(feature, dtype=np.int64),
@@ -164,39 +201,45 @@ def grow_tree(
     )
 
 
-def _best_split(X, grad, hess, rows, g_sum, h_sum, n_features, min_child_weight, l2_reg):
+def _best_split(XT, grad, hess, idx, g_sum, h_sum, min_child_weight, l2_reg):
+    """(feature, threshold) of the best split of a node, or None.
+
+    ``idx`` holds the node's rows once per feature, each sorted by that
+    feature; every candidate of every feature is scored in one pass.
+    """
+    xs = XT.take(idx + np.arange(len(idx))[:, None] * XT.shape[1])  # XT[f, idx[f]]
+    g_cum = np.cumsum(grad[idx], axis=1)[:, :-1]
+    h_cum = np.cumsum(hess[idx], axis=1)[:, :-1]
+    h_rest = h_sum - h_cum
+    ok = (
+        (xs[:, 1:] != xs[:, :-1])
+        & (h_cum >= min_child_weight)
+        & (h_rest >= min_child_weight)
+    )
+    # gains only where a split is allowed; tied features have few such places
+    g_left, h_left, h_right = g_cum[ok], h_cum[ok], h_rest[ok]
+    g_right = g_sum - g_left
+    parent_score = g_sum * g_sum / (h_sum + l2_reg)
+    gain = np.full(ok.shape, -np.inf)
+    gain[ok] = 0.5 * (
+        g_left * g_left / (h_left + l2_reg)
+        + g_right * g_right / (h_right + l2_reg)
+        - parent_score
+    )
+    # first max per feature: lowest threshold on gain ties (and a NaN gain
+    # wins argmax, then loses the comparison below, skipping the feature)
+    at = np.argmax(gain, axis=1)
     best_gain = 0.0
     best = None
-    parent_score = g_sum * g_sum / (h_sum + l2_reg)
-    for feat in range(n_features):
-        xs = X[rows, feat]
-        order = np.argsort(xs, kind="stable")
-        xs_sorted = xs[order]
-        if xs_sorted[0] == xs_sorted[-1]:
-            continue
-        g_cum = np.cumsum(grad[rows][order])[:-1]
-        h_cum = np.cumsum(hess[rows][order])[:-1]
-        g_rest = g_sum - g_cum
-        h_rest = h_sum - h_cum
-        ok = (
-            (xs_sorted[1:] != xs_sorted[:-1])
-            & (h_cum >= min_child_weight)
-            & (h_rest >= min_child_weight)
-        )
-        if not ok.any():
-            continue
-        gain = 0.5 * (
-            g_cum * g_cum / (h_cum + l2_reg)
-            + g_rest * g_rest / (h_rest + l2_reg)
-            - parent_score
-        )
-        gain[~ok] = -np.inf
-        k = int(np.argmax(gain))  # first max: lowest threshold on gain ties
-        if gain[k] > best_gain:
-            best_gain = float(gain[k])
-            thr = 0.5 * (xs_sorted[k] + xs_sorted[k + 1])
-            if not (xs_sorted[k] <= thr < xs_sorted[k + 1]):
-                thr = float(xs_sorted[k])  # guard rounding on adjacent floats
-            go_left = xs <= thr
-            best = (feat, float(thr), rows[go_left], rows[~go_left])
-    return best
+    for feat, k in enumerate(at.tolist()):
+        if gain[feat, k] > best_gain:  # strict: lowest feature on gain ties
+            best_gain = gain[feat, k]
+            best = (feat, k)
+    if best is None:
+        return None
+    feat, k = best
+    lo, hi = xs[feat, k], xs[feat, k + 1]
+    thr = 0.5 * (lo + hi)
+    if not (lo <= thr < hi):
+        thr = lo  # guard rounding on adjacent floats
+    return feat, float(thr)

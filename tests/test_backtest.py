@@ -19,7 +19,7 @@ from skewcast.backtest import (
     write_backtest_outputs,
     write_trend_outputs,
 )
-from skewcast.errors import ConfigError, InsufficientHistory
+from skewcast.errors import ConfigError, InsufficientHistory, IoFailure
 from skewcast.learner import FitModel
 from skewcast.metrics import METRICS_CSV_HEADER
 
@@ -228,6 +228,15 @@ class TestGridRuns:
         assert set(obj["arms"]) == {"TRUTH", "E1"}
         assert obj["arms"]["TRUTH"]["aggregates"]["6"]["wmape"] == 0.0
 
+    def test_unwritable_outputs_are_io_failures(self, oracle_report, tmp_path):
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        with pytest.raises(IoFailure):
+            write_backtest_outputs(oracle_report, afile / "sub")
+        (tmp_path / "out" / "report.json").mkdir(parents=True)
+        with pytest.raises(IoFailure):
+            write_backtest_outputs(oracle_report, tmp_path / "out")
+
     def test_baseline_must_be_in_plan(self):
         panel = _flat_panel(n_days=300)
         plan = sc.BacktestPlan(train_window_days=60, n_versions=1, horizons=(6,),
@@ -287,6 +296,11 @@ class TestTrendRuns:
         assert obj["axis"] == "scheme"
         assert obj["order"][0] == "unit"
         assert (tmp_path / "metrics.csv").exists()
+
+    def test_unwritable_trend_outputs_are_io_failures(self, control_ladder, tmp_path):
+        (tmp_path / "ladder.csv").mkdir()
+        with pytest.raises(IoFailure):
+            write_trend_outputs(control_ladder, tmp_path, "ladder.csv")
 
     def test_sweep_reports_best_and_theoretical_power(self, tmp_path, small_panel):
         cfg = sc.GenConfig(n_items=30, n_days=260, seed=7)

@@ -206,3 +206,38 @@ class TestConvexity:
         proc = run_cli("convexity", "--losses", "hinge",
                        "--out", str(workdir / "c.csv"))
         assert proc.returncode == 2
+
+
+class TestUnwritableOutput:
+    """An output path under a regular file ends as a data error (exit 3)
+    with a message, not a traceback; the grid commands fail before the
+    first fit."""
+
+    @pytest.fixture(scope="class")
+    def afile(self, workdir):
+        path = workdir / "afile"
+        path.write_text("not a directory\n", encoding="utf-8")
+        plan_path = workdir / "io_plan.json"
+        plan_path.write_text(json.dumps(_plan(workdir)), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("command", ["backtest", "ladder", "sweep"])
+    def test_grid_out_dir(self, workdir, afile, command):
+        proc = run_cli(command, "--plan", str(workdir / "io_plan.json"),
+                       "--out-dir", str(afile / "sub"))
+        assert proc.returncode == 3
+        assert "data error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_fit_report(self, workdir, afile):
+        proc = run_cli("fit", "--panel", str(workdir / "panel.csv"),
+                       "--arm", "E4", "--model-out", str(workdir / "io_model.json"),
+                       "--learner", str(workdir / "learner.json"),
+                       "--report", str(afile / "pairs.csv"))
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+
+    def test_convexity_out(self, afile):
+        proc = run_cli("convexity", "--out", str(afile / "curves.csv"))
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr

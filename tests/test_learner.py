@@ -14,6 +14,8 @@ from skewcast.errors import (
     ShapeMismatch,
 )
 from skewcast.learner import FitModel, write_pairs_csv
+from skewcast.losses import mean_from_score, total_loss, weights_for
+from skewcast.transform import forward
 
 IDENTITY = sc.TargetTransform(kind="identity")
 LOG = sc.TargetTransform(kind="log")
@@ -98,6 +100,20 @@ class TestTrainingLoss:
     def test_loss_actually_improves(self, small_panel):
         model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT, _quick_config())
         assert model.training_loss[-1] < 0.9 * model.training_loss[0]
+
+    @pytest.mark.parametrize("transform,loss,scheme", [
+        (LOG, sc.LossSpec.mse(), UNIT),
+        (LOG, sc.LossSpec.mse(), sc.WeightScheme(kind="sqrt_sales")),
+        (IDENTITY, sc.LossSpec.tweedie(1.5), UNIT),
+    ], ids=["log-mse", "log-mse-sqrt-weights", "tweedie"])
+    def test_final_loss_matches_the_saved_model(self, small_panel, transform, loss, scheme):
+        """The fit steps its scores by the leaf values written while each
+        tree grows; the saved trees must give back the same scores."""
+        model = sc.fit(small_panel, transform, loss, scheme, _quick_config())
+        y = small_panel.sales
+        w = weights_for(scheme, y)
+        mu = mean_from_score(loss, model.score(small_panel.feature_matrix))
+        assert total_loss(loss, w, forward(transform, y), mu) / np.sum(w) == model.training_loss[-1]
 
 
 class TestDeterminism:
@@ -242,6 +258,23 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             FitModel.from_json(obj)
 
+    @pytest.mark.parametrize("base,edit", [
+        ("tree", lambda obj: obj["trees"][0]["feature"].__setitem__(0, 7)),
+        ("linear", lambda obj: obj["betas"][0].pop()),
+        ("linear", lambda obj: obj["betas"].__setitem__(0, [obj["betas"][0]])),
+        ("linear", lambda obj: obj["betas"][0].__setitem__(0, float("inf"))),
+        ("linear", lambda obj: obj["betas"].__setitem__(0, ["one", 2.0])),
+    ], ids=["tree-feature-out-of-range", "betas-too-short", "betas-not-1d",
+            "betas-not-finite", "betas-not-numeric"])
+    def test_corrupt_model_rejected(self, small_panel, base, edit):
+        model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT,
+                       _quick_config(base=base, rounds=2))
+        obj = model.to_json()
+        FitModel.from_json(obj)  # the unedited model loads
+        edit(obj)
+        with pytest.raises(ConfigError):
+            FitModel.from_json(obj)
+
     def test_load_errors(self, tmp_path):
         with pytest.raises(IoFailure):
             sc.load_model(tmp_path / "missing.json")
@@ -280,3 +313,5 @@ class TestFitReport:
         lines = path.read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == "actual,predicted"
         assert len(lines) == 1 + len(small_panel)
+        with pytest.raises(IoFailure):
+            write_pairs_csv(report, path / "under-a-file.csv")

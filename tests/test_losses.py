@@ -5,7 +5,7 @@ import pytest
 from scipy import optimize
 
 import skewcast as sc
-from skewcast.errors import ConfigError, DomainError, LengthMismatch
+from skewcast.errors import ConfigError, DomainError, IoFailure, LengthMismatch
 from skewcast.losses import HESS_FLOOR, convexity_profile
 
 ALL_SPECS = [
@@ -306,3 +306,5 @@ class TestConvexityProfile:
         lines = path.read_text(encoding="utf-8").strip().split("\n")
         assert lines[0].split(",")[0] == "mu"
         assert len(lines) == 1 + len(grid)
+        with pytest.raises(IoFailure):
+            table.write_csv(path / "under-a-file.csv")

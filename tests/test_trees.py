@@ -1,11 +1,19 @@
-"""Regression trees: split search against a brute-force oracle, routing,
+"""Regression trees: split search against a brute-force oracle, the
+presorted engine against the per-node-sort grower it replaced, routing,
 and structural determinism."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import skewcast as sc
+from skewcast import learner
 from skewcast.errors import ConfigError
-from skewcast.trees import Tree, grow_tree
+from skewcast.trees import Tree, grow_tree, presort
+
+TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
 
 
 def brute_force_root_split(X, grad, hess, min_child_weight, l2_reg):
@@ -34,6 +42,113 @@ def brute_force_root_split(X, grad, hess, min_child_weight, l2_reg):
             if gain > 0.0 and (best is None or gain > best[0] + 1e-12):
                 best = (gain, feat, thr)
     return best
+
+
+def _reference_grow_tree(X, grad, hess, max_depth, min_child_weight, l2_reg):
+    """The grower before presorting: every node argsorts its own rows."""
+    X = np.asarray(X, dtype=np.float64)
+    grad = np.asarray(grad, dtype=np.float64)
+    hess = np.asarray(hess, dtype=np.float64)
+    n_features = X.shape[1]
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        return len(feature) - 1
+
+    root = new_node()
+    stack = [(root, np.arange(len(X)), 0)]
+    while stack:
+        node_id, rows, depth = stack.pop()
+        g_sum = float(np.sum(grad[rows]))
+        h_sum = float(np.sum(hess[rows]))
+        value[node_id] = -g_sum / (h_sum + l2_reg)
+        if depth >= max_depth or len(rows) < 2:
+            continue
+        split = _reference_best_split(X, grad, hess, rows, g_sum, h_sum, n_features,
+                                      min_child_weight, l2_reg)
+        if split is None:
+            continue
+        feat, thr, left_rows, right_rows = split
+        feature[node_id] = feat
+        threshold[node_id] = thr
+        left_id = new_node()
+        right_id = new_node()
+        left[node_id] = left_id
+        right[node_id] = right_id
+        stack.append((right_id, right_rows, depth + 1))
+        stack.append((left_id, left_rows, depth + 1))
+
+    return Tree(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        value=np.asarray(value, dtype=np.float64),
+    )
+
+
+def _reference_best_split(X, grad, hess, rows, g_sum, h_sum, n_features,
+                          min_child_weight, l2_reg):
+    best_gain = 0.0
+    best = None
+    parent_score = g_sum * g_sum / (h_sum + l2_reg)
+    for feat in range(n_features):
+        xs = X[rows, feat]
+        order = np.argsort(xs, kind="stable")
+        xs_sorted = xs[order]
+        if xs_sorted[0] == xs_sorted[-1]:
+            continue
+        g_cum = np.cumsum(grad[rows][order])[:-1]
+        h_cum = np.cumsum(hess[rows][order])[:-1]
+        g_rest = g_sum - g_cum
+        h_rest = h_sum - h_cum
+        ok = (
+            (xs_sorted[1:] != xs_sorted[:-1])
+            & (h_cum >= min_child_weight)
+            & (h_rest >= min_child_weight)
+        )
+        if not ok.any():
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = 0.5 * (
+                g_cum * g_cum / (h_cum + l2_reg)
+                + g_rest * g_rest / (h_rest + l2_reg)
+                - parent_score
+            )
+        gain[~ok] = -np.inf
+        k = int(np.argmax(gain))
+        if gain[k] > best_gain:
+            best_gain = float(gain[k])
+            thr = 0.5 * (xs_sorted[k] + xs_sorted[k + 1])
+            if not (xs_sorted[k] <= thr < xs_sorted[k + 1]):
+                thr = float(xs_sorted[k])
+            go_left = xs <= thr
+            best = (feat, float(thr), rows[go_left], rows[~go_left])
+    return best
+
+
+def _depth(tree, node=0):
+    if tree.feature[node] == -1:
+        return 0
+    return 1 + max(_depth(tree, tree.left[node]), _depth(tree, tree.right[node]))
+
+
+def assert_matches_reference(X, grad, hess, max_depth, min_child_weight, l2_reg):
+    """The presorted engine grows the reference's tree exactly, and the
+    leaf values it writes are exactly what ``predict`` returns."""
+    expect = _reference_grow_tree(X, grad, hess, max_depth, min_child_weight, l2_reg)
+    leaf = np.full(len(X), np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tree = grow_tree(X, grad, hess, max_depth, min_child_weight, l2_reg, out=leaf)
+    for field in TREE_FIELDS:
+        assert np.array_equal(getattr(tree, field), getattr(expect, field)), field
+    assert np.array_equal(leaf, tree.predict(X))
+    return tree
 
 
 class TestSplitSearch:
@@ -122,8 +237,92 @@ class TestSplitSearch:
         hess = rng.uniform(0.5, 2.0, size=80)
         a = grow_tree(X, grad, hess, max_depth=4, min_child_weight=1.0, l2_reg=1.0)
         b = grow_tree(X, grad, hess, max_depth=4, min_child_weight=1.0, l2_reg=1.0)
-        for field in ("feature", "threshold", "left", "right", "value"):
+        for field in TREE_FIELDS:
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+
+class TestPresortedEngine:
+    def test_presort_is_a_stable_argsort_of_every_column(self, rng):
+        X = rng.integers(0, 3, size=(50, 4)).astype(float)
+        order = presort(X)
+        assert order.shape == (4, 50)
+        for feat in range(4):
+            np.testing.assert_array_equal(order[feat], np.argsort(X[:, feat], kind="stable"))
+
+    def test_heavy_ties_and_a_constant_feature(self, rng):
+        X = rng.integers(0, 4, size=(300, 4)).astype(float)
+        X[:, 2] = 7.0
+        grad = rng.normal(size=300)
+        hess = rng.uniform(0.5, 2.0, size=300)
+        tree = assert_matches_reference(X, grad, hess, 4, 1.0, 1.0)
+        assert tree.n_nodes > 1
+        assert 2 not in tree.feature
+
+    def test_min_child_weight_blocking_every_split(self, rng):
+        X = rng.normal(size=(40, 3))
+        grad = rng.normal(size=40)
+        hess = np.ones(40)
+        tree = assert_matches_reference(X, grad, hess, 3, 25.0, 1.0)
+        assert tree.n_nodes == 1
+
+    def test_zero_hessians_without_regularization(self):
+        """Rows with zero weight carry zero gradient and hessian.  With
+        l2_reg=0, feature 0's first split isolates them and scores 0/0 =
+        NaN, which skips feature 0 in both engines although its second
+        split is the best one; the weaker feature 1 wins."""
+        X = np.column_stack([np.repeat([0.0, 1.0, 2.0], 10), np.repeat([0.0, 1.0], [15, 15])])
+        grad = np.concatenate([np.zeros(10), np.full(10, -3.0), np.full(10, 2.0)])
+        hess = np.concatenate([np.zeros(10), np.ones(20)])
+        tree = assert_matches_reference(X, grad, hess, 3, 0.0, 0.0)
+        assert tree.feature[0] == 1
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
+    def test_depths(self, rng, depth):
+        n = 400
+        X = np.column_stack([
+            rng.normal(size=n),
+            rng.integers(0, 7, size=n),
+            rng.choice([1.0, 2.5, 4.0], size=n),
+            np.repeat(rng.normal(size=8), n // 8),
+        ])
+        grad = rng.normal(size=n)
+        hess = rng.uniform(0.1, 2.0, size=n)
+        tree = assert_matches_reference(X, grad, hess, depth, 1.0, 1.0)
+        assert _depth(tree) == depth
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_small_matrices(self, data):
+        n = data.draw(st.integers(1, 30), label="n")
+        k = data.draw(st.integers(1, 3), label="k")
+        values = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+                           st.floats(-1e3, 1e3, allow_nan=False))
+        X = data.draw(hnp.arrays(np.float64, (n, k), elements=values), label="X")
+        grad = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-10, 10)), label="grad")
+        hess = data.draw(hnp.arrays(np.float64, n, elements=st.floats(0, 2)), label="hess")
+        assert_matches_reference(
+            X, grad, hess,
+            max_depth=data.draw(st.integers(1, 6), label="max_depth"),
+            min_child_weight=data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="mcw"),
+            l2_reg=data.draw(st.sampled_from([0.5, 1.0]), label="l2_reg"),
+        )
+
+    @pytest.mark.parametrize("subsample", [1.0, 0.6])
+    def test_fit_matches_a_fit_with_the_reference_grower(self, small_panel, monkeypatch,
+                                                         subsample):
+        def reference(X, grad, hess, max_depth, min_child_weight, l2_reg,
+                      order=None, out=None):
+            tree = _reference_grow_tree(X, grad, hess, max_depth, min_child_weight, l2_reg)
+            if out is not None:
+                out[:] = tree.predict(X)
+            return tree
+
+        cfg = sc.LearnerConfig(rounds=8, max_depth=4, subsample=subsample, seed=3)
+        args = (small_panel, sc.TargetTransform(kind="log"), sc.LossSpec.mse(),
+                sc.WeightScheme(kind="sqrt_sales"), cfg)
+        model = sc.fit(*args)
+        monkeypatch.setattr(learner, "grow_tree", reference)
+        assert model.to_json() == sc.fit(*args).to_json()
 
 
 class TestRouting:
