@@ -1,7 +1,7 @@
 """Rolling-origin backtesting and the experiment grid.
 
 A backtest walks weekly forecast origins ("versions") anchored at the
-panel's end: for each origin, every experiment arm trains on the
+panel's end: at each origin, every experiment arm trains on the
 trailing window strictly before the origin, fits its bias corrector on
 training residuals, forecasts the horizon windows, and is scored with
 version metrics.  Results aggregate sales-weighted per horizon and are
@@ -13,9 +13,14 @@ range, log target, log target + sqrt-sales weights) plus bias-corrected
 variants of the log-target arm, a weight-escalation ladder, and a
 Tweedie power sweep.
 
-Arms and origins run in parallel threads (``SKEWCAST_THREADS`` caps the
-pool); every job is pure and writes to its own slot, and the final
-assembly is sorted, so results are byte-identical at any thread count.
+The grid's unit of work is one (distinct model, origin) job.  Arms that
+share a transform, loss and weight scheme fit the same model, so they
+form one group: the job fits that model once, predicts the test rows
+once, then fits each arm's own corrector on the training predictions
+and scores every arm at every horizon.  Jobs run in parallel threads
+(``SKEWCAST_THREADS`` caps the pool); every job is pure and writes to
+its own slot, and the final assembly is sorted, so ``metrics.csv`` and
+``report.json`` are the same bytes at any thread count.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .errors import (
     DataError,
     InsufficientHistory,
     IoFailure,
+    json_object,
     write_text,
 )
 from .learner import FitModel, LearnerConfig, fit
@@ -109,6 +115,7 @@ class ExperimentArm:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentArm":
+        obj = json_object(obj, "arm")
         try:
             return cls(
                 id=obj["id"],
@@ -120,6 +127,8 @@ class ExperimentArm:
             )
         except KeyError as exc:
             raise ConfigError(f"arm JSON missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad arm JSON: {exc}") from None
 
 
 def standard_arms() -> list[ExperimentArm]:
@@ -195,21 +204,17 @@ class BacktestPlan:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BacktestPlan":
-        kwargs = dict(obj)
-        if "horizons" in kwargs:
-            kwargs["horizons"] = tuple(kwargs["horizons"])
-        if "arms" in kwargs:
-            raw = kwargs["arms"]
-            arms = []
-            for a in raw:
-                if isinstance(a, str):
-                    arms.append(arm_by_id(a))
-                else:
-                    arms.append(ExperimentArm.from_json(a))
-            kwargs["arms"] = tuple(arms)
-        if "learner" in kwargs:
-            kwargs["learner"] = LearnerConfig.from_json(kwargs["learner"])
+        kwargs = dict(json_object(obj, "backtest plan"))
         try:
+            if "horizons" in kwargs:
+                kwargs["horizons"] = tuple(kwargs["horizons"])
+            if "arms" in kwargs:
+                kwargs["arms"] = tuple(
+                    arm_by_id(a) if isinstance(a, str) else ExperimentArm.from_json(a)
+                    for a in kwargs["arms"]
+                )
+            if "learner" in kwargs:
+                kwargs["learner"] = LearnerConfig.from_json(kwargs["learner"])
             return cls(**kwargs)
         except TypeError as exc:
             raise ConfigError(f"bad backtest plan: {exc}") from None
@@ -255,36 +260,81 @@ def _train_slice(panel: SalesPanel, origin: dt.date, window_days: int) -> SalesP
     return train
 
 
+def _fit_correctors(
+    arms: list[ExperimentArm],
+    model: FitModel,
+    train: SalesPanel,
+) -> list[BiasCorrector]:
+    """Each arm's bias corrector on a model the arms share.
+
+    The training rows are predicted once, and only if some arm corrects.
+    """
+    zhat = None
+    correctors = []
+    for arm in arms:
+        if arm.corrector_kind == "none":
+            correctors.append(BiasCorrector())
+            continue
+        if zhat is None:
+            zhat = model.predict_transformed(train.feature_matrix)
+        correctors.append(fit_corrector(arm.corrector_kind, train.sales, zhat, arm.transform))
+    return correctors
+
+
 def fit_arm(arm: ExperimentArm, train: SalesPanel, learner_cfg: LearnerConfig) -> FitModel:
     """Fit an arm's model on a training panel, corrector included."""
     model = fit(train, arm.transform, arm.loss, arm.weight_scheme, learner_cfg)
-    if arm.corrector_kind != "none":
-        zhat = model.predict_transformed(train.feature_matrix)
-        corrector = fit_corrector(arm.corrector_kind, train.sales, zhat, arm.transform)
-        model = model.with_corrector(corrector)
-    return model
+    (corrector,) = _fit_correctors([arm], model, train)
+    return model.with_corrector(corrector)
+
+
+def _model_groups(arms) -> list[list[ExperimentArm]]:
+    """Arms grouped by the model they fit, in first-seen order.
+
+    An oracle arm fits nothing, so it forms a group of its own.
+    """
+    groups: dict[tuple, list[ExperimentArm]] = {}
+    for arm in arms:
+        key = ("oracle", arm.id) if arm.oracle else (arm.transform, arm.loss, arm.weight_scheme)
+        groups.setdefault(key, []).append(arm)
+    return list(groups.values())
 
 
 def _score_versions(
-    arm: ExperimentArm,
+    arms: list[ExperimentArm],
     plan: BacktestPlan,
     panel: SalesPanel,
     origin: dt.date,
 ) -> list[tuple[str, VersionMetrics]]:
-    """Fit one arm at one origin and score every horizon."""
-    max_h = max(plan.horizons)
-    test = panel.slice_days(origin + dt.timedelta(days=1),
-                            origin + dt.timedelta(days=7 * max_h))
-    if arm.oracle:
-        preds = test.sales.copy()
-    else:
-        train = _train_slice(panel, origin, plan.train_window_days)
-        model = fit_arm(arm, train, plan.learner)
-        preds = model.predict(test.feature_matrix)
-    return [
-        (arm.id, version_metrics(preds, test, ForecastVersion.from_origin(origin, h)))
-        for h in sorted(plan.horizons)
-    ]
+    """Fit one group's model at one origin; score each arm at every horizon.
+
+    A failure is re-raised in its own family (config or data), naming the
+    group's arms and the origin.
+    """
+    try:
+        max_h = max(plan.horizons)
+        test = panel.slice_days(origin + dt.timedelta(days=1),
+                                origin + dt.timedelta(days=7 * max_h))
+        if arms[0].oracle:
+            forecasts = [test.sales.copy()]
+        else:
+            train = _train_slice(panel, origin, plan.train_window_days)
+            lead = arms[0]
+            model = fit(train, lead.transform, lead.loss, lead.weight_scheme, plan.learner)
+            # corrected exactly as FitModel.predict corrects
+            zhat = model.predict_transformed(test.feature_matrix)
+            raw = inverse(model.transform, zhat)
+            forecasts = [c.apply(raw, zhat) for c in _fit_correctors(arms, model, train)]
+        return [
+            (arm.id, version_metrics(preds, test, ForecastVersion.from_origin(origin, h)))
+            for arm, preds in zip(arms, forecasts)
+            for h in sorted(plan.horizons)
+        ]
+    except (ConfigError, DataError) as exc:
+        family = ConfigError if isinstance(exc, ConfigError) else DataError
+        ids = ", ".join(arm.id for arm in arms)
+        noun = "arm" if len(arms) == 1 else "arms"
+        raise family(f"{noun} {ids} at origin {origin}: {exc}") from exc
 
 
 @dataclass
@@ -339,11 +389,11 @@ def _run_grid(
     plan: BacktestPlan,
     panel: SalesPanel,
 ) -> tuple[list[tuple[str, VersionMetrics]], dict[str, dict[int, AggregateMetrics]]]:
-    """Run every (arm, origin) job; sorted rows and per-arm aggregates."""
+    """Run every (distinct model, origin) job; sorted rows and per-arm aggregates."""
     origins = version_origins(panel, plan)
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        futures = [pool.submit(_score_versions, arm, plan, panel, origin)
-                   for arm in arms for origin in origins]
+        futures = [pool.submit(_score_versions, group, plan, panel, origin)
+                   for group in _model_groups(arms) for origin in origins]
         rows = [row for fut in futures for row in fut.result()]
     rows.sort(key=lambda r: (r[0], r[1].version.label, r[1].horizon_weeks))
     aggregates = {

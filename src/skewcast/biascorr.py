@@ -21,7 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInput, InsufficientData, LengthMismatch
+from .errors import (
+    ConfigError,
+    EmptyInput,
+    InsufficientData,
+    LengthMismatch,
+    json_object,
+)
 from .transform import TargetTransform, forward, inverse
 
 KINDS = ("none", "variance_based", "smearing", "prediction_binned")
@@ -88,6 +94,7 @@ class BiasCorrector:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BiasCorrector":
+        obj = json_object(obj, "bias corrector")
         return cls(
             kind=obj.get("kind", "none"),
             factor=float(obj.get("factor", 1.0)),

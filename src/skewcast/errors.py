@@ -50,6 +50,13 @@ def write_text(path, text: str) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+def json_object(obj, what: str) -> dict:
+    """``obj`` itself if it is a JSON object; otherwise a ``ConfigError`` naming ``what``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 class DomainError(DataError):
     """Value outside the valid domain of a transform or loss."""
 

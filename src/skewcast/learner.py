@@ -29,6 +29,7 @@ from .errors import (
     EmptyInput,
     IoFailure,
     ShapeMismatch,
+    json_object,
     write_text,
 )
 from .losses import (
@@ -154,22 +155,28 @@ class FitModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FitModel":
+        obj = json_object(obj, "model")
         if obj.get("version") != MODEL_FORMAT:
             raise ConfigError(
                 f"unsupported model version {obj.get('version')!r}, expected {MODEL_FORMAT!r}"
             )
-        model = cls(
-            transform=TargetTransform.from_json(obj["transform"]),
-            loss=LossSpec.from_json(obj["loss"]),
-            weight_scheme=WeightScheme.from_json(obj["weight_scheme"]),
-            learner=LearnerConfig.from_json(obj["learner"]),
-            feature_names=list(obj["feature_names"]),
-            base_score=float(obj["base_score"]),
-            trees=[Tree.from_json(t) for t in obj["trees"]],
-            betas=[_beta_from_json(b) for b in obj["betas"]],
-            training_loss=[float(v) for v in obj["training_loss"]],
-            bias_corrector=BiasCorrector.from_json(obj["bias_corrector"]),
-        )
+        try:
+            model = cls(
+                transform=TargetTransform.from_json(obj["transform"]),
+                loss=LossSpec.from_json(obj["loss"]),
+                weight_scheme=WeightScheme.from_json(obj["weight_scheme"]),
+                learner=LearnerConfig.from_json(obj["learner"]),
+                feature_names=list(obj["feature_names"]),
+                base_score=float(obj["base_score"]),
+                trees=[Tree.from_json(t) for t in obj["trees"]],
+                betas=[_beta_from_json(b) for b in obj["betas"]],
+                training_loss=[float(v) for v in obj["training_loss"]],
+                bias_corrector=BiasCorrector.from_json(obj["bias_corrector"]),
+            )
+        except KeyError as exc:
+            raise ConfigError(f"model JSON missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad model JSON: {exc}") from None
         n_features = len(model.feature_names)
         for tree in model.trees:
             if (tree.feature >= n_features).any():

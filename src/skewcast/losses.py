@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .errors import ConfigError, DomainError, LengthMismatch, write_text
+from .errors import ConfigError, DomainError, LengthMismatch, json_object, write_text
 
 HESS_FLOOR = 1e-16
 WEIGHT_FLOOR = 1e-6
@@ -107,6 +107,7 @@ class LossSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LossSpec":
+        obj = json_object(obj, "loss")
         return cls(
             kind=obj["kind"],
             power=obj.get("power"),
@@ -159,6 +160,7 @@ class WeightScheme:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeightScheme":
+        obj = json_object(obj, "weight scheme")
         return cls(kind=obj["kind"], alpha=obj.get("alpha"))
 
 

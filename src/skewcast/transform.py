@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, EmptyInput
+from .errors import ConfigError, DomainError, EmptyInput, json_object
 
 _KINDS = ("identity", "log", "sqrt")
 
@@ -50,6 +50,7 @@ class TargetTransform:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TargetTransform":
+        obj = json_object(obj, "transform")
         return cls(kind=obj["kind"], offset=float(obj.get("offset", 1.0)))
 
 

@@ -1,8 +1,10 @@
 """Backtest grid: scheduling, arms, trend runs, residual diagnostics."""
 
+import dataclasses
 import datetime as dt
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from skewcast.backtest import (
     write_backtest_outputs,
     write_trend_outputs,
 )
-from skewcast.errors import ConfigError, InsufficientHistory, IoFailure
+from skewcast import backtest
+from skewcast.errors import ConfigError, DataError, DomainError, InsufficientHistory, IoFailure
 from skewcast.learner import FitModel
 from skewcast.metrics import METRICS_CSV_HEADER
 
@@ -162,6 +165,36 @@ class TestArms:
         assert [a.id for a in plan.arms] == ["E1", "E5"]
         assert plan.arms[1].weight_scheme.kind == "sqrt_sales"
 
+    @pytest.mark.parametrize("edit", [
+        lambda obj: [1, 2],
+        lambda obj: {**obj, "transform": "log"},
+        lambda obj: {**obj, "loss": 3},
+        lambda obj: {**obj, "weight_scheme": ["unit"]},
+        lambda obj: {**obj, "id": 7},
+    ], ids=["arm-not-object", "transform-not-object", "loss-not-object",
+            "weights-not-object", "id-not-text"])
+    def test_malformed_arm_json_is_config_error(self, edit):
+        obj = sc.arm_by_id("E5").to_json()
+        with pytest.raises(ConfigError):
+            sc.ExperimentArm.from_json(edit(obj))
+
+    @pytest.mark.parametrize("from_json", [
+        sc.TargetTransform.from_json, sc.LossSpec.from_json, sc.WeightScheme.from_json,
+        sc.BiasCorrector.from_json,
+    ], ids=["transform", "loss", "weights", "corrector"])
+    @pytest.mark.parametrize("obj", [["unit"], "log"])
+    def test_arm_parts_need_an_object(self, from_json, obj):
+        with pytest.raises(ConfigError):
+            from_json(obj)
+
+    @pytest.mark.parametrize("obj", [
+        [1, 2], "plan", None, {"arms": 5}, {"arms": [3]}, {"horizons": 6},
+    ], ids=["list", "string", "null", "arms-not-list", "arm-not-object",
+            "horizons-not-list"])
+    def test_malformed_plan_json_is_config_error(self, obj):
+        with pytest.raises(ConfigError):
+            sc.BacktestPlan.from_json(obj)
+
 
 class TestWorkerCount:
     def test_env_override(self, monkeypatch):
@@ -259,6 +292,100 @@ class TestGridRuns:
             e4 = grid_report.aggregates["E4"][h]
             assert abs(e1.wbias) < abs(e4.wbias)
             assert e4.wbias < 0.0
+
+
+class _FitCounter:
+    """Counts calls to ``backtest.fit``; grid jobs run on several threads."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self._lock = threading.Lock()
+        self._fit = backtest.fit
+        monkeypatch.setattr(backtest, "fit", self)
+
+    def __call__(self, *args, **kwargs):
+        with self._lock:
+            self.calls += 1
+        return self._fit(*args, **kwargs)
+
+
+def _arm_rows(report, arm_id):
+    return [vm for aid, vm in report.rows if aid == arm_id]
+
+
+def _small_plan(arms, learner, baseline_id=None):
+    return sc.BacktestPlan(train_window_days=120, n_versions=2, horizons=(6, 12),
+                           arms=tuple(arms), baseline_id=baseline_id or arms[0].id,
+                           learner=learner)
+
+
+class TestModelGroups:
+    """Arms sharing a model are fitted once per origin and score the same
+    bits as when each runs alone."""
+
+    @pytest.mark.parametrize("learner", [
+        FAST_LEARNER,
+        sc.LearnerConfig(rounds=12, max_depth=3, subsample=0.6, seed=4),
+        sc.LearnerConfig(base="linear", rounds=12),
+    ], ids=["tree", "subsample", "linear"])
+    def test_grouped_rows_equal_solo_rows(self, small_panel, learner):
+        e4 = sc.arm_by_id("E4")
+        arms = [e4, sc.arm_by_id("E4-S"), sc.arm_by_id("E4-V"), sc.arm_by_id("E4-PB"),
+                dataclasses.replace(e4, id="E4-copy")]
+        grouped = sc.run_backtest(_small_plan(arms, learner), panel=small_panel)
+        for arm in arms:
+            alone = sc.run_backtest(_small_plan([arm], learner), panel=small_panel)
+            assert len(alone.rows) == 2 * 2  # versions x horizons
+            assert _arm_rows(grouped, arm.id) == _arm_rows(alone, arm.id)
+
+    def test_standard_roster_fits_each_model_once(self, small_panel, monkeypatch):
+        counter = _FitCounter(monkeypatch)
+        plan = _small_plan(sc.standard_arms(), sc.LearnerConfig(base="linear", rounds=3),
+                           baseline_id="E5")
+        report = sc.run_backtest(plan, panel=small_panel)
+        assert len(report.rows) == 12 * 2 * 2
+        # E4, E4-S, E4-V and E4-PB share one model: 9 distinct of 12
+        assert counter.calls == 9 * plan.n_versions
+
+    def test_oracle_arm_fits_nothing(self, small_panel, monkeypatch):
+        counter = _FitCounter(monkeypatch)
+        e4 = sc.arm_by_id("E4")
+        truth = dataclasses.replace(e4, id="TRUTH", oracle=True)
+        plan = _small_plan([truth, e4], FAST_LEARNER, baseline_id="E4")
+        report = sc.run_backtest(plan, panel=small_panel)
+        assert counter.calls == 2  # E4 at each origin
+        truth_rows = _arm_rows(report, "TRUTH")
+        assert len(truth_rows) == 2 * 2
+        assert all(vm.wmape == 0.0 and vm.wbias == 0.0 for vm in truth_rows)
+        assert _arm_rows(report, "E4")[0].wmape > 0.0
+
+
+class TestGridErrors:
+    """A failing job names its arms and origin and keeps its error family."""
+
+    def test_data_error_names_arm_and_origin(self, small_panel):
+        gamma = sc.ExperimentArm("GAMMA", sc.TargetTransform(kind="identity"),
+                                 sc.LossSpec.gamma(), sc.WeightScheme(kind="unit"))
+        assert (small_panel.sales == 0).any()  # gamma deviance needs y > 0
+        plan = _small_plan([sc.arm_by_id("E1"), gamma], FAST_LEARNER)
+        first_origin = version_origins(small_panel, plan)[0]
+        with pytest.raises(DataError) as info:
+            sc.run_backtest(plan, panel=small_panel)
+        assert not isinstance(info.value, ConfigError)
+        assert "arm GAMMA at origin " in str(info.value)
+        assert first_origin.isoformat() in str(info.value)
+        assert isinstance(info.value.__cause__, DomainError)
+
+    def test_config_error_names_every_arm_of_the_group(self, small_panel):
+        log = sc.TargetTransform(kind="log")
+        unit = sc.WeightScheme(kind="unit")
+        arms = [sc.ExperimentArm("TW-LOG", log, sc.LossSpec.tweedie(1.5), unit),
+                sc.ExperimentArm("TW-LOG-S", log, sc.LossSpec.tweedie(1.5), unit,
+                                 corrector_kind="smearing")]
+        with pytest.raises(ConfigError) as info:
+            sc.run_backtest(_small_plan(arms, FAST_LEARNER), panel=small_panel)
+        assert "arms TW-LOG, TW-LOG-S at origin " in str(info.value)
+        assert isinstance(info.value.__cause__, ConfigError)
 
 
 @pytest.fixture(scope="module")

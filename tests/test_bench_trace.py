@@ -2,8 +2,8 @@
 
 ``bench/tracer.py`` wraps skewcast functions by name from the outside.  A
 refactor that renames or re-routes one of them leaves that layer's
-numbers at zero; this runs one traced grid-fit worker and checks that
-every target resolved and that the tree layers recorded their spans.
+numbers at zero; this runs one traced worker per workload and checks
+that every target resolved and that the layers recorded their spans.
 """
 
 import json
@@ -14,17 +14,22 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_grid_fit_trace_resolves(tmp_path):
+def _trace(workload, tmp_path):
+    """Run one traced worker of ``workload``; its trace."""
     trace_path = tmp_path / "trace.json"
     proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "bench", "workloads.py"), "grid-fit", "20240405",
+        [sys.executable, os.path.join(ROOT, "bench", "workloads.py"), workload, "20240405",
          str(tmp_path / "out"), str(tmp_path / "result.json"), str(tmp_path / "unused.csv"),
          "--trace", str(trace_path)],
         capture_output=True, text=True, timeout=600,
         env={**os.environ, "SKEWCAST_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == 0, proc.stderr
-    trace = json.loads(trace_path.read_text(encoding="utf-8"))
+    return json.loads(trace_path.read_text(encoding="utf-8"))
+
+
+def test_grid_fit_trace_resolves(tmp_path):
+    trace = _trace("grid-fit", tmp_path)
     assert trace["missing"] == []
     grow = [s for s in trace["spans"] if s["name"] == "trees.grow_tree"]
     predict = [s for s in trace["spans"] if s["name"] == "trees.Tree.predict"]
@@ -32,3 +37,12 @@ def test_grid_fit_trace_resolves(tmp_path):
     # every grid-fit model is distinct, and a fit takes its training-row
     # steps from tree growth: predict runs once per tree, on the test rows
     assert len(predict) == len(grow)
+
+
+def test_roster_linear_fits_each_model_once(tmp_path):
+    trace = _trace("roster-linear", tmp_path)
+    assert trace["missing"] == []
+    keys = [s["key"] for s in trace["spans"] if s["name"] == "learner.fit"]
+    # 12 arms, of which E4/E4-S/E4-V/E4-PB share a model: 9 fits at each of 4 origins
+    assert len(keys) == 36
+    assert len(set(keys)) == len(keys)

@@ -113,6 +113,19 @@ class TestFit:
                        "--arm", "E99", "--model-out", str(workdir / "m.json"))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("arm", [
+        [1, 2],
+        {**sc.arm_by_id("E4").to_json(), "weight_scheme": ["unit"]},
+    ], ids=["arm-not-object", "weights-not-object"])
+    def test_malformed_arm_json_is_config_error(self, workdir, arm):
+        arm_path = workdir / "malformed_arm.json"
+        arm_path.write_text(json.dumps(arm), encoding="utf-8")
+        proc = run_cli("fit", "--panel", str(workdir / "panel.csv"),
+                       "--arm", str(arm_path), "--model-out", str(workdir / "m.json"))
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_corrupt_panel_is_data_error(self, workdir):
         bad = workdir / "bad_panel.csv"
         good = (workdir / "panel.csv").read_text(encoding="utf-8").split("\n")
@@ -143,6 +156,28 @@ class TestBacktest:
         proc = run_cli("backtest", "--plan", str(plan_path),
                        "--out-dir", str(workdir / "nope"))
         assert proc.returncode == 2
+
+    def test_plan_not_object_is_config_error(self, workdir):
+        plan_path = workdir / "list_plan.json"
+        plan_path.write_text("[1, 2]", encoding="utf-8")
+        proc = run_cli("backtest", "--plan", str(plan_path),
+                       "--out-dir", str(workdir / "nope"))
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_failing_job_names_arm_and_origin(self, workdir):
+        gamma = sc.ExperimentArm("GAMMA", sc.TargetTransform(kind="identity"),
+                                 sc.LossSpec.gamma(), sc.WeightScheme(kind="unit"))
+        plan_path = workdir / "gamma_plan.json"
+        plan_path.write_text(json.dumps(_plan(workdir, arms=["E5", gamma.to_json()])),
+                             encoding="utf-8")
+        assert (sc.read_panel(workdir / "panel.csv").sales == 0).any()
+        proc = run_cli("backtest", "--plan", str(plan_path),
+                       "--out-dir", str(workdir / "gamma_out"))
+        assert proc.returncode == 3
+        assert "data error: arm GAMMA at origin " in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_too_short_history_is_data_error(self, workdir):
         plan_path = workdir / "short_plan.json"

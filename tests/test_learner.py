@@ -264,8 +264,14 @@ class TestSerialization:
         ("linear", lambda obj: obj["betas"].__setitem__(0, [obj["betas"][0]])),
         ("linear", lambda obj: obj["betas"][0].__setitem__(0, float("inf"))),
         ("linear", lambda obj: obj["betas"].__setitem__(0, ["one", 2.0])),
+        ("tree", lambda obj: obj.pop("transform")),
+        ("tree", lambda obj: obj.pop("trees")),
+        ("tree", lambda obj: obj.__setitem__("bias_corrector", ["smearing", 1.2])),
+        ("tree", lambda obj: obj.__setitem__("loss", "mse")),
+        ("tree", lambda obj: obj.__setitem__("feature_names", 3)),
     ], ids=["tree-feature-out-of-range", "betas-too-short", "betas-not-1d",
-            "betas-not-finite", "betas-not-numeric"])
+            "betas-not-finite", "betas-not-numeric", "missing-transform", "missing-trees",
+            "corrector-not-object", "loss-not-object", "feature-names-not-list"])
     def test_corrupt_model_rejected(self, small_panel, base, edit):
         model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT,
                        _quick_config(base=base, rounds=2))
@@ -282,6 +288,14 @@ class TestSerialization:
         bad.write_text("not json at all", encoding="utf-8")
         with pytest.raises(ConfigError):
             sc.load_model(bad)
+
+    @pytest.mark.parametrize("text", ['[1, 2]', '"model"', '{"version": "skewcast-model-v1"}'],
+                             ids=["list", "string", "only-version"])
+    def test_malformed_model_json_is_config_error(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError):
+            sc.load_model(path)
 
 
 class TestFitReport:
