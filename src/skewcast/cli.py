@@ -47,6 +47,8 @@ def _load_arm(spec: str) -> bt.ExperimentArm:
         try:
             with open(spec, "r", encoding="utf-8") as fh:
                 return bt.ExperimentArm.from_json(json.load(fh))
+        except OSError as exc:
+            raise ConfigError(f"cannot read arm {spec}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"arm file {spec} is not valid JSON: {exc}") from None
     return bt.arm_by_id(spec)

@@ -16,7 +16,9 @@ builds its normal equations with einsum so the summation order is fixed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -48,6 +50,8 @@ from .trees import Tree, grow_tree, presort
 MODEL_FORMAT = "skewcast-model-v1"
 
 _BASES = ("tree", "linear")
+_INT_FIELDS = ("rounds", "max_depth", "seed")
+_REAL_FIELDS = ("learning_rate", "min_child_weight", "l2_reg", "subsample")
 
 
 @dataclass(frozen=True)
@@ -66,6 +70,14 @@ class LearnerConfig:
     def __post_init__(self):
         if self.base not in _BASES:
             raise ConfigError(f"unknown base learner {self.base!r}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.rounds < 0:
             raise ConfigError("rounds must be >= 0")
         if not (0.0 < self.learning_rate <= 1.0):

@@ -8,6 +8,8 @@ of the Tweedie formula, which avoids cancellation near p = 1 and p = 2.
 
 Deviance values keep the conventional factor of 2 so they are directly
 comparable with the usual definitions; the factor cancels in any argmin.
+A zero target takes the limit y * log(y / mu) -> 0 in the Poisson
+deviance, so it contributes exactly 2 * mu.
 
 Scores relate to mean predictions through the link: identity for squared
 error and pseudo-Huber, log for Poisson/Gamma/Tweedie (so mean = exp(score)
@@ -21,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import ConfigError, DomainError, LengthMismatch, json_object, write_text
 
@@ -189,6 +190,18 @@ def _check_mu_domain(spec: LossSpec, y: np.ndarray, mu: np.ndarray) -> None:
         raise DomainError("gamma deviance needs y > 0")
 
 
+def _ylog_ratio(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """y * log(y / mu), taken as 0 where the ratio is 0.
+
+    A zero ratio is a zero target, whose limit is 0, or a subnormal target
+    whose ratio underflows; there the term is below 2e-321 * mu in size,
+    so 0 leaves ``- y + mu`` unchanged.  The log only sees positive
+    ratios, so neither case raises a warning.
+    """
+    ratio = y / mu
+    return y * np.log(ratio, out=np.zeros_like(ratio), where=ratio > 0)
+
+
 def deviance(spec: LossSpec, y, mu):
     """Per-sample deviance at target y and mean prediction mu.
 
@@ -203,8 +216,7 @@ def deviance(spec: LossSpec, y, mu):
         d = spec.delta
         out = d * d * (np.sqrt(1.0 + np.square((y - mu) / d)) - 1.0)
     elif spec.kind == "poisson":
-        # xlogy handles the y = 0 convention: 0 * log(0/mu) = 0
-        out = 2.0 * (xlogy(y, y / mu) - y + mu)
+        out = 2.0 * (_ylog_ratio(y, mu) - y + mu)
     elif spec.kind == "gamma":
         out = 2.0 * (-np.log(y / mu) + (y - mu) / mu)
     else:

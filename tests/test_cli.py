@@ -126,6 +126,29 @@ class TestFit:
         assert "config error" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_arm_directory_is_config_error(self, workdir, tmp_path):
+        proc = run_cli("fit", "--panel", str(workdir / "panel.csv"),
+                       "--arm", str(tmp_path), "--model-out", str(workdir / "m.json"))
+        assert proc.returncode == 2
+        assert f"cannot read arm {tmp_path}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("learner", [
+        {"rounds": 2.5},
+        {"rounds": 3, "subsample": 0.5, "seed": 1.5},
+        {"max_depth": 2.5},
+        {"l2_reg": "1"},
+    ], ids=["float-rounds", "float-seed", "float-depth", "string-l2"])
+    def test_mistyped_learner_is_config_error(self, workdir, learner):
+        learner_path = workdir / "mistyped_learner.json"
+        learner_path.write_text(json.dumps(learner), encoding="utf-8")
+        proc = run_cli("fit", "--panel", str(workdir / "panel.csv"),
+                       "--arm", "E4", "--model-out", str(workdir / "m.json"),
+                       "--learner", str(learner_path))
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_corrupt_panel_is_data_error(self, workdir):
         bad = workdir / "bad_panel.csv"
         good = (workdir / "panel.csv").read_text(encoding="utf-8").split("\n")

@@ -48,6 +48,34 @@ class TestLearnerConfig:
     def test_zero_rounds_allowed(self):
         assert sc.LearnerConfig(rounds=0).rounds == 0
 
+    @pytest.mark.parametrize("field", ["rounds", "max_depth", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None, [3]])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            sc.LearnerConfig(**{field: value})
+        with pytest.raises(ConfigError, match=field):
+            sc.LearnerConfig.from_json({field: value})
+
+    @pytest.mark.parametrize("field", ["learning_rate", "min_child_weight", "l2_reg", "subsample"])
+    @pytest.mark.parametrize("value", [True, "0.5", None, [0.5], float("nan"), float("inf")])
+    def test_real_fields_reject_non_numbers(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            sc.LearnerConfig(**{field: value})
+        with pytest.raises(ConfigError, match=field):
+            sc.LearnerConfig.from_json({field: value})
+
+    def test_integer_values_accepted_for_real_fields(self):
+        cfg = sc.LearnerConfig.from_json(
+            {"learning_rate": 1, "min_child_weight": 0, "l2_reg": 1, "subsample": 1})
+        assert (cfg.learning_rate, cfg.min_child_weight, cfg.l2_reg, cfg.subsample) == (1, 0, 1, 1)
+        assert sc.LearnerConfig(rounds=np.int64(3), seed=np.int32(2)).rounds == 3
+
+    def test_plan_learner_fails_at_load(self, tmp_path):
+        plan = {"panel_path": str(tmp_path / "never_read.csv"), "arms": ["E4", "E5"],
+                "baseline_id": "E5", "learner": {"max_depth": 2.5}}
+        with pytest.raises(ConfigError, match="max_depth"):
+            sc.BacktestPlan.from_json(plan)
+
     def test_json_round_trip(self):
         cfg = _quick_config(base="linear", subsample=0.7, seed=3)
         assert sc.LearnerConfig.from_json(cfg.to_json()) == cfg

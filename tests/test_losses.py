@@ -1,12 +1,18 @@
 """Loss family behavior: hand values, derivatives, minimizers, weights."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import optimize
+from scipy.special import xlogy
 
 import skewcast as sc
 from skewcast.errors import ConfigError, DomainError, IoFailure, LengthMismatch
-from skewcast.losses import HESS_FLOOR, convexity_profile
+from skewcast.losses import HESS_FLOOR, _ylog_ratio, convexity_profile
 
 ALL_SPECS = [
     sc.LossSpec.mse(),
@@ -80,6 +86,47 @@ class TestDevianceHandValues:
     def test_negative_target_rejected(self):
         with pytest.raises(DomainError):
             sc.deviance(sc.LossSpec.mse(), -1.0, 1.0)
+
+
+# Targets: zero, subnormal, everyday, and far above any mean below.
+_POISSON_Y = st.one_of(
+    st.just(0.0),
+    st.floats(5e-324, 2.2e-308),
+    st.floats(1e-3, 1e3),
+    st.floats(1e6, 1e12),
+)
+# Means as a log link produces them; with y <= 1e12 the ratio y / mu stays finite.
+_POISSON_MU = st.one_of(st.floats(1e-12, 1e-3), st.floats(1e-3, 1e3), st.floats(1e3, 1e6))
+
+
+class TestPoissonParity:
+    """The numpy ``y * log(y / mu)`` term against ``scipy.special.xlogy``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_xlogy(self, data):
+        n = data.draw(st.integers(1, 20), label="n")
+        y = data.draw(hnp.arrays(np.float64, n, elements=_POISSON_Y), label="y")
+        mu = data.draw(hnp.arrays(np.float64, n, elements=_POISSON_MU), label="mu")
+        spec = sc.LossSpec.poisson()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            term = _ylog_ratio(y, mu)
+            dev = sc.deviance(spec, y, mu)
+            zero_dev = sc.deviance(spec, np.zeros(n), mu)
+            scalar = sc.deviance(spec, y[0], mu[0])
+            row = sc.deviance(spec, y[0], mu)
+        ratio = y / mu
+        # a subnormal target over a larger mean underflows the ratio to 0:
+        # xlogy then gives -inf, this term 0 (the true term is < 2e-321 * mu)
+        underflow = (ratio == 0) & (y > 0)
+        np.testing.assert_array_max_ulp(term[~underflow], xlogy(y, ratio)[~underflow], maxulp=2)
+        np.testing.assert_array_equal(term[underflow], 0.0)
+        np.testing.assert_array_equal(dev, 2.0 * (term - y + mu))
+        np.testing.assert_array_equal(zero_dev, 2.0 * mu)
+        assert type(scalar) is float
+        assert scalar == dev[0]
+        np.testing.assert_array_equal(row, sc.deviance(spec, np.full(n, y[0]), mu))
 
 
 class TestMeanFromScore:
