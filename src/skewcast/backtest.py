@@ -41,6 +41,8 @@ from .errors import (
     DataError,
     InsufficientHistory,
     IoFailure,
+    check_numbers,
+    is_integer,
     json_object,
     write_text,
 )
@@ -176,14 +178,12 @@ class BacktestPlan:
     gen_config_path: str | None = None
 
     def __post_init__(self):
-        if self.train_window_days < 1:
-            raise ConfigError("train_window_days must be >= 1")
-        if self.cadence_days < 1:
-            raise ConfigError("cadence_days must be >= 1")
-        if self.n_versions < 1:
-            raise ConfigError("n_versions must be >= 1")
-        if not self.horizons or any(h not in HORIZONS for h in self.horizons):
-            raise ConfigError(f"horizons must be a nonempty subset of {HORIZONS}")
+        check_numbers(self, integers={"train_window_days": 1, "cadence_days": 1,
+                                      "n_versions": 1, "seed": None})
+        if not self.horizons or any(not is_integer(h) or h not in HORIZONS
+                                    for h in self.horizons):
+            raise ConfigError(f"horizons must be a nonempty subset of {HORIZONS}, "
+                              f"got {list(self.horizons)!r}")
         ids = [arm.id for arm in self.arms]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate arm ids in plan")

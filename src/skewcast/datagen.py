@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_numbers, json_object
 from .panel import SalesPanel
 from .rng import keyed_stream
 
@@ -58,8 +58,9 @@ class GenConfig:
     price_walk_sigma: float = 0.0075
 
     def __post_init__(self):
-        if self.n_items <= 0 or self.n_days <= 0:
-            raise ConfigError("n_items and n_days must be positive")
+        check_numbers(self, integers={"n_items": 1, "n_days": 1, "seed": None},
+                      reals=("gamma_shape", "gamma_scale", "price_elasticity",
+                             "price_walk_sigma"))
         if self.gamma_shape <= 0 or self.gamma_scale <= 0:
             raise ConfigError("gamma shape and scale must be positive")
         if self.price_elasticity > 0:
@@ -86,20 +87,17 @@ class GenConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GenConfig":
-        kwargs = dict(obj)
-        if "base_rate_lognormal" in kwargs:
-            kwargs["base_rate_lognormal"] = tuple(kwargs["base_rate_lognormal"])
-        if "spike_days" in kwargs:
-            kwargs["spike_days"] = tuple(
-                (int(d), float(m)) for d, m in kwargs["spike_days"]
-            )
-        if "weekly_seasonality" in kwargs:
-            kwargs["weekly_seasonality"] = tuple(kwargs["weekly_seasonality"])
-        if "start_day" in kwargs:
-            kwargs["start_day"] = dt.date.fromisoformat(kwargs["start_day"])
+        kwargs = dict(json_object(obj, "generator config"))
         try:
+            for name in ("base_rate_lognormal", "weekly_seasonality"):
+                if name in kwargs:
+                    kwargs[name] = tuple(kwargs[name])
+            if "spike_days" in kwargs:
+                kwargs["spike_days"] = tuple((int(d), float(m)) for d, m in kwargs["spike_days"])
+            if "start_day" in kwargs:
+                kwargs["start_day"] = dt.date.fromisoformat(kwargs["start_day"])
             return cls(**kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad generator config: {exc}") from None
 
 

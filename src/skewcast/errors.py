@@ -5,6 +5,9 @@ configuration problems (bad knobs, incompatible choices) and data
 problems (malformed files, values outside a valid domain).
 """
 
+import math
+from numbers import Integral, Real
+
 
 class SkewcastError(Exception):
     """Base class for all package errors."""
@@ -55,6 +58,30 @@ def json_object(obj, what: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} must be a JSON object, got {type(obj).__name__}")
     return obj
+
+
+def is_integer(value) -> bool:
+    """An integral number that is not a ``bool``."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def check_numbers(obj, integers: dict | None = None, reals=()) -> None:
+    """``ConfigError`` unless the named fields of ``obj`` hold numbers.
+
+    ``integers`` maps each integer field to its least allowed value, or
+    to None for any integer; each field in ``reals`` must be a finite
+    real number.  A ``bool`` is neither, and an integer is also real.
+    """
+    for name, least in (integers or {}).items():
+        value = getattr(obj, name)
+        if not is_integer(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if least is not None and value < least:
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
+    for name in reals:
+        value = getattr(obj, name)
+        if not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 class DomainError(DataError):

@@ -10,15 +10,18 @@ finally rescaled by an optional bias corrector.
 
 Everything is deterministic: row subsampling draws from a stream keyed
 by (seed, round), features are scanned in order, and the linear step
-builds its normal equations with einsum so the summation order is fixed.
+builds its normal equations with einsum on the row-major ``(n, k)``
+design, which fixes the summation order: each entry of the normal
+matrix is a left-to-right sum over rows of ``(x_ij * h_i) * x_ik``, at
+any row count.  A ``(k, n)`` layout, BLAS (``@``, ``np.dot``,
+``tensordot``) or ``optimize=True`` would sum in another order, and the
+bits of the fit would then depend on the row count and the library.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .errors import (
     EmptyInput,
     IoFailure,
     ShapeMismatch,
+    check_numbers,
     json_object,
     write_text,
 )
@@ -50,8 +54,6 @@ from .trees import Tree, grow_tree, presort
 MODEL_FORMAT = "skewcast-model-v1"
 
 _BASES = ("tree", "linear")
-_INT_FIELDS = ("rounds", "max_depth", "seed")
-_REAL_FIELDS = ("learning_rate", "min_child_weight", "l2_reg", "subsample")
 
 
 @dataclass(frozen=True)
@@ -70,20 +72,10 @@ class LearnerConfig:
     def __post_init__(self):
         if self.base not in _BASES:
             raise ConfigError(f"unknown base learner {self.base!r}")
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, Integral) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if self.rounds < 0:
-            raise ConfigError("rounds must be >= 0")
+        check_numbers(self, integers={"rounds": 0, "max_depth": 1, "seed": None},
+                      reals=("learning_rate", "min_child_weight", "l2_reg", "subsample"))
         if not (0.0 < self.learning_rate <= 1.0):
             raise ConfigError("learning_rate must lie in (0, 1]")
-        if self.max_depth < 1:
-            raise ConfigError("max_depth must be >= 1")
         if self.min_child_weight < 0:
             raise ConfigError("min_child_weight must be >= 0")
         if self.l2_reg < 0:
@@ -333,24 +325,34 @@ def fit_arrays(
     return model
 
 
-def _round_rows(config: LearnerConfig, rnd: int, n: int) -> np.ndarray:
+def _round_rows(config: LearnerConfig, rnd: int, n: int) -> np.ndarray | slice:
+    """The rows a round fits on: ascending indices, or every row as a slice.
+
+    Indexing with the slice gives views, so a full-sample round copies
+    nothing.
+    """
     if config.subsample >= 1.0:
-        return np.arange(n)
+        return slice(None)
     gen = keyed_stream(config.seed, rnd)
     mask = gen.random(n) < config.subsample
     if not mask.any():
-        return np.arange(n)
+        return slice(None)
     return np.nonzero(mask)[0]
 
 
 def _linear_step(Xa: np.ndarray, g: np.ndarray, h: np.ndarray, l2_reg: float) -> np.ndarray:
     """Newton step for a global linear score adjustment.
 
-    Solves (Xa' diag(h) Xa + l2 I) beta = -Xa' g; einsum keeps the
-    accumulation order fixed regardless of any BLAS threading.
+    Solves (Xa' diag(h) Xa + l2 I) beta = -Xa' g, with ``Xa`` row-major
+    ``(n, k)``.  Entry (j, k) of the normal matrix is the left-to-right
+    sum over rows i of ``(x_ij * h_i) * x_ik``: the hessian scales the
+    rows first, and the two-operand einsum then sums in the same order
+    as the three-operand ``einsum("ij,i,ik->jk", Xa, h, Xa)``, bit for
+    bit at every row count.  A ``(k, n)`` layout, BLAS or
+    ``optimize=True`` would not keep that order.
     """
     k = Xa.shape[1]
-    A = np.einsum("ij,i,ik->jk", Xa, h, Xa) + l2_reg * np.eye(k)
+    A = np.einsum("ij,ik->jk", Xa * h[:, None], Xa) + l2_reg * np.eye(k)
     b = -np.einsum("ij,i->j", Xa, g)
     try:
         return np.linalg.solve(A, b)

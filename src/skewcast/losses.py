@@ -196,10 +196,17 @@ def _ylog_ratio(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
     A zero ratio is a zero target, whose limit is 0, or a subnormal target
     whose ratio underflows; there the term is below 2e-321 * mu in size,
     so 0 leaves ``- y + mu`` unchanged.  The log only sees positive
-    ratios, so neither case raises a warning.
+    ratios, so neither case raises a warning.  A ratio that overflows (a
+    mean below about ``y * 5.6e-309``) takes ``y * (log y - log mu)``.
     """
-    ratio = y / mu
-    return y * np.log(ratio, out=np.zeros_like(ratio), where=ratio > 0)
+    y, mu = np.broadcast_arrays(y, mu)
+    with np.errstate(over="ignore"):
+        ratio = y / mu
+    log_ratio = np.log(ratio, out=np.zeros_like(ratio), where=ratio > 0)
+    big = np.isinf(ratio)
+    if big.any():
+        log_ratio[big] = np.log(y[big]) - np.log(mu[big])
+    return y * log_ratio
 
 
 def deviance(spec: LossSpec, y, mu):

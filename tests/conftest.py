@@ -8,14 +8,22 @@ Acceptance-level checks register their verdict through
 ``record_criterion``; after the run, a terminal-summary hook prints one
 PASS/FAIL line per recorded criterion so the overall verdict is
 readable at a glance.
+
+Property tests share one ``hypothesis`` profile: derandomized, so every
+run replays the same examples, and without a per-example deadline,
+since run time on a shared host says nothing about correctness.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import skewcast as sc
+
+settings.register_profile("skewcast", derandomize=True, deadline=None)
+settings.load_profile("skewcast")
 
 ACCEPTANCE_RESULTS: dict[int, tuple[bool, str, str]] = {}
 

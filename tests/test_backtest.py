@@ -113,6 +113,27 @@ class TestScheduling:
         with pytest.raises(ConfigError):
             sc.BacktestPlan(arms=(sc.arm_by_id("E1"), sc.arm_by_id("E1")))
 
+    @pytest.mark.parametrize("field", ["train_window_days", "cadence_days", "n_versions", "seed"])
+    @pytest.mark.parametrize("value", [1.5, 90.5, 7.0, True, "x", None, [7]])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            sc.BacktestPlan(**{field: value})
+        with pytest.raises(ConfigError, match=field):
+            sc.BacktestPlan.from_json({field: value})
+
+    @pytest.mark.parametrize("horizon", [6.0, 12.5, True, "6", None, [6]])
+    def test_horizons_must_be_integers(self, horizon):
+        with pytest.raises(ConfigError, match="horizons"):
+            sc.BacktestPlan(horizons=(12, horizon))
+        with pytest.raises(ConfigError, match="horizons"):
+            sc.BacktestPlan.from_json({"horizons": [12, horizon]})
+
+    def test_numpy_integers_accepted(self):
+        plan = sc.BacktestPlan(train_window_days=np.int64(90), cadence_days=np.int32(7),
+                               n_versions=np.int64(2), seed=np.int64(1),
+                               horizons=(np.int64(6),))
+        assert (plan.train_window_days, plan.n_versions, plan.horizons) == (90, 2, (6,))
+
 
 class TestArms:
     def test_standard_roster(self):

@@ -75,6 +75,16 @@ class TestGen:
         assert proc.returncode == 2
         assert "config error" in proc.stderr
 
+    @pytest.mark.parametrize("edit", [{"n_items": 2.5, "n_days": 30}, {"seed": "x"}],
+                             ids=["float-items", "text-seed"])
+    def test_mistyped_config_is_config_error(self, workdir, edit):
+        path = workdir / "typed_gen.json"
+        path.write_text(json.dumps({**GEN_CFG, **edit}), encoding="utf-8")
+        proc = run_cli("gen", "--config", str(path), "--out", str(workdir / "x.csv"))
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestFit:
     def test_standard_arm_fit(self, workdir):
@@ -179,6 +189,21 @@ class TestBacktest:
         proc = run_cli("backtest", "--plan", str(plan_path),
                        "--out-dir", str(workdir / "nope"))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("edit", [{"n_versions": 1.5}, {"train_window_days": 90.5},
+                                      {"cadence_days": True}, {"seed": "x"},
+                                      {"horizons": [6.0]}],
+                             ids=["n_versions", "train_window_days", "cadence_days", "seed",
+                                  "horizons"])
+    def test_mistyped_plan_is_config_error(self, workdir, edit):
+        plan_path = workdir / "typed_plan.json"
+        plan_path.write_text(json.dumps(_plan(workdir, **edit)), encoding="utf-8")
+        proc = run_cli("backtest", "--plan", str(plan_path),
+                       "--out-dir", str(workdir / "typed_out"))
+        assert proc.returncode == 2
+        assert f"config error: {next(iter(edit))}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (workdir / "typed_out").exists()
 
     def test_plan_not_object_is_config_error(self, workdir):
         plan_path = workdir / "list_plan.json"

@@ -172,6 +172,39 @@ class TestGenConfig:
         with pytest.raises(ConfigError):
             sc.GenConfig(spike_days=((10, 0.5),))
 
+    @pytest.mark.parametrize("field", ["n_items", "n_days", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 30.0, True, "3", None, [3]])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            sc.GenConfig(**{field: value})
+        with pytest.raises(ConfigError, match=field):
+            sc.GenConfig.from_json({field: value})
+
+    @pytest.mark.parametrize("field", ["gamma_shape", "gamma_scale", "price_elasticity",
+                                       "price_walk_sigma"])
+    @pytest.mark.parametrize("value", [True, "1.0", None, [1.0], float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_real_fields_reject_non_numbers(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            sc.GenConfig(**{field: value})
+        with pytest.raises(ConfigError, match=field):
+            sc.GenConfig.from_json({field: value})
+
+    def test_integer_values_accepted_for_real_fields(self):
+        cfg = sc.GenConfig.from_json({"gamma_shape": 2, "gamma_scale": 1,
+                                      "price_elasticity": -1, "price_walk_sigma": 0})
+        assert (cfg.gamma_shape, cfg.price_elasticity, cfg.price_walk_sigma) == (2, -1, 0)
+        assert sc.GenConfig(n_items=np.int64(3), n_days=np.int32(10)).n_items == 3
+
+    @pytest.mark.parametrize("obj", [
+        [1, 2], {"start_day": 5}, {"start_day": "not a date"}, {"spike_days": [[1]]},
+        {"spike_days": [["a", 2.0]]}, {"weekly_seasonality": 7},
+    ], ids=["list", "day-not-text", "day-not-iso", "spike-not-pair", "spike-day-not-number",
+            "weekly-not-list"])
+    def test_malformed_json_is_config_error(self, obj):
+        with pytest.raises(ConfigError):
+            sc.GenConfig.from_json(obj)
+
     def test_json_round_trip(self):
         cfg = sc.GenConfig(n_items=7, seed=99, gamma_shape=2.0,
                            spike_days=((10, 2.0),))

@@ -1,8 +1,12 @@
 """Boosted learner: initialization, training-loss behavior, determinism,
 prediction contracts, and serialization."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skewcast as sc
 from skewcast.errors import (
@@ -13,7 +17,8 @@ from skewcast.errors import (
     IoFailure,
     ShapeMismatch,
 )
-from skewcast.learner import FitModel, write_pairs_csv
+from skewcast import learner
+from skewcast.learner import FitModel, _linear_step, _round_rows, write_pairs_csv
 from skewcast.losses import mean_from_score, total_loss, weights_for
 from skewcast.transform import forward
 
@@ -264,6 +269,74 @@ class TestLinearBase:
         assert np.all(np.diff(model.training_loss) <= 1e-12)
         assert model.trees == []
         assert len(model.betas) == 15
+
+
+def _reference_linear_step(Xa, g, h, l2_reg):
+    """The linear step with the three-operand normal matrix, whose summation
+    order the real step must reproduce bit for bit."""
+    A = np.einsum("ij,i,ik->jk", Xa, h, Xa) + l2_reg * np.eye(Xa.shape[1])
+    b = -np.einsum("ij,i->j", Xa, g)
+    return np.linalg.solve(A, b)
+
+
+class TestLinearStepBits:
+    """The linear step's two-operand normal matrix sums in the same order as
+    the three-operand reference, so the betas agree bit for bit."""
+
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_matches_the_reference_step(self, data):
+        # sizes on both sides of 8,192 rows, where a (k, n) layout stops matching
+        n = data.draw(st.one_of(st.integers(1, 20_000), st.integers(8_000, 20_000),
+                                st.sampled_from([8191, 8192, 8193, 8194, 16383, 16385])),
+                      label="n")
+        k = data.draw(st.integers(2, 9), label="k")
+        decades = data.draw(st.sampled_from([0.0, 1.0, 6.0, 12.0]), label="decades")
+        subset = data.draw(st.sampled_from([None, 0.7, 0.05]), label="subset")
+        l2_reg = data.draw(st.sampled_from([1e-6, 1.0]), label="l2_reg")
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        Xa = np.hstack([gen.normal(size=(n, k - 1)) * 10.0 ** gen.uniform(-3, 3, k - 1),
+                        np.ones((n, 1))])
+        g = gen.normal(size=n)
+        h = 10.0 ** gen.uniform(-decades, decades, size=n)
+        rows = slice(None) if subset is None else np.flatnonzero(gen.random(n) < subset)
+        Xa, g, h = Xa[rows], g[rows], h[rows]
+        if len(h) == 0:
+            return
+        try:
+            expected = _reference_linear_step(Xa, g, h, l2_reg)
+        except np.linalg.LinAlgError:  # same normal matrix, so both are singular
+            with pytest.raises(DegenerateData):
+                _linear_step(Xa, g, h, l2_reg)
+            return
+        assert np.array_equal(_linear_step(Xa, g, h, l2_reg), expected)
+
+    @pytest.fixture(scope="class")
+    def year_panel(self):
+        """10,950 rows: more than 8,192."""
+        return sc.generate(sc.GenConfig(n_items=30, n_days=365, seed=11))
+
+    @pytest.mark.parametrize("subsample", [1.0, 0.7])
+    @pytest.mark.parametrize("transform,loss", [
+        (LOG, sc.LossSpec.mse()),
+        (IDENTITY, sc.LossSpec.tweedie(1.5)),
+    ], ids=["mse", "tweedie"])
+    def test_fit_matches_a_fit_with_the_reference_step(self, year_panel, monkeypatch,
+                                                        subsample, transform, loss):
+        panel = year_panel
+        assert len(panel.sales) > 8192
+        cfg = sc.LearnerConfig(base="linear", rounds=8, subsample=subsample, seed=3)
+        args = (panel, transform, loss, sc.WeightScheme(kind="sqrt_sales"), cfg)
+        model = sc.fit(*args)
+        monkeypatch.setattr(learner, "_linear_step", _reference_linear_step)
+        assert json.dumps(model.to_json()) == json.dumps(sc.fit(*args).to_json())
+
+    def test_full_sample_rounds_use_every_row_as_a_view(self):
+        assert _round_rows(sc.LearnerConfig(subsample=1.0), 0, 5) == slice(None)
+        # a draw that keeps no row falls back to every row
+        assert _round_rows(sc.LearnerConfig(subsample=1e-12), 0, 3) == slice(None)
+        rows = _round_rows(sc.LearnerConfig(subsample=0.5, seed=1), 0, 1000)
+        assert 0 < len(rows) < 1000 and np.all(np.diff(rows) > 0)
 
 
 class TestSerialization:

@@ -1,5 +1,6 @@
 """Loss family behavior: hand values, derivatives, minimizers, weights."""
 
+import math
 import warnings
 
 import numpy as np
@@ -102,7 +103,7 @@ _POISSON_MU = st.one_of(st.floats(1e-12, 1e-3), st.floats(1e-3, 1e3), st.floats(
 class TestPoissonParity:
     """The numpy ``y * log(y / mu)`` term against ``scipy.special.xlogy``."""
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(data=st.data())
     def test_matches_xlogy(self, data):
         n = data.draw(st.integers(1, 20), label="n")
@@ -127,6 +128,24 @@ class TestPoissonParity:
         assert type(scalar) is float
         assert scalar == dev[0]
         np.testing.assert_array_equal(row, sc.deviance(spec, np.full(n, y[0]), mu))
+
+
+class TestPoissonOverflow:
+    """Where ``y / mu`` overflows, the term is ``y * (log y - log mu)``."""
+
+    @pytest.mark.parametrize("mu", [1e-309, 5e-324])
+    def test_tiny_mean_gives_finite_deviance(self, mu):
+        spec = sc.LossSpec.poisson()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dev = sc.deviance(spec, 1.0, mu)
+            row = sc.deviance(spec, np.array([0.0, 1.0, 4.0]), mu)
+        expected = 2.0 * (-math.log(mu) - 1.0 + mu)
+        assert math.isfinite(dev) and dev == pytest.approx(expected, rel=1e-15)
+        assert row[0] == 2.0 * mu
+        assert row[1] == dev
+        assert row[2] == pytest.approx(2.0 * (4.0 * (math.log(4.0) - math.log(mu)) - 4.0),
+                                       rel=1e-15)
 
 
 class TestMeanFromScore:

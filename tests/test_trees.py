@@ -290,7 +290,7 @@ class TestPresortedEngine:
         tree = assert_matches_reference(X, grad, hess, depth, 1.0, 1.0)
         assert _depth(tree) == depth
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(data=st.data())
     def test_small_matrices(self, data):
         n = data.draw(st.integers(1, 30), label="n")
