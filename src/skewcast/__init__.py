@@ -15,7 +15,6 @@ from .backtest import (
     ExperimentArm,
     arm_by_id,
     TrendReport,
-    deviance_residual_report,
     fit_arm,
     run_backtest,
     run_power_sweep,
@@ -24,7 +23,6 @@ from .backtest import (
 )
 from .biascorr import (
     BiasCorrector,
-    corrected_residual_report,
     fit_corrector,
     fit_prediction_binned,
     fit_smearing,
@@ -58,7 +56,6 @@ from .metrics import (
     RelativeMetrics,
     VersionMetrics,
     aggregate_versions,
-    percent_error,
     relativize,
     version_metrics,
 )
@@ -92,9 +89,7 @@ __all__ = [
     "arm_by_id",
     "constant_score",
     "convexity_profile",
-    "corrected_residual_report",
     "deviance",
-    "deviance_residual_report",
     "fit",
     "fit_arm",
     "fit_arrays",
@@ -109,7 +104,6 @@ __all__ = [
     "load_gen_config",
     "load_model",
     "mean_from_score",
-    "percent_error",
     "read_panel",
     "relativize",
     "run_backtest",

@@ -29,7 +29,7 @@ import datetime as dt
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .errors import (
     write_text,
 )
 from .learner import FitModel, LearnerConfig, fit
-from .losses import LossSpec, WeightScheme, deviance
+from .losses import LossSpec, WeightScheme
 from .metrics import (
     AggregateMetrics,
     RelativeMetrics,
@@ -86,18 +86,13 @@ def worker_count() -> int:
 
 @dataclass(frozen=True)
 class ExperimentArm:
-    """One grid configuration: transform x loss x weights x corrector.
-
-    ``oracle`` is a test-only switch that replaces the model's forecasts
-    with the actuals, exercising the full metrics pipeline end to end.
-    """
+    """One grid configuration: transform x loss x weights x corrector."""
 
     id: str
     transform: TargetTransform
     loss: LossSpec
     weight_scheme: WeightScheme
     corrector_kind: str = "none"
-    oracle: bool = False
 
     def __post_init__(self):
         if not self.id or any(c in self.id for c in ",\n\r"):
@@ -112,12 +107,14 @@ class ExperimentArm:
             "loss": self.loss.to_json(),
             "weight_scheme": self.weight_scheme.to_json(),
             "corrector_kind": self.corrector_kind,
-            "oracle": self.oracle,
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentArm":
         obj = json_object(obj, "arm")
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"arm JSON has unknown field {unknown[0]!r}")
         try:
             return cls(
                 id=obj["id"],
@@ -125,7 +122,6 @@ class ExperimentArm:
                 loss=LossSpec.from_json(obj["loss"]),
                 weight_scheme=WeightScheme.from_json(obj["weight_scheme"]),
                 corrector_kind=obj.get("corrector_kind", "none"),
-                oracle=bool(obj.get("oracle", False)),
             )
         except KeyError as exc:
             raise ConfigError(f"arm JSON missing field {exc}") from None
@@ -289,15 +285,28 @@ def fit_arm(arm: ExperimentArm, train: SalesPanel, learner_cfg: LearnerConfig) -
 
 
 def _model_groups(arms) -> list[list[ExperimentArm]]:
-    """Arms grouped by the model they fit, in first-seen order.
-
-    An oracle arm fits nothing, so it forms a group of its own.
-    """
+    """Arms grouped by the model they fit, in first-seen order."""
     groups: dict[tuple, list[ExperimentArm]] = {}
     for arm in arms:
-        key = ("oracle", arm.id) if arm.oracle else (arm.transform, arm.loss, arm.weight_scheme)
-        groups.setdefault(key, []).append(arm)
+        groups.setdefault((arm.transform, arm.loss, arm.weight_scheme), []).append(arm)
     return list(groups.values())
+
+
+def _forecasts(
+    arms: list[ExperimentArm],
+    plan: BacktestPlan,
+    panel: SalesPanel,
+    origin: dt.date,
+    test: SalesPanel,
+) -> list[np.ndarray]:
+    """Fit one group's model at one origin; each arm's forecast of the test rows."""
+    train = _train_slice(panel, origin, plan.train_window_days)
+    lead = arms[0]
+    model = fit(train, lead.transform, lead.loss, lead.weight_scheme, plan.learner)
+    # corrected exactly as FitModel.predict corrects
+    zhat = model.predict_transformed(test.feature_matrix)
+    raw = inverse(model.transform, zhat)
+    return [c.apply(raw, zhat) for c in _fit_correctors(arms, model, train)]
 
 
 def _score_versions(
@@ -315,16 +324,7 @@ def _score_versions(
         max_h = max(plan.horizons)
         test = panel.slice_days(origin + dt.timedelta(days=1),
                                 origin + dt.timedelta(days=7 * max_h))
-        if arms[0].oracle:
-            forecasts = [test.sales.copy()]
-        else:
-            train = _train_slice(panel, origin, plan.train_window_days)
-            lead = arms[0]
-            model = fit(train, lead.transform, lead.loss, lead.weight_scheme, plan.learner)
-            # corrected exactly as FitModel.predict corrects
-            zhat = model.predict_transformed(test.feature_matrix)
-            raw = inverse(model.transform, zhat)
-            forecasts = [c.apply(raw, zhat) for c in _fit_correctors(arms, model, train)]
+        forecasts = _forecasts(arms, plan, panel, origin, test)
         return [
             (arm.id, version_metrics(preds, test, ForecastVersion.from_origin(origin, h)))
             for arm, preds in zip(arms, forecasts)
@@ -600,43 +600,3 @@ def write_trend_outputs(report: TrendReport, out_dir, csv_name: str) -> None:
         ]))
     write_text(os.path.join(out_dir, csv_name), "\n".join(lines) + "\n")
     _write_json(report.to_json(), os.path.join(out_dir, "report.json"))
-
-
-def deviance_residual_report(model: FitModel, panel: SalesPanel) -> dict:
-    """Shape diagnostics of the model's residuals on a panel.
-
-    Deviance-loss models report signed deviance residuals
-    sign(y - mu) * sqrt(deviance(y, mu)); squared-error and pseudo-Huber
-    models fall back to plain residuals y - mu (flagged in "kind").
-    A residual cloud close to normal suggests the assumed family matches
-    the data-generating process.  No automatic power selection happens.
-    """
-    y = panel.sales
-    mu = inverse(model.transform, model.predict_transformed(panel.feature_matrix))
-    if model.loss.kind in ("poisson", "gamma", "tweedie"):
-        dev = deviance(model.loss, y, mu)
-        residuals = np.sign(y - mu) * np.sqrt(np.maximum(dev, 0.0))
-        kind = "deviance"
-    else:
-        residuals = y - mu
-        kind = "plain"
-    n = residuals.size
-    mean = float(np.mean(residuals))
-    centered = residuals - mean
-    m2 = float(np.mean(centered**2))
-    if m2 == 0.0:
-        skew, exkurt, jb = 0.0, 0.0, 0.0
-    else:
-        skew = float(np.mean(centered**3) / m2**1.5)
-        exkurt = float(np.mean(centered**4) / m2**2 - 3.0)
-        jb = n / 6.0 * (skew**2 + exkurt**2 / 4.0)
-    return {
-        "kind": kind,
-        "loss": model.loss.label(),
-        "n": int(n),
-        "mean": mean,
-        "std": float(np.sqrt(m2)),
-        "skewness": skew,
-        "excess_kurtosis": exkurt,
-        "normality_stat": float(jb),
-    }

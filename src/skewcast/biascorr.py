@@ -26,6 +26,7 @@ from .errors import (
     EmptyInput,
     InsufficientData,
     LengthMismatch,
+    check_numbers,
     json_object,
 )
 from .transform import TargetTransform, forward, inverse
@@ -48,8 +49,9 @@ class BiasCorrector:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown bias corrector kind {self.kind!r}")
-        if not (self.factor > 0.0) or not math.isfinite(self.factor):
-            raise ConfigError("bias correction factor must be positive and finite")
+        check_numbers(self, reals=("factor", "bin_width"))
+        if self.factor <= 0.0:
+            raise ConfigError("bias correction factor must be positive")
         if self.kind == "prediction_binned":
             if self.bin_width <= 0.0:
                 raise ConfigError("bin width must be positive")
@@ -200,45 +202,3 @@ def fit_corrector(
             bin_width=bin_width, min_bin_count=min_bin_count,
         )
     raise ConfigError(f"unknown bias corrector kind {kind!r}")
-
-
-def residual_shift_report(y_raw, pred_raw, pred_corrected) -> dict:
-    """Before/after raw residual mean and variance, plus the shrinkage."""
-    y_raw = np.asarray(y_raw, dtype=np.float64)
-    pred_raw = np.asarray(pred_raw, dtype=np.float64)
-    pred_corrected = np.asarray(pred_corrected, dtype=np.float64)
-    if not (y_raw.shape == pred_raw.shape == pred_corrected.shape):
-        raise LengthMismatch("residual report inputs differ in shape")
-    if y_raw.size == 0:
-        raise EmptyInput("no rows in residual report")
-    before = y_raw - pred_raw
-    after = y_raw - pred_corrected
-    mean_before = float(np.mean(before))
-    mean_after = float(np.mean(after))
-    if mean_before == 0.0:
-        reduction = 0.0
-    else:
-        reduction = 1.0 - abs(mean_after) / abs(mean_before)
-    return {
-        "mean_residual_before": mean_before,
-        "mean_residual_after": mean_after,
-        "var_residual_before": float(np.var(before)),
-        "var_residual_after": float(np.var(after)),
-        "abs_mean_residual_reduction": reduction,
-    }
-
-
-def corrected_residual_report(corrector: BiasCorrector, model, panel) -> dict:
-    """Raw-unit residual summary of a fitted model before vs after correction.
-
-    ``model`` is a fitted forecaster (predict_transformed + transform);
-    the corrector is applied on top of its uncorrected back-transformed
-    predictions.
-    """
-    y = panel.sales
-    zhat = model.predict_transformed(panel.feature_matrix)
-    uncorrected = inverse(model.transform, zhat)
-    corrected = corrector.apply(uncorrected, zhat)
-    report = residual_shift_report(y, uncorrected, corrected)
-    report["corrector_kind"] = corrector.kind
-    return report

@@ -112,10 +112,6 @@ class DegenerateData(DataError):
     pass
 
 
-class ZeroActual(DataError):
-    """An item sold nothing over the horizon; percent error is undefined."""
-
-
 class NoValidItems(DataError):
     pass
 

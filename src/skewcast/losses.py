@@ -24,7 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, LengthMismatch, json_object, write_text
+from .errors import (
+    ConfigError,
+    DomainError,
+    LengthMismatch,
+    check_numbers,
+    json_object,
+    write_text,
+)
 
 HESS_FLOOR = 1e-16
 WEIGHT_FLOOR = 1e-6
@@ -52,6 +59,7 @@ class LossSpec:
             raise ConfigError(f"unknown loss kind {self.kind!r}")
         if self.link not in ("identity", "log"):
             raise ConfigError(f"unknown link {self.link!r}")
+        check_numbers(self, reals=[f for f in ("power", "delta") if getattr(self, f) is not None])
         if self.kind == "tweedie":
             if self.power is None or not (1.0 < self.power < 2.0):
                 raise ConfigError("tweedie power must lie strictly inside (1, 2)")
@@ -142,6 +150,8 @@ class WeightScheme:
     def __post_init__(self):
         if self.kind not in _WEIGHT_KINDS:
             raise ConfigError(f"unknown weight scheme {self.kind!r}")
+        if self.alpha is not None:
+            check_numbers(self, reals=("alpha",))
         if self.kind == "power":
             if self.alpha is None or self.alpha < 0:
                 raise ConfigError("power weights need a non-negative exponent")

@@ -25,7 +25,6 @@ from .errors import (
     EmptyInput,
     LengthMismatch,
     NoValidItems,
-    ZeroActual,
     write_text,
 )
 from .panel import ForecastVersion, SalesPanel, _fmt
@@ -64,15 +63,6 @@ class RelativeMetrics:
     wmape_rel: float
     wbias_rel: float
     baseline_id: str
-
-
-def percent_error(forecast_by_day, actual_by_day, horizon) -> float:
-    """(sum F - sum A) / sum A over the horizon days; missing days count 0."""
-    total_f = sum(forecast_by_day.get(day, 0.0) for day in horizon)
-    total_a = sum(actual_by_day.get(day, 0.0) for day in horizon)
-    if total_a <= 0.0:
-        raise ZeroActual("total actual over the horizon is zero")
-    return (total_f - total_a) / total_a
 
 
 def version_metrics(forecasts, panel: SalesPanel, version: ForecastVersion) -> VersionMetrics:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, EmptyInput, json_object
+from .errors import ConfigError, DomainError, EmptyInput, check_numbers, json_object
 
 _KINDS = ("identity", "log", "sqrt")
 
@@ -33,6 +33,7 @@ class TargetTransform:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown transform kind {self.kind!r}")
+        check_numbers(self, reals=("offset",))
         if self.offset < 0:
             raise ConfigError("log offset must be non-negative")
 

@@ -1,4 +1,4 @@
-"""Backtest grid: scheduling, arms, trend runs, residual diagnostics."""
+"""Backtest grid: scheduling, arms, trend runs, the forecast seam."""
 
 import dataclasses
 import datetime as dt
@@ -8,6 +8,7 @@ import threading
 
 import numpy as np
 import pytest
+from conftest import scoring_actuals
 
 import skewcast as sc
 from skewcast.backtest import (
@@ -15,7 +16,6 @@ from skewcast.backtest import (
     SWEEP_POWERS,
     _count_inversions,
     _train_slice,
-    deviance_residual_report,
     version_origins,
     worker_count,
     write_backtest_outputs,
@@ -23,7 +23,6 @@ from skewcast.backtest import (
 )
 from skewcast import backtest
 from skewcast.errors import ConfigError, DataError, DomainError, InsufficientHistory, IoFailure
-from skewcast.learner import FitModel
 from skewcast.metrics import METRICS_CSV_HEADER
 
 FAST_LEARNER = sc.LearnerConfig(rounds=12, max_depth=3)
@@ -192,12 +191,36 @@ class TestArms:
         lambda obj: {**obj, "loss": 3},
         lambda obj: {**obj, "weight_scheme": ["unit"]},
         lambda obj: {**obj, "id": 7},
+        lambda obj: {**obj, "transform": {"kind": "log", "offset": math.nan}},
+        lambda obj: {**obj, "loss": {"kind": "pseudo_huber", "delta": math.inf}},
     ], ids=["arm-not-object", "transform-not-object", "loss-not-object",
-            "weights-not-object", "id-not-text"])
+            "weights-not-object", "id-not-text", "nan-offset", "inf-delta"])
     def test_malformed_arm_json_is_config_error(self, edit):
         obj = sc.arm_by_id("E5").to_json()
         with pytest.raises(ConfigError):
             sc.ExperimentArm.from_json(edit(obj))
+
+    @pytest.mark.parametrize("field, value", [("oracle", "false"), ("oracle", True),
+                                              ("corector_kind", "smearing")],
+                             ids=["retired-oracle-text", "retired-oracle", "typo"])
+    def test_unknown_arm_field_is_config_error(self, field, value):
+        obj = {**sc.arm_by_id("E4").to_json(), field: value}
+        with pytest.raises(ConfigError, match=f"unknown field '{field}'"):
+            sc.ExperimentArm.from_json(obj)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field, make", [
+        ("offset", lambda v: sc.TargetTransform(kind="log", offset=v)),
+        ("power", lambda v: sc.LossSpec.tweedie(v)),
+        ("delta", lambda v: sc.LossSpec.pseudo_huber(v)),
+        ("alpha", lambda v: sc.WeightScheme(kind="power", alpha=v)),
+        ("bin_width", lambda v: sc.BiasCorrector(kind="prediction_binned", bin_width=v,
+                                                 bin_factors=(1.0,))),
+    ], ids=["offset", "power", "delta", "alpha", "bin_width"])
+    def test_non_finite_parameters_are_config_errors(self, field, make, value):
+        with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+            make(value)
 
     @pytest.mark.parametrize("from_json", [
         sc.TargetTransform.from_json, sc.LossSpec.from_json, sc.WeightScheme.from_json,
@@ -248,12 +271,13 @@ class TestInversionCount:
 def oracle_report():
     panel = _wavy_panel()
     truth = sc.ExperimentArm("TRUTH", sc.TargetTransform(kind="log"),
-                             sc.LossSpec.mse(), sc.WeightScheme(kind="unit"),
-                             oracle=True)
+                             sc.LossSpec.mse(), sc.WeightScheme(kind="unit"))
     plan = sc.BacktestPlan(train_window_days=60, n_versions=2,
                            horizons=(6, 12), arms=(truth, sc.arm_by_id("E1")),
                            baseline_id="E1", learner=FAST_LEARNER)
-    return sc.run_backtest(plan, panel=panel)
+    with pytest.MonkeyPatch.context() as mp:
+        scoring_actuals(mp, "TRUTH")
+        return sc.run_backtest(plan, panel=panel)
 
 
 class TestGridRuns:
@@ -368,17 +392,39 @@ class TestModelGroups:
         # E4, E4-S, E4-V and E4-PB share one model: 9 distinct of 12
         assert counter.calls == 9 * plan.n_versions
 
-    def test_oracle_arm_fits_nothing(self, small_panel, monkeypatch):
-        counter = _FitCounter(monkeypatch)
+    def test_scoring_actuals_replaces_only_the_named_arm(self, small_panel, monkeypatch):
         e4 = sc.arm_by_id("E4")
-        truth = dataclasses.replace(e4, id="TRUTH", oracle=True)
-        plan = _small_plan([truth, e4], FAST_LEARNER, baseline_id="E4")
-        report = sc.run_backtest(plan, panel=small_panel)
-        assert counter.calls == 2  # E4 at each origin
+        alone = sc.run_backtest(_small_plan([e4], FAST_LEARNER), panel=small_panel)
+        counter = _FitCounter(monkeypatch)
+        scoring_actuals(monkeypatch, "TRUTH")
+        truth = dataclasses.replace(e4, id="TRUTH")
+        report = sc.run_backtest(_small_plan([e4, truth], FAST_LEARNER), panel=small_panel)
+        assert counter.calls == 2  # E4 and TRUTH share one model per origin
         truth_rows = _arm_rows(report, "TRUTH")
         assert len(truth_rows) == 2 * 2
         assert all(vm.wmape == 0.0 and vm.wbias == 0.0 for vm in truth_rows)
+        assert _arm_rows(report, "E4") == _arm_rows(alone, "E4")
         assert _arm_rows(report, "E4")[0].wmape > 0.0
+
+
+class TestForecastSeam:
+    """``_forecasts`` corrects each arm exactly as ``FitModel.predict`` does."""
+
+    @pytest.mark.parametrize("learner", [FAST_LEARNER,
+                                         sc.LearnerConfig(base="linear", rounds=5)],
+                             ids=["tree", "linear"])
+    def test_matches_fit_arm_predict(self, small_panel, learner):
+        arms = [sc.arm_by_id(a) for a in ("E4", "E4-S", "E4-V", "E4-PB")]
+        plan = _small_plan(arms, learner)
+        origin = version_origins(small_panel, plan)[0]
+        test = small_panel.slice_days(origin + dt.timedelta(days=1),
+                                      origin + dt.timedelta(days=7 * max(plan.horizons)))
+        train = _train_slice(small_panel, origin, plan.train_window_days)
+        got = backtest._forecasts(arms, plan, small_panel, origin, test)
+        assert len(got) == len(arms)
+        for arm, preds in zip(arms, got):
+            expected = backtest.fit_arm(arm, train, learner).predict(test.feature_matrix)
+            assert np.array_equal(preds, expected), arm.id
 
 
 class TestGridErrors:
@@ -465,56 +511,3 @@ class TestTrendRuns:
 
     def test_sweep_powers_are_the_five_classics(self):
         assert SWEEP_POWERS == (1.1, 1.3, 1.5, 1.7, 1.9)
-
-
-def _constant_model(loss, base_score):
-    return FitModel(
-        transform=sc.TargetTransform(kind="identity"),
-        loss=loss,
-        weight_scheme=sc.WeightScheme(kind="unit"),
-        learner=sc.LearnerConfig(rounds=0),
-        feature_names=["item_code"],
-        base_score=base_score,
-    )
-
-
-class TestDevianceResiduals:
-    def test_perfect_fit_reports_zeros(self):
-        panel = _flat_panel(n_items=2, n_days=50, level=4.0)
-        model = _constant_model(sc.LossSpec.poisson(), math.log(4.0))
-        rep = deviance_residual_report(model, panel)
-        assert rep["kind"] == "deviance"
-        assert rep["mean"] == 0.0
-        assert rep["std"] == 0.0
-        assert rep["skewness"] == 0.0
-        assert rep["n"] == 100
-
-    def test_sign_follows_under_or_over_forecast(self):
-        panel = _flat_panel(n_items=2, n_days=30, level=4.0)
-        under = deviance_residual_report(
-            _constant_model(sc.LossSpec.poisson(), math.log(2.0)), panel)
-        over = deviance_residual_report(
-            _constant_model(sc.LossSpec.poisson(), math.log(9.0)), panel)
-        assert under["mean"] > 0.0
-        assert over["mean"] < 0.0
-
-    def test_squared_error_model_reports_plain_residuals(self):
-        panel = _flat_panel(n_items=2, n_days=30, level=4.0)
-        rep = deviance_residual_report(_constant_model(sc.LossSpec.mse(), 3.0), panel)
-        assert rep["kind"] == "plain"
-        assert rep["mean"] == pytest.approx(1.0, rel=1e-12)
-        assert rep["std"] == 0.0
-
-    def test_true_power_gives_most_symmetric_residuals(self, small_panel):
-        """The generator's variance power is 1.5; deviance residuals from
-        the matching Tweedie fit should be closer to symmetric than the
-        ones from fits 0.4 off in either direction."""
-        identity = sc.TargetTransform(kind="identity")
-        unit = sc.WeightScheme(kind="unit")
-        cfg = sc.LearnerConfig(rounds=40, max_depth=4)
-        skews = {}
-        for p in (1.1, 1.5, 1.9):
-            model = sc.fit(small_panel, identity, sc.LossSpec.tweedie(p), unit, cfg)
-            skews[p] = abs(deviance_residual_report(model, small_panel)["skewness"])
-        assert skews[1.5] < skews[1.1]
-        assert skews[1.5] < skews[1.9]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import skewcast as sc
-from skewcast.biascorr import BiasCorrector, residual_shift_report
+from skewcast.biascorr import BiasCorrector
 from skewcast.errors import (
     ConfigError,
     EmptyInput,
@@ -172,25 +172,3 @@ class TestFitCorrector:
             corr = sc.fit_corrector(kind, y, z, LOG)
             back = BiasCorrector.from_json(corr.to_json())
             assert back == corr
-
-
-class TestResidualReports:
-    def test_shift_report_reduction(self):
-        y = np.array([10.0, 12.0])
-        pred = np.array([8.0, 10.0])
-        corrected = np.array([9.5, 11.5])
-        rep = residual_shift_report(y, pred, corrected)
-        assert rep["mean_residual_before"] == pytest.approx(2.0)
-        assert rep["mean_residual_after"] == pytest.approx(0.5)
-        assert rep["abs_mean_residual_reduction"] == pytest.approx(0.75)
-
-    def test_corrected_residual_report_kind(self, small_panel):
-        model = sc.fit(small_panel, LOG, sc.LossSpec.mse(),
-                       sc.WeightScheme(kind="unit"),
-                       sc.LearnerConfig(rounds=10, max_depth=3))
-        z = forward(LOG, small_panel.sales)
-        zhat = model.predict_transformed(small_panel.feature_matrix)
-        corr = sc.fit_smearing(z - zhat)
-        rep = sc.corrected_residual_report(corr, model, small_panel)
-        assert rep["corrector_kind"] == "smearing"
-        assert abs(rep["mean_residual_after"]) < abs(rep["mean_residual_before"])

@@ -1,6 +1,7 @@
 """End-to-end command-line runs in subprocesses, including exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -126,7 +127,9 @@ class TestFit:
     @pytest.mark.parametrize("arm", [
         [1, 2],
         {**sc.arm_by_id("E4").to_json(), "weight_scheme": ["unit"]},
-    ], ids=["arm-not-object", "weights-not-object"])
+        {**sc.arm_by_id("E4").to_json(), "loss": {"kind": "pseudo_huber", "delta": math.inf}},
+        {**sc.arm_by_id("E4").to_json(), "transform": {"kind": "log", "offset": math.nan}},
+    ], ids=["arm-not-object", "weights-not-object", "inf-delta", "nan-offset"])
     def test_malformed_arm_json_is_config_error(self, workdir, arm):
         arm_path = workdir / "malformed_arm.json"
         arm_path.write_text(json.dumps(arm), encoding="utf-8")
@@ -204,6 +207,17 @@ class TestBacktest:
         assert f"config error: {next(iter(edit))}" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (workdir / "typed_out").exists()
+
+    def test_retired_oracle_field_is_config_error(self, workdir):
+        arm = {**sc.arm_by_id("E4").to_json(), "id": "MINE", "oracle": "false"}
+        plan_path = workdir / "oracle_plan.json"
+        plan_path.write_text(json.dumps(_plan(workdir, arms=["E5", arm])), encoding="utf-8")
+        proc = run_cli("backtest", "--plan", str(plan_path),
+                       "--out-dir", str(workdir / "oracle_out"))
+        assert proc.returncode == 2
+        assert "unknown field 'oracle'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (workdir / "oracle_out").exists()
 
     def test_plan_not_object_is_config_error(self, workdir):
         plan_path = workdir / "list_plan.json"

@@ -11,7 +11,6 @@ from skewcast.errors import (
     EmptyInput,
     LengthMismatch,
     NoValidItems,
-    ZeroActual,
 )
 from skewcast.metrics import METRICS_CSV_HEADER, write_metrics_csv
 
@@ -95,36 +94,6 @@ def _reference_version_metrics(forecasts, actuals, version):
         raise NoValidItems("every item has zero actuals over the horizon")
     return sc.VersionMetrics(version, version.horizon_weeks, abs_sum / total_actual,
                              signed_sum / total_actual, total_actual, skipped)
-
-
-class TestPercentError:
-    def test_hand_value(self):
-        days = _days(2)
-        forecast = {days[0]: 60.0, days[1]: 50.0}
-        actual = {days[0]: 50.0, days[1]: 50.0}
-        assert sc.percent_error(forecast, actual, days) == pytest.approx(0.10)
-
-    def test_perfect_forecast(self):
-        days = _days(3)
-        series = {d: 7.0 for d in days}
-        assert sc.percent_error(series, dict(series), days) == 0.0
-
-    def test_total_miss(self):
-        days = _days(2)
-        actual = {d: 50.0 for d in days}
-        assert sc.percent_error({}, actual, days) == pytest.approx(-1.0)
-
-    def test_days_outside_horizon_ignored(self):
-        days = _days(2)
-        forecast = {days[0]: 10.0, days[1]: 10.0,
-                    ORIGIN + dt.timedelta(days=99): 1e9}
-        actual = {days[0]: 10.0, days[1]: 10.0}
-        assert sc.percent_error(forecast, actual, days) == 0.0
-
-    def test_zero_actual_raises(self):
-        days = _days(2)
-        with pytest.raises(ZeroActual):
-            sc.percent_error({days[0]: 5.0}, {}, days)
 
 
 class TestVersionMetrics:
