@@ -17,7 +17,11 @@ The grid's unit of work is one (distinct model, origin) job.  Arms that
 share a transform, loss and weight scheme fit the same model, so they
 form one group: the job fits that model once, predicts the test rows
 once, then fits each arm's own corrector on the training predictions
-and scores every arm at every horizon.  Jobs run in parallel threads
+and scores every arm at every horizon.  Before the pool starts, each
+origin's training and test windows are sliced once and shared by every
+group's job, and every job is checked (non-empty windows, fittable
+training targets), so a plan that cannot work fails before its first
+fit and names every failing arm and origin.  Jobs run in parallel threads
 (``SKEWCAST_THREADS`` caps the pool); every job is pure and writes to
 its own slot, and the final assembly is sorted, so ``metrics.csv`` and
 ``report.json`` are the same bytes at any thread count.
@@ -29,7 +33,8 @@ import datetime as dt
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +44,7 @@ from .datagen import load_gen_config, theoretical_tweedie_power
 from .errors import (
     ConfigError,
     DataError,
+    EmptyInput,
     InsufficientHistory,
     IoFailure,
     check_numbers,
@@ -46,7 +52,7 @@ from .errors import (
     json_object,
     write_text,
 )
-from .learner import FitModel, LearnerConfig, fit
+from .learner import FitModel, LearnerConfig, fit, fit_targets
 from .losses import LossSpec, WeightScheme
 from .metrics import (
     AggregateMetrics,
@@ -111,10 +117,7 @@ class ExperimentArm:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentArm":
-        obj = json_object(obj, "arm")
-        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigError(f"arm JSON has unknown field {unknown[0]!r}")
+        obj = json_object(obj, "arm", cls)
         try:
             return cls(
                 id=obj["id"],
@@ -246,14 +249,77 @@ def version_origins(panel: SalesPanel, plan: BacktestPlan) -> list[dt.date]:
     return origins
 
 
+def _windows(
+    panel: SalesPanel, plan: BacktestPlan, origins: list[dt.date],
+) -> list[tuple[dt.date, SalesPanel, SalesPanel]]:
+    """Each origin's training and test windows, sliced once for every job.
+
+    The training window is the trailing ``train_window_days`` strictly
+    before the origin (the no-leakage contract is checked here); the test
+    window runs to the longest horizon.  An error names its origin.
+    """
+    max_h = max(plan.horizons)
+    windows = []
+    for origin in origins:
+        with _naming(f"origin {origin}"):
+            train = _train_slice(panel, origin, plan.train_window_days)
+            test = panel.slice_days(origin + dt.timedelta(days=1),
+                                    origin + dt.timedelta(days=7 * max_h))
+        windows.append((origin, train, test))
+    return windows
+
+
 def _train_slice(panel: SalesPanel, origin: dt.date, window_days: int) -> SalesPanel:
     train = panel.slice_days(origin - dt.timedelta(days=window_days),
                              origin - dt.timedelta(days=1))
-    late = train.day_ordinals >= origin.toordinal()  # no-leakage contract, checked every fit
+    late = train.day_ordinals >= origin.toordinal()  # the no-leakage contract
     if late.any():
         day = dt.date.fromordinal(int(train.day_ordinals[late][0]))
-        raise DataError(f"leakage: training row on {day} at origin {origin}")
+        raise DataError(f"leakage: training row on {day}")
     return train
+
+
+@contextmanager
+def _naming(what: str):
+    """Re-raise a config or data error in its own family, prefixed with ``what``."""
+    try:
+        yield
+    except (ConfigError, DataError) as exc:
+        family = ConfigError if isinstance(exc, ConfigError) else DataError
+        raise family(f"{what}: {exc}") from exc
+
+
+def _arms_at(arms: list[ExperimentArm], origin: dt.date) -> str:
+    noun = "arm" if len(arms) == 1 else "arms"
+    return f"{noun} {', '.join(arm.id for arm in arms)} at origin {origin}"
+
+
+def _preflight(groups: list[list[ExperimentArm]], windows) -> None:
+    """Check that every (model group, origin) job can start, before any fit.
+
+    Both windows must hold rows, and the training targets must pass the
+    fit's own checks (`fit_targets`).  Every problem is reported in one
+    error, a ``ConfigError`` if any problem is one and else a
+    ``DataError``, chained to the first problem of its family.
+    """
+    problems = []
+    for group in groups:
+        lead = group[0]
+        for origin, train, test in windows:
+            try:
+                if len(train) == 0:
+                    raise EmptyInput("empty training window")
+                if len(test) == 0:
+                    raise EmptyInput("empty test window")
+                fit_targets(lead.transform, lead.loss, train.sales)
+            except (ConfigError, DataError) as exc:
+                problems.append((_arms_at(group, origin), exc))
+    if problems:
+        detail = "; ".join(f"{who}: {exc}" for who, exc in problems)
+        first = next((exc for _, exc in problems if isinstance(exc, ConfigError)),
+                     problems[0][1])
+        family = ConfigError if isinstance(first, ConfigError) else DataError
+        raise family(detail) from first
 
 
 def _fit_correctors(
@@ -295,12 +361,10 @@ def _model_groups(arms) -> list[list[ExperimentArm]]:
 def _forecasts(
     arms: list[ExperimentArm],
     plan: BacktestPlan,
-    panel: SalesPanel,
-    origin: dt.date,
+    train: SalesPanel,
     test: SalesPanel,
 ) -> list[np.ndarray]:
-    """Fit one group's model at one origin; each arm's forecast of the test rows."""
-    train = _train_slice(panel, origin, plan.train_window_days)
+    """Fit one group's model on a training window; each arm's forecast of the test rows."""
     lead = arms[0]
     model = fit(train, lead.transform, lead.loss, lead.weight_scheme, plan.learner)
     # corrected exactly as FitModel.predict corrects
@@ -312,29 +376,22 @@ def _forecasts(
 def _score_versions(
     arms: list[ExperimentArm],
     plan: BacktestPlan,
-    panel: SalesPanel,
     origin: dt.date,
+    train: SalesPanel,
+    test: SalesPanel,
 ) -> list[tuple[str, VersionMetrics]]:
     """Fit one group's model at one origin; score each arm at every horizon.
 
     A failure is re-raised in its own family (config or data), naming the
     group's arms and the origin.
     """
-    try:
-        max_h = max(plan.horizons)
-        test = panel.slice_days(origin + dt.timedelta(days=1),
-                                origin + dt.timedelta(days=7 * max_h))
-        forecasts = _forecasts(arms, plan, panel, origin, test)
+    with _naming(_arms_at(arms, origin)):
+        forecasts = _forecasts(arms, plan, train, test)
         return [
             (arm.id, version_metrics(preds, test, ForecastVersion.from_origin(origin, h)))
             for arm, preds in zip(arms, forecasts)
             for h in sorted(plan.horizons)
         ]
-    except (ConfigError, DataError) as exc:
-        family = ConfigError if isinstance(exc, ConfigError) else DataError
-        ids = ", ".join(arm.id for arm in arms)
-        noun = "arm" if len(arms) == 1 else "arms"
-        raise family(f"{noun} {ids} at origin {origin}: {exc}") from exc
 
 
 @dataclass
@@ -389,11 +446,17 @@ def _run_grid(
     plan: BacktestPlan,
     panel: SalesPanel,
 ) -> tuple[list[tuple[str, VersionMetrics]], dict[str, dict[int, AggregateMetrics]]]:
-    """Run every (distinct model, origin) job; sorted rows and per-arm aggregates."""
-    origins = version_origins(panel, plan)
+    """Run every (distinct model, origin) job; sorted rows and per-arm aggregates.
+
+    Each origin's windows are sliced once, and every job is checked,
+    before the pool starts.
+    """
+    windows = _windows(panel, plan, version_origins(panel, plan))
+    groups = _model_groups(arms)
+    _preflight(groups, windows)
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        futures = [pool.submit(_score_versions, group, plan, panel, origin)
-                   for group in _model_groups(arms) for origin in origins]
+        futures = [pool.submit(_score_versions, group, plan, *window)
+                   for group in groups for window in windows]
         rows = [row for fut in futures for row in fut.result()]
     rows.sort(key=lambda r: (r[0], r[1].version.label, r[1].horizon_weeks))
     aggregates = {

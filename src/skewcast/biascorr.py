@@ -96,7 +96,7 @@ class BiasCorrector:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BiasCorrector":
-        obj = json_object(obj, "bias corrector")
+        obj = json_object(obj, "bias corrector", cls)
         return cls(
             kind=obj.get("kind", "none"),
             factor=float(obj.get("factor", 1.0)),

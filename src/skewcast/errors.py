@@ -6,6 +6,7 @@ problems (malformed files, values outside a valid domain).
 """
 
 import math
+from dataclasses import fields
 from numbers import Integral, Real
 
 
@@ -53,10 +54,18 @@ def write_text(path, text: str) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def json_object(obj, what: str) -> dict:
-    """``obj`` itself if it is a JSON object; otherwise a ``ConfigError`` naming ``what``."""
+def json_object(obj, what: str, cls=None) -> dict:
+    """``obj`` itself if it is a JSON object; otherwise a ``ConfigError`` naming ``what``.
+
+    With a dataclass ``cls``, every key must also name one of its fields,
+    so a misspelt field is an error, not a silent default.
+    """
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    if cls is not None:
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"{what} JSON has unknown field {unknown[0]!r}")
     return obj
 
 

@@ -40,7 +40,9 @@ from .errors import (
 )
 from .losses import (
     LossSpec,
+    Objective,
     WeightScheme,
+    check_targets,
     constant_score,
     grad_hess,
     mean_from_score,
@@ -267,23 +269,20 @@ def fit_arrays(
     X = _check_matrix(X, len(feature_names))
     if len(X) != len(y):
         raise ShapeMismatch(f"{len(X)} feature rows vs {len(y)} targets")
-    if loss.log_link and not transform.is_identity:
-        raise ConfigError(
-            f"{loss.kind} loss works on raw sales; combine it with the identity transform"
-        )
 
-    z = forward(transform, y)
-    if np.all(z == z[0]):
-        raise DegenerateData("all target values are identical; nothing to fit")
+    z = fit_targets(transform, loss, y)
     w = weights_for(weight_scheme, y)
     try:
         base = constant_score(loss, z, w)
     except DomainError as exc:
         raise DegenerateData(f"cannot initialize fit: {exc}") from None
 
+    objective = Objective(loss, z, w)
     scores = np.full(len(y), base, dtype=np.float64)
     w_total = float(np.sum(w))
-    curve = [total_loss(loss, w, z, mean_from_score(loss, scores)) / w_total]
+    # one evaluation per round serves the round's loss and the next round's step
+    terms = objective.at(scores)
+    curve = [total_loss(loss, w, z, terms.mu, terms) / w_total]
 
     model = FitModel(
         transform=transform,
@@ -298,7 +297,7 @@ def fit_arrays(
     # once, and take each row's step from the leaf it grew into
     order = presort(X) if config.base == "tree" and config.subsample >= 1.0 else None
     for rnd in range(config.rounds):
-        gh = grad_hess(loss, z, scores)
+        gh = grad_hess(loss, z, scores, terms)
         g = w * gh.grad
         h = w * gh.hess
         if config.base == "linear":
@@ -320,9 +319,28 @@ def fit_arrays(
             ))
             step = model.trees[-1].predict(X)
         scores += config.learning_rate * step
-        curve.append(total_loss(loss, w, z, mean_from_score(loss, scores)) / w_total)
+        terms = objective.at(scores)
+        curve.append(total_loss(loss, w, z, terms.mu, terms) / w_total)
     model.training_loss = curve
     return model
+
+
+def fit_targets(transform: TargetTransform, loss: LossSpec, y: np.ndarray) -> np.ndarray:
+    """The targets a fit models, ``transform(y)``, checked as the fit checks them.
+
+    A log-link loss must see raw sales; the targets must not all be
+    equal, and they must lie in the transform's and the loss's domains.
+    The grid runs this on every training window before its first fit.
+    """
+    if loss.log_link and not transform.is_identity:
+        raise ConfigError(
+            f"{loss.kind} loss works on raw sales; combine it with the identity transform"
+        )
+    z = forward(transform, y)
+    if np.all(z == z[0]):
+        raise DegenerateData("all target values are identical; nothing to fit")
+    check_targets(loss, z)
+    return z
 
 
 def _round_rows(config: LearnerConfig, rnd: int, n: int) -> np.ndarray | slice:

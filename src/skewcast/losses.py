@@ -6,6 +6,14 @@ internal score, and the constant score that minimizes the weighted total.
 The Poisson and Gamma deviances are explicit branches rather than p-limits
 of the Tweedie formula, which avoids cancellation near p = 1 and p = 2.
 
+Every formula lives once, in one kernel (``LossTerms``): ``deviance``,
+``grad_hess`` and ``total_loss`` all evaluate through it.  A fit binds
+its loss to its fixed targets and weights once (``Objective``: weights
+checked, Tweedie ``y**(2-p)`` taken), then evaluates the kernel once per
+round, so the round's mean and its powers serve both the training loss
+and the next Newton step.  Sharing changes no bits: each expression
+keeps its evaluation order.
+
 Deviance values keep the conventional factor of 2 so they are directly
 comparable with the usual definitions; the factor cancels in any argmin.
 A zero target takes the limit y * log(y / mu) -> 0 in the Poisson
@@ -116,7 +124,7 @@ class LossSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LossSpec":
-        obj = json_object(obj, "loss")
+        obj = json_object(obj, "loss", cls)
         return cls(
             kind=obj["kind"],
             power=obj.get("power"),
@@ -171,7 +179,7 @@ class WeightScheme:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeightScheme":
-        obj = json_object(obj, "weight scheme")
+        obj = json_object(obj, "weight scheme", cls)
         return cls(kind=obj["kind"], alpha=obj.get("alpha"))
 
 
@@ -191,13 +199,31 @@ def weights_for(scheme: WeightScheme, ys) -> np.ndarray:
     return np.power(y, scheme.alpha) + WEIGHT_FLOOR
 
 
-def _check_mu_domain(spec: LossSpec, y: np.ndarray, mu: np.ndarray) -> None:
+def check_targets(spec: LossSpec, y) -> None:
+    """``DomainError`` unless every target lies in the loss's domain.
+
+    A fit's targets never change, so a fit checks them once, before its
+    first round, and the grid checks every training window this way
+    before its first fit.
+    """
     if np.any(y < 0):
         raise DomainError("targets must be non-negative")
-    if spec.kind in ("poisson", "gamma", "tweedie") and np.any(mu <= 0):
-        raise DomainError(f"{spec.kind} deviance needs mu > 0")
     if spec.kind == "gamma" and np.any(y <= 0):
         raise DomainError("gamma deviance needs y > 0")
+
+
+def _check_mean(spec: LossSpec, mu) -> None:
+    if spec.kind in ("poisson", "gamma", "tweedie") and np.any(mu <= 0):
+        raise DomainError(f"{spec.kind} deviance needs mu > 0")
+
+
+def _check_weights(w: np.ndarray, y: np.ndarray, mu: np.ndarray) -> None:
+    if not (w.shape == y.shape == mu.shape):
+        raise LengthMismatch(
+            f"weights/ys/mus lengths differ: {w.shape} vs {y.shape} vs {mu.shape}"
+        )
+    if np.any(w <= 0):
+        raise DomainError("weights must be strictly positive")
 
 
 def _ylog_ratio(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -219,6 +245,96 @@ def _ylog_ratio(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return y * log_ratio
 
 
+class LossTerms:
+    """The loss kernel: one loss's per-sample terms at targets y and means mu.
+
+    Every loss formula lives here once; ``deviance``, ``grad_hess`` and
+    ``total_loss`` all evaluate through it.  The constructor takes the
+    intermediates the deviance and its derivatives share (the pseudo-Huber
+    root, the Gamma ratio ``y / mu``, and the Tweedie ``mu**(1-p)``,
+    ``mu**(2-p)`` and ``y * mu**(1-p)``), so a boosting round that needs
+    both its gradient/hessian and its training loss takes them once.
+    ``y_pow``, the Tweedie ``y**(2-p)``, depends on the targets alone, so
+    `Objective` passes it in once per fit.  Nothing is checked here.
+    """
+
+    def __init__(self, spec: LossSpec, y: np.ndarray, mu: np.ndarray, y_pow=None):
+        self.spec = spec
+        self.y = y
+        self.mu = mu
+        self.y_pow = y_pow
+        if spec.kind == "pseudo_huber":
+            u = (y - mu) / spec.delta
+            self.root = np.sqrt(1.0 + u * u)
+        elif spec.kind == "gamma":
+            self.ratio = y / mu
+        elif spec.kind == "tweedie":
+            p = spec.power
+            self.mu1 = np.power(mu, 1.0 - p)
+            self.mu2 = np.power(mu, 2.0 - p)
+            self.y_mu1 = y * self.mu1
+
+    def deviance(self) -> np.ndarray:
+        spec, y, mu = self.spec, self.y, self.mu
+        if spec.kind == "mse":
+            return np.square(y - mu)
+        if spec.kind == "pseudo_huber":
+            d = spec.delta
+            return d * d * (self.root - 1.0)
+        if spec.kind == "poisson":
+            return 2.0 * (_ylog_ratio(y, mu) - y + mu)
+        if spec.kind == "gamma":
+            return 2.0 * (-np.log(self.ratio) + (y - mu) / mu)
+        p = spec.power
+        y_pow = np.power(y, 2.0 - p) if self.y_pow is None else self.y_pow
+        # written so that y = 0 never forms 0 * inf
+        term1 = (y_pow - self.y_mu1) / (1.0 - p)
+        term2 = (y_pow - self.mu2) / (2.0 - p)
+        return 2.0 * (term1 - term2)
+
+    def grad_hess(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and hessian with respect to the score; the hessian is floored."""
+        spec, y, mu = self.spec, self.y, self.mu
+        if spec.kind == "mse":
+            g = 2.0 * (mu - y)
+            h = np.full_like(g, 2.0)
+        elif spec.kind == "pseudo_huber":
+            g = (mu - y) / self.root
+            h = np.power(self.root, -3.0)
+        elif spec.kind == "poisson":
+            g = 2.0 * (mu - y)
+            h = 2.0 * mu
+        elif spec.kind == "gamma":
+            g = 2.0 * (1.0 - self.ratio)
+            h = 2.0 * y / mu
+        else:
+            p = spec.power
+            g = 2.0 * (self.mu2 - self.y_mu1)
+            h = 2.0 * ((2.0 - p) * self.mu2 + (p - 1.0) * y * self.mu1)
+        return g, np.maximum(h, HESS_FLOOR)
+
+
+class Objective:
+    """A loss on one fit's targets and weights, which stay fixed as its scores move.
+
+    The weights are checked once here, and the Tweedie ``y**(2-p)`` is
+    taken once; the targets must already have passed `check_targets`.
+    ``at`` evaluates the kernel at one round's scores, mapping them to
+    means once for both the round's gradient/hessian and its loss.
+    """
+
+    def __init__(self, spec: LossSpec, y: np.ndarray, w: np.ndarray):
+        _check_weights(w, y, y)
+        self.spec = spec
+        self.y = y
+        self.y_pow = np.power(y, 2.0 - spec.power) if spec.kind == "tweedie" else None
+
+    def at(self, score: np.ndarray) -> LossTerms:
+        mu = mean_from_score(self.spec, score)
+        _check_mean(self.spec, mu)
+        return LossTerms(self.spec, self.y, mu, self.y_pow)
+
+
 def deviance(spec: LossSpec, y, mu):
     """Per-sample deviance at target y and mean prediction mu.
 
@@ -226,22 +342,9 @@ def deviance(spec: LossSpec, y, mu):
     """
     y = np.asarray(y, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
-    _check_mu_domain(spec, y, mu)
-    if spec.kind == "mse":
-        out = np.square(y - mu)
-    elif spec.kind == "pseudo_huber":
-        d = spec.delta
-        out = d * d * (np.sqrt(1.0 + np.square((y - mu) / d)) - 1.0)
-    elif spec.kind == "poisson":
-        out = 2.0 * (_ylog_ratio(y, mu) - y + mu)
-    elif spec.kind == "gamma":
-        out = 2.0 * (-np.log(y / mu) + (y - mu) / mu)
-    else:
-        p = spec.power
-        # written so that y = 0 never forms 0 * inf
-        term1 = (np.power(y, 2.0 - p) - y * np.power(mu, 1.0 - p)) / (1.0 - p)
-        term2 = (np.power(y, 2.0 - p) - np.power(mu, 2.0 - p)) / (2.0 - p)
-        out = 2.0 * (term1 - term2)
+    check_targets(spec, y)
+    _check_mean(spec, mu)
+    out = LossTerms(spec, y, mu).deviance()
     return float(out) if out.ndim == 0 else out
 
 
@@ -252,61 +355,47 @@ def mean_from_score(spec: LossSpec, score):
     return float(out) if out.ndim == 0 else out
 
 
-def grad_hess(spec: LossSpec, y, score):
+def grad_hess(spec: LossSpec, y, score, terms: LossTerms | None = None):
     """Analytic d(deviance)/d(score) and second derivative.
 
     The hessian is floored at 1e-16 to keep Newton steps finite where it
     underflows; it is mathematically positive everywhere the loss/link
-    pairing is valid.
+    pairing is valid.  A fit passes ``terms``, the kernel its `Objective`
+    already evaluated at ``score`` on the targets ``y``; then only the
+    scores are checked.
     """
-    y = np.asarray(y, dtype=np.float64)
     score = np.asarray(score, dtype=np.float64)
     if not np.all(np.isfinite(score)):
         raise DomainError("scores must be finite")
-    mu = mean_from_score(spec, score)
-    _check_mu_domain(spec, y, np.asarray(mu, dtype=np.float64))
-    if spec.kind == "mse":
-        g = 2.0 * (score - y)
-        h = np.full_like(g, 2.0)
-    elif spec.kind == "pseudo_huber":
-        u = (y - score) / spec.delta
-        root = np.sqrt(1.0 + u * u)
-        g = (score - y) / root
-        h = np.power(root, -3.0)
-    elif spec.kind == "poisson":
-        g = 2.0 * (mu - y)
-        h = 2.0 * mu
-    elif spec.kind == "gamma":
-        g = 2.0 * (1.0 - y / mu)
-        h = 2.0 * y / mu
-    else:
-        p = spec.power
-        mu1 = np.power(mu, 1.0 - p)
-        mu2 = np.power(mu, 2.0 - p)
-        g = 2.0 * (mu2 - y * mu1)
-        h = 2.0 * ((2.0 - p) * mu2 + (p - 1.0) * y * mu1)
-    h = np.maximum(h, HESS_FLOOR)
+    if terms is None:
+        y = np.asarray(y, dtype=np.float64)
+        mu = np.asarray(mean_from_score(spec, score))
+        check_targets(spec, y)
+        _check_mean(spec, mu)
+        terms = LossTerms(spec, y, mu)
+    g, h = terms.grad_hess()
     if g.ndim == 0:
         return GradHess(grad=float(g), hess=float(h))
     return GradHess(grad=g, hess=h)
 
 
-def total_loss(spec: LossSpec, weights, ys, mus) -> float:
+def total_loss(spec: LossSpec, weights, ys, mus, terms: LossTerms | None = None) -> float:
     """Weighted sum of per-sample deviances.
 
     numpy's pairwise summation keeps the total independent of chunking,
-    so serial and parallel evaluations agree to ~1e-12 relative.
+    so serial and parallel evaluations agree to ~1e-12 relative.  A fit
+    passes ``terms``, the kernel its `Objective` already evaluated at
+    ``mus`` on the targets ``ys``, whose weights it checked once.
     """
     w = np.asarray(weights, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    mu = np.asarray(mus, dtype=np.float64)
-    if not (w.shape == y.shape == mu.shape):
-        raise LengthMismatch(
-            f"weights/ys/mus lengths differ: {w.shape} vs {y.shape} vs {mu.shape}"
-        )
-    if np.any(w <= 0):
-        raise DomainError("weights must be strictly positive")
-    return float(np.sum(w * deviance(spec, y, mu)))
+    if terms is None:
+        y = np.asarray(ys, dtype=np.float64)
+        mu = np.asarray(mus, dtype=np.float64)
+        _check_weights(w, y, mu)
+        check_targets(spec, y)
+        _check_mean(spec, mu)
+        terms = LossTerms(spec, y, mu)
+    return float(np.sum(w * terms.deviance()))
 
 
 def constant_score(spec: LossSpec, targets, weights) -> float:

@@ -51,7 +51,7 @@ class TargetTransform:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TargetTransform":
-        obj = json_object(obj, "transform")
+        obj = json_object(obj, "transform", cls)
         return cls(kind=obj["kind"], offset=float(obj.get("offset", 1.0)))
 
 

@@ -59,8 +59,8 @@ def scoring_actuals(monkeypatch, *arm_ids: str) -> None:
     """
     real = backtest._forecasts
 
-    def forecasts(arms, plan, panel, origin, test):
-        preds = real(arms, plan, panel, origin, test)
+    def forecasts(arms, plan, train, test):
+        preds = real(arms, plan, train, test)
         return [test.sales.copy() if arm.id in arm_ids else p for arm, p in zip(arms, preds)]
 
     monkeypatch.setattr(backtest, "_forecasts", forecasts)

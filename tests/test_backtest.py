@@ -22,7 +22,14 @@ from skewcast.backtest import (
     write_trend_outputs,
 )
 from skewcast import backtest
-from skewcast.errors import ConfigError, DataError, DomainError, InsufficientHistory, IoFailure
+from skewcast.errors import (
+    ConfigError,
+    DataError,
+    DegenerateData,
+    DomainError,
+    InsufficientHistory,
+    IoFailure,
+)
 from skewcast.metrics import METRICS_CSV_HEADER
 
 FAST_LEARNER = sc.LearnerConfig(rounds=12, max_depth=3)
@@ -420,7 +427,7 @@ class TestForecastSeam:
         test = small_panel.slice_days(origin + dt.timedelta(days=1),
                                       origin + dt.timedelta(days=7 * max(plan.horizons)))
         train = _train_slice(small_panel, origin, plan.train_window_days)
-        got = backtest._forecasts(arms, plan, small_panel, origin, test)
+        got = backtest._forecasts(arms, plan, train, test)
         assert len(got) == len(arms)
         for arm, preds in zip(arms, got):
             expected = backtest.fit_arm(arm, train, learner).predict(test.feature_matrix)
@@ -453,6 +460,52 @@ class TestGridErrors:
             sc.run_backtest(_small_plan(arms, FAST_LEARNER), panel=small_panel)
         assert "arms TW-LOG, TW-LOG-S at origin " in str(info.value)
         assert isinstance(info.value.__cause__, ConfigError)
+
+
+class TestPreflight:
+    """Every job is checked before the pool starts: a plan that cannot work on
+    its panel fails before the first fit, naming every failing arm and origin."""
+
+    @pytest.mark.parametrize("transform,loss,message", [
+        (sc.TargetTransform(kind="identity"), sc.LossSpec.gamma(),
+         "gamma deviance needs y > 0"),
+        (sc.TargetTransform(kind="log", offset=0.0), sc.LossSpec.mse(),
+         "log transform needs y + offset > 0"),
+    ], ids=["gamma", "log-offset-0"])
+    def test_zero_sales_fail_before_any_fit(self, small_panel, monkeypatch,
+                                            transform, loss, message):
+        assert (small_panel.sales == 0).any()
+        bad = sc.ExperimentArm("BAD", transform, loss, sc.WeightScheme(kind="unit"))
+        plan = _small_plan([sc.arm_by_id("E1"), bad], FAST_LEARNER)
+        counter = _FitCounter(monkeypatch)
+        with pytest.raises(DataError) as info:
+            sc.run_backtest(plan, panel=small_panel)
+        assert counter.calls == 0
+        assert not isinstance(info.value, ConfigError)
+        assert isinstance(info.value.__cause__, DomainError)
+        for origin in version_origins(small_panel, plan):
+            assert f"arm BAD at origin {origin}: {message}" in str(info.value)
+        assert "E1" not in str(info.value)
+
+    def test_constant_training_target_fails_before_any_fit(self, monkeypatch):
+        panel = _flat_panel(n_days=400)
+        plan = sc.BacktestPlan(train_window_days=100, n_versions=2, horizons=(6,),
+                               arms=(sc.arm_by_id("E4"),), baseline_id="E4",
+                               learner=FAST_LEARNER)
+        counter = _FitCounter(monkeypatch)
+        with pytest.raises(DataError, match="all target values are identical") as info:
+            sc.run_backtest(plan, panel=panel)
+        assert counter.calls == 0
+        assert isinstance(info.value.__cause__, DegenerateData)
+
+    def test_config_problem_fails_before_any_fit(self, small_panel, monkeypatch):
+        arm = sc.ExperimentArm("TW-LOG", sc.TargetTransform(kind="log"),
+                               sc.LossSpec.tweedie(1.5), sc.WeightScheme(kind="unit"))
+        counter = _FitCounter(monkeypatch)
+        with pytest.raises(ConfigError, match="arm TW-LOG at origin "):
+            sc.run_backtest(_small_plan([sc.arm_by_id("E1"), arm], FAST_LEARNER),
+                            panel=small_panel)
+        assert counter.calls == 0
 
 
 @pytest.fixture(scope="module")

@@ -28,9 +28,15 @@ def _trace(workload, tmp_path):
     return json.loads(trace_path.read_text(encoding="utf-8"))
 
 
+def _count(trace, name):
+    return sum(1 for s in trace["spans"] if s["name"] == name)
+
+
 def test_grid_fit_trace_resolves(tmp_path):
     trace = _trace("grid-fit", tmp_path)
     assert trace["missing"] == []
+    # each of the 4 origins' training and test windows is sliced once
+    assert _count(trace, "panel.slice_days") == 8
     grow = [s for s in trace["spans"] if s["name"] == "trees.grow_tree"]
     predict = [s for s in trace["spans"] if s["name"] == "trees.Tree.predict"]
     assert grow and all(s["rows"] > 0 and s["nodes"] >= 1 for s in grow)
@@ -46,3 +52,8 @@ def test_roster_linear_fits_each_model_once(tmp_path):
     # 12 arms, of which E4/E4-S/E4-V/E4-PB share a model: 9 fits at each of 4 origins
     assert len(keys) == 36
     assert len(set(keys)) == len(keys)
+    # 9 model groups share each origin's two windows, sliced once
+    assert _count(trace, "panel.slice_days") == 8
+    # every fit still reaches the loss layer by its traced names
+    assert _count(trace, "losses.grad_hess") >= 1
+    assert _count(trace, "losses.total_loss") >= 1

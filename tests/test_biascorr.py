@@ -172,3 +172,7 @@ class TestFitCorrector:
             corr = sc.fit_corrector(kind, y, z, LOG)
             back = BiasCorrector.from_json(corr.to_json())
             assert back == corr
+
+    def test_unknown_field_is_config_error(self):
+        with pytest.raises(ConfigError, match="bias corrector JSON has unknown field 'factr'"):
+            BiasCorrector.from_json({"kind": "none", "factr": 2})

@@ -139,6 +139,21 @@ class TestFit:
         assert "config error" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("part,edit,field", [
+        ("transform", {"kind": "log", "ofset": 0.0}, "ofset"),
+        ("loss", {"kind": "mse", "powr": 1.5}, "powr"),
+        ("weight_scheme", {"kind": "unit", "alpah": 2}, "alpah"),
+    ])
+    def test_unknown_field_in_arm_part_is_config_error(self, workdir, part, edit, field):
+        arm_path = workdir / "typo_arm.json"
+        arm_path.write_text(json.dumps({**sc.arm_by_id("E4").to_json(), part: edit}),
+                            encoding="utf-8")
+        proc = run_cli("fit", "--panel", str(workdir / "panel.csv"),
+                       "--arm", str(arm_path), "--model-out", str(workdir / "m.json"))
+        assert proc.returncode == 2
+        assert f"unknown field '{field}'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_arm_directory_is_config_error(self, workdir, tmp_path):
         proc = run_cli("fit", "--panel", str(workdir / "panel.csv"),
                        "--arm", str(tmp_path), "--model-out", str(workdir / "m.json"))

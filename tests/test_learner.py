@@ -1,6 +1,7 @@
 """Boosted learner: initialization, training-loss behavior, determinism,
 prediction contracts, and serialization."""
 
+import datetime as dt
 import json
 
 import numpy as np
@@ -13,13 +14,21 @@ from skewcast.errors import (
     ConfigError,
     DataError,
     DegenerateData,
+    DomainError,
     EmptyInput,
     IoFailure,
     ShapeMismatch,
 )
 from skewcast import learner
 from skewcast.learner import FitModel, _linear_step, _round_rows, write_pairs_csv
-from skewcast.losses import mean_from_score, total_loss, weights_for
+from skewcast.losses import (
+    HESS_FLOOR,
+    GradHess,
+    _ylog_ratio,
+    mean_from_score,
+    total_loss,
+    weights_for,
+)
 from skewcast.transform import forward
 
 IDENTITY = sc.TargetTransform(kind="identity")
@@ -339,6 +348,91 @@ class TestLinearStepBits:
         assert 0 < len(rows) < 1000 and np.all(np.diff(rows) > 0)
 
 
+def _reference_grad_hess(spec, y, score, terms=None):
+    """The per-call gradient/hessian: every term recomputed from ``score``."""
+    y = np.asarray(y, dtype=np.float64)
+    score = np.asarray(score, dtype=np.float64)
+    if not np.all(np.isfinite(score)):
+        raise DomainError("scores must be finite")
+    mu = np.exp(score) if spec.log_link else score.copy()
+    if spec.kind == "mse":
+        g = 2.0 * (score - y)
+        h = np.full_like(g, 2.0)
+    elif spec.kind == "pseudo_huber":
+        u = (y - score) / spec.delta
+        root = np.sqrt(1.0 + u * u)
+        g = (score - y) / root
+        h = np.power(root, -3.0)
+    elif spec.kind == "poisson":
+        g = 2.0 * (mu - y)
+        h = 2.0 * mu
+    elif spec.kind == "gamma":
+        g = 2.0 * (1.0 - y / mu)
+        h = 2.0 * y / mu
+    else:
+        p = spec.power
+        mu1 = np.power(mu, 1.0 - p)
+        mu2 = np.power(mu, 2.0 - p)
+        g = 2.0 * (mu2 - y * mu1)
+        h = 2.0 * ((2.0 - p) * mu2 + (p - 1.0) * y * mu1)
+    return GradHess(grad=g, hess=np.maximum(h, HESS_FLOOR))
+
+
+def _reference_total_loss(spec, weights, ys, mus, terms=None):
+    """The per-call training loss: every power recomputed from ``ys`` and ``mus``."""
+    w = np.asarray(weights, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    mu = np.asarray(mus, dtype=np.float64)
+    if spec.kind == "mse":
+        out = np.square(y - mu)
+    elif spec.kind == "pseudo_huber":
+        d = spec.delta
+        out = d * d * (np.sqrt(1.0 + np.square((y - mu) / d)) - 1.0)
+    elif spec.kind == "poisson":
+        out = 2.0 * (_ylog_ratio(y, mu) - y + mu)
+    elif spec.kind == "gamma":
+        out = 2.0 * (-np.log(y / mu) + (y - mu) / mu)
+    else:
+        p = spec.power
+        term1 = (np.power(y, 2.0 - p) - y * np.power(mu, 1.0 - p)) / (1.0 - p)
+        term2 = (np.power(y, 2.0 - p) - np.power(mu, 2.0 - p)) / (2.0 - p)
+        out = 2.0 * (term1 - term2)
+    return float(np.sum(w * out))
+
+
+class TestLossKernelBits:
+    """A fit's round loop evaluates each round's loss terms once, through the
+    shared kernel in ``losses``.  Its models must equal, byte for byte, the
+    models of the reference round loop: the same loop with ``grad_hess`` and
+    ``total_loss`` replaced by per-call formulas that recompute the mean and
+    every power from their own inputs."""
+
+    @pytest.fixture(scope="class")
+    def windows(self, small_panel):
+        # two different target vectors of one length, so a term carried from
+        # one fit into the next changes bits instead of failing on shape
+        first, _ = small_panel.date_range
+        day = dt.timedelta(days=1)
+        return (small_panel.slice_days(first, first + 119 * day),
+                small_panel.slice_days(first + 120 * day, first + 239 * day))
+
+    @pytest.mark.parametrize("subsample", [1.0, 0.7])
+    @pytest.mark.parametrize("base", ["tree", "linear"])
+    @pytest.mark.parametrize("arm_id", ["E1", "E2", "E3.1", "E3.3", "E3.5", "E3.7", "E3.9",
+                                        "E4", "E5"])
+    def test_fit_matches_the_reference_round_loop(self, windows, monkeypatch,
+                                                   arm_id, base, subsample):
+        arm = sc.arm_by_id(arm_id)
+        cfg = sc.LearnerConfig(base=base, rounds=4, max_depth=3, subsample=subsample, seed=5)
+        got = [json.dumps(sc.fit(w, arm.transform, arm.loss, arm.weight_scheme, cfg).to_json())
+               for w in windows]
+        monkeypatch.setattr(learner, "grad_hess", _reference_grad_hess)
+        monkeypatch.setattr(learner, "total_loss", _reference_total_loss)
+        for window, model in zip(windows, got):
+            ref = sc.fit(window, arm.transform, arm.loss, arm.weight_scheme, cfg)
+            assert model == json.dumps(ref.to_json())
+
+
 class TestSerialization:
     def test_save_load_round_trip(self, small_panel, tmp_path):
         model = sc.fit(small_panel, IDENTITY, sc.LossSpec.tweedie(1.5), UNIT,
@@ -350,6 +444,14 @@ class TestSerialization:
         np.testing.assert_array_equal(back.predict(X), model.predict(X))
         assert back.loss == model.loss
         assert back.feature_names == model.feature_names
+
+    @pytest.mark.parametrize("arm_id", ["E2", "E5", "E4-S", "E4-V", "E4-PB"])
+    def test_saved_arm_models_load(self, small_panel, tmp_path, arm_id):
+        """Every part a saved model holds passes the unknown-field check."""
+        model = sc.fit_arm(sc.arm_by_id(arm_id), small_panel, _quick_config(rounds=2))
+        path = tmp_path / "model.json"
+        sc.save_model(model, path)
+        assert sc.load_model(path).to_json() == model.to_json()
 
     def test_version_gate(self, small_panel, tmp_path):
         model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT,

@@ -213,6 +213,69 @@ class TestGradHess:
             sc.grad_hess(sc.LossSpec.mse(), 1.0, np.inf)
 
 
+KINDS = ("mse", "pseudo_huber", "poisson", "gamma", "tweedie")
+
+
+def _draw_spec(data, kind):
+    """A loss of ``kind``; Tweedie powers anywhere in (1, 2)."""
+    if kind == "tweedie":
+        return sc.LossSpec.tweedie(data.draw(st.floats(1.01, 1.99), label="power"))
+    if kind == "pseudo_huber":
+        return sc.LossSpec.pseudo_huber(data.draw(st.floats(0.1, 10.0), label="delta"))
+    return sc.LossSpec(kind=kind, link="log" if kind in ("poisson", "gamma") else "identity")
+
+
+def _cancellation(spec):
+    """How much the deviance formula amplifies rounding: Tweedie divides by
+    p - 1 and 2 - p."""
+    if spec.kind != "tweedie":
+        return 1.0
+    return 1.0 / (spec.power - 1.0) + 1.0 / (2.0 - spec.power)
+
+
+class TestKernelProperties:
+    """The shared loss kernel, for every kind and random Tweedie powers."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    def test_deviance_non_negative_and_zero_at_the_target(self, kind, data):
+        spec = _draw_spec(data, kind)
+        low = 1e-3 if kind == "gamma" else 0.0
+        n = data.draw(st.integers(1, 20), label="n")
+        y = data.draw(hnp.arrays(np.float64, n, elements=st.floats(low, 1e3)), label="y")
+        mu_low = 1e-3 if spec.log_link else -1e3
+        mu = data.draw(hnp.arrays(np.float64, n, elements=st.floats(mu_low, 1e3)), label="mu")
+        tol = 1e-12 * _cancellation(spec) * (1.0 + y + np.abs(mu))
+        assert np.all(sc.deviance(spec, y, mu) >= -tol)
+        at = np.maximum(y, 1e-3) if spec.log_link else y
+        zero = sc.deviance(spec, at, at)
+        if kind == "tweedie":  # y * mu**(1-p) and y**(2-p) round apart
+            assert np.all(np.abs(zero) <= tol)
+        else:
+            assert np.all(zero == 0.0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    def test_grad_hess_match_central_differences(self, kind, data):
+        spec = _draw_spec(data, kind)
+        y = data.draw(st.floats(1e-2 if kind == "gamma" else 0.0, 100.0), label="y")
+        score = data.draw(st.floats(-3.0, 3.0) if spec.log_link else st.floats(-50.0, 50.0),
+                          label="score")
+        h = 1e-6 * max(1.0, abs(score))
+
+        def dev(s):
+            return sc.deviance(spec, y, sc.mean_from_score(spec, s))
+
+        gh = sc.grad_hess(spec, y, score)
+        fd_grad = (dev(score + h) - dev(score - h)) / (2.0 * h)
+        fd_hess = (sc.grad_hess(spec, y, score + h).grad
+                   - sc.grad_hess(spec, y, score - h).grad) / (2.0 * h)
+        # central differences lose about eps * |deviance| / h to rounding
+        slack = 1e-8 * _cancellation(spec) * (1.0 + abs(dev(score)))
+        assert gh.grad == pytest.approx(fd_grad, rel=1e-6, abs=slack)
+        assert gh.hess == pytest.approx(fd_hess, rel=1e-6, abs=slack)
+
+
 class TestSpecValidation:
     def test_family_losses_require_log_link(self):
         for kind in ("poisson", "gamma"):
@@ -242,6 +305,10 @@ class TestSpecValidation:
     def test_json_round_trip(self):
         for spec in ALL_SPECS:
             assert sc.LossSpec.from_json(spec.to_json()) == spec
+
+    def test_unknown_field_is_config_error(self):
+        with pytest.raises(ConfigError, match="loss JSON has unknown field 'powr'"):
+            sc.LossSpec.from_json({"kind": "mse", "powr": 1.5})
 
 
 class TestTotalLoss:
@@ -345,6 +412,10 @@ class TestWeightSchemes:
         for scheme in (sc.WeightScheme(kind="unit"),
                        sc.WeightScheme(kind="power", alpha=0.5)):
             assert sc.WeightScheme.from_json(scheme.to_json()) == scheme
+
+    def test_unknown_field_is_config_error(self):
+        with pytest.raises(ConfigError, match="weight scheme JSON has unknown field 'alpah'"):
+            sc.WeightScheme.from_json({"kind": "unit", "alpah": 2})
 
 
 class TestConvexityProfile:

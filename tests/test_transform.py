@@ -73,6 +73,10 @@ class TestLabelsAndJson:
                   sc.TargetTransform(kind="sqrt")):
             assert sc.TargetTransform.from_json(t.to_json()) == t
 
+    def test_unknown_field_is_config_error(self):
+        with pytest.raises(ConfigError, match="transform JSON has unknown field 'ofset'"):
+            sc.TargetTransform.from_json({"kind": "log", "ofset": 0.0})
+
 
 class TestJensenGap:
     def test_gap_positive_for_spread_sample_under_log(self, rng):
