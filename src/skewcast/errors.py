@@ -54,16 +54,17 @@ def write_text(path, text: str) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def json_object(obj, what: str, cls=None) -> dict:
+def json_object(obj, what: str, cls=None, extra=()) -> dict:
     """``obj`` itself if it is a JSON object; otherwise a ``ConfigError`` naming ``what``.
 
-    With a dataclass ``cls``, every key must also name one of its fields,
-    so a misspelt field is an error, not a silent default.
+    With a dataclass ``cls``, every key must also name one of its fields
+    or be one of ``extra``, so a misspelt field is an error, not a silent
+    default.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} must be a JSON object, got {type(obj).__name__}")
     if cls is not None:
-        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)} - set(extra))
         if unknown:
             raise ConfigError(f"{what} JSON has unknown field {unknown[0]!r}")
     return obj

@@ -166,6 +166,7 @@ class FitModel:
             raise ConfigError(
                 f"unsupported model version {obj.get('version')!r}, expected {MODEL_FORMAT!r}"
             )
+        json_object(obj, "model", cls, extra=("version",))
         try:
             model = cls(
                 transform=TargetTransform.from_json(obj["transform"]),
@@ -295,7 +296,7 @@ def fit_arrays(
     Xa = _augment(X) if config.base == "linear" else None
     # without subsampling every round grows on all rows: sort the features
     # once, and take each row's step from the leaf it grew into
-    order = presort(X) if config.base == "tree" and config.subsample >= 1.0 else None
+    presorted = presort(X) if config.base == "tree" and config.subsample >= 1.0 else None
     for rnd in range(config.rounds):
         gh = grad_hess(loss, z, scores, terms)
         g = w * gh.grad
@@ -305,11 +306,11 @@ def fit_arrays(
             beta = _linear_step(Xa[rows], g[rows], h[rows], config.l2_reg)
             model.betas.append(beta)
             step = np.einsum("ij,j->i", Xa, beta)
-        elif order is not None:
+        elif presorted is not None:
             step = np.empty(len(y))
             model.trees.append(grow_tree(
                 X, g, h, config.max_depth, config.min_child_weight, config.l2_reg,
-                order=order, out=step,
+                presorted=presorted, out=step,
             ))
         else:
             rows = _round_rows(config, rnd, len(y))

@@ -498,6 +498,21 @@ class TestPreflight:
         assert counter.calls == 0
         assert isinstance(info.value.__cause__, DegenerateData)
 
+    def test_one_row_training_window_fails_before_any_fit(self, monkeypatch):
+        """A window that passes holds at least two rows, not all equal, so
+        every corrector has the rows it needs: smearing and binned one,
+        variance two."""
+        panel = _wavy_panel(n_items=1)
+        arms = tuple(sc.arm_by_id(a) for a in ("E4-S", "E4-V", "E4-PB"))
+        plan = sc.BacktestPlan(train_window_days=1, n_versions=2, horizons=(6,),
+                               arms=arms, baseline_id="E4-S", learner=FAST_LEARNER)
+        windows = backtest._windows(panel, plan, version_origins(panel, plan))
+        assert [len(train) for _, train, _ in windows] == [1, 1]
+        counter = _FitCounter(monkeypatch)
+        with pytest.raises(DataError, match="all target values are identical"):
+            sc.run_backtest(plan, panel=panel)
+        assert counter.calls == 0
+
     def test_config_problem_fails_before_any_fit(self, small_panel, monkeypatch):
         arm = sc.ExperimentArm("TW-LOG", sc.TargetTransform(kind="log"),
                                sc.LossSpec.tweedie(1.5), sc.WeightScheme(kind="unit"))

@@ -484,6 +484,13 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             FitModel.from_json(obj)
 
+    def test_unknown_model_field_rejected(self, small_panel):
+        """A misspelt top-level field is named, not ignored."""
+        obj = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT, _quick_config(rounds=1)).to_json()
+        obj["bias_corector"] = {"kind": "smearing", "factor": 2.0}
+        with pytest.raises(ConfigError, match="model JSON has unknown field 'bias_corector'"):
+            FitModel.from_json(obj)
+
     def test_load_errors(self, tmp_path):
         with pytest.raises(IoFailure):
             sc.load_model(tmp_path / "missing.json")

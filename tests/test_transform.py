@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import skewcast as sc
 from skewcast.errors import ConfigError, DomainError, EmptyInput
@@ -31,6 +33,18 @@ class TestForwardInverse:
         y = np.array([0.0, 4.0, 6.25])
         np.testing.assert_allclose(forward(t, y), np.sqrt(y))
         np.testing.assert_allclose(inverse(t, forward(t, y)), y, atol=1e-12)
+
+    @given(kind=st.sampled_from(["identity", "sqrt", "log"]),
+           offset=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+           y=st.floats(1e-3, 1e6) | st.just(0.0))
+    def test_inverse_undoes_forward(self, kind, offset, y):
+        """Back within 32 ulps of y (of y + offset for log): exp and
+        expm1 magnify the rounding of the log by up to |log(y + offset)|."""
+        assume(not (kind == "log" and offset == 0.0 and y == 0.0))  # outside the domain
+        t = sc.TargetTransform(kind=kind, offset=offset)
+        back = inverse(t, forward(t, y))
+        scale = y + offset if kind == "log" else y
+        assert abs(back - y) <= 32 * np.finfo(np.float64).eps * scale
 
     def test_inverse_clamps_below_zero(self):
         """A wildly negative model score must never become negative sales."""

@@ -244,10 +244,11 @@ class TestSplitSearch:
 class TestPresortedEngine:
     def test_presort_is_a_stable_argsort_of_every_column(self, rng):
         X = rng.integers(0, 3, size=(50, 4)).astype(float)
-        order = presort(X)
-        assert order.shape == (4, 50)
+        order, values = presort(X)
+        assert order.shape == values.shape == (4, 50)
         for feat in range(4):
             np.testing.assert_array_equal(order[feat], np.argsort(X[:, feat], kind="stable"))
+            np.testing.assert_array_equal(values[feat], X[order[feat], feat])
 
     def test_heavy_ties_and_a_constant_feature(self, rng):
         X = rng.integers(0, 4, size=(300, 4)).astype(float)
@@ -299,19 +300,27 @@ class TestPresortedEngine:
                            st.floats(-1e3, 1e3, allow_nan=False))
         X = data.draw(hnp.arrays(np.float64, (n, k), elements=values), label="X")
         grad = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-10, 10)), label="grad")
-        hess = data.draw(hnp.arrays(np.float64, n, elements=st.floats(0, 2)), label="hess")
+        # per-row hessians, or one shared value: a power of two takes the
+        # exact constant-hessian prefix, any other the general one
+        hess = data.draw(st.one_of(
+            hnp.arrays(np.float64, n, elements=st.floats(0, 2)),
+            st.sampled_from([0.5, 1.0, 2.0, 4.0, 0.1, 3.0]).map(lambda c: np.full(n, c)),
+        ), label="hess")
+        # no l2_reg = 0 with a zero hessian: a node of zero-hessian rows
+        # divides by zero in both growers, and no fit has such rows
+        l2_choices = [0.0, 0.5, 1.0] if (hess > 0).all() else [0.5, 1.0]
         assert_matches_reference(
             X, grad, hess,
             max_depth=data.draw(st.integers(1, 6), label="max_depth"),
             min_child_weight=data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="mcw"),
-            l2_reg=data.draw(st.sampled_from([0.5, 1.0]), label="l2_reg"),
+            l2_reg=data.draw(st.sampled_from(l2_choices), label="l2_reg"),
         )
 
     @pytest.mark.parametrize("subsample", [1.0, 0.6])
     def test_fit_matches_a_fit_with_the_reference_grower(self, small_panel, monkeypatch,
                                                          subsample):
         def reference(X, grad, hess, max_depth, min_child_weight, l2_reg,
-                      order=None, out=None):
+                      presorted=None, out=None):
             tree = _reference_grow_tree(X, grad, hess, max_depth, min_child_weight, l2_reg)
             if out is not None:
                 out[:] = tree.predict(X)
@@ -341,19 +350,27 @@ class TestRouting:
         X = rng.normal(size=(300, 3))
         grad = rng.normal(size=300)
         hess = np.ones(300)
-        tree = grow_tree(X, grad, hess, max_depth=5, min_child_weight=1.0, l2_reg=1.0)
+        deep = grow_tree(X, grad, hess, max_depth=5, min_child_weight=1.0, l2_reg=1.0)
+        # one row exactly on each split's threshold
+        internal = np.flatnonzero(deep.feature != -1)
+        on_threshold = rng.normal(size=(len(internal), 3))
+        on_threshold[np.arange(len(internal)), deep.feature[internal]] = deep.threshold[internal]
+        X = np.vstack([X, on_threshold])
+        leaf = Tree(feature=np.array([-1]), threshold=np.array([0.0]), left=np.array([-1]),
+                    right=np.array([-1]), value=np.array([3.5]))
 
-        def walk(x):
-            node = 0
-            while tree.feature[node] != -1:
-                if x[tree.feature[node]] <= tree.threshold[node]:
-                    node = tree.left[node]
-                else:
-                    node = tree.right[node]
-            return tree.value[node]
+        for tree in (deep, leaf):
+            def walk(x):
+                node = 0
+                while tree.feature[node] != -1:
+                    if x[tree.feature[node]] <= tree.threshold[node]:
+                        node = tree.left[node]
+                    else:
+                        node = tree.right[node]
+                return tree.value[node]
 
-        expect = np.array([walk(x) for x in X])
-        np.testing.assert_array_equal(tree.predict(X), expect)
+            expect = np.array([walk(x) for x in X])
+            np.testing.assert_array_equal(tree.predict(X), expect)
 
 
 class TestSerialization:
