@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ShapeMismatch
 
 _LEAF = -1
 
@@ -82,6 +82,10 @@ class Tree:
         the tree is deep and a row that reaches its leaf early stays there.
         """
         X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or self.feature.max() >= X.shape[1]:
+            raise ShapeMismatch(
+                f"tree splits on feature {self.feature.max()}, X has shape {X.shape}"
+            )
         leaf = self.feature == _LEAF
         ids = np.arange(self.n_nodes)
         feature = np.where(leaf, 0, self.feature)  # any column: a leaf's children are itself

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 import skewcast as sc
 from skewcast import learner
-from skewcast.errors import ConfigError
+from skewcast.errors import ConfigError, ShapeMismatch
 from skewcast.trees import Tree, grow_tree, presort
 
 TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
@@ -345,6 +345,8 @@ class TestRouting:
         )
         X = np.array([[1.5], [1.5000001], [0.0], [99.0]])
         np.testing.assert_array_equal(tree.predict(X), [10.0, 20.0, 10.0, 20.0])
+        with pytest.raises(ShapeMismatch):  # no column for the split's feature
+            tree.predict(np.zeros((4, 0)))
 
     def test_deep_tree_routes_like_a_reference_walk(self, rng):
         X = rng.normal(size=(300, 3))
