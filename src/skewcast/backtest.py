@@ -50,6 +50,7 @@ from .errors import (
     check_numbers,
     is_integer,
     json_object,
+    read_json,
     write_text,
 )
 from .learner import FitModel, LearnerConfig, fit, fit_targets
@@ -173,12 +174,11 @@ class BacktestPlan:
     arms: tuple[ExperimentArm, ...] = field(default_factory=lambda: tuple(standard_arms()))
     baseline_id: str = "E5"
     learner: LearnerConfig = field(default_factory=LearnerConfig)
-    seed: int = 0
     gen_config_path: str | None = None
 
     def __post_init__(self):
         check_numbers(self, integers={"train_window_days": 1, "cadence_days": 1,
-                                      "n_versions": 1, "seed": None})
+                                      "n_versions": 1})
         if not self.horizons or any(not is_integer(h) or h not in HORIZONS
                                     for h in self.horizons):
             raise ConfigError(f"horizons must be a nonempty subset of {HORIZONS}, "
@@ -197,13 +197,12 @@ class BacktestPlan:
             "arms": [arm.to_json() for arm in self.arms],
             "baseline_id": self.baseline_id,
             "learner": self.learner.to_json(),
-            "seed": self.seed,
             "gen_config_path": self.gen_config_path,
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "BacktestPlan":
-        kwargs = dict(json_object(obj, "backtest plan"))
+        kwargs = dict(json_object(obj, "backtest plan", cls))
         try:
             if "horizons" in kwargs:
                 kwargs["horizons"] = tuple(kwargs["horizons"])
@@ -220,14 +219,7 @@ class BacktestPlan:
 
 
 def load_plan(path) -> BacktestPlan:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read plan {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"plan {path} is not valid JSON: {exc}") from None
-    return BacktestPlan.from_json(obj)
+    return BacktestPlan.from_json(read_json(path, "plan"))
 
 
 def version_origins(panel: SalesPanel, plan: BacktestPlan) -> list[dt.date]:
@@ -565,15 +557,7 @@ def _trend(
     for h in sorted(plan.horizons):
         series = [aggregates[arm.id][h] for arm in arms]
         for value, agg in zip(axis_values, series):
-            table.append({
-                axis_name: value,
-                "horizon_weeks": h,
-                "wmape": agg.wmape,
-                "wbias": agg.wbias,
-                "total_actual": agg.total_actual,
-                "n_versions": agg.n_versions,
-                "skipped_items": agg.skipped_items,
-            })
+            table.append({axis_name: value, "horizon_weeks": h, **_agg_json(agg)})
         wbias_series = [agg.wbias for agg in series]
         inversions = _count_inversions(wbias_series, direction)
         verdicts[h] = {

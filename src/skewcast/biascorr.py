@@ -33,8 +33,8 @@ from .transform import TargetTransform, forward, inverse
 
 KINDS = ("none", "variance_based", "smearing", "prediction_binned")
 
-DEFAULT_BIN_WIDTH = 2.0
-DEFAULT_MIN_BIN_COUNT = 30
+BIN_WIDTH = 2.0
+MIN_BIN_COUNT = 30
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class BiasCorrector:
 
     kind: str = "none"
     factor: float = 1.0
-    bin_width: float = DEFAULT_BIN_WIDTH
+    bin_width: float = BIN_WIDTH
     bin_factors: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -100,7 +100,7 @@ class BiasCorrector:
         return cls(
             kind=obj.get("kind", "none"),
             factor=float(obj.get("factor", 1.0)),
-            bin_width=float(obj.get("bin_width", DEFAULT_BIN_WIDTH)),
+            bin_width=float(obj.get("bin_width", BIN_WIDTH)),
             bin_factors=tuple(float(f) for f in obj.get("bin_factors", ())),
         )
 
@@ -123,20 +123,14 @@ def fit_smearing(residuals) -> BiasCorrector:
     return BiasCorrector(kind="smearing", factor=factor)
 
 
-def fit_prediction_binned(
-    y_raw,
-    pred_transformed,
-    transform: TargetTransform,
-    bin_width: float = DEFAULT_BIN_WIDTH,
-    min_bin_count: int = DEFAULT_MIN_BIN_COUNT,
-) -> BiasCorrector:
+def fit_prediction_binned(y_raw, pred_transformed, transform: TargetTransform) -> BiasCorrector:
     """Per-bucket empirical multipliers over the transformed prediction.
 
-    Buckets are [0, w), [w, 2w), ... in transformed units; the last one
-    is open above.  A bucket's multiplier is mean(actual) over mean of
-    the back-transformed prediction, provided it holds at least
-    ``min_bin_count`` rows and its denominator is positive; otherwise
-    the global smearing factor is used.
+    Buckets are [0, w), [w, 2w), ... in transformed units, with
+    w = ``BIN_WIDTH``; the last one is open above.  A bucket's multiplier
+    is mean(actual) over mean of the back-transformed prediction,
+    provided it holds at least ``MIN_BIN_COUNT`` rows and its denominator
+    is positive; otherwise the global smearing factor is used.
     """
     y_raw = np.asarray(y_raw, dtype=np.float64)
     pred_transformed = np.asarray(pred_transformed, dtype=np.float64)
@@ -144,8 +138,6 @@ def fit_prediction_binned(
         raise LengthMismatch("actuals and predictions differ in shape")
     if y_raw.size == 0:
         raise EmptyInput("no rows to fit a bias corrector on")
-    if bin_width <= 0.0:
-        raise ConfigError("bin width must be positive")
 
     backmapped = inverse(transform, pred_transformed)
     residuals = forward(transform, y_raw) - pred_transformed
@@ -153,13 +145,13 @@ def fit_prediction_binned(
     if not (fallback > 0.0 and math.isfinite(fallback)):
         fallback = 1.0
 
-    n_bins = max(1, int(np.floor(np.max(pred_transformed) / bin_width)) + 1)
-    idx = np.clip(np.floor(pred_transformed / bin_width), 0, n_bins - 1).astype(np.int64)
+    n_bins = max(1, int(np.floor(np.max(pred_transformed) / BIN_WIDTH)) + 1)
+    idx = np.clip(np.floor(pred_transformed / BIN_WIDTH), 0, n_bins - 1).astype(np.int64)
     factors = []
     for b in range(n_bins):
         mask = idx == b
         count = int(np.sum(mask))
-        if count < min_bin_count:
+        if count < MIN_BIN_COUNT:
             factors.append(fallback)
             continue
         denom = float(np.mean(backmapped[mask]))
@@ -168,22 +160,10 @@ def fit_prediction_binned(
             continue
         factors.append(float(np.mean(y_raw[mask])) / denom)
     factors = [f if (f > 0.0 and math.isfinite(f)) else fallback for f in factors]
-    return BiasCorrector(
-        kind="prediction_binned",
-        factor=fallback,
-        bin_width=float(bin_width),
-        bin_factors=tuple(factors),
-    )
+    return BiasCorrector(kind="prediction_binned", factor=fallback, bin_factors=tuple(factors))
 
 
-def fit_corrector(
-    kind: str,
-    y_raw,
-    pred_transformed,
-    transform: TargetTransform,
-    bin_width: float = DEFAULT_BIN_WIDTH,
-    min_bin_count: int = DEFAULT_MIN_BIN_COUNT,
-) -> BiasCorrector:
+def fit_corrector(kind: str, y_raw, pred_transformed, transform: TargetTransform) -> BiasCorrector:
     """Fit any corrector kind from actuals and transformed predictions."""
     if kind == "none":
         return BiasCorrector(kind="none")
@@ -197,8 +177,5 @@ def fit_corrector(
     if kind == "smearing":
         return fit_smearing(residuals)
     if kind == "prediction_binned":
-        return fit_prediction_binned(
-            y_raw, pred_transformed, transform,
-            bin_width=bin_width, min_bin_count=min_bin_count,
-        )
+        return fit_prediction_binned(y_raw, pred_transformed, transform)
     raise ConfigError(f"unknown bias corrector kind {kind!r}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import backtest as bt
 from .datagen import generate, load_gen_config
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_json
 from .learner import (
     LearnerConfig,
     in_sample_fit_report,
@@ -44,26 +44,14 @@ def _cmd_gen(args) -> int:
 def _load_arm(spec: str) -> bt.ExperimentArm:
     """An arm is either a standard grid id or a path to an arm JSON."""
     if os.path.exists(spec):
-        try:
-            with open(spec, "r", encoding="utf-8") as fh:
-                return bt.ExperimentArm.from_json(json.load(fh))
-        except OSError as exc:
-            raise ConfigError(f"cannot read arm {spec}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"arm file {spec} is not valid JSON: {exc}") from None
+        return bt.ExperimentArm.from_json(read_json(spec, "arm"))
     return bt.arm_by_id(spec)
 
 
 def _load_learner(path: str | None) -> LearnerConfig:
     if path is None:
         return LearnerConfig()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return LearnerConfig.from_json(json.load(fh))
-    except OSError as exc:
-        raise ConfigError(f"cannot read learner config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"learner config {path} is not valid JSON: {exc}") from None
+    return LearnerConfig.from_json(read_json(path, "learner config"))
 
 
 def _cmd_fit(args) -> int:

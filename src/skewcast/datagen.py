@@ -26,12 +26,11 @@ generation order.
 from __future__ import annotations
 
 import datetime as dt
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, check_numbers, json_object
+from .errors import ConfigError, check_numbers, is_real, json_object, read_json
 from .panel import SalesPanel
 from .rng import keyed_stream
 
@@ -65,10 +64,16 @@ class GenConfig:
             raise ConfigError("gamma shape and scale must be positive")
         if self.price_elasticity > 0:
             raise ConfigError("price elasticity must be <= 0")
-        if len(self.weekly_seasonality) != 7:
-            raise ConfigError("weekly_seasonality needs exactly 7 multipliers")
-        if any(m < 1.0 for _, m in self.spike_days):
-            raise ConfigError("spike multipliers must be >= 1")
+        mu_sigma = self.base_rate_lognormal
+        if len(mu_sigma) != 2 or not all(map(is_real, mu_sigma)) or mu_sigma[1] < 0:
+            raise ConfigError("base_rate_lognormal must be two finite numbers (mu, sigma) "
+                              f"with sigma >= 0, got {list(mu_sigma)!r}")
+        weekly = self.weekly_seasonality
+        if len(weekly) != 7 or not all(is_real(m) and m >= 0 for m in weekly):
+            raise ConfigError("weekly_seasonality must be 7 finite multipliers >= 0, "
+                              f"got {list(weekly)!r}")
+        if any(not is_real(m) or m < 1.0 for _, m in self.spike_days):
+            raise ConfigError("spike_days multipliers must be finite and >= 1")
 
     def to_json(self) -> dict:
         return {
@@ -102,14 +107,7 @@ class GenConfig:
 
 
 def load_gen_config(path) -> GenConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read generator config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"generator config {path} is not valid JSON: {exc}") from None
-    return GenConfig.from_json(obj)
+    return GenConfig.from_json(read_json(path, "generator config"))
 
 
 def theoretical_tweedie_power(cfg: GenConfig) -> float:

@@ -5,6 +5,7 @@ configuration problems (bad knobs, incompatible choices) and data
 problems (malformed files, values outside a valid domain).
 """
 
+import json
 import math
 from dataclasses import fields
 from numbers import Integral, Real
@@ -54,6 +55,19 @@ def write_text(path, text: str) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+def read_json(path, what: str):
+    """The JSON value in a UTF-8 file; any failure is a ``ConfigError`` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"{what} {path} nests too deeply to parse") from None
+
+
 def json_object(obj, what: str, cls=None, extra=()) -> dict:
     """``obj`` itself if it is a JSON object; otherwise a ``ConfigError`` naming ``what``.
 
@@ -75,6 +89,14 @@ def is_integer(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """A finite real number that is not a ``bool``; an integer is also real."""
+    try:
+        return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def check_numbers(obj, integers: dict | None = None, reals=()) -> None:
     """``ConfigError`` unless the named fields of ``obj`` hold numbers.
 
@@ -90,7 +112,7 @@ def check_numbers(obj, integers: dict | None = None, reals=()) -> None:
             raise ConfigError(f"{name} must be >= {least}, got {value}")
     for name in reals:
         value = getattr(obj, name)
-        if not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value):
+        if not is_real(value):
             raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 

@@ -8,14 +8,16 @@ damped Newton step.  The mean prediction is recovered from the score
 through the loss's link, mapped back through the target transform, and
 finally rescaled by an optional bias corrector.
 
-Everything is deterministic: row subsampling draws from a stream keyed
-by (seed, round), features are scanned in order, and the linear step
-builds its normal equations with einsum on the row-major ``(n, k)``
-design, which fixes the summation order: each entry of the normal
-matrix is a left-to-right sum over rows of ``(x_ij * h_i) * x_ik``, at
-any row count.  A ``(k, n)`` layout, BLAS (``@``, ``np.dot``,
-``tensordot``) or ``optimize=True`` would sum in another order, and the
-bits of the fit would then depend on the row count and the library.
+Every round fits its base learner on all rows.  Everything is
+deterministic: a tree fit sorts each feature column once and every
+round's tree grows from that order, features are scanned in order, and
+the linear step builds its normal equations with einsum on the
+row-major ``(n, k)`` design, which fixes the summation order: each
+entry of the normal matrix is a left-to-right sum over rows of
+``(x_ij * h_i) * x_ik``, at any row count.  A ``(k, n)`` layout, BLAS
+(``@``, ``np.dot``, ``tensordot``) or ``optimize=True`` would sum in
+another order, and the bits of the fit would then depend on the row
+count and the library.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from .errors import (
     DegenerateData,
     DomainError,
     EmptyInput,
-    IoFailure,
     ShapeMismatch,
     check_numbers,
     json_object,
+    read_json,
     write_text,
 )
 from .losses import (
@@ -49,11 +51,10 @@ from .losses import (
     total_loss,
     weights_for,
 )
-from .rng import keyed_stream
 from .transform import TargetTransform, forward, inverse
 from .trees import Tree, grow_tree, presort
 
-MODEL_FORMAT = "skewcast-model-v1"
+MODEL_FORMAT = "skewcast-model-v2"
 
 _BASES = ("tree", "linear")
 
@@ -68,22 +69,18 @@ class LearnerConfig:
     max_depth: int = 6
     min_child_weight: float = 1.0
     l2_reg: float = 1.0
-    subsample: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.base not in _BASES:
             raise ConfigError(f"unknown base learner {self.base!r}")
-        check_numbers(self, integers={"rounds": 0, "max_depth": 1, "seed": None},
-                      reals=("learning_rate", "min_child_weight", "l2_reg", "subsample"))
+        check_numbers(self, integers={"rounds": 0, "max_depth": 1},
+                      reals=("learning_rate", "min_child_weight", "l2_reg"))
         if not (0.0 < self.learning_rate <= 1.0):
             raise ConfigError("learning_rate must lie in (0, 1]")
         if self.min_child_weight < 0:
             raise ConfigError("min_child_weight must be >= 0")
         if self.l2_reg < 0:
             raise ConfigError("l2_reg must be >= 0")
-        if not (0.0 < self.subsample <= 1.0):
-            raise ConfigError("subsample must lie in (0, 1]")
 
     def to_json(self) -> dict:
         return {
@@ -93,16 +90,11 @@ class LearnerConfig:
             "max_depth": self.max_depth,
             "min_child_weight": self.min_child_weight,
             "l2_reg": self.l2_reg,
-            "subsample": self.subsample,
-            "seed": self.seed,
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "LearnerConfig":
-        try:
-            return cls(**obj)
-        except TypeError as exc:
-            raise ConfigError(f"bad learner config: {exc}") from None
+        return cls(**json_object(obj, "learner", cls))
 
 
 @dataclass
@@ -294,31 +286,22 @@ def fit_arrays(
         base_score=base,
     )
     Xa = _augment(X) if config.base == "linear" else None
-    # without subsampling every round grows on all rows: sort the features
-    # once, and take each row's step from the leaf it grew into
-    presorted = presort(X) if config.base == "tree" and config.subsample >= 1.0 else None
-    for rnd in range(config.rounds):
+    # a tree fit sorts the features once; each row's step is the leaf it grew into
+    presorted = presort(X) if config.base == "tree" else None
+    for _ in range(config.rounds):
         gh = grad_hess(loss, z, scores, terms)
         g = w * gh.grad
         h = w * gh.hess
         if config.base == "linear":
-            rows = _round_rows(config, rnd, len(y))
-            beta = _linear_step(Xa[rows], g[rows], h[rows], config.l2_reg)
+            beta = _linear_step(Xa, g, h, config.l2_reg)
             model.betas.append(beta)
             step = np.einsum("ij,j->i", Xa, beta)
-        elif presorted is not None:
+        else:
             step = np.empty(len(y))
             model.trees.append(grow_tree(
                 X, g, h, config.max_depth, config.min_child_weight, config.l2_reg,
                 presorted=presorted, out=step,
             ))
-        else:
-            rows = _round_rows(config, rnd, len(y))
-            model.trees.append(grow_tree(
-                X[rows], g[rows], h[rows],
-                config.max_depth, config.min_child_weight, config.l2_reg,
-            ))
-            step = model.trees[-1].predict(X)
         scores += config.learning_rate * step
         terms = objective.at(scores)
         curve.append(total_loss(loss, w, z, terms.mu, terms) / w_total)
@@ -342,21 +325,6 @@ def fit_targets(transform: TargetTransform, loss: LossSpec, y: np.ndarray) -> np
         raise DegenerateData("all target values are identical; nothing to fit")
     check_targets(loss, z)
     return z
-
-
-def _round_rows(config: LearnerConfig, rnd: int, n: int) -> np.ndarray | slice:
-    """The rows a round fits on: ascending indices, or every row as a slice.
-
-    Indexing with the slice gives views, so a full-sample round copies
-    nothing.
-    """
-    if config.subsample >= 1.0:
-        return slice(None)
-    gen = keyed_stream(config.seed, rnd)
-    mask = gen.random(n) < config.subsample
-    if not mask.any():
-        return slice(None)
-    return np.nonzero(mask)[0]
 
 
 def _linear_step(Xa: np.ndarray, g: np.ndarray, h: np.ndarray, l2_reg: float) -> np.ndarray:
@@ -422,11 +390,4 @@ def save_model(model: FitModel, path) -> None:
 
 
 def load_model(path) -> FitModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"cannot read model {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"model file {path} is not valid JSON: {exc}") from None
-    return FitModel.from_json(obj)
+    return FitModel.from_json(read_json(path, "model"))

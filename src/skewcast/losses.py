@@ -21,9 +21,10 @@ deviance, so it contributes exactly 2 * mu.
 
 Scores relate to mean predictions through the link: identity for squared
 error and pseudo-Huber, log for Poisson/Gamma/Tweedie (so mean = exp(score)
-is always positive).  Other pairings are rejected because Newton boosting
-needs a positive second derivative, which e.g. squared error under a log
-link cannot guarantee.
+is always positive).  The kind fixes the link, and a loss JSON naming
+another link is rejected, because Newton boosting needs a positive
+second derivative, which e.g. squared error under a log link cannot
+guarantee.
 """
 
 from __future__ import annotations
@@ -45,28 +46,27 @@ HESS_FLOOR = 1e-16
 WEIGHT_FLOOR = 1e-6
 
 _LOSS_KINDS = ("mse", "pseudo_huber", "poisson", "gamma", "tweedie")
+_LOG_LINK_KINDS = ("poisson", "gamma", "tweedie")
 _WEIGHT_KINDS = ("unit", "log_sales", "sqrt_sales", "linear_sales", "power")
 
 
 @dataclass(frozen=True)
 class LossSpec:
-    """One member of the loss family plus its link.
+    """One member of the loss family; its link follows from the kind.
 
     ``power`` is the Tweedie variance power, restricted to the open
     interval (1, 2): the compound Poisson-Gamma regime.  ``delta`` is the
-    pseudo-Huber scale in model units.
+    pseudo-Huber scale in model units.  The link is log for Poisson,
+    Gamma and Tweedie and identity for the others.
     """
 
     kind: str
     power: float | None = None
     delta: float | None = None
-    link: str = "identity"
 
     def __post_init__(self):
         if self.kind not in _LOSS_KINDS:
             raise ConfigError(f"unknown loss kind {self.kind!r}")
-        if self.link not in ("identity", "log"):
-            raise ConfigError(f"unknown link {self.link!r}")
         check_numbers(self, reals=[f for f in ("power", "delta") if getattr(self, f) is not None])
         if self.kind == "tweedie":
             if self.power is None or not (1.0 < self.power < 2.0):
@@ -78,10 +78,6 @@ class LossSpec:
                 raise ConfigError("pseudo_huber delta must be positive")
         elif self.delta is not None:
             raise ConfigError("delta only applies to the pseudo_huber loss")
-        if self.kind in ("poisson", "gamma", "tweedie") and self.link != "log":
-            raise ConfigError(f"{self.kind} loss requires the log link")
-        if self.kind in ("mse", "pseudo_huber") and self.link != "identity":
-            raise ConfigError(f"{self.kind} loss requires the identity link")
 
     @classmethod
     def mse(cls) -> "LossSpec":
@@ -93,19 +89,23 @@ class LossSpec:
 
     @classmethod
     def poisson(cls) -> "LossSpec":
-        return cls(kind="poisson", link="log")
+        return cls(kind="poisson")
 
     @classmethod
     def gamma(cls) -> "LossSpec":
-        return cls(kind="gamma", link="log")
+        return cls(kind="gamma")
 
     @classmethod
     def tweedie(cls, power: float) -> "LossSpec":
-        return cls(kind="tweedie", power=power, link="log")
+        return cls(kind="tweedie", power=power)
+
+    @property
+    def link(self) -> str:
+        return "log" if self.log_link else "identity"
 
     @property
     def log_link(self) -> bool:
-        return self.link == "log"
+        return self.kind in _LOG_LINK_KINDS
 
     def label(self) -> str:
         if self.kind == "tweedie":
@@ -124,13 +124,12 @@ class LossSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LossSpec":
-        obj = json_object(obj, "loss", cls)
-        return cls(
-            kind=obj["kind"],
-            power=obj.get("power"),
-            delta=obj.get("delta"),
-            link=obj.get("link", "identity"),
-        )
+        obj = json_object(obj, "loss", cls, extra=("link",))
+        spec = cls(kind=obj["kind"], power=obj.get("power"), delta=obj.get("delta"))
+        if obj.get("link", spec.link) != spec.link:
+            raise ConfigError(f"{spec.kind} loss requires the {spec.link} link, "
+                              f"got {obj['link']!r}")
+        return spec
 
 
 @dataclass(frozen=True)

@@ -146,14 +146,19 @@ class ForecastVersion:
 def read_panel(path) -> SalesPanel:
     """Parse and validate a panel CSV.
 
-    Raises MalformedRow / NegativeSales with 1-based line numbers, and
-    DuplicateKey for repeated (item, day) pairs.
+    Raises MalformedRow / NegativeSales with 1-based line numbers (a
+    byte that is not UTF-8 included), and DuplicateKey for repeated
+    (item, day) pairs.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.read().split("\n")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    try:
+        lines = raw.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(raw.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:

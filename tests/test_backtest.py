@@ -119,7 +119,7 @@ class TestScheduling:
         with pytest.raises(ConfigError):
             sc.BacktestPlan(arms=(sc.arm_by_id("E1"), sc.arm_by_id("E1")))
 
-    @pytest.mark.parametrize("field", ["train_window_days", "cadence_days", "n_versions", "seed"])
+    @pytest.mark.parametrize("field", ["train_window_days", "cadence_days", "n_versions"])
     @pytest.mark.parametrize("value", [1.5, 90.5, 7.0, True, "x", None, [7]])
     def test_integer_fields_reject_non_integers(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -136,7 +136,7 @@ class TestScheduling:
 
     def test_numpy_integers_accepted(self):
         plan = sc.BacktestPlan(train_window_days=np.int64(90), cadence_days=np.int32(7),
-                               n_versions=np.int64(2), seed=np.int64(1),
+                               n_versions=np.int64(2),
                                horizons=(np.int64(6),))
         assert (plan.train_window_days, plan.n_versions, plan.horizons) == (90, 2, (6,))
 
@@ -177,7 +177,7 @@ class TestArms:
         plan = sc.BacktestPlan(train_window_days=200, n_versions=3,
                                horizons=(6, 24), baseline_id="E4",
                                arms=(sc.arm_by_id("E1"), sc.arm_by_id("E4")),
-                               learner=FAST_LEARNER, seed=3)
+                               learner=FAST_LEARNER)
         again = sc.BacktestPlan.from_json(json.loads(json.dumps(plan.to_json())))
         assert again == plan
 
@@ -377,9 +377,8 @@ class TestModelGroups:
 
     @pytest.mark.parametrize("learner", [
         FAST_LEARNER,
-        sc.LearnerConfig(rounds=12, max_depth=3, subsample=0.6, seed=4),
         sc.LearnerConfig(base="linear", rounds=12),
-    ], ids=["tree", "subsample", "linear"])
+    ], ids=["tree", "linear"])
     def test_grouped_rows_equal_solo_rows(self, small_panel, learner):
         e4 = sc.arm_by_id("E4")
         arms = [e4, sc.arm_by_id("E4-S"), sc.arm_by_id("E4-V"), sc.arm_by_id("E4-PB"),

@@ -125,14 +125,14 @@ class TestPredictionBinned:
         z = np.full(40, 1.0)
         backmapped = np.expm1(1.0)
         y = np.full(40, backmapped * 1.5)
-        corr = sc.fit_prediction_binned(y, z, LOG, min_bin_count=30)
+        corr = sc.fit_prediction_binned(y, z, LOG)
         assert corr.bin_factors[0] == pytest.approx(1.5, rel=1e-12)
 
     def test_sparse_bucket_falls_back_to_smearing(self, rng):
         y = rng.lognormal(0.5, 0.4, size=400)
         z = forward(LOG, y) - 0.1
         z[0] = 7.9  # a lone row in the top bucket
-        corr = sc.fit_prediction_binned(y, z, LOG, min_bin_count=30)
+        corr = sc.fit_prediction_binned(y, z, LOG)
         expect_fallback = float(np.mean(np.exp(forward(LOG, y) - z)))
         assert corr.factor == pytest.approx(expect_fallback, rel=1e-12)
         assert corr.bin_factors[-1] == pytest.approx(expect_fallback, rel=1e-12)
@@ -142,8 +142,6 @@ class TestPredictionBinned:
             sc.fit_prediction_binned(np.ones(3), np.ones(2), LOG)
         with pytest.raises(EmptyInput):
             sc.fit_prediction_binned(np.ones(0), np.ones(0), LOG)
-        with pytest.raises(ConfigError):
-            sc.fit_prediction_binned(np.ones(3), np.ones(3), LOG, bin_width=0.0)
 
     def test_corrects_a_deliberately_shrunk_prediction(self, rng):
         """Fitting on predictions that are 20% low in raw units yields

@@ -76,14 +76,23 @@ class TestGen:
         assert proc.returncode == 2
         assert "config error" in proc.stderr
 
-    @pytest.mark.parametrize("edit", [{"n_items": 2.5, "n_days": 30}, {"seed": "x"}],
-                             ids=["float-items", "text-seed"])
-    def test_mistyped_config_is_config_error(self, workdir, edit):
+    @pytest.mark.parametrize("edit,field", [
+        ({"n_items": 2.5, "n_days": 30}, "n_items"),
+        ({"seed": "x"}, "seed"),
+        ({"base_rate_lognormal": [1]}, "base_rate_lognormal"),
+        ({"base_rate_lognormal": [1, -1]}, "base_rate_lognormal"),
+        ({"base_rate_lognormal": [1, math.nan]}, "base_rate_lognormal"),
+        ({"weekly_seasonality": [1, 1, 1, 1, 1, 1, -1]}, "weekly_seasonality"),
+        ({"weekly_seasonality": [1, 1, 1, 1, 1, 1, "x"]}, "weekly_seasonality"),
+        ({"spike_days": [[3, math.nan]]}, "spike_days"),
+    ], ids=["float-items", "text-seed", "one-number", "negative-sigma", "nan-sigma",
+            "negative-weekday", "text-weekday", "nan-spike"])
+    def test_mistyped_config_is_config_error(self, workdir, edit, field):
         path = workdir / "typed_gen.json"
         path.write_text(json.dumps({**GEN_CFG, **edit}), encoding="utf-8")
         proc = run_cli("gen", "--config", str(path), "--out", str(workdir / "x.csv"))
         assert proc.returncode == 2
-        assert "config error" in proc.stderr
+        assert f"config error: {field}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 
@@ -161,20 +170,31 @@ class TestFit:
         assert f"cannot read arm {tmp_path}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("learner", [
-        {"rounds": 2.5},
-        {"rounds": 3, "subsample": 0.5, "seed": 1.5},
-        {"max_depth": 2.5},
-        {"l2_reg": "1"},
-    ], ids=["float-rounds", "float-seed", "float-depth", "string-l2"])
-    def test_mistyped_learner_is_config_error(self, workdir, learner):
+    @pytest.mark.parametrize("learner,named", [
+        ({"rounds": 2.5}, "rounds"),
+        # subsample and seed are retired: the first unknown field is named
+        ({"rounds": 3, "subsample": 0.5, "seed": 1.5}, "learner JSON has unknown field 'seed'"),
+        ({"max_depth": 2.5}, "max_depth"),
+        ({"l2_reg": "1"}, "l2_reg"),
+        ({"rounds": 3, "subsample": 1.0}, "learner JSON has unknown field 'subsample'"),
+    ], ids=["float-rounds", "float-seed", "float-depth", "string-l2", "retired-subsample"])
+    def test_mistyped_learner_is_config_error(self, workdir, learner, named):
         learner_path = workdir / "mistyped_learner.json"
         learner_path.write_text(json.dumps(learner), encoding="utf-8")
         proc = run_cli("fit", "--panel", str(workdir / "panel.csv"),
                        "--arm", "E4", "--model-out", str(workdir / "m.json"),
                        "--learner", str(learner_path))
         assert proc.returncode == 2
-        assert "config error" in proc.stderr
+        assert f"config error: {named}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_utf8_panel_names_its_line(self, workdir):
+        bad = workdir / "latin1_panel.csv"
+        bad.write_bytes(b"item_id,day,sales\nitem_a,2020-01-01,1\n\xff,2020-01-02,2\n")
+        proc = run_cli("fit", "--panel", str(bad),
+                       "--arm", "E4", "--model-out", str(workdir / "m.json"))
+        assert proc.returncode == 3
+        assert "data error: line 3: not UTF-8 text" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_corrupt_panel_is_data_error(self, workdir):
@@ -209,9 +229,8 @@ class TestBacktest:
         assert proc.returncode == 2
 
     @pytest.mark.parametrize("edit", [{"n_versions": 1.5}, {"train_window_days": 90.5},
-                                      {"cadence_days": True}, {"seed": "x"},
-                                      {"horizons": [6.0]}],
-                             ids=["n_versions", "train_window_days", "cadence_days", "seed",
+                                      {"cadence_days": True}, {"horizons": [6.0]}],
+                             ids=["n_versions", "train_window_days", "cadence_days",
                                   "horizons"])
     def test_mistyped_plan_is_config_error(self, workdir, edit):
         plan_path = workdir / "typed_plan.json"
@@ -222,6 +241,21 @@ class TestBacktest:
         assert f"config error: {next(iter(edit))}" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (workdir / "typed_out").exists()
+
+    @pytest.mark.parametrize("edit,field", [
+        ({"seed": 0}, "seed"),
+        ({"learner": {**LEARNER_CFG, "subsample": 1.0}}, "subsample"),
+        ({"learner": {**LEARNER_CFG, "seed": 0}}, "seed"),
+    ], ids=["plan-seed", "learner-subsample", "learner-seed"])
+    def test_retired_plan_field_is_config_error(self, workdir, edit, field):
+        plan_path = workdir / "retired_plan.json"
+        plan_path.write_text(json.dumps(_plan(workdir, **edit)), encoding="utf-8")
+        proc = run_cli("backtest", "--plan", str(plan_path),
+                       "--out-dir", str(workdir / "retired_out"))
+        assert proc.returncode == 2
+        assert f"unknown field '{field}'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (workdir / "retired_out").exists()
 
     def test_retired_oracle_field_is_config_error(self, workdir):
         arm = {**sc.arm_by_id("E4").to_json(), "id": "MINE", "oracle": "false"}
@@ -352,4 +386,37 @@ class TestUnwritableOutput:
     def test_convexity_out(self, afile):
         proc = run_cli("convexity", "--out", str(afile / "curves.csv"))
         assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+
+
+class TestUnreadableJson:
+    """A JSON input that is not UTF-8, or nests too deeply to parse, is a
+    config error (exit 2) naming its file, not a traceback."""
+
+    @pytest.fixture(scope="class")
+    def utf16(self, workdir):
+        path = workdir / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(_plan(workdir)).encode("utf-16-le"))
+        return path
+
+    @pytest.mark.parametrize("args,what", [
+        (["gen", "--config", "{path}", "--out", "{dir}/x.csv"], "generator config"),
+        (["fit", "--panel", "{dir}/panel.csv", "--arm", "{path}", "--model-out", "{dir}/m.json"],
+         "arm"),
+        (["fit", "--panel", "{dir}/panel.csv", "--arm", "E4", "--model-out", "{dir}/m.json",
+          "--learner", "{path}"], "learner config"),
+        (["backtest", "--plan", "{path}", "--out-dir", "{dir}/utf16_out"], "plan"),
+    ], ids=["gen-config", "arm", "learner", "plan"])
+    def test_non_utf8_file(self, workdir, utf16, args, what):
+        proc = run_cli(*(a.format(path=utf16, dir=workdir) for a in args))
+        assert proc.returncode == 2
+        assert f"config error: cannot read {what} {utf16}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_deeply_nested_plan(self, workdir):
+        path = workdir / "nested_plan.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        proc = run_cli("backtest", "--plan", str(path), "--out-dir", str(workdir / "nested_out"))
+        assert proc.returncode == 2
+        assert f"config error: plan {path} nests too deeply to parse" in proc.stderr
         assert "Traceback" not in proc.stderr

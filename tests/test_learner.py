@@ -20,7 +20,7 @@ from skewcast.errors import (
     ShapeMismatch,
 )
 from skewcast import learner
-from skewcast.learner import FitModel, _linear_step, _round_rows, write_pairs_csv
+from skewcast.learner import FitModel, _linear_step, write_pairs_csv
 from skewcast.losses import (
     HESS_FLOOR,
     GradHess,
@@ -55,14 +55,12 @@ class TestLearnerConfig:
         with pytest.raises(ConfigError):
             sc.LearnerConfig(max_depth=0)
         with pytest.raises(ConfigError):
-            sc.LearnerConfig(subsample=0.0)
-        with pytest.raises(ConfigError):
             sc.LearnerConfig(l2_reg=-0.5)
 
     def test_zero_rounds_allowed(self):
         assert sc.LearnerConfig(rounds=0).rounds == 0
 
-    @pytest.mark.parametrize("field", ["rounds", "max_depth", "seed"])
+    @pytest.mark.parametrize("field", ["rounds", "max_depth"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None, [3]])
     def test_integer_fields_reject_non_integers(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -70,8 +68,9 @@ class TestLearnerConfig:
         with pytest.raises(ConfigError, match=field):
             sc.LearnerConfig.from_json({field: value})
 
-    @pytest.mark.parametrize("field", ["learning_rate", "min_child_weight", "l2_reg", "subsample"])
-    @pytest.mark.parametrize("value", [True, "0.5", None, [0.5], float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["learning_rate", "min_child_weight", "l2_reg"])
+    @pytest.mark.parametrize("value", [True, "0.5", None, [0.5], float("nan"), float("inf"),
+                                       pytest.param(10**400, id="huge-int")])
     def test_real_fields_reject_non_numbers(self, field, value):
         with pytest.raises(ConfigError, match=field):
             sc.LearnerConfig(**{field: value})
@@ -79,10 +78,9 @@ class TestLearnerConfig:
             sc.LearnerConfig.from_json({field: value})
 
     def test_integer_values_accepted_for_real_fields(self):
-        cfg = sc.LearnerConfig.from_json(
-            {"learning_rate": 1, "min_child_weight": 0, "l2_reg": 1, "subsample": 1})
-        assert (cfg.learning_rate, cfg.min_child_weight, cfg.l2_reg, cfg.subsample) == (1, 0, 1, 1)
-        assert sc.LearnerConfig(rounds=np.int64(3), seed=np.int32(2)).rounds == 3
+        cfg = sc.LearnerConfig.from_json({"learning_rate": 1, "min_child_weight": 0, "l2_reg": 1})
+        assert (cfg.learning_rate, cfg.min_child_weight, cfg.l2_reg) == (1, 0, 1)
+        assert sc.LearnerConfig(rounds=np.int64(3), max_depth=np.int32(2)).rounds == 3
 
     def test_plan_learner_fails_at_load(self, tmp_path):
         plan = {"panel_path": str(tmp_path / "never_read.csv"), "arms": ["E4", "E5"],
@@ -91,7 +89,7 @@ class TestLearnerConfig:
             sc.BacktestPlan.from_json(plan)
 
     def test_json_round_trip(self):
-        cfg = _quick_config(base="linear", subsample=0.7, seed=3)
+        cfg = _quick_config(base="linear", min_child_weight=2.0)
         assert sc.LearnerConfig.from_json(cfg.to_json()) == cfg
         with pytest.raises(ConfigError):
             sc.LearnerConfig.from_json({"no_such_knob": 1})
@@ -166,21 +164,6 @@ class TestDeterminism:
         X = small_panel.feature_matrix
         np.testing.assert_array_equal(a.predict(X), b.predict(X))
         assert a.training_loss == b.training_loss
-
-    def test_subsampled_refit_is_bit_identical(self, small_panel):
-        cfg = _quick_config(rounds=10, subsample=0.6, seed=5)
-        a = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT, cfg)
-        b = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT, cfg)
-        X = small_panel.feature_matrix
-        np.testing.assert_array_equal(a.predict(X), b.predict(X))
-
-    def test_subsample_seed_changes_the_fit(self, small_panel):
-        a = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT,
-                   _quick_config(rounds=10, subsample=0.6, seed=5))
-        b = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT,
-                   _quick_config(rounds=10, subsample=0.6, seed=6))
-        X = small_panel.feature_matrix
-        assert not np.array_equal(a.predict(X), b.predict(X))
 
 
 class TestPredictionContracts:
@@ -325,27 +308,19 @@ class TestLinearStepBits:
         """10,950 rows: more than 8,192."""
         return sc.generate(sc.GenConfig(n_items=30, n_days=365, seed=11))
 
-    @pytest.mark.parametrize("subsample", [1.0, 0.7])
     @pytest.mark.parametrize("transform,loss", [
         (LOG, sc.LossSpec.mse()),
         (IDENTITY, sc.LossSpec.tweedie(1.5)),
     ], ids=["mse", "tweedie"])
     def test_fit_matches_a_fit_with_the_reference_step(self, year_panel, monkeypatch,
-                                                        subsample, transform, loss):
+                                                        transform, loss):
         panel = year_panel
         assert len(panel.sales) > 8192
-        cfg = sc.LearnerConfig(base="linear", rounds=8, subsample=subsample, seed=3)
+        cfg = sc.LearnerConfig(base="linear", rounds=8)
         args = (panel, transform, loss, sc.WeightScheme(kind="sqrt_sales"), cfg)
         model = sc.fit(*args)
         monkeypatch.setattr(learner, "_linear_step", _reference_linear_step)
         assert json.dumps(model.to_json()) == json.dumps(sc.fit(*args).to_json())
-
-    def test_full_sample_rounds_use_every_row_as_a_view(self):
-        assert _round_rows(sc.LearnerConfig(subsample=1.0), 0, 5) == slice(None)
-        # a draw that keeps no row falls back to every row
-        assert _round_rows(sc.LearnerConfig(subsample=1e-12), 0, 3) == slice(None)
-        rows = _round_rows(sc.LearnerConfig(subsample=0.5, seed=1), 0, 1000)
-        assert 0 < len(rows) < 1000 and np.all(np.diff(rows) > 0)
 
 
 def _reference_grad_hess(spec, y, score, terms=None):
@@ -416,14 +391,13 @@ class TestLossKernelBits:
         return (small_panel.slice_days(first, first + 119 * day),
                 small_panel.slice_days(first + 120 * day, first + 239 * day))
 
-    @pytest.mark.parametrize("subsample", [1.0, 0.7])
     @pytest.mark.parametrize("base", ["tree", "linear"])
     @pytest.mark.parametrize("arm_id", ["E1", "E2", "E3.1", "E3.3", "E3.5", "E3.7", "E3.9",
                                         "E4", "E5"])
     def test_fit_matches_the_reference_round_loop(self, windows, monkeypatch,
-                                                   arm_id, base, subsample):
+                                                   arm_id, base):
         arm = sc.arm_by_id(arm_id)
-        cfg = sc.LearnerConfig(base=base, rounds=4, max_depth=3, subsample=subsample, seed=5)
+        cfg = sc.LearnerConfig(base=base, rounds=4, max_depth=3)
         got = [json.dumps(sc.fit(w, arm.transform, arm.loss, arm.weight_scheme, cfg).to_json())
                for w in windows]
         monkeypatch.setattr(learner, "grad_hess", _reference_grad_hess)
@@ -461,6 +435,16 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             FitModel.from_json(obj)
 
+    def test_v1_model_is_rejected_by_version(self, small_panel, tmp_path):
+        """A v1 model, whose learner still holds subsample and seed, is rejected by version."""
+        obj = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT, _quick_config(rounds=1)).to_json()
+        obj["version"] = "skewcast-model-v1"
+        obj["learner"].update(subsample=1.0, seed=0)
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ConfigError, match="unsupported model version 'skewcast-model-v1'"):
+            sc.load_model(path)
+
     @pytest.mark.parametrize("base,edit", [
         ("tree", lambda obj: obj["trees"][0]["feature"].__setitem__(0, 7)),
         ("linear", lambda obj: obj["betas"][0].pop()),
@@ -492,14 +476,14 @@ class TestSerialization:
             FitModel.from_json(obj)
 
     def test_load_errors(self, tmp_path):
-        with pytest.raises(IoFailure):
+        with pytest.raises(ConfigError, match="cannot read model .*missing.json"):
             sc.load_model(tmp_path / "missing.json")
         bad = tmp_path / "bad.json"
         bad.write_text("not json at all", encoding="utf-8")
         with pytest.raises(ConfigError):
             sc.load_model(bad)
 
-    @pytest.mark.parametrize("text", ['[1, 2]', '"model"', '{"version": "skewcast-model-v1"}'],
+    @pytest.mark.parametrize("text", ['[1, 2]', '"model"', '{"version": "skewcast-model-v2"}'],
                              ids=["list", "string", "only-version"])
     def test_malformed_model_json_is_config_error(self, tmp_path, text):
         path = tmp_path / "model.json"

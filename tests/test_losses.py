@@ -222,7 +222,7 @@ def _draw_spec(data, kind):
         return sc.LossSpec.tweedie(data.draw(st.floats(1.01, 1.99), label="power"))
     if kind == "pseudo_huber":
         return sc.LossSpec.pseudo_huber(data.draw(st.floats(0.1, 10.0), label="delta"))
-    return sc.LossSpec(kind=kind, link="log" if kind in ("poisson", "gamma") else "identity")
+    return sc.LossSpec(kind=kind)
 
 
 def _cancellation(spec):
@@ -278,15 +278,18 @@ class TestKernelProperties:
 
 class TestSpecValidation:
     def test_family_losses_require_log_link(self):
-        for kind in ("poisson", "gamma"):
-            with pytest.raises(ConfigError):
-                sc.LossSpec(kind=kind, link="identity")
-        with pytest.raises(ConfigError):
-            sc.LossSpec(kind="tweedie", power=1.5, link="identity")
+        for obj in ({"kind": "poisson"}, {"kind": "gamma"}, {"kind": "tweedie", "power": 1.5}):
+            assert sc.LossSpec.from_json({**obj, "link": "log"}).link == "log"
+            with pytest.raises(ConfigError, match=f"{obj['kind']} loss requires the log link, "
+                                                  "got 'identity'"):
+                sc.LossSpec.from_json({**obj, "link": "identity"})
 
     def test_raw_losses_require_identity_link(self):
-        with pytest.raises(ConfigError):
-            sc.LossSpec(kind="mse", link="log")
+        for obj in ({"kind": "mse"}, {"kind": "pseudo_huber", "delta": 1.0}):
+            assert sc.LossSpec.from_json({**obj, "link": "identity"}).link == "identity"
+            for link in ("log", "logit", None):
+                with pytest.raises(ConfigError, match=f"requires the identity link, got {link!r}"):
+                    sc.LossSpec.from_json({**obj, "link": link})
 
     def test_tweedie_power_strictly_inside_unit_interval(self):
         for bad in (1.0, 2.0, 0.5, 2.5):

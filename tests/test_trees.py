@@ -316,9 +316,7 @@ class TestPresortedEngine:
             l2_reg=data.draw(st.sampled_from(l2_choices), label="l2_reg"),
         )
 
-    @pytest.mark.parametrize("subsample", [1.0, 0.6])
-    def test_fit_matches_a_fit_with_the_reference_grower(self, small_panel, monkeypatch,
-                                                         subsample):
+    def test_fit_matches_a_fit_with_the_reference_grower(self, small_panel, monkeypatch):
         def reference(X, grad, hess, max_depth, min_child_weight, l2_reg,
                       presorted=None, out=None):
             tree = _reference_grow_tree(X, grad, hess, max_depth, min_child_weight, l2_reg)
@@ -326,12 +324,25 @@ class TestPresortedEngine:
                 out[:] = tree.predict(X)
             return tree
 
-        cfg = sc.LearnerConfig(rounds=8, max_depth=4, subsample=subsample, seed=3)
+        cfg = sc.LearnerConfig(rounds=8, max_depth=4)
         args = (small_panel, sc.TargetTransform(kind="log"), sc.LossSpec.mse(),
                 sc.WeightScheme(kind="sqrt_sales"), cfg)
         model = sc.fit(*args)
         monkeypatch.setattr(learner, "grow_tree", reference)
         assert model.to_json() == sc.fit(*args).to_json()
+
+    def test_a_tree_fit_sorts_its_features_once(self, small_panel, monkeypatch):
+        calls = []
+
+        def counted(X):
+            calls.append(X.shape)
+            return presort(X)
+
+        monkeypatch.setattr(learner, "presort", counted)
+        model = sc.fit(small_panel, sc.TargetTransform(kind="log"), sc.LossSpec.mse(),
+                       sc.WeightScheme(kind="unit"), sc.LearnerConfig(rounds=6, max_depth=3))
+        assert len(model.trees) == 6
+        assert calls == [small_panel.feature_matrix.shape]
 
 
 class TestRouting:
