@@ -308,15 +308,17 @@ class TestLinearStepBits:
         """10,950 rows: more than 8,192."""
         return sc.generate(sc.GenConfig(n_items=30, n_days=365, seed=11))
 
+    # a full step and the default shrinkage
+    @pytest.mark.parametrize("learning_rate", [1.0, 0.1])
     @pytest.mark.parametrize("transform,loss", [
         (LOG, sc.LossSpec.mse()),
         (IDENTITY, sc.LossSpec.tweedie(1.5)),
     ], ids=["mse", "tweedie"])
     def test_fit_matches_a_fit_with_the_reference_step(self, year_panel, monkeypatch,
-                                                        transform, loss):
+                                                        learning_rate, transform, loss):
         panel = year_panel
         assert len(panel.sales) > 8192
-        cfg = sc.LearnerConfig(base="linear", rounds=8)
+        cfg = sc.LearnerConfig(base="linear", rounds=8, learning_rate=learning_rate)
         args = (panel, transform, loss, sc.WeightScheme(kind="sqrt_sales"), cfg)
         model = sc.fit(*args)
         monkeypatch.setattr(learner, "_linear_step", _reference_linear_step)
@@ -391,13 +393,15 @@ class TestLossKernelBits:
         return (small_panel.slice_days(first, first + 119 * day),
                 small_panel.slice_days(first + 120 * day, first + 239 * day))
 
+    # a full step and the default shrinkage
+    @pytest.mark.parametrize("learning_rate", [1.0, 0.1])
     @pytest.mark.parametrize("base", ["tree", "linear"])
     @pytest.mark.parametrize("arm_id", ["E1", "E2", "E3.1", "E3.3", "E3.5", "E3.7", "E3.9",
                                         "E4", "E5"])
     def test_fit_matches_the_reference_round_loop(self, windows, monkeypatch,
-                                                   arm_id, base):
+                                                   arm_id, base, learning_rate):
         arm = sc.arm_by_id(arm_id)
-        cfg = sc.LearnerConfig(base=base, rounds=4, max_depth=3)
+        cfg = sc.LearnerConfig(base=base, rounds=4, max_depth=3, learning_rate=learning_rate)
         got = [json.dumps(sc.fit(w, arm.transform, arm.loss, arm.weight_scheme, cfg).to_json())
                for w in windows]
         monkeypatch.setattr(learner, "grad_hess", _reference_grad_hess)

@@ -316,7 +316,10 @@ class TestPresortedEngine:
             l2_reg=data.draw(st.sampled_from(l2_choices), label="l2_reg"),
         )
 
-    def test_fit_matches_a_fit_with_the_reference_grower(self, small_panel, monkeypatch):
+    # a full step and the default shrinkage
+    @pytest.mark.parametrize("learning_rate", [1.0, 0.1])
+    def test_fit_matches_a_fit_with_the_reference_grower(self, small_panel, monkeypatch,
+                                                         learning_rate):
         def reference(X, grad, hess, max_depth, min_child_weight, l2_reg,
                       presorted=None, out=None):
             tree = _reference_grow_tree(X, grad, hess, max_depth, min_child_weight, l2_reg)
@@ -324,7 +327,7 @@ class TestPresortedEngine:
                 out[:] = tree.predict(X)
             return tree
 
-        cfg = sc.LearnerConfig(rounds=8, max_depth=4)
+        cfg = sc.LearnerConfig(rounds=8, max_depth=4, learning_rate=learning_rate)
         args = (small_panel, sc.TargetTransform(kind="log"), sc.LossSpec.mse(),
                 sc.WeightScheme(kind="sqrt_sales"), cfg)
         model = sc.fit(*args)
