@@ -609,6 +609,8 @@ def run_power_sweep(
     is recorded in the report when the plan points at its config.
     """
     panel = _panel_of(plan, panel)
+    # a bad generator config must fail before the first fit, not after the last
+    cfg = None if plan.gen_config_path is None else load_gen_config(plan.gen_config_path)
     identity = TargetTransform(kind="identity")
     unit = WeightScheme(kind="unit")
     arms = [
@@ -622,8 +624,7 @@ def run_power_sweep(
         at_h = [r for r in report.table if r["horizon_weeks"] == h]
         best[str(h)] = min(at_h, key=lambda r: r["wmape"])["power"]
     report.extra["best_wmape_power"] = best
-    if plan.gen_config_path is not None:
-        cfg = load_gen_config(plan.gen_config_path)
+    if cfg is not None:
         report.extra["theoretical_tweedie_power"] = theoretical_tweedie_power(cfg)
     return report
 

@@ -39,6 +39,14 @@ FEATURE_NAMES = ["log_price", "weekly_index", "spike_mult", "log_popularity"]
 # counter tag separating item-level draws from the per-day cells
 _ITEM_STREAM = 1 << 32
 
+# the generator config's JSON fields that are not stored as parsed
+_FROM_JSON = {
+    "base_rate_lognormal": tuple,
+    "weekly_seasonality": tuple,
+    "spike_days": lambda days: tuple((int(d), float(m)) for d, m in days),
+    "start_day": dt.date.fromisoformat,
+}
+
 
 @dataclass(frozen=True)
 class GenConfig:
@@ -92,18 +100,14 @@ class GenConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GenConfig":
-        kwargs = dict(json_object(obj, "generator config"))
-        try:
-            for name in ("base_rate_lognormal", "weekly_seasonality"):
-                if name in kwargs:
-                    kwargs[name] = tuple(kwargs[name])
-            if "spike_days" in kwargs:
-                kwargs["spike_days"] = tuple((int(d), float(m)) for d, m in kwargs["spike_days"])
-            if "start_day" in kwargs:
-                kwargs["start_day"] = dt.date.fromisoformat(kwargs["start_day"])
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad generator config: {exc}") from None
+        kwargs = dict(json_object(obj, "generator config", cls))
+        for name, convert in _FROM_JSON.items():
+            if name in kwargs:
+                try:
+                    kwargs[name] = convert(kwargs[name])
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ConfigError(f"{name} is not valid: {exc}") from None
+        return cls(**kwargs)
 
 
 def load_gen_config(path) -> GenConfig:

@@ -62,7 +62,7 @@ def read_json(path, what: str):
             return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
     except RecursionError:
         raise ConfigError(f"{what} {path} nests too deeply to parse") from None

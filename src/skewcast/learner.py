@@ -174,7 +174,7 @@ class FitModel:
             )
         except KeyError as exc:
             raise ConfigError(f"model JSON missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad model JSON: {exc}") from None
         n_features = len(model.feature_names)
         for tree in model.trees:

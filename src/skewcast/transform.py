@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, EmptyInput, check_numbers, json_object
+from .errors import ConfigError, DomainError, EmptyInput, check_numbers, is_real, json_object
 
 _KINDS = ("identity", "log", "sqrt")
 
@@ -52,7 +52,8 @@ class TargetTransform:
     @classmethod
     def from_json(cls, obj: dict) -> "TargetTransform":
         obj = json_object(obj, "transform", cls)
-        return cls(kind=obj["kind"], offset=float(obj.get("offset", 1.0)))
+        offset = obj.get("offset", 1.0)  # anything but a finite number fails the field check
+        return cls(kind=obj["kind"], offset=float(offset) if is_real(offset) else offset)
 
 
 @dataclass(frozen=True)

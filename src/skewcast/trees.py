@@ -40,6 +40,28 @@ and takes the general path.  A leaf can also write its value to its
 rows, which saves the boosting loop a ``predict`` over its own training
 rows.
 
+Consecutive boosting rounds mostly make the same top splits, so each
+tree leaves its nodes on the fit's ``Presorted`` for the next one: a
+node holds the split the tree made there and its two children, so a node
+is found by its path of (feature, rows going left, side) decisions from
+the root.  A node holds its ascending rows, its per-feature sorted rows
+and values (none at the deepest level, whose nodes never split) and its
+candidate positions: all pure functions of the path.  A split the
+previous tree also made takes its children from there instead of
+partitioning again, and a node found there skips finding its candidates.
+A node's hessian sum and its candidates' hessian prefix sums (after
+``min_child_weight``, plus ``l2_reg``) also depend on the hessian, so
+they are reused only when this call's hessian equals the previous
+call's bit for bit, as it does in every round of a squared error fit
+with fixed weights; a unit hessian and a general one never mix.
+Everything carried is dropped when ``max_depth``, ``min_child_weight``
+or ``l2_reg`` differs from the previous call.  So a tree is the same
+bits whatever was grown before it.  Only the previous tree's nodes are
+kept: a split that changes drops the old children, and a node that
+becomes a leaf drops its children, so a presort holds at most the
+previous tree's and the current tree's partitions.  It belongs to one
+fit and must not be shared between threads.
+
 Determinism: features are scanned in index order, sorts are stable, and
 ties in gain resolve to the lowest feature index and then the lowest
 threshold, so the same inputs always grow the same tree.
@@ -47,7 +69,7 @@ threshold, so the same inputs always grow the same tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -134,7 +156,7 @@ class Tree:
                 right=np.asarray(obj["right"], dtype=np.int64),
                 value=np.asarray(obj["value"], dtype=np.float64),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad tree JSON: {exc!r}") from None
         n = tree.feature.size
         arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
@@ -153,13 +175,48 @@ class Tree:
         return tree
 
 
-class Presorted(NamedTuple):
+@dataclass(slots=True, eq=False)
+class _Node:
+    """A node's partition: its rows in ascending order and, above the
+    deepest split level, its rows sorted per feature (``idx``) with their
+    values (``xs``); ``at``, its candidate positions, once found.
+
+    ``h_sum`` and ``scorable`` are its hessian sum and ``_scorable``
+    candidates under the hessian of the tree that last grew it, and
+    ``split`` that tree's (feature, rows going left, left child, right
+    child) here, or None where it made a leaf.
+    """
+
+    rows: np.ndarray
+    idx: np.ndarray | None = None
+    xs: np.ndarray | None = None
+    at: np.ndarray | None = None
+    h_sum: float | None = None
+    scorable: tuple | None = None
+    split: tuple | None = None
+
+
+class _Carried(NamedTuple):
+    """What one ``grow_tree`` call leaves for the next on the same presort:
+    its root, valid only under the same ``settings`` (max_depth,
+    min_child_weight, l2_reg), with each node's hessian sums under ``hess``."""
+
+    settings: tuple
+    hess: np.ndarray
+    root: _Node
+
+
+@dataclass(eq=False)
+class Presorted:
     """A fit's feature columns sorted once, both ``(n_features, n)``:
     ``order[f]`` lists the rows in ascending (value, row) order of feature
-    ``f`` and ``values[f]`` their values."""
+    ``f`` and ``values[f]`` their values.  ``carried`` is the previous
+    tree's partitions, which ``grow_tree`` reads and replaces (see the
+    module docstring)."""
 
     order: np.ndarray
     values: np.ndarray
+    carried: _Carried | None = field(default=None, repr=False)
 
 
 def presort(X: np.ndarray) -> Presorted:
@@ -184,11 +241,29 @@ def grow_tree(
     ``X`` is read only through ``presorted``, which is ``presort(X)``
     when the caller already has it.  If ``out`` is given, each row's leaf
     value is written to it: what ``predict(X)`` would return.
+
+    ``presorted`` carries each tree's partitions to the next call on it
+    (see the module docstring): a split the previous tree made takes its
+    children from there, and a node its candidates.  They are used only
+    if ``max_depth``, ``min_child_weight`` and ``l2_reg`` are the
+    previous call's, and the hessian sums only if ``hess`` is also the
+    previous call's bit for bit, so the tree does not depend on what was
+    grown before it.  The presort holds at most the previous tree's and
+    this tree's partitions; calls that share one must not run at the
+    same time.
     """
     grad = np.asarray(grad, dtype=np.float64)
     hess = np.asarray(hess, dtype=np.float64)
     if presorted is None:
         presorted = presort(X)
+    carried, presorted.carried = presorted.carried, None  # a failed call leaves none
+    settings = (max_depth, float(min_child_weight).hex(), float(l2_reg).hex())  # -0.0 is not 0.0
+    if carried is not None and carried.settings == settings:
+        root_node = carried.root
+        same_hess = np.array_equal(hess.view(np.uint64), carried.hess.view(np.uint64))
+    else:
+        root_node = _Node(np.arange(len(grad)), presorted.order, presorted.values)
+        same_hess = False
     unit = _unit_hessian(hess)
     went_left = np.empty(len(grad), dtype=bool)  # per row: side of its node's split
 
@@ -207,41 +282,55 @@ def grow_tree(
         return len(feature) - 1
 
     root = new_node()
-    # stack of (node_id, ascending rows, the rows sorted per feature, their
-    # values, depth); children pushed right-first so nodes are numbered in
-    # depth-first left-to-right order
-    stack = [(root, np.arange(len(grad)), presorted.order, presorted.values, 0)]
+    # stack of (node_id, node, depth); children pushed right-first so nodes
+    # are numbered in depth-first left-to-right order
+    stack = [(root, root_node, 0)]
     while stack:
-        node_id, rows, idx, xs, depth = stack.pop()
+        node_id, node, depth = stack.pop()
+        rows = node.rows
         g_sum = float(grad.take(rows).sum())
-        h_sum = unit * len(rows) if unit is not None else float(hess.take(rows).sum())
-        value[node_id] = -g_sum / (h_sum + l2_reg)
+        if node.h_sum is None or not same_hess:
+            node.h_sum = unit * len(rows) if unit is not None else float(hess.take(rows).sum())
+            node.scorable = None
+        value[node_id] = -g_sum / (node.h_sum + l2_reg)
         split = None
         if depth < max_depth and len(rows) >= 2:
-            split = _best_split(idx, xs, grad, hess, unit, g_sum, h_sum,
-                                min_child_weight, l2_reg)
+            if node.at is None:
+                node.at = _candidates(node.xs)
+            if node.scorable is None:
+                node.scorable = _scorable(node.idx, node.at, hess, unit, node.h_sum,
+                                          min_child_weight, l2_reg)
+            split = _best_split(node.idx, node.xs, grad, g_sum, node.h_sum, node.scorable,
+                                l2_reg)
         if split is None:
+            node.split = None  # its old children would keep an older tree's sums
             if out is not None:
                 out[rows] = value[node_id]
             continue
         feat, n_left, thr = split
-        went_left[idx[feat, :n_left]] = True
-        went_left[idx[feat, n_left:]] = False
-        go_left = went_left[rows]
-        left_block = right_block = (None, None)  # children at max_depth never split
-        if depth + 1 < max_depth:
-            mask = went_left[idx].reshape(-1)
-            left_block = _keep(mask, idx, xs)
-            right_block = _keep(np.logical_not(mask, out=mask), idx, xs)
+        if node.split is None or node.split[:2] != (feat, n_left):
+            node.split = None  # free the old children first
+            idx = node.idx
+            went_left[idx[feat, :n_left]] = True
+            went_left[idx[feat, n_left:]] = False
+            go_left = went_left[rows]
+            left_block = right_block = ()  # children at max_depth never split
+            if depth + 1 < max_depth:
+                mask = went_left[idx].reshape(-1)
+                left_block = _keep(mask, idx, node.xs)
+                right_block = _keep(np.logical_not(mask, out=mask), idx, node.xs)
+            node.split = (feat, n_left, _Node(rows.compress(go_left), *left_block),
+                          _Node(rows.compress(~go_left), *right_block))
         feature[node_id] = feat
         threshold[node_id] = thr
         left_id = new_node()
         right_id = new_node()
         left[node_id] = left_id
         right[node_id] = right_id
-        stack.append((right_id, rows.compress(~go_left), *right_block, depth + 1))
-        stack.append((left_id, rows.compress(go_left), *left_block, depth + 1))
+        stack.append((right_id, node.split[3], depth + 1))
+        stack.append((left_id, node.split[2], depth + 1))
 
+    presorted.carried = _Carried(settings, hess.copy(), root_node)
     return Tree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),
@@ -267,37 +356,49 @@ def _unit_hessian(hess: np.ndarray) -> float | None:
     return unit
 
 
-def _best_split(idx, xs, grad, hess, unit, g_sum, h_sum, min_child_weight, l2_reg):
-    """(feature, rows going left, threshold) of a node's best split, or None.
-
-    ``idx`` holds the node's rows once per feature, each sorted by that
-    feature, and ``xs`` their values; ``unit`` is the hessian every row
-    shares when it is a power of two, else None.  Only positions where a
-    feature's sorted value changes are scored, and the first maximum in
-    feature-major order wins; a NaN gain rules out its feature (see the
-    module docstring).  The left side is the first ``rows going left``
-    entries of ``idx[feature]``.
-    """
-    m = idx.shape[1]
+def _candidates(xs):
+    """Positions in the flattened ``xs`` whose sorted value differs from the
+    next one in the same feature: the last row going left of each split."""
+    m = xs.shape[1]
     flat = xs.reshape(-1)
     cut = flat[1:] != flat[:-1]
     cut[m - 1::m] = False  # a feature's last value against the next one's first
-    at = np.flatnonzero(cut)
-    g_left = np.cumsum(grad[idx], axis=1).reshape(-1)[at]
+    return np.flatnonzero(cut)
+
+
+def _scorable(idx, at, hess, unit, h_sum, min_child_weight, l2_reg):
+    """The candidates ``at`` of a node's block that leave ``min_child_weight``
+    on both sides, with the hessian sums left and right of each plus
+    ``l2_reg``: the gain's denominators."""
     if unit is not None:
-        h_left = unit * (at % m + 1)
+        h_left = unit * (at % idx.shape[1] + 1)
     else:
         h_left = np.cumsum(hess[idx], axis=1).reshape(-1)[at]
     h_right = h_sum - h_left
     ok = np.minimum(h_left, h_right) >= min_child_weight
     if not ok.all():
-        at, g_left, h_left, h_right = (a.compress(ok) for a in (at, g_left, h_left, h_right))
+        at, h_left, h_right = (a.compress(ok) for a in (at, h_left, h_right))
+    return at, h_left + l2_reg, h_right + l2_reg
+
+
+def _best_split(idx, xs, grad, g_sum, h_sum, scorable, l2_reg):
+    """(feature, rows going left, threshold) of a node's best split, or None.
+
+    ``idx`` holds the node's rows once per feature, each sorted by that
+    feature, and ``xs`` their values; ``scorable`` is what ``_scorable``
+    returns for them.  The first maximum in feature-major order wins; a
+    NaN gain rules out its feature (see the module docstring).  The left
+    side is the first ``rows going left`` entries of ``idx[feature]``.
+    """
+    at, den_left, den_right = scorable
     if not at.size:
         return None
+    m = idx.shape[1]
+    g_left = np.cumsum(grad[idx], axis=1).reshape(-1)[at]
     g_right = g_sum - g_left
     gain = 0.5 * (
-        g_left * g_left / (h_left + l2_reg)
-        + g_right * g_right / (h_right + l2_reg)
+        g_left * g_left / den_left
+        + g_right * g_right / den_right
         - g_sum * g_sum / (h_sum + l2_reg)
     )
     best = int(np.argmax(gain))
@@ -308,6 +409,7 @@ def _best_split(idx, xs, grad, hess, unit, g_sum, h_sum, min_child_weight, l2_re
     if not gain[best] > 0.0:
         return None
     pos = int(at[best])
+    flat = xs.reshape(-1)
     lo, hi = flat[pos], flat[pos + 1]
     thr = 0.5 * (lo + hi)
     if not (lo <= thr < hi):

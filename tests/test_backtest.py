@@ -576,5 +576,22 @@ class TestTrendRuns:
         assert report.axis_values == ["1.3", "1.7"]
         assert {r["power"] for r in report.table} == {"1.3", "1.7"}
 
+    def test_sweep_with_a_missing_generator_config_fails_before_any_fit(
+            self, tmp_path, small_panel, monkeypatch):
+        forecasts = backtest._forecasts
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return forecasts(*args)
+
+        monkeypatch.setattr(backtest, "_forecasts", counted)
+        plan = sc.BacktestPlan(train_window_days=150, n_versions=2,
+                               horizons=(6,), learner=FAST_LEARNER,
+                               gen_config_path=str(tmp_path / "missing.json"))
+        with pytest.raises(ConfigError, match="missing.json"):
+            sc.run_power_sweep(plan, powers=(1.3, 1.7), panel=small_panel)
+        assert calls == []
+
     def test_sweep_powers_are_the_five_classics(self):
         assert SWEEP_POWERS == (1.1, 1.3, 1.5, 1.7, 1.9)

@@ -40,6 +40,8 @@ def test_grid_fit_trace_resolves(tmp_path):
     grow = [s for s in trace["spans"] if s["name"] == "trees.grow_tree"]
     predict = [s for s in trace["spans"] if s["name"] == "trees.Tree.predict"]
     assert grow and all(s["rows"] > 0 and s["nodes"] >= 1 for s in grow)
+    # 12 fits (3 arms at 4 origins) of 20 rounds, one tree each
+    assert len(grow) == 240
     # every grid-fit model is distinct, and a fit takes its training-row
     # steps from tree growth: predict runs once per tree, on the test rows
     assert len(predict) == len(grow)

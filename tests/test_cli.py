@@ -85,14 +85,29 @@ class TestGen:
         ({"weekly_seasonality": [1, 1, 1, 1, 1, 1, -1]}, "weekly_seasonality"),
         ({"weekly_seasonality": [1, 1, 1, 1, 1, 1, "x"]}, "weekly_seasonality"),
         ({"spike_days": [[3, math.nan]]}, "spike_days"),
+        ({"base_rate_lognormal": 5}, "base_rate_lognormal"),
+        ({"weekly_seasonality": 5}, "weekly_seasonality"),
+        ({"spike_days": [[math.inf, 3.0]]}, "spike_days"),
+        ({"spike_days": [[3, 10**400]]}, "spike_days"),
     ], ids=["float-items", "text-seed", "one-number", "negative-sigma", "nan-sigma",
-            "negative-weekday", "text-weekday", "nan-spike"])
+            "negative-weekday", "text-weekday", "nan-spike", "scalar-lognormal",
+            "scalar-weekly", "infinite-spike-day", "huge-spike"])
     def test_mistyped_config_is_config_error(self, workdir, edit, field):
         path = workdir / "typed_gen.json"
         path.write_text(json.dumps({**GEN_CFG, **edit}), encoding="utf-8")
         proc = run_cli("gen", "--config", str(path), "--out", str(workdir / "x.csv"))
         assert proc.returncode == 2
         assert f"config error: {field}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_spike_day_too_large_for_an_integer_is_config_error(self, workdir):
+        """JSON reads 1e400 as infinity, which no integer holds."""
+        path = workdir / "huge_spike_gen.json"
+        text = json.dumps({**GEN_CFG, "spike_days": [[0, 3.0]]})
+        path.write_text(text.replace("[[0, 3.0]]", "[[1e400, 3.0]]"), encoding="utf-8")
+        proc = run_cli("gen", "--config", str(path), "--out", str(workdir / "x.csv"))
+        assert proc.returncode == 2
+        assert "config error: spike_days" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 
@@ -127,6 +142,17 @@ class TestFit:
                        "--learner", str(workdir / "learner.json"))
         assert proc.returncode == 0, proc.stderr
         assert sc.load_model(model_path).transform.kind == "sqrt"
+
+    def test_offset_too_large_for_a_float_is_config_error(self, workdir):
+        arm = sc.arm_by_id("E4").to_json()
+        arm["transform"]["offset"] = 10**400
+        arm_path = workdir / "huge_offset_arm.json"
+        arm_path.write_text(json.dumps(arm), encoding="utf-8")
+        proc = run_cli("fit", "--panel", str(workdir / "panel.csv"),
+                       "--arm", str(arm_path), "--model-out", str(workdir / "m.json"))
+        assert proc.returncode == 2
+        assert "config error: offset" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_unknown_arm_is_config_error(self, workdir):
         proc = run_cli("fit", "--panel", str(workdir / "panel.csv"),
@@ -390,8 +416,9 @@ class TestUnwritableOutput:
 
 
 class TestUnreadableJson:
-    """A JSON input that is not UTF-8, or nests too deeply to parse, is a
-    config error (exit 2) naming its file, not a traceback."""
+    """A JSON input that is not UTF-8, nests too deeply or holds a number
+    too long to parse is a config error (exit 2) naming its file, not a
+    traceback."""
 
     @pytest.fixture(scope="class")
     def utf16(self, workdir):
@@ -419,4 +446,13 @@ class TestUnreadableJson:
         proc = run_cli("backtest", "--plan", str(path), "--out-dir", str(workdir / "nested_out"))
         assert proc.returncode == 2
         assert f"config error: plan {path} nests too deeply to parse" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_integer_of_too_many_digits(self, workdir):
+        """Python parses at most 4,300 digits of an integer by default."""
+        path = workdir / "long_int_plan.json"
+        path.write_text('{"train_window_days": ' + "9" * 5000 + "}", encoding="utf-8")
+        proc = run_cli("backtest", "--plan", str(path), "--out-dir", str(workdir / "long_out"))
+        assert proc.returncode == 2
+        assert f"config error: plan {path} is not valid JSON" in proc.stderr
         assert "Traceback" not in proc.stderr

@@ -487,6 +487,21 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             sc.load_model(bad)
 
+    @pytest.mark.parametrize("edit", [
+        lambda obj: obj["trees"][0]["feature"].__setitem__(0, 2**70),
+        lambda obj: obj["transform"].__setitem__("offset", 10**400),
+        lambda obj: obj.__setitem__("base_score", 10**400),
+        lambda obj: obj["training_loss"].__setitem__(0, 10**400),
+        lambda obj: obj.__setitem__("bias_corrector", {"kind": "smearing", "factor": 10**400}),
+    ], ids=["tree-feature", "offset", "base-score", "training-loss", "corrector-factor"])
+    def test_number_too_large_to_convert_is_config_error(self, small_panel, tmp_path, edit):
+        obj = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT, _quick_config(rounds=2)).to_json()
+        edit(obj)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ConfigError):
+            sc.load_model(path)
+
     @pytest.mark.parametrize("text", ['[1, 2]', '"model"', '{"version": "skewcast-model-v2"}'],
                              ids=["list", "string", "only-version"])
     def test_malformed_model_json_is_config_error(self, tmp_path, text):

@@ -244,7 +244,8 @@ class TestSplitSearch:
 class TestPresortedEngine:
     def test_presort_is_a_stable_argsort_of_every_column(self, rng):
         X = rng.integers(0, 3, size=(50, 4)).astype(float)
-        order, values = presort(X)
+        sorted_ = presort(X)
+        order, values = sorted_.order, sorted_.values
         assert order.shape == values.shape == (4, 50)
         for feat in range(4):
             np.testing.assert_array_equal(order[feat], np.argsort(X[:, feat], kind="stable"))
@@ -348,6 +349,158 @@ class TestPresortedEngine:
         assert calls == [small_panel.feature_matrix.shape]
 
 
+def _assert_same_tree(tree, leaf, expect, X):
+    for field in TREE_FIELDS:
+        assert np.array_equal(getattr(tree, field), getattr(expect, field)), field
+    assert np.array_equal(leaf, expect.predict(X))
+
+
+def _carried_nodes(sorted_):
+    """The nodes a presort carries, by path of (feature, rows going left, side)."""
+    found, stack = {}, [((), sorted_.carried.root)]
+    while stack:
+        path, node = stack.pop()
+        found[path] = node
+        if node.split is not None:
+            feat, n_left, left, right = node.split
+            stack += [(path + ((feat, n_left, True),), left),
+                      (path + ((feat, n_left, False),), right)]
+    return found
+
+
+class TestCarriedPartitions:
+    """A presort carries each tree's partitions to the next ``grow_tree``
+    call; every tree must still be the one a fresh reference grows."""
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_a_sequence_of_trees_matches_fresh_growth(self, data):
+        n = data.draw(st.integers(2, 40), label="n")
+        k = data.draw(st.integers(1, 3), label="k")
+        values = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+                           st.floats(-1e3, 1e3, allow_nan=False))
+        X = data.draw(hnp.arrays(np.float64, (n, k), elements=values), label="X")
+        grads = hnp.arrays(np.float64, n, elements=st.floats(-10, 10))
+        general = hnp.arrays(np.float64, n, elements=st.floats(0, 2))
+        unit = data.draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]), label="unit")
+        a, b = data.draw(general, label="hess a"), data.draw(general, label="hess b")
+        # unit, then a general hessian, the same one again, and a changed one
+        hessians = [np.full(n, unit), np.full(n, unit), a, a.copy(), a, b, np.full(n, unit)]
+        sorted_ = presort(X)
+        grad = data.draw(grads, label="grad")
+        for step, hess in enumerate(hessians):
+            # the same gradient or a scaled one mostly repeats the last tree's
+            # splits; a zero one grows a single leaf
+            change = data.draw(st.sampled_from(["same", "scaled", "new", "zero"]),
+                               label=f"grad {step}")
+            if change == "scaled":
+                grad = 0.5 * grad
+            elif change == "new":
+                grad = data.draw(grads, label=f"new grad {step}")
+            l2_choices = [0.0, 0.5, 1.0] if (hess > 0).all() else [0.5, 1.0]
+            args = (data.draw(st.integers(1, 5), label=f"max_depth {step}"),
+                    data.draw(st.sampled_from([0.0, 0.5, 1.0]), label=f"mcw {step}"),
+                    data.draw(st.sampled_from(l2_choices), label=f"l2_reg {step}"))
+            step_grad = np.zeros(n) if change == "zero" else grad
+            leaf = np.full(n, np.nan)
+            with np.errstate(all="ignore"):  # a subnormal hessian overflows both growers alike
+                expect = _reference_grow_tree(X, step_grad, hess, *args)
+                tree = grow_tree(X, step_grad, hess, *args, presorted=sorted_, out=leaf)
+                _assert_same_tree(tree, leaf, expect, X)
+
+    def test_a_repeated_tree_reuses_every_partition(self, rng):
+        X = rng.normal(size=(200, 3))
+        grad = rng.normal(size=200)
+        hess = rng.uniform(0.5, 2.0, size=200)
+        sorted_ = presort(X)
+        first = grow_tree(X, grad, hess, 4, 1.0, 1.0, presorted=sorted_)
+        before = _carried_nodes(sorted_)
+        scorable = {path: node.scorable for path, node in before.items()}
+        second = grow_tree(X, grad, hess.copy(), 4, 1.0, 1.0, presorted=sorted_)
+        after = _carried_nodes(sorted_)
+        assert first.to_json() == second.to_json()
+        assert len(after) == first.n_nodes
+        assert all(after[path] is node for path, node in before.items())
+        assert all(after[path].scorable is parts for path, parts in scorable.items())
+
+    def test_a_changed_hessian_or_depth_carries_less(self, rng):
+        X = rng.normal(size=(200, 3))
+        grad = rng.normal(size=200)
+        hess = rng.uniform(0.5, 2.0, size=200)
+        sorted_ = presort(X)
+        grow_tree(X, grad, hess, 3, 1.0, 1.0, presorted=sorted_)
+        # one row's hessian one ulp higher: the partitions carry over, the sums do not
+        nudged = hess.copy()
+        nudged[0] = np.nextafter(nudged[0], 3.0)
+        for max_depth in (3, 4):  # another depth: nothing carries over
+            before = _carried_nodes(sorted_)
+            scorable = {path: node.scorable for path, node in before.items()
+                        if node.scorable is not None}
+            tree = grow_tree(X, grad, nudged, max_depth, 1.0, 1.0, presorted=sorted_)
+            expect = _reference_grow_tree(X, grad, nudged, max_depth, 1.0, 1.0)
+            _assert_same_tree(tree, tree.predict(X), expect, X)
+            after = _carried_nodes(sorted_)
+            reused = [path for path, node in before.items() if after.get(path) is node]
+            assert bool(reused) == (max_depth == 3)
+            assert not any(after[path].scorable is parts for path, parts in scorable.items()
+                           if path in after)
+
+    def test_a_leaf_keeps_no_children_from_an_older_tree(self):
+        """The first tree splits at 1.5 under hessian A, the second is one
+        leaf under B, and the third makes the first one's split under B:
+        its right leaf sums B's hessians, 4 + l2_reg, not A's 2 + l2_reg."""
+        X = np.arange(4.0).reshape(-1, 1)
+        grad = np.array([1.0, 1.0, -1.0, -1.0])
+        a, b = np.ones(4), np.array([1.0, 1.0, 1.0, 3.0])
+        sorted_ = presort(X)
+        for step_grad, hess in [(grad, a), (np.zeros(4), b), (grad, b)]:
+            tree = grow_tree(X, step_grad, hess, 1, 0.0, 1.0, presorted=sorted_)
+            _assert_same_tree(tree, tree.predict(X),
+                              _reference_grow_tree(X, step_grad, hess, 1, 0.0, 1.0), X)
+        assert tree.value[2] == 2.0 / 5.0
+
+    @pytest.mark.parametrize("hess,l2_reg", [([0.0, 0.0, 1.0, 1.0], -0.0),
+                                             ([-0.0, -0.0, 1.0, 1.0], 0.0)],
+                             ids=["hessian", "l2_reg"])
+    def test_a_signed_zero_is_not_the_same_input(self, hess, l2_reg):
+        """-0.0 equals 0.0, but a zero-hessian side whose hessian sum plus
+        ``l2_reg`` is -0.0 scores -inf, and +inf if it is 0.0.  The first
+        tree splits at 2.5; the second isolates a zero-hessian row, whose
+        leaf then divides by zero in both growers."""
+        X = np.arange(4.0).reshape(-1, 1)
+        grad = np.array([1.0, 1.0, 1.0, -3.0])
+        first = np.array([-0.0, -0.0, 1.0, 1.0])
+        sorted_ = presort(X)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tree = grow_tree(X, grad, first, 1, 0.0, -0.0, presorted=sorted_)
+            _assert_same_tree(tree, tree.predict(X),
+                              _reference_grow_tree(X, grad, first, 1, 0.0, -0.0), X)
+            assert tree.threshold[0] == 2.5
+            with pytest.raises(ZeroDivisionError):
+                _reference_grow_tree(X, grad, np.array(hess), 1, 0.0, l2_reg)
+            with pytest.raises(ZeroDivisionError):
+                grow_tree(X, grad, np.array(hess), 1, 0.0, l2_reg, presorted=sorted_)
+        assert sorted_.carried is None  # a failed call carries nothing
+
+    @pytest.mark.parametrize("arm_id", ["E3.5", "E5"])  # Tweedie 1.5: a new hessian each round
+    def test_long_fits_match_a_fit_with_the_reference_grower(self, small_panel, monkeypatch,
+                                                             arm_id):
+        def reference(X, grad, hess, max_depth, min_child_weight, l2_reg,
+                      presorted=None, out=None):
+            tree = _reference_grow_tree(X, grad, hess, max_depth, min_child_weight, l2_reg)
+            if out is not None:
+                out[:] = tree.predict(X)
+            return tree
+
+        arm = sc.arm_by_id(arm_id)
+        args = (small_panel, arm.transform, arm.loss, arm.weight_scheme,
+                sc.LearnerConfig(rounds=20, max_depth=4))
+        model = sc.fit(*args)
+        assert len(model.trees) == 20
+        monkeypatch.setattr(learner, "grow_tree", reference)
+        assert model.to_json() == sc.fit(*args).to_json()
+
+
 class TestRouting:
     def test_boundary_goes_left(self):
         tree = Tree(
@@ -412,9 +565,12 @@ class TestSerialization:
         {"value": [0.0, float("nan"), 20.0]},
         {"threshold": [float("inf"), 0.0, 0.0]},
         {"value": ["ten", 10.0, 20.0]},
+        {"feature": [2**70, -1, -1]},
+        {"feature": [float("inf"), -1, -1]},
     ], ids=["self-loop", "child-out-of-range", "negative-child", "child-points-back",
             "unequal-lengths", "not-one-dimensional", "scalar", "empty", "leaf-with-child",
-            "bad-leaf-marker", "nan-value", "inf-threshold", "non-numeric"])
+            "bad-leaf-marker", "nan-value", "inf-threshold", "non-numeric", "huge-feature",
+            "infinite-feature"])
     def test_corrupt_tree_rejected(self, change):
         obj = {"feature": [0, -1, -1], "threshold": [1.5, 0.0, 0.0],
                "left": [1, -1, -1], "right": [2, -1, -1], "value": [0.0, 10.0, 20.0]}
