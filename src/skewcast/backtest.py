@@ -380,7 +380,7 @@ def _score_versions(
     with _naming(_arms_at(arms, origin)):
         forecasts = _forecasts(arms, plan, train, test)
         return [
-            (arm.id, version_metrics(preds, test, ForecastVersion.from_origin(origin, h)))
+            (arm.id, version_metrics(preds, test, ForecastVersion(origin, h)))
             for arm, preds in zip(arms, forecasts)
             for h in sorted(plan.horizons)
         ]
@@ -437,13 +437,16 @@ def _run_grid(
     arms: tuple[ExperimentArm, ...] | list[ExperimentArm],
     plan: BacktestPlan,
     panel: SalesPanel,
-) -> tuple[list[tuple[str, VersionMetrics]], dict[str, dict[int, AggregateMetrics]]]:
-    """Run every (distinct model, origin) job; sorted rows and per-arm aggregates.
+) -> tuple[list[dt.date], list[tuple[str, VersionMetrics]],
+           dict[str, dict[int, AggregateMetrics]]]:
+    """Run every (distinct model, origin) job; the origins, sorted rows and
+    per-arm aggregates.
 
     Each origin's windows are sliced once, and every job is checked,
     before the pool starts.
     """
-    windows = _windows(panel, plan, version_origins(panel, plan))
+    origins = version_origins(panel, plan)
+    windows = _windows(panel, plan, origins)
     groups = _model_groups(arms)
     _preflight(groups, windows)
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
@@ -455,7 +458,7 @@ def _run_grid(
         arm.id: aggregate_versions([vm for aid, vm in rows if aid == arm.id])
         for arm in arms
     }
-    return rows, aggregates
+    return origins, rows, aggregates
 
 
 def _panel_of(plan: BacktestPlan, panel: SalesPanel | None) -> SalesPanel:
@@ -473,7 +476,7 @@ def run_backtest(plan: BacktestPlan, panel: SalesPanel | None = None) -> Backtes
     ids = [arm.id for arm in plan.arms]
     if plan.baseline_id not in ids:
         raise ConfigError(f"baseline arm {plan.baseline_id!r} is not in the plan")
-    rows, aggregates = _run_grid(plan.arms, plan, panel)
+    origins, rows, aggregates = _run_grid(plan.arms, plan, panel)
     base = aggregates[plan.baseline_id]
     relatives = {
         arm_id: {
@@ -485,7 +488,7 @@ def run_backtest(plan: BacktestPlan, panel: SalesPanel | None = None) -> Backtes
     return BacktestReport(
         baseline_id=plan.baseline_id,
         horizons=tuple(sorted(plan.horizons)),
-        origins=version_origins(panel, plan),
+        origins=origins,
         rows=rows,
         aggregates=aggregates,
         relatives=relatives,
@@ -500,15 +503,12 @@ def make_out_dir(out_dir) -> None:
         raise IoFailure(f"cannot create output directory {out_dir}: {exc}") from exc
 
 
-def write_backtest_outputs(report: BacktestReport, out_dir) -> None:
+def write_backtest_outputs(report: BacktestReport | TrendReport, out_dir) -> None:
     """Emit metrics.csv and report.json into out_dir."""
     make_out_dir(out_dir)
     write_metrics_csv(report.rows, os.path.join(out_dir, "metrics.csv"))
-    _write_json(report.to_json(), os.path.join(out_dir, "report.json"))
-
-
-def _write_json(obj: dict, path) -> None:
-    write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    write_text(os.path.join(out_dir, "report.json"),
+               json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
 
 
 def _count_inversions(values: list[float], direction: str) -> int:
@@ -551,7 +551,7 @@ def _trend(
     axis_values: list[str],
     direction: str,
 ) -> TrendReport:
-    rows, aggregates = _run_grid(arms, plan, panel)
+    _, rows, aggregates = _run_grid(arms, plan, panel)
     table = []
     verdicts: dict[int, dict] = {}
     for h in sorted(plan.horizons):
@@ -567,7 +567,6 @@ def _trend(
             "within_tolerance": inversions <= 1,
             "wbias_series": wbias_series,
         }
-    table.sort(key=lambda r: (r["horizon_weeks"], axis_values.index(r[axis_name])))
     return TrendReport(
         axis_name=axis_name,
         axis_values=axis_values,
@@ -577,11 +576,7 @@ def _trend(
     )
 
 
-def run_weight_ladder(
-    plan: BacktestPlan,
-    schemes=LADDER_SCHEMES,
-    panel: SalesPanel | None = None,
-) -> TrendReport:
+def run_weight_ladder(plan: BacktestPlan, panel: SalesPanel | None = None) -> TrendReport:
     """Log-target Mse arms with increasingly sales-proportional weights.
 
     The expected trend: wbias climbs from strongly negative toward zero
@@ -591,17 +586,13 @@ def run_weight_ladder(
     log = TargetTransform(kind="log")
     arms = [
         ExperimentArm(f"W{i}-{s.label()}", log, LossSpec.mse(), s)
-        for i, s in enumerate(schemes)
+        for i, s in enumerate(LADDER_SCHEMES)
     ]
-    return _trend(plan, panel, arms, "scheme", [s.label() for s in schemes],
+    return _trend(plan, panel, arms, "scheme", [s.label() for s in LADDER_SCHEMES],
                   direction="non_decreasing")
 
 
-def run_power_sweep(
-    plan: BacktestPlan,
-    powers=SWEEP_POWERS,
-    panel: SalesPanel | None = None,
-) -> TrendReport:
+def run_power_sweep(plan: BacktestPlan, panel: SalesPanel | None = None) -> TrendReport:
     """Identity-transform Tweedie arms across the variance-power range.
 
     The expected trend: wbias falls (from positive toward or past zero)
@@ -615,9 +606,9 @@ def run_power_sweep(
     unit = WeightScheme(kind="unit")
     arms = [
         ExperimentArm(f"P{p:.1f}", identity, LossSpec.tweedie(p), unit)
-        for p in powers
+        for p in SWEEP_POWERS
     ]
-    report = _trend(plan, panel, arms, "power", [f"{p:.1f}" for p in powers],
+    report = _trend(plan, panel, arms, "power", [f"{p:.1f}" for p in SWEEP_POWERS],
                     direction="non_increasing")
     best = {}
     for h in sorted(plan.horizons):
@@ -631,8 +622,7 @@ def run_power_sweep(
 
 def write_trend_outputs(report: TrendReport, out_dir, csv_name: str) -> None:
     """Emit <csv_name> (trend table), metrics.csv (per-version), report.json."""
-    make_out_dir(out_dir)
-    write_metrics_csv(report.rows, os.path.join(out_dir, "metrics.csv"))
+    write_backtest_outputs(report, out_dir)
     header = [report.axis_name, "horizon_weeks", "wmape", "wbias",
               "total_actual", "n_versions", "skipped_items"]
     lines = [",".join(header)]
@@ -647,4 +637,3 @@ def write_trend_outputs(report: TrendReport, out_dir, csv_name: str) -> None:
             str(row["skipped_items"]),
         ]))
     write_text(os.path.join(out_dir, csv_name), "\n".join(lines) + "\n")
-    _write_json(report.to_json(), os.path.join(out_dir, "report.json"))

@@ -68,30 +68,25 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_backtest(args) -> int:
+# (command, help, runner, trend CSV name or None); each runs a grid from a plan
+_GRIDS = (
+    ("backtest", "run the rolling-origin experiment grid", bt.run_backtest, None),
+    ("ladder", "weight-escalation study", bt.run_weight_ladder, "ladder.csv"),
+    ("sweep", "Tweedie variance-power study", bt.run_power_sweep, "sweep.csv"),
+)
+
+
+def _cmd_grid(args) -> int:
     plan = bt.load_plan(args.plan)
     bt.make_out_dir(args.out_dir)  # fail before the grid, not after it
-    report = bt.run_backtest(plan)
-    bt.write_backtest_outputs(report, args.out_dir)
-    print(f"wrote metrics.csv and report.json to {args.out_dir}")
-    return 0
-
-
-def _cmd_ladder(args) -> int:
-    plan = bt.load_plan(args.plan)
-    bt.make_out_dir(args.out_dir)  # fail before the grid, not after it
-    report = bt.run_weight_ladder(plan)
-    bt.write_trend_outputs(report, args.out_dir, "ladder.csv")
-    print(f"wrote ladder.csv, metrics.csv and report.json to {args.out_dir}")
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    plan = bt.load_plan(args.plan)
-    bt.make_out_dir(args.out_dir)  # fail before the grid, not after it
-    report = bt.run_power_sweep(plan)
-    bt.write_trend_outputs(report, args.out_dir, "sweep.csv")
-    print(f"wrote sweep.csv, metrics.csv and report.json to {args.out_dir}")
+    report = args.runner(plan)
+    written = "metrics.csv and report.json"
+    if args.trend_csv is None:
+        bt.write_backtest_outputs(report, args.out_dir)
+    else:
+        bt.write_trend_outputs(report, args.out_dir, args.trend_csv)
+        written = f"{args.trend_csv}, {written}"
+    print(f"wrote {written} to {args.out_dir}")
     return 0
 
 
@@ -163,20 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional CSV of in-sample (actual, predicted) pairs")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("backtest", help="run the rolling-origin experiment grid")
-    p.add_argument("--plan", required=True, help="backtest plan JSON")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_backtest)
-
-    p = sub.add_parser("ladder", help="weight-escalation study")
-    p.add_argument("--plan", required=True, help="backtest plan JSON")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_ladder)
-
-    p = sub.add_parser("sweep", help="Tweedie variance-power study")
-    p.add_argument("--plan", required=True, help="backtest plan JSON")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_sweep)
+    for command, help_text, runner, trend_csv in _GRIDS:
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--plan", required=True, help="backtest plan JSON")
+        p.add_argument("--out-dir", required=True)
+        p.set_defaults(func=_cmd_grid, runner=runner, trend_csv=trend_csv)
 
     p = sub.add_parser("convexity", help="deviance curves over a prediction grid")
     p.add_argument("--actual", type=float, default=100.0)

@@ -51,6 +51,7 @@ from .losses import (
     total_loss,
     weights_for,
 )
+from .panel import _fmt
 from .transform import TargetTransform, forward, inverse
 from .trees import Tree, grow_tree, presort
 
@@ -381,7 +382,7 @@ def write_pairs_csv(report: dict, path) -> None:
     """Write a fit report's (actual, predicted) pairs as a two-column CSV."""
     lines = ["actual,predicted"]
     for a, p in report["pairs"]:
-        lines.append(f"{a:.12g},{p:.12g}")
+        lines.append(f"{_fmt(a)},{_fmt(p)}")
     write_text(path, "\n".join(lines) + "\n")
 
 

@@ -41,6 +41,7 @@ from .errors import (
     json_object,
     write_text,
 )
+from .panel import _fmt
 
 HESS_FLOOR = 1e-16
 WEIGHT_FLOOR = 1e-6
@@ -438,7 +439,7 @@ class ConvexityTable:
     def write_csv(self, path) -> None:
         lines = ["mu," + ",".join(self.labels)]
         for j, m in enumerate(self.mu_grid):
-            lines.append(",".join([f"{m:.12g}"] + [f"{v:.12g}" for v in self.values[:, j]]))
+            lines.append(",".join([_fmt(m), *map(_fmt, self.values[:, j])]))
         write_text(path, "\n".join(lines) + "\n")
 
 

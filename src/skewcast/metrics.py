@@ -37,11 +37,14 @@ class VersionMetrics:
     """Accuracy of one configuration on one forecast version."""
 
     version: ForecastVersion
-    horizon_weeks: int
     wmape: float
     wbias: float
     total_actual: float
     skipped_items: int
+
+    @property
+    def horizon_weeks(self) -> int:
+        return self.version.horizon_weeks
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,6 @@ def version_metrics(forecasts, panel: SalesPanel, version: ForecastVersion) -> V
         raise NoValidItems("every item has zero actuals over the horizon")
     return VersionMetrics(
         version=version,
-        horizon_weeks=version.horizon_weeks,
         wmape=abs_sum / total_actual,
         wbias=signed_sum / total_actual,
         total_actual=total_actual,

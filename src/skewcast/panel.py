@@ -119,20 +119,16 @@ class ForecastVersion:
     """A weekly forecast origin: everything before it trains, the window
     (origin, origin + 7 * horizon_weeks] is scored."""
 
-    label: str
     origin_day: dt.date
     horizon_weeks: int
 
     def __post_init__(self):
         if self.horizon_weeks not in HORIZONS:
             raise ConfigError(f"horizon_weeks must be one of {HORIZONS}")
-        expect = f"VDP_{self.origin_day:%Y%m%d}"
-        if self.label != expect:
-            raise ConfigError(f"label {self.label!r} does not match origin {expect!r}")
 
-    @classmethod
-    def from_origin(cls, origin_day: dt.date, horizon_weeks: int) -> "ForecastVersion":
-        return cls(f"VDP_{origin_day:%Y%m%d}", origin_day, horizon_weeks)
+    @property
+    def label(self) -> str:
+        return f"VDP_{self.origin_day:%Y%m%d}"
 
     @property
     def window_start(self) -> dt.date:

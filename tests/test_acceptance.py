@@ -282,7 +282,7 @@ class TestMetricsAlgebra:
 
         import datetime as dt
         origin = dt.date(2021, 6, 7)
-        version = sc.ForecastVersion.from_origin(origin, 6)
+        version = sc.ForecastVersion(origin, 6)
         forecasts, actuals = np.empty((8, 42)), np.empty((8, 42))
         for i in range(8):
             forecasts[i] = rng.uniform(1, 30, size=42)

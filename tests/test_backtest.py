@@ -563,14 +563,15 @@ class TestTrendRuns:
         with pytest.raises(IoFailure):
             write_trend_outputs(control_ladder, tmp_path, "ladder.csv")
 
-    def test_sweep_reports_best_and_theoretical_power(self, tmp_path, small_panel):
+    def test_sweep_reports_best_and_theoretical_power(self, tmp_path, small_panel, monkeypatch):
         cfg = sc.GenConfig(n_items=30, n_days=260, seed=7)
         cfg_path = tmp_path / "gen.json"
         cfg_path.write_text(json.dumps(cfg.to_json()), encoding="utf-8")
         plan = sc.BacktestPlan(train_window_days=150, n_versions=2,
                                horizons=(6,), learner=FAST_LEARNER,
                                gen_config_path=str(cfg_path))
-        report = sc.run_power_sweep(plan, powers=(1.3, 1.7), panel=small_panel)
+        monkeypatch.setattr(backtest, "SWEEP_POWERS", (1.3, 1.7))
+        report = sc.run_power_sweep(plan, panel=small_panel)
         assert report.extra["theoretical_tweedie_power"] == pytest.approx(1.5)
         assert report.extra["best_wmape_power"]["6"] in {"1.3", "1.7"}
         assert report.axis_values == ["1.3", "1.7"]
@@ -586,11 +587,12 @@ class TestTrendRuns:
             return forecasts(*args)
 
         monkeypatch.setattr(backtest, "_forecasts", counted)
+        monkeypatch.setattr(backtest, "SWEEP_POWERS", (1.3, 1.7))
         plan = sc.BacktestPlan(train_window_days=150, n_versions=2,
                                horizons=(6,), learner=FAST_LEARNER,
                                gen_config_path=str(tmp_path / "missing.json"))
         with pytest.raises(ConfigError, match="missing.json"):
-            sc.run_power_sweep(plan, powers=(1.3, 1.7), panel=small_panel)
+            sc.run_power_sweep(plan, panel=small_panel)
         assert calls == []
 
     def test_sweep_powers_are_the_five_classics(self):

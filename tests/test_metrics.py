@@ -15,7 +15,7 @@ from skewcast.errors import (
 from skewcast.metrics import METRICS_CSV_HEADER, write_metrics_csv
 
 ORIGIN = dt.date(2021, 6, 7)
-V6 = sc.ForecastVersion.from_origin(ORIGIN, 6)
+V6 = sc.ForecastVersion(ORIGIN, 6)
 
 
 def _days(n):
@@ -92,7 +92,7 @@ def _reference_version_metrics(forecasts, actuals, version):
         total_actual += a_i
     if total_actual <= 0.0:
         raise NoValidItems("every item has zero actuals over the horizon")
-    return sc.VersionMetrics(version, version.horizon_weeks, abs_sum / total_actual,
+    return sc.VersionMetrics(version, abs_sum / total_actual,
                              signed_sum / total_actual, total_actual, skipped)
 
 
@@ -204,7 +204,7 @@ class TestVersionMetricsMatchesReference:
         preds, panel = _columns(forecasts, actuals)
         skipped = {}
         for h in (6, 12, 24):
-            version = sc.ForecastVersion.from_origin(ORIGIN, h)
+            version = sc.ForecastVersion(ORIGIN, h)
             new = sc.version_metrics(preds, panel, version)
             ref = _reference_version_metrics(*_as_dicts(preds, panel), version)
             assert new.wmape == ref.wmape
@@ -229,14 +229,14 @@ class TestVersionMetricsMatchesReference:
         test = small_panel.slice_days(origin + dt.timedelta(days=1), small_panel.date_range[1])
         preds = 0.9 * test.sales + np.sin(np.arange(len(test))) ** 2
         for h in (6, 12, 24):
-            version = sc.ForecastVersion.from_origin(origin, h)
+            version = sc.ForecastVersion(origin, h)
             assert sc.version_metrics(preds, test, version) == \
                 _reference_version_metrics(*_as_dicts(preds, test), version)
 
 
 def _vm(total_actual, wmape, wbias, horizon=6, origin=ORIGIN):
-    version = sc.ForecastVersion.from_origin(origin, horizon)
-    return sc.VersionMetrics(version, horizon, wmape, wbias, total_actual, 0)
+    version = sc.ForecastVersion(origin, horizon)
+    return sc.VersionMetrics(version, wmape, wbias, total_actual, 0)
 
 
 class TestAggregateVersions:

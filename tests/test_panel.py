@@ -212,17 +212,13 @@ class TestCsvErrors:
 
 
 class TestForecastVersion:
-    def test_from_origin(self):
+    def test_label_and_window_follow_the_origin(self):
         origin = dt.date(2021, 6, 7)
-        v = sc.ForecastVersion.from_origin(origin, 6)
+        v = sc.ForecastVersion(origin, 6)
         assert v.label == "VDP_20210607"
         assert v.window_start == origin + dt.timedelta(days=1)
         assert v.window_end == origin + dt.timedelta(days=42)
 
     def test_horizon_must_be_supported(self):
         with pytest.raises(ConfigError):
-            sc.ForecastVersion.from_origin(dt.date(2021, 6, 7), 5)
-
-    def test_label_must_match_origin(self):
-        with pytest.raises(ConfigError):
-            sc.ForecastVersion("VDP_20000101", dt.date(2021, 6, 7), 6)
+            sc.ForecastVersion(dt.date(2021, 6, 7), 5)
