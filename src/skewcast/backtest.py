@@ -102,7 +102,7 @@ class ExperimentArm:
     corrector_kind: str = "none"
 
     def __post_init__(self):
-        if not self.id or any(c in self.id for c in ",\n\r"):
+        if not isinstance(self.id, str) or not self.id or any(c in self.id for c in ",\n\r"):
             raise ConfigError(f"arm id {self.id!r} is not representable in CSV")
         if self.corrector_kind not in CORRECTOR_KINDS:
             raise ConfigError(f"unknown corrector kind {self.corrector_kind!r}")

@@ -27,7 +27,10 @@ from .errors import (
     InsufficientData,
     LengthMismatch,
     check_numbers,
+    is_real,
+    json_numbers,
     json_object,
+    real,
 )
 from .transform import TargetTransform, forward, inverse
 
@@ -57,7 +60,7 @@ class BiasCorrector:
                 raise ConfigError("bin width must be positive")
             if len(self.bin_factors) < 1:
                 raise ConfigError("prediction_binned corrector needs at least one bin")
-            if any(not (f > 0.0) or not math.isfinite(f) for f in self.bin_factors):
+            if any(not is_real(f) or f <= 0.0 for f in self.bin_factors):
                 raise ConfigError("bin factors must be positive and finite")
 
     @property
@@ -99,9 +102,9 @@ class BiasCorrector:
         obj = json_object(obj, "bias corrector", cls)
         return cls(
             kind=obj.get("kind", "none"),
-            factor=float(obj.get("factor", 1.0)),
-            bin_width=float(obj.get("bin_width", BIN_WIDTH)),
-            bin_factors=tuple(float(f) for f in obj.get("bin_factors", ())),
+            factor=real(obj.get("factor", 1.0), "factor"),
+            bin_width=real(obj.get("bin_width", BIN_WIDTH), "bin_width"),
+            bin_factors=tuple(json_numbers(obj.get("bin_factors", ()), "bin_factors")),
         )
 
 

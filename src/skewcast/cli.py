@@ -22,7 +22,7 @@ import numpy as np
 
 from . import backtest as bt
 from .datagen import generate, load_gen_config
-from .errors import ConfigError, DataError, read_json
+from .errors import ConfigError, DataError, IoFailure, read_json, real
 from .learner import (
     LearnerConfig,
     in_sample_fit_report,
@@ -54,9 +54,19 @@ def _load_learner(path: str | None) -> LearnerConfig:
     return LearnerConfig.from_json(read_json(path, "learner config"))
 
 
+def _check_out_path(path) -> None:
+    """``IoFailure`` unless ``path`` can name a file in an existing directory."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(parent):
+        raise IoFailure(f"cannot write {path}: not a file in an existing directory")
+
+
 def _cmd_fit(args) -> int:
     arm = _load_arm(args.arm)
     learner_cfg = _load_learner(args.learner)
+    for path in (args.model_out, args.report):
+        if path is not None:  # fail before the fit, not after it
+            _check_out_path(path)
     panel = read_panel(args.panel)
     model = bt.fit_arm(arm, panel, learner_cfg)
     save_model(model, args.model_out)
@@ -90,16 +100,27 @@ def _cmd_grid(args) -> int:
     return 0
 
 
+_MAX_GRID_POINTS = 10**6
+
+
+def _number(text: str, what: str) -> float:
+    """``text`` as a finite float; otherwise a ``ConfigError`` naming ``what``."""
+    try:
+        return real(float(text), what)
+    except ValueError:
+        raise ConfigError(f"{what} must be a finite number, got {text!r}") from None
+
+
 def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"grid must look like start:stop:step, got {text!r}")
-    try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"grid must be numeric, got {text!r}") from None
+        raise ConfigError(f"--grid must look like start:stop:step, got {text!r}")
+    start, stop, step = (_number(p, f"--grid {name}")
+                         for p, name in zip(parts, ("start", "stop", "step")))
     if step <= 0 or stop < start:
-        raise ConfigError("grid needs step > 0 and stop >= start")
+        raise ConfigError("--grid needs step > 0 and stop >= start")
+    if (stop - start) / step + 1 > _MAX_GRID_POINTS:  # checked before anything is allocated
+        raise ConfigError(f"--grid {text!r} has more than {_MAX_GRID_POINTS} points")
     return np.arange(start, stop + 0.5 * step, step)
 
 
@@ -115,12 +136,13 @@ def _parse_losses(text: str) -> list[LossSpec]:
             specs.append(LossSpec.gamma())
         elif name == "tweedie":
             if not param:
-                raise ConfigError("tweedie needs a power, e.g. tweedie:1.5")
-            specs.append(LossSpec.tweedie(float(param)))
+                raise ConfigError("--losses: tweedie needs a power, e.g. tweedie:1.5")
+            specs.append(LossSpec.tweedie(_number(param, "--losses tweedie power")))
         elif name == "pseudo_huber":
-            specs.append(LossSpec.pseudo_huber(float(param) if param else 1.0))
+            delta = _number(param, "--losses pseudo_huber delta") if param else 1.0
+            specs.append(LossSpec.pseudo_huber(delta))
         else:
-            raise ConfigError(f"unknown loss {name!r}")
+            raise ConfigError(f"--losses: unknown loss {name!r}")
     return specs
 
 
@@ -128,6 +150,7 @@ _DEFAULT_CONVEXITY = "mse,tweedie:1.1,tweedie:1.3,tweedie:1.5,tweedie:1.7,tweedi
 
 
 def _cmd_convexity(args) -> int:
+    real(args.actual, "--actual")
     specs = _parse_losses(args.losses)
     grid = _parse_grid(args.grid)
     table = convexity_profile(specs, args.actual, grid)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, check_numbers, is_real, json_object, read_json
+from .errors import ConfigError, check_numbers, is_integer, is_real, json_object, read_json
 from .panel import SalesPanel
 from .rng import keyed_stream
 
@@ -43,7 +43,7 @@ _ITEM_STREAM = 1 << 32
 _FROM_JSON = {
     "base_rate_lognormal": tuple,
     "weekly_seasonality": tuple,
-    "spike_days": lambda days: tuple((int(d), float(m)) for d, m in days),
+    "spike_days": lambda days: tuple((d, float(m) if is_real(m) else m) for d, m in days),
     "start_day": dt.date.fromisoformat,
 }
 
@@ -80,8 +80,9 @@ class GenConfig:
         if len(weekly) != 7 or not all(is_real(m) and m >= 0 for m in weekly):
             raise ConfigError("weekly_seasonality must be 7 finite multipliers >= 0, "
                               f"got {list(weekly)!r}")
-        if any(not is_real(m) or m < 1.0 for _, m in self.spike_days):
-            raise ConfigError("spike_days multipliers must be finite and >= 1")
+        if any(not is_integer(d) or not is_real(m) or m < 1.0 for d, m in self.spike_days):
+            raise ConfigError("spike_days must be (integer day, finite multiplier >= 1) pairs, "
+                              f"got {[list(s) for s in self.spike_days]!r}")
 
     def to_json(self) -> dict:
         return {

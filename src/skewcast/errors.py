@@ -111,9 +111,28 @@ def check_numbers(obj, integers: dict | None = None, reals=()) -> None:
         if least is not None and value < least:
             raise ConfigError(f"{name} must be >= {least}, got {value}")
     for name in reals:
-        value = getattr(obj, name)
-        if not is_real(value):
-            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        real(getattr(obj, name), name)
+
+
+def real(value, name: str) -> float:
+    """``value`` as a float if it is a finite real number; else a
+    ``ConfigError`` naming ``name``."""
+    if not is_real(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def json_numbers(values, name: str, integers: bool = False) -> list:
+    """A JSON list of finite real numbers as floats, or with ``integers`` of
+    integers as they are; otherwise a ``ConfigError`` naming ``name``."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {type(values).__name__}")
+    if integers:
+        for value in values:
+            if not is_integer(value):
+                raise ConfigError(f"{name} must hold integers, got {value!r}")
+        return list(values)
+    return [real(value, name) for value in values]
 
 
 class DomainError(DataError):

@@ -36,8 +36,10 @@ from .errors import (
     EmptyInput,
     ShapeMismatch,
     check_numbers,
+    json_numbers,
     json_object,
     read_json,
+    real,
     write_text,
 )
 from .losses import (
@@ -167,10 +169,10 @@ class FitModel:
                 weight_scheme=WeightScheme.from_json(obj["weight_scheme"]),
                 learner=LearnerConfig.from_json(obj["learner"]),
                 feature_names=list(obj["feature_names"]),
-                base_score=float(obj["base_score"]),
+                base_score=real(obj["base_score"], "base_score"),
                 trees=[Tree.from_json(t) for t in obj["trees"]],
-                betas=[_beta_from_json(b) for b in obj["betas"]],
-                training_loss=[float(v) for v in obj["training_loss"]],
+                betas=[np.asarray(json_numbers(b, "betas")) for b in obj["betas"]],
+                training_loss=json_numbers(obj["training_loss"], "training_loss"),
                 bias_corrector=BiasCorrector.from_json(obj["bias_corrector"]),
             )
         except KeyError as exc:
@@ -188,16 +190,6 @@ class FitModel:
                     f"got shape {beta.shape}"
                 )
         return model
-
-
-def _beta_from_json(obj) -> np.ndarray:
-    try:
-        beta = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad betas JSON: {exc!r}") from None
-    if not np.isfinite(beta).all():
-        raise ConfigError("betas must be finite")
-    return beta
 
 
 def _check_matrix(X, n_features: int) -> np.ndarray:

@@ -74,7 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatch
+from .errors import ConfigError, ShapeMismatch, json_numbers, json_object
 
 _LEAF = -1
 
@@ -144,26 +144,26 @@ class Tree:
     def from_json(cls, obj: dict) -> "Tree":
         """Load a tree, rejecting any structure ``predict`` cannot walk.
 
-        Children of internal nodes must point forward (and so every walk
-        ends in a leaf), leaves must carry no children, and thresholds
-        and values must be finite.
+        Node indices must be integers, thresholds and values finite
+        numbers, children of internal nodes must point forward (and so
+        every walk ends in a leaf), and leaves must carry no children.
         """
+        obj = json_object(obj, "tree", cls)
+
+        def column(name: str, integers: bool) -> np.ndarray:
+            return np.asarray(json_numbers(obj[name], f"tree {name}", integers),
+                              dtype=np.int64 if integers else np.float64)
+
         try:
-            tree = cls(
-                feature=np.asarray(obj["feature"], dtype=np.int64),
-                threshold=np.asarray(obj["threshold"], dtype=np.float64),
-                left=np.asarray(obj["left"], dtype=np.int64),
-                right=np.asarray(obj["right"], dtype=np.int64),
-                value=np.asarray(obj["value"], dtype=np.float64),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            tree = cls(feature=column("feature", True), threshold=column("threshold", False),
+                       left=column("left", True), right=column("right", True),
+                       value=column("value", False))
+        except (KeyError, OverflowError) as exc:
             raise ConfigError(f"bad tree JSON: {exc!r}") from None
         n = tree.feature.size
         arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
-        if n == 0 or any(a.shape != (n,) for a in arrays):
-            raise ConfigError("tree arrays must be one-dimensional, non-empty and of equal length")
-        if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()):
-            raise ConfigError("tree thresholds and values must be finite")
+        if n == 0 or any(a.size != n for a in arrays):
+            raise ConfigError("tree arrays must be non-empty and of equal length")
         leaf = tree.feature == _LEAF
         childless = (tree.left[leaf] == _LEAF) & (tree.right[leaf] == _LEAF)
         if (tree.feature < _LEAF).any() or not childless.all():

@@ -242,6 +242,7 @@ class TestBacktest:
         proc = run_cli("backtest", "--plan", str(plan_path),
                        "--out-dir", str(out_dir))
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"wrote metrics.csv and report.json to {out_dir}\n"
         report = json.loads((out_dir / "report.json").read_text())
         assert set(report["arms"]) == {"E4", "E5"}
         assert (out_dir / "metrics.csv").exists()
@@ -333,6 +334,7 @@ class TestTrendCommands:
         proc = run_cli("ladder", "--plan", str(plan_path),
                        "--out-dir", str(out_dir))
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"wrote ladder.csv, metrics.csv and report.json to {out_dir}\n"
         lines = (out_dir / "ladder.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 4  # header + one row per weighting rung
         report = json.loads((out_dir / "report.json").read_text())
@@ -348,6 +350,7 @@ class TestTrendCommands:
         proc = run_cli("sweep", "--plan", str(plan_path),
                        "--out-dir", str(out_dir))
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"wrote sweep.csv, metrics.csv and report.json to {out_dir}\n"
         lines = (out_dir / "sweep.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 5  # header + one row per power
         report = json.loads((out_dir / "report.json").read_text())
@@ -379,6 +382,33 @@ class TestConvexity:
                        "--out", str(workdir / "c.csv"))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("argv,named", [
+        (["--losses", "tweedie:abc"], "--losses tweedie power"),
+        (["--losses", "pseudo_huber:x"], "--losses pseudo_huber delta"),
+        (["--losses", "tweedie:nan"], "--losses tweedie power"),
+        (["--grid", "0:nan:1"], "--grid stop"),
+        (["--grid", "inf:1:1"], "--grid start"),
+        (["--grid", "0:1:-inf"], "--grid step"),
+        (["--grid", "0:1e300:1e-300"], "--grid"),
+        (["--grid", "0:1000000:1"], "--grid"),
+        (["--actual", "nan"], "--actual"),
+        (["--actual", "inf"], "--actual"),
+    ], ids=["text-power", "text-delta", "nan-power", "nan-stop", "infinite-start",
+            "infinite-step", "tiny-step", "one-point-too-many", "nan-actual", "inf-actual"])
+    def test_bad_argument_is_named_config_error(self, tmp_path, argv, named):
+        """Each grid here holds more points than the cap, so none is allocated."""
+        out = tmp_path / "c.csv"
+        proc = run_cli("convexity", *argv, "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"config error: {named}")
+        assert not out.exists()
+
+
+def test_subcommands_in_order():
+    proc = run_cli("--help")
+    assert proc.returncode == 0
+    assert "{gen,fit,backtest,ladder,sweep,convexity}" in proc.stdout
+
 
 class TestUnwritableOutput:
     """An output path under a regular file ends as a data error (exit 3)
@@ -407,6 +437,16 @@ class TestUnwritableOutput:
                        "--learner", str(workdir / "learner.json"),
                        "--report", str(afile / "pairs.csv"))
         assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert f"cannot write {afile / 'pairs.csv'}" in proc.stderr
+        assert not (workdir / "io_model.json").exists()  # checked before the fit
+
+    def test_fit_model_out_in_missing_directory(self, workdir):
+        model_out = workdir / "no_such_dir" / "m.json"
+        proc = run_cli("fit", "--panel", str(workdir / "no_such_panel.csv"),
+                       "--arm", "E4", "--model-out", str(model_out))
+        assert proc.returncode == 3
+        assert f"cannot write {model_out}" in proc.stderr  # before the panel is read
         assert "Traceback" not in proc.stderr
 
     def test_convexity_out(self, afile):

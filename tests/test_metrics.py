@@ -4,6 +4,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import skewcast as sc
 from skewcast.errors import (
@@ -161,6 +163,29 @@ class TestVersionMetrics:
                        for k in range(5)}
             vm = _score(forecasts, actuals)
             assert abs(vm.wbias) <= vm.wmape + 1e-15
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_bias_magnitude_bounded_by_wmape_on_random_panels(self, data):
+        """Exactly, with no slack: each item adds a * |pe| to one sum and
+        a * pe to the other in the same order, and rounding is monotone."""
+        h = data.draw(st.sampled_from(sc.panel.HORIZONS))
+        keys = data.draw(st.lists(st.tuples(st.integers(0, 4), st.integers(-3, 7 * h + 3)),
+                                  min_size=1, max_size=40, unique=True))
+        n = len(keys)
+        sales = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1e6)),
+                                   min_size=n, max_size=n))
+        forecasts = data.draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n))
+        # the forecasts ride along as a feature, so they stay aligned with the rows
+        panel = sc.SalesPanel([f"i{c}" for c in range(5)], [c for c, _ in keys],
+                              [ORIGIN.toordinal() + d for _, d in keys], sales,
+                              np.array(forecasts).reshape(n, 1), ["forecast"])
+        try:
+            vm = sc.version_metrics(panel.feature_matrix[:, 0], panel,
+                                    sc.ForecastVersion(ORIGIN, h))
+        except NoValidItems:
+            assume(False)
+        assert abs(vm.wbias) <= vm.wmape
 
     def test_scale_invariance(self, rng):
         c = 7.3

@@ -4,6 +4,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skewcast as sc
 from skewcast.errors import (
@@ -143,6 +145,28 @@ class TestCsvRoundTrip:
         again = tmp_path / "again.csv"
         sc.write_panel(back, again)
         assert again.read_bytes() == path.read_bytes()
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_rewrite_of_any_panel_is_byte_identical(self, tmp_path_factory, data):
+        """write -> read -> write gives the same bytes for any ids, days and values."""
+        id_text = st.text(st.characters(blacklist_characters=",\n\r",
+                                        blacklist_categories=("Cs",)), min_size=1, max_size=6)
+        ids = data.draw(st.lists(id_text, min_size=1, max_size=4, unique=True))
+        keys = data.draw(st.lists(st.tuples(st.integers(0, len(ids) - 1), st.integers(0, 400)),
+                                  min_size=1, max_size=30, unique=True))
+        n, k = len(keys), data.draw(st.integers(0, 3))
+        sales = data.draw(st.lists(st.floats(0.0, 1e15), min_size=n, max_size=n))
+        features = data.draw(st.lists(st.floats(-1e300, 1e300), min_size=n * k,
+                                      max_size=n * k))
+        panel = sc.SalesPanel(ids, [c for c, _ in keys], [D0.toordinal() + d for _, d in keys],
+                              sales, np.array(features).reshape(n, k),
+                              [f"f{j}" for j in range(k)])
+        folder = tmp_path_factory.mktemp("round_trip")
+        first, again = folder / "first.csv", folder / "again.csv"
+        sc.write_panel(panel, first)
+        sc.write_panel(sc.read_panel(first), again)
+        assert again.read_bytes() == first.read_bytes()
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "panel.csv"
