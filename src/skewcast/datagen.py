@@ -39,6 +39,10 @@ FEATURE_NAMES = ["log_price", "weekly_index", "spike_mult", "log_popularity"]
 # counter tag separating item-level draws from the per-day cells
 _ITEM_STREAM = 1 << 32
 
+# the most item-day cells a panel may have: 68 times the default 200 x 730
+# panel, about 0.4 GB of arrays
+_MAX_CELLS = 10**7
+
 # the generator config's JSON fields that are not stored as parsed
 _FROM_JSON = {
     "base_rate_lognormal": tuple,
@@ -68,6 +72,9 @@ class GenConfig:
         check_numbers(self, integers={"n_items": 1, "n_days": 1, "seed": None},
                       reals=("gamma_shape", "gamma_scale", "price_elasticity",
                              "price_walk_sigma"))
+        if int(self.n_items) * int(self.n_days) > _MAX_CELLS:  # numpy integers may wrap
+            raise ConfigError(f"n_items * n_days must be at most {_MAX_CELLS:,} cells, "
+                              f"got {self.n_items} * {self.n_days}")
         if self.gamma_shape <= 0 or self.gamma_scale <= 0:
             raise ConfigError("gamma shape and scale must be positive")
         if self.price_elasticity > 0:

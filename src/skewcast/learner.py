@@ -18,6 +18,13 @@ entry of the normal matrix is a left-to-right sum over rows of
 (``@``, ``np.dot``, ``tensordot``) or ``optimize=True`` would sum in
 another order, and the bits of the fit would then depend on the row
 count and the library.
+
+A linear fit builds that normal matrix again only when the round's
+hessian differs from the previous round's in any bit; a squared error
+fit with fixed weights (every round's hessian ``2 w``) builds it once.
+The carried matrix lives in one call of ``fit_arrays``: nothing outlives
+the fit or passes between fits, so a fit's bits never depend on what
+ran before it.
 """
 
 from __future__ import annotations
@@ -168,7 +175,7 @@ class FitModel:
                 loss=LossSpec.from_json(obj["loss"]),
                 weight_scheme=WeightScheme.from_json(obj["weight_scheme"]),
                 learner=LearnerConfig.from_json(obj["learner"]),
-                feature_names=list(obj["feature_names"]),
+                feature_names=_names(obj["feature_names"]),
                 base_score=real(obj["base_score"], "base_score"),
                 trees=[Tree.from_json(t) for t in obj["trees"]],
                 betas=[np.asarray(json_numbers(b, "betas")) for b in obj["betas"]],
@@ -201,6 +208,13 @@ def _check_matrix(X, n_features: int) -> np.ndarray:
     if not np.isfinite(X).all():
         raise DataError("feature matrix has non-finite values")
     return X
+
+
+def _names(value) -> list[str]:
+    """A model JSON's ``feature_names``: a list of strings, or a ``ConfigError``."""
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise ConfigError(f"feature_names must be a list of strings, got {value!r}")
+    return list(value)
 
 
 def _augment(X: np.ndarray) -> np.ndarray:
@@ -281,12 +295,14 @@ def fit_arrays(
     Xa = _augment(X) if config.base == "linear" else None
     # a tree fit sorts the features once; each row's step is the leaf it grew into
     presorted = presort(X) if config.base == "tree" else None
+    normal = None  # the last linear round's (hessian, normal matrix)
     for _ in range(config.rounds):
         gh = grad_hess(loss, z, scores, terms)
         g = w * gh.grad
         h = w * gh.hess
         if config.base == "linear":
-            beta = _linear_step(Xa, g, h, config.l2_reg)
+            normal = _carried_normal(normal, Xa, h, config.l2_reg)
+            beta = _solve_step(normal[1], Xa, g)
             model.betas.append(beta)
             step = np.einsum("ij,j->i", Xa, beta)
         else:
@@ -321,18 +337,48 @@ def fit_targets(transform: TargetTransform, loss: LossSpec, y: np.ndarray) -> np
 
 
 def _linear_step(Xa: np.ndarray, g: np.ndarray, h: np.ndarray, l2_reg: float) -> np.ndarray:
-    """Newton step for a global linear score adjustment.
+    """Newton step for a global linear score adjustment: the solve of
+    ``_normal_matrix(Xa, h, l2_reg) beta = -Xa' g``.
 
-    Solves (Xa' diag(h) Xa + l2 I) beta = -Xa' g, with ``Xa`` row-major
-    ``(n, k)``.  Entry (j, k) of the normal matrix is the left-to-right
+    A fit takes the same two parts, but carries the normal matrix from
+    round to round while the hessian keeps its bits (``_carried_normal``),
+    and no further: nothing outlives the fit.
+    """
+    return _solve_step(_normal_matrix(Xa, h, l2_reg), Xa, g)
+
+
+def _normal_matrix(Xa: np.ndarray, h: np.ndarray, l2_reg: float) -> np.ndarray:
+    """The linear step's normal matrix ``Xa' diag(h) Xa + l2 I``.
+
+    ``Xa`` is row-major ``(n, k)``.  Entry (j, k) is the left-to-right
     sum over rows i of ``(x_ij * h_i) * x_ik``: the hessian scales the
     rows first, and the two-operand einsum then sums in the same order
     as the three-operand ``einsum("ij,i,ik->jk", Xa, h, Xa)``, bit for
     bit at every row count.  A ``(k, n)`` layout, BLAS or
-    ``optimize=True`` would not keep that order.
+    ``optimize=True`` would not keep that order.  A fit builds it again
+    in each round whose hessian differs in any bit from the previous
+    round's, and in no other.
     """
-    k = Xa.shape[1]
-    A = np.einsum("ij,ik->jk", Xa * h[:, None], Xa) + l2_reg * np.eye(k)
+    return np.einsum("ij,ik->jk", Xa * h[:, None], Xa) + l2_reg * np.eye(Xa.shape[1])
+
+
+def _carried_normal(last, Xa: np.ndarray, h: np.ndarray, l2_reg: float):
+    """The pair ``(h, normal matrix)`` for this round of one fit.
+
+    ``last`` is the previous round's pair, or None in the first round.
+    It is returned as it is when ``h`` has its hessian's bits, since the
+    matrix would be built again bit for bit; otherwise the matrix is
+    built for ``h``.  Each round's ``h`` is a new array that nothing
+    writes to afterwards, so holding it is safe.  The pair is a local of
+    one ``fit_arrays`` call, so no other fit or thread sees it.
+    """
+    if last is not None and np.array_equal(h.view(np.uint64), last[0].view(np.uint64)):
+        return last
+    return h, _normal_matrix(Xa, h, l2_reg)
+
+
+def _solve_step(A: np.ndarray, Xa: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Solve ``A beta = -Xa' g`` for one round's linear step."""
     b = -np.einsum("ij,i->j", Xa, g)
     try:
         return np.linalg.solve(A, b)

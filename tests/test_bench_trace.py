@@ -56,6 +56,8 @@ def test_roster_linear_fits_each_model_once(tmp_path):
     assert len(set(keys)) == len(keys)
     # 9 model groups share each origin's two windows, sliced once
     assert _count(trace, "panel.slice_days") == 8
-    # every fit still reaches the loss layer by its traced names
-    assert _count(trace, "losses.grad_hess") >= 1
+    # every fit still reaches the loss layer by its traced names: one gradient
+    # per round of the 36 fits of 20 rounds (720), plus the Newton steps of
+    # the 4 pseudo-Huber (E2) fits' constant starting scores (34)
+    assert _count(trace, "losses.grad_hess") == 754
     assert _count(trace, "losses.total_loss") >= 1

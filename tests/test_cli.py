@@ -89,9 +89,10 @@ class TestGen:
         ({"weekly_seasonality": 5}, "weekly_seasonality"),
         ({"spike_days": [[math.inf, 3.0]]}, "spike_days"),
         ({"spike_days": [[3, 10**400]]}, "spike_days"),
+        ({"n_items": 2**70, "n_days": 10}, "n_items * n_days"),
     ], ids=["float-items", "text-seed", "one-number", "negative-sigma", "nan-sigma",
             "negative-weekday", "text-weekday", "nan-spike", "scalar-lognormal",
-            "scalar-weekly", "infinite-spike-day", "huge-spike"])
+            "scalar-weekly", "infinite-spike-day", "huge-spike", "huge-panel"])
     def test_mistyped_config_is_config_error(self, workdir, edit, field):
         path = workdir / "typed_gen.json"
         path.write_text(json.dumps({**GEN_CFG, **edit}), encoding="utf-8")

@@ -196,6 +196,21 @@ class TestGenConfig:
         assert (cfg.gamma_shape, cfg.price_elasticity, cfg.price_walk_sigma) == (2, -1, 0)
         assert sc.GenConfig(n_items=np.int64(3), n_days=np.int32(10)).n_items == 3
 
+    @pytest.mark.parametrize("n_items,n_days", [
+        (2**70, 10), (10, 2**70), (10**4, 1001), (1, 10**7 + 1), (5000, 5000),
+        (np.int64(2**40), np.int64(2**40)),
+    ], ids=["huge-items", "huge-days", "just-over", "one-long-item", "square", "int64-wraps"])
+    def test_panel_size_is_bounded(self, n_items, n_days):
+        """The bound fires before any array is allocated, naming both fields."""
+        with pytest.raises(ConfigError, match=r"n_items \* n_days"):
+            sc.GenConfig(n_items=n_items, n_days=n_days)
+        with pytest.raises(ConfigError, match=r"n_items \* n_days"):
+            sc.GenConfig.from_json({"n_items": int(n_items), "n_days": int(n_days)})
+
+    def test_default_and_acceptance_sizes_are_within_the_bound(self):
+        assert (sc.GenConfig().n_items, sc.GenConfig().n_days) == (200, 730)
+        assert sc.GenConfig.from_json({"n_items": 200, "n_days": 730}) == sc.GenConfig()
+
     @pytest.mark.parametrize("obj", [
         [1, 2], {"start_day": 5}, {"start_day": "not a date"}, {"spike_days": [[1]]},
         {"spike_days": [["a", 2.0]]}, {"weekly_seasonality": 7},

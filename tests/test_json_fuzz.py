@@ -147,3 +147,14 @@ def test_rejected_number_names_its_field(load, doc, path, value, field):
     load(copy.deepcopy(doc))  # the document itself is valid
     with pytest.raises(ConfigError, match=field):
         load(_with(doc, path, value))
+
+
+@pytest.mark.parametrize("path", [("feature_names",), ("feature_names", 1)], ids=["list", "name"])
+@pytest.mark.parametrize("doc", [TREE_MODEL, LINEAR_MODEL], ids=["tree", "linear"])
+def test_feature_names_must_be_a_list_of_strings(doc, path):
+    for value in HOSTILE + ["f0f1"]:
+        # these leave a list of strings (an empty one fails on the trees or betas)
+        if (value == [] if path == ("feature_names",) else isinstance(value, str)):
+            continue
+        with pytest.raises(ConfigError, match="feature_names"):
+            sc.FitModel.from_json(_with(doc, path, value))

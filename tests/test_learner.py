@@ -34,6 +34,7 @@ from skewcast.transform import forward
 IDENTITY = sc.TargetTransform(kind="identity")
 LOG = sc.TargetTransform(kind="log")
 UNIT = sc.WeightScheme(kind="unit")
+SQRT = sc.WeightScheme(kind="sqrt_sales")
 
 
 def _quick_config(**kw):
@@ -263,17 +264,50 @@ class TestLinearBase:
         assert len(model.betas) == 15
 
 
+def _reference_normal_matrix(Xa, h, l2_reg):
+    """The three-operand normal matrix, whose summation order the real
+    step must reproduce bit for bit."""
+    return np.einsum("ij,i,ik->jk", Xa, h, Xa) + l2_reg * np.eye(Xa.shape[1])
+
+
 def _reference_linear_step(Xa, g, h, l2_reg):
-    """The linear step with the three-operand normal matrix, whose summation
-    order the real step must reproduce bit for bit."""
-    A = np.einsum("ij,i,ik->jk", Xa, h, Xa) + l2_reg * np.eye(Xa.shape[1])
-    b = -np.einsum("ij,i->j", Xa, g)
-    return np.linalg.solve(A, b)
+    """The linear step with the three-operand normal matrix."""
+    return np.linalg.solve(_reference_normal_matrix(Xa, h, l2_reg), -np.einsum("ij,i->j", Xa, g))
+
+
+def _rebuilt_normal(last, Xa, h, l2_reg):
+    """The reference for a fit's carried normal matrix: the three-operand
+    matrix, built again in every round whatever the hessian."""
+    return h, _reference_normal_matrix(Xa, h, l2_reg)
+
+
+@pytest.fixture(scope="module")
+def windows(small_panel):
+    # two different target vectors of one length, so a term carried from
+    # one fit into the next changes bits instead of failing on shape
+    first, _ = small_panel.date_range
+    day = dt.timedelta(days=1)
+    return (small_panel.slice_days(first, first + 119 * day),
+            small_panel.slice_days(first + 120 * day, first + 239 * day))
+
+
+def _count_normal_matrices(monkeypatch):
+    """A list that grows by one each time a fit builds a normal matrix."""
+    built = []
+    real_build = learner._normal_matrix
+
+    def counted(Xa, h, l2_reg):
+        built.append(len(h))
+        return real_build(Xa, h, l2_reg)
+
+    monkeypatch.setattr(learner, "_normal_matrix", counted)
+    return built
 
 
 class TestLinearStepBits:
     """The linear step's two-operand normal matrix sums in the same order as
-    the three-operand reference, so the betas agree bit for bit."""
+    the three-operand reference, so the betas agree bit for bit; a fit
+    builds that matrix again only when the hessian's bits change."""
 
     @settings(max_examples=80)
     @given(data=st.data())
@@ -310,19 +344,59 @@ class TestLinearStepBits:
 
     # a full step and the default shrinkage
     @pytest.mark.parametrize("learning_rate", [1.0, 0.1])
-    @pytest.mark.parametrize("transform,loss", [
-        (LOG, sc.LossSpec.mse()),
-        (IDENTITY, sc.LossSpec.tweedie(1.5)),
-    ], ids=["mse", "tweedie"])
+    # "mse" is E5 (log target, sqrt weights) and "tweedie" Tweedie 1.5 with
+    # sqrt weights; E1, E4 and E5 keep one hessian, E2 and Tweedie do not
+    @pytest.mark.parametrize("transform,loss,weights", [
+        (LOG, sc.LossSpec.mse(), SQRT),
+        (IDENTITY, sc.LossSpec.tweedie(1.5), SQRT),
+        (IDENTITY, sc.LossSpec.mse(), UNIT),
+        (IDENTITY, sc.LossSpec.pseudo_huber(1.0), UNIT),
+        (LOG, sc.LossSpec.mse(), UNIT),
+    ], ids=["mse", "tweedie", "E1", "E2", "E4"])
     def test_fit_matches_a_fit_with_the_reference_step(self, year_panel, monkeypatch,
-                                                        learning_rate, transform, loss):
+                                                        learning_rate, transform, loss,
+                                                        weights):
         panel = year_panel
         assert len(panel.sales) > 8192
         cfg = sc.LearnerConfig(base="linear", rounds=8, learning_rate=learning_rate)
-        args = (panel, transform, loss, sc.WeightScheme(kind="sqrt_sales"), cfg)
+        args = (panel, transform, loss, weights, cfg)
         model = sc.fit(*args)
-        monkeypatch.setattr(learner, "_linear_step", _reference_linear_step)
+        monkeypatch.setattr(learner, "_carried_normal", _rebuilt_normal)
         assert json.dumps(model.to_json()) == json.dumps(sc.fit(*args).to_json())
+
+    @pytest.mark.parametrize("arm_id,builds", [
+        ("E1", 1), ("E4", 1), ("E5", 1), ("E2", 6), ("E3.5", 6),
+    ])
+    def test_a_fit_builds_its_normal_matrix_once_per_distinct_hessian(
+            self, small_panel, monkeypatch, arm_id, builds):
+        built = _count_normal_matrices(monkeypatch)
+        arm = sc.arm_by_id(arm_id)
+        model = sc.fit(small_panel, arm.transform, arm.loss, arm.weight_scheme,
+                       sc.LearnerConfig(base="linear", rounds=6))
+        assert len(model.betas) == 6
+        assert len(built) == builds
+
+    def test_consecutive_fits_carry_nothing(self, windows, monkeypatch):
+        # E1's hessian is 2 on every row of both windows: the same bits, so
+        # a matrix kept past its fit would be taken for the second window
+        assert len(windows[0].sales) == len(windows[1].sales)
+        arm = sc.arm_by_id("E1")
+        cfg = sc.LearnerConfig(base="linear", rounds=4)
+        built = _count_normal_matrices(monkeypatch)
+        models = [json.dumps(sc.fit(w, arm.transform, arm.loss, arm.weight_scheme, cfg)
+                             .to_json()) for w in windows]
+        assert len(built) == 2
+        monkeypatch.setattr(learner, "_carried_normal", _rebuilt_normal)
+        ref = sc.fit(windows[1], arm.transform, arm.loss, arm.weight_scheme, cfg)
+        assert models[1] == json.dumps(ref.to_json())
+        assert models[0] != models[1]
+
+    def test_a_singular_first_round_is_degenerate(self, rng):
+        # a feature that is zero on every row leaves a zero row and column
+        X = np.column_stack([rng.normal(size=50), np.zeros(50)])
+        cfg = sc.LearnerConfig(base="linear", rounds=3, l2_reg=0.0)
+        with pytest.raises(DegenerateData, match="singular normal equations"):
+            sc.fit_arrays(X, rng.lognormal(size=50), IDENTITY, sc.LossSpec.mse(), UNIT, cfg)
 
 
 def _reference_grad_hess(spec, y, score, terms=None):
@@ -383,15 +457,6 @@ class TestLossKernelBits:
     models of the reference round loop: the same loop with ``grad_hess`` and
     ``total_loss`` replaced by per-call formulas that recompute the mean and
     every power from their own inputs."""
-
-    @pytest.fixture(scope="class")
-    def windows(self, small_panel):
-        # two different target vectors of one length, so a term carried from
-        # one fit into the next changes bits instead of failing on shape
-        first, _ = small_panel.date_range
-        day = dt.timedelta(days=1)
-        return (small_panel.slice_days(first, first + 119 * day),
-                small_panel.slice_days(first + 120 * day, first + 239 * day))
 
     # a full step and the default shrinkage
     @pytest.mark.parametrize("learning_rate", [1.0, 0.1])
@@ -477,6 +542,13 @@ class TestSerialization:
         obj = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT, _quick_config(rounds=1)).to_json()
         obj["bias_corector"] = {"kind": "smearing", "factor": 2.0}
         with pytest.raises(ConfigError, match="model JSON has unknown field 'bias_corector'"):
+            FitModel.from_json(obj)
+
+    @pytest.mark.parametrize("names", ["abcd", [1.5, None, 2, 3]], ids=["text", "numbers"])
+    def test_feature_names_must_be_a_list_of_strings(self, small_panel, names):
+        obj = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT, _quick_config(rounds=1)).to_json()
+        obj["feature_names"] = names
+        with pytest.raises(ConfigError, match="feature_names"):
             FitModel.from_json(obj)
 
     def test_load_errors(self, tmp_path):
