@@ -34,7 +34,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -61,6 +61,7 @@ from .metrics import (
     VersionMetrics,
     aggregate_versions,
     relativize,
+    row_order,
     version_metrics,
     write_metrics_csv,
 )
@@ -248,15 +249,14 @@ def _windows(
 
     The training window is the trailing ``train_window_days`` strictly
     before the origin (the no-leakage contract is checked here); the test
-    window runs to the longest horizon.  An error names its origin.
+    window is the longest horizon's.  An error names its origin.
     """
-    max_h = max(plan.horizons)
     windows = []
     for origin in origins:
         with _naming(f"origin {origin}"):
             train = _train_slice(panel, origin, plan.train_window_days)
-            test = panel.slice_days(origin + dt.timedelta(days=1),
-                                    origin + dt.timedelta(days=7 * max_h))
+            longest = ForecastVersion(origin, max(plan.horizons))
+            test = panel.slice_days(longest.window_start, longest.window_end)
         windows.append((origin, train, test))
     return windows
 
@@ -403,8 +403,7 @@ class BacktestReport:
             arms_obj[arm_id] = {
                 "aggregates": {str(h): _agg_json(m) for h, m in per_h.items()},
                 "relative": {
-                    str(h): _rel_json(m)
-                    for h, m in self.relatives.get(arm_id, {}).items()
+                    str(h): asdict(m) for h, m in self.relatives.get(arm_id, {}).items()
                 },
             }
         return {
@@ -416,21 +415,10 @@ class BacktestReport:
 
 
 def _agg_json(m: AggregateMetrics) -> dict:
-    return {
-        "wmape": m.wmape,
-        "wbias": m.wbias,
-        "total_actual": m.total_actual,
-        "n_versions": m.n_versions,
-        "skipped_items": m.skipped_items,
-    }
-
-
-def _rel_json(m: RelativeMetrics) -> dict:
-    return {
-        "wmape_rel": m.wmape_rel,
-        "wbias_rel": m.wbias_rel,
-        "baseline_id": m.baseline_id,
-    }
+    """An aggregate's fields but its horizon, which keys it in the report."""
+    obj = asdict(m)
+    del obj["horizon_weeks"]
+    return obj
 
 
 def _run_grid(
@@ -453,7 +441,7 @@ def _run_grid(
         futures = [pool.submit(_score_versions, group, plan, *window)
                    for group in groups for window in windows]
         rows = [row for fut in futures for row in fut.result()]
-    rows.sort(key=lambda r: (r[0], r[1].version.label, r[1].horizon_weeks))
+    rows.sort(key=row_order)
     aggregates = {
         arm.id: aggregate_versions([vm for aid, vm in rows if aid == arm.id])
         for arm in arms
@@ -557,7 +545,7 @@ def _trend(
     for h in sorted(plan.horizons):
         series = [aggregates[arm.id][h] for arm in arms]
         for value, agg in zip(axis_values, series):
-            table.append({axis_name: value, "horizon_weeks": h, **_agg_json(agg)})
+            table.append({axis_name: value, **asdict(agg)})
         wbias_series = [agg.wbias for agg in series]
         inversions = _count_inversions(wbias_series, direction)
         verdicts[h] = {
@@ -623,17 +611,8 @@ def run_power_sweep(plan: BacktestPlan, panel: SalesPanel | None = None) -> Tren
 def write_trend_outputs(report: TrendReport, out_dir, csv_name: str) -> None:
     """Emit <csv_name> (trend table), metrics.csv (per-version), report.json."""
     write_backtest_outputs(report, out_dir)
-    header = [report.axis_name, "horizon_weeks", "wmape", "wbias",
-              "total_actual", "n_versions", "skipped_items"]
-    lines = [",".join(header)]
+    lines = [",".join(report.table[0])]  # the axis, the horizon, then the aggregate's fields
     for row in report.table:
-        lines.append(",".join([
-            str(row[report.axis_name]),
-            str(row["horizon_weeks"]),
-            _fmt(row["wmape"]),
-            _fmt(row["wbias"]),
-            _fmt(row["total_actual"]),
-            str(row["n_versions"]),
-            str(row["skipped_items"]),
-        ]))
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
+                              for v in row.values()))
     write_text(os.path.join(out_dir, csv_name), "\n".join(lines) + "\n")

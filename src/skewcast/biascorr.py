@@ -149,7 +149,8 @@ def fit_prediction_binned(y_raw, pred_transformed, transform: TargetTransform) -
         fallback = 1.0
 
     n_bins = max(1, int(np.floor(np.max(pred_transformed) / BIN_WIDTH)) + 1)
-    idx = np.clip(np.floor(pred_transformed / BIN_WIDTH), 0, n_bins - 1).astype(np.int64)
+    idx = BiasCorrector("prediction_binned", bin_factors=(1.0,) * n_bins).bin_index(
+        pred_transformed)
     factors = []
     for b in range(n_bins):
         mask = idx == b

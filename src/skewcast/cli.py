@@ -124,29 +124,34 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.arange(start, stop + 0.5 * step, step)
 
 
+# kind -> (constructor, name of its one parameter or None)
+_LOSS_PARSERS = {
+    "mse": (LossSpec.mse, None),
+    "poisson": (LossSpec.poisson, None),
+    "gamma": (LossSpec.gamma, None),
+    "tweedie": (LossSpec.tweedie, "power"),
+    "pseudo_huber": (LossSpec.pseudo_huber, "delta"),
+}
+
+
 def _parse_losses(text: str) -> list[LossSpec]:
     specs = []
     for token in text.split(","):
-        name, _, param = token.strip().partition(":")
-        if name == "mse":
-            specs.append(LossSpec.mse())
-        elif name == "poisson":
-            specs.append(LossSpec.poisson())
-        elif name == "gamma":
-            specs.append(LossSpec.gamma())
-        elif name == "tweedie":
-            if not param:
-                raise ConfigError("--losses: tweedie needs a power, e.g. tweedie:1.5")
-            specs.append(LossSpec.tweedie(_number(param, "--losses tweedie power")))
-        elif name == "pseudo_huber":
-            delta = _number(param, "--losses pseudo_huber delta") if param else 1.0
-            specs.append(LossSpec.pseudo_huber(delta))
-        else:
+        name, colon, param = token.strip().partition(":")
+        if name not in _LOSS_PARSERS:
             raise ConfigError(f"--losses: unknown loss {name!r}")
+        make, param_name = _LOSS_PARSERS[name]
+        if param_name is None and colon:
+            raise ConfigError(f"--losses: {name} takes no parameter, got {token.strip()!r}")
+        args = (_number(param, f"--losses {name} {param_name}"),) if param else ()
+        try:
+            specs.append(make(*args))
+        except TypeError:  # no value for a parameter without a default
+            raise ConfigError(f"--losses: {name} needs a {param_name}, e.g. {name}:1.5") from None
     return specs
 
 
-_DEFAULT_CONVEXITY = "mse,tweedie:1.1,tweedie:1.3,tweedie:1.5,tweedie:1.7,tweedie:1.9"
+_DEFAULT_CONVEXITY = ",".join(["mse", *(f"tweedie:{p}" for p in bt.SWEEP_POWERS)])
 
 
 def _cmd_convexity(args) -> int:

@@ -294,7 +294,8 @@ def fit_arrays(
     )
     Xa = _augment(X) if config.base == "linear" else None
     # a tree fit sorts the features once; each row's step is the leaf it grew into
-    presorted = presort(X) if config.base == "tree" else None
+    presorted = (presort(X, config.max_depth, config.min_child_weight, config.l2_reg)
+                 if config.base == "tree" else None)
     normal = None  # the last linear round's (hessian, normal matrix)
     for _ in range(config.rounds):
         gh = grad_hess(loss, z, scores, terms)
@@ -307,10 +308,7 @@ def fit_arrays(
             step = np.einsum("ij,j->i", Xa, beta)
         else:
             step = np.empty(len(y))
-            model.trees.append(grow_tree(
-                X, g, h, config.max_depth, config.min_child_weight, config.l2_reg,
-                presorted=presorted, out=step,
-            ))
+            model.trees.append(grow_tree(X, g, h, presorted, out=step))
         scores += config.learning_rate * step
         terms = objective.at(scores)
         curve.append(total_loss(loss, w, z, terms.mu, terms) / w_total)
@@ -334,17 +332,6 @@ def fit_targets(transform: TargetTransform, loss: LossSpec, y: np.ndarray) -> np
         raise DegenerateData("all target values are identical; nothing to fit")
     check_targets(loss, z)
     return z
-
-
-def _linear_step(Xa: np.ndarray, g: np.ndarray, h: np.ndarray, l2_reg: float) -> np.ndarray:
-    """Newton step for a global linear score adjustment: the solve of
-    ``_normal_matrix(Xa, h, l2_reg) beta = -Xa' g``.
-
-    A fit takes the same two parts, but carries the normal matrix from
-    round to round while the hessian keeps its bits (``_carried_normal``),
-    and no further: nothing outlives the fit.
-    """
-    return _solve_step(_normal_matrix(Xa, h, l2_reg), Xa, g)
 
 
 def _normal_matrix(Xa: np.ndarray, h: np.ndarray, l2_reg: float) -> np.ndarray:
@@ -378,7 +365,8 @@ def _carried_normal(last, Xa: np.ndarray, h: np.ndarray, l2_reg: float):
 
 
 def _solve_step(A: np.ndarray, Xa: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Solve ``A beta = -Xa' g`` for one round's linear step."""
+    """One round's linear Newton step, a global score adjustment: the
+    solve of ``A beta = -Xa' g``."""
     b = -np.einsum("ij,i->j", Xa, g)
     try:
         return np.linalg.solve(A, b)

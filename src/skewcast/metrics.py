@@ -145,9 +145,15 @@ def relativize(target: AggregateMetrics, baseline: AggregateMetrics,
     )
 
 
+def row_order(row: tuple[str, VersionMetrics]) -> tuple[str, str, int]:
+    """Sort key of a (config id, version metrics) row: config, version, horizon."""
+    config_id, vm = row
+    return config_id, vm.version.label, vm.horizon_weeks
+
+
 def write_metrics_csv(rows: list[tuple[str, VersionMetrics]], path) -> None:
-    """Write per-version metric rows sorted by (config, version, horizon)."""
-    ordered = sorted(rows, key=lambda r: (r[0], r[1].version.label, r[1].horizon_weeks))
+    """Write per-version metric rows in ``row_order``."""
+    ordered = sorted(rows, key=row_order)
     lines = [METRICS_CSV_HEADER]
     for config_id, vm in ordered:
         lines.append(",".join([

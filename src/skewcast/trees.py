@@ -53,14 +53,15 @@ A node's hessian sum and its candidates' hessian prefix sums (after
 ``min_child_weight``, plus ``l2_reg``) also depend on the hessian, so
 they are reused only when this call's hessian equals the previous
 call's bit for bit, as it does in every round of a squared error fit
-with fixed weights; a unit hessian and a general one never mix.
-Everything carried is dropped when ``max_depth``, ``min_child_weight``
-or ``l2_reg`` differs from the previous call.  So a tree is the same
-bits whatever was grown before it.  Only the previous tree's nodes are
-kept: a split that changes drops the old children, and a node that
-becomes a leaf drops its children, so a presort holds at most the
-previous tree's and the current tree's partitions.  It belongs to one
-fit and must not be shared between threads.
+with fixed weights; a unit hessian and a general one never mix.  The
+tree settings (``max_depth``, ``min_child_weight``, ``l2_reg``) live on
+the presort, so every tree grown on it uses the same ones and what it
+carries is always valid for them.  So a tree is the same bits whatever
+was grown before it.  Only the previous tree's nodes are kept: a split
+that changes drops the old children, and a node that becomes a leaf
+drops its children, so a presort holds at most the previous tree's and
+the current tree's partitions.  It belongs to one fit and must not be
+shared between threads.
 
 Determinism: features are scanned in index order, sorts are stable, and
 ties in gain resolve to the lowest feature index and then the lowest
@@ -70,7 +71,6 @@ threshold, so the same inputs always grow the same tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -196,74 +196,64 @@ class _Node:
     split: tuple | None = None
 
 
-class _Carried(NamedTuple):
-    """What one ``grow_tree`` call leaves for the next on the same presort:
-    its root, valid only under the same ``settings`` (max_depth,
-    min_child_weight, l2_reg), with each node's hessian sums under ``hess``."""
-
-    settings: tuple
-    hess: np.ndarray
-    root: _Node
-
-
 @dataclass(eq=False)
 class Presorted:
-    """A fit's feature columns sorted once, both ``(n_features, n)``:
-    ``order[f]`` lists the rows in ascending (value, row) order of feature
-    ``f`` and ``values[f]`` their values.  ``carried`` is the previous
-    tree's partitions, which ``grow_tree`` reads and replaces (see the
-    module docstring)."""
+    """A fit's feature columns sorted once, both ``(n_features, n)``
+    (``order[f]`` lists the rows in ascending (value, row) order of
+    feature ``f``, ``values[f]`` their values), and the settings of every
+    tree grown on them.  ``root`` is the previous tree's partitions, with
+    hessian sums under ``hess``; ``grow_tree`` reads and replaces both."""
 
     order: np.ndarray
     values: np.ndarray
-    carried: _Carried | None = field(default=None, repr=False)
+    max_depth: int
+    min_child_weight: float
+    l2_reg: float
+    root: _Node | None = field(default=None, repr=False)
+    hess: np.ndarray | None = field(default=None, repr=False)
 
 
-def presort(X: np.ndarray) -> Presorted:
-    """Sort every column of ``X`` once, for all the trees grown on its rows."""
+def presort(X: np.ndarray, max_depth: int, min_child_weight: float,
+            l2_reg: float) -> Presorted:
+    """Sort every column of ``X`` once, for all the trees a fit grows on
+    its rows with these settings."""
     XT = np.asarray(X, dtype=np.float64).T
     order = np.argsort(XT, axis=1, kind="stable")
-    return Presorted(order, np.take_along_axis(XT, order, axis=1))
+    return Presorted(order, np.take_along_axis(XT, order, axis=1),
+                     max_depth, min_child_weight, l2_reg)
 
 
 def grow_tree(
     X: np.ndarray,
     grad: np.ndarray,
     hess: np.ndarray,
-    max_depth: int,
-    min_child_weight: float,
-    l2_reg: float,
-    presorted: Presorted | None = None,
+    presorted: Presorted,
     out: np.ndarray | None = None,
 ) -> Tree:
-    """Grow one tree to ``max_depth`` by exact greedy splitting.
+    """Grow one tree to ``presorted.max_depth`` by exact greedy splitting.
 
-    ``X`` is read only through ``presorted``, which is ``presort(X)``
-    when the caller already has it.  If ``out`` is given, each row's leaf
+    ``X`` is read only through ``presorted``, which is ``presort(X, ...)``
+    and holds the tree settings.  If ``out`` is given, each row's leaf
     value is written to it: what ``predict(X)`` would return.
 
     ``presorted`` carries each tree's partitions to the next call on it
     (see the module docstring): a split the previous tree made takes its
-    children from there, and a node its candidates.  They are used only
-    if ``max_depth``, ``min_child_weight`` and ``l2_reg`` are the
-    previous call's, and the hessian sums only if ``hess`` is also the
-    previous call's bit for bit, so the tree does not depend on what was
-    grown before it.  The presort holds at most the previous tree's and
-    this tree's partitions; calls that share one must not run at the
-    same time.
+    children from there, and a node its candidates.  The hessian sums are
+    used only if ``hess`` is the previous call's bit for bit, so the tree
+    does not depend on what was grown before it.  The presort holds at
+    most the previous tree's and this tree's partitions; calls that share
+    one must not run at the same time.
     """
     grad = np.asarray(grad, dtype=np.float64)
     hess = np.asarray(hess, dtype=np.float64)
-    if presorted is None:
-        presorted = presort(X)
-    carried, presorted.carried = presorted.carried, None  # a failed call leaves none
-    settings = (max_depth, float(min_child_weight).hex(), float(l2_reg).hex())  # -0.0 is not 0.0
-    if carried is not None and carried.settings == settings:
-        root_node = carried.root
-        same_hess = np.array_equal(hess.view(np.uint64), carried.hess.view(np.uint64))
-    else:
+    max_depth, min_child_weight, l2_reg = (
+        presorted.max_depth, presorted.min_child_weight, presorted.l2_reg)
+    root_node, presorted.root = presorted.root, None  # a failed call leaves none
+    if root_node is None:
         root_node = _Node(np.arange(len(grad)), presorted.order, presorted.values)
         same_hess = False
+    else:
+        same_hess = np.array_equal(hess.view(np.uint64), presorted.hess.view(np.uint64))
     unit = _unit_hessian(hess)
     went_left = np.empty(len(grad), dtype=bool)  # per row: side of its node's split
 
@@ -330,7 +320,7 @@ def grow_tree(
         stack.append((right_id, node.split[3], depth + 1))
         stack.append((left_id, node.split[2], depth + 1))
 
-    presorted.carried = _Carried(settings, hess.copy(), root_node)
+    presorted.root, presorted.hess = root_node, hess.copy()
     return Tree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),

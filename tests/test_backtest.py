@@ -558,6 +558,19 @@ class TestTrendRuns:
         assert obj["order"][0] == "unit"
         assert (tmp_path / "metrics.csv").exists()
 
+    def test_trend_csv_header_is_the_axis_the_horizon_and_the_aggregate_keys(
+            self, control_ladder, tmp_path, monkeypatch):
+        monkeypatch.setattr(backtest, "SWEEP_POWERS", (1.3, 1.7))
+        plan = sc.BacktestPlan(train_window_days=100, n_versions=2,
+                               horizons=(6,), learner=FAST_LEARNER)
+        sweep = sc.run_power_sweep(plan, panel=_symmetric_panel())
+        aggregate_keys = list(backtest._agg_json(sc.AggregateMetrics(6, 0.1, -0.1, 1.0, 1, 0)))
+        for report, name in [(control_ladder, "ladder.csv"), (sweep, "sweep.csv")]:
+            write_trend_outputs(report, tmp_path, name)
+            lines = (tmp_path / name).read_text().strip().split("\n")
+            assert lines[0].split(",") == [report.axis_name, "horizon_weeks", *aggregate_keys]
+            assert [line.split(",")[0] for line in lines[1:]] == report.axis_values
+
     def test_unwritable_trend_outputs_are_io_failures(self, control_ladder, tmp_path):
         (tmp_path / "ladder.csv").mkdir()
         with pytest.raises(IoFailure):

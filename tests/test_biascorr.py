@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 import skewcast as sc
-from skewcast.biascorr import BiasCorrector
+from skewcast.biascorr import MIN_BIN_COUNT, BiasCorrector
 from skewcast.errors import (
     ConfigError,
     EmptyInput,
     InsufficientData,
     LengthMismatch,
 )
-from skewcast.transform import forward
+from skewcast.transform import forward, inverse
 
 LOG = sc.TargetTransform(kind="log")
 
@@ -136,6 +136,23 @@ class TestPredictionBinned:
         expect_fallback = float(np.mean(np.exp(forward(LOG, y) - z)))
         assert corr.factor == pytest.approx(expect_fallback, rel=1e-12)
         assert corr.bin_factors[-1] == pytest.approx(expect_fallback, rel=1e-12)
+
+    def test_bin_index_reproduces_the_fitted_bins(self, rng):
+        """Each factor, fitted again from the rows the corrector's own
+        ``bin_index`` puts in its bin, is the same bits; sparse bins hold
+        the fallback."""
+        y = rng.lognormal(1.5, 1.0, size=3000)
+        z = forward(LOG, y) + rng.normal(0.0, 0.3, size=3000)
+        z[:3] = [-0.5, 9.0, 9.5]  # a clipped low row and a sparse top bin
+        corr = sc.fit_prediction_binned(y, z, LOG)
+        idx = corr.bin_index(z)
+        dense = []
+        for b, factor in enumerate(corr.bin_factors):
+            rows = idx == b
+            dense.append(rows.sum() >= MIN_BIN_COUNT)
+            expect = np.mean(y[rows]) / np.mean(inverse(LOG, z[rows])) if dense[-1] else corr.factor
+            assert factor == expect, b
+        assert corr.n_bins == 5 and dense[0] and not dense[-1]
 
     def test_errors(self):
         with pytest.raises(LengthMismatch):

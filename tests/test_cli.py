@@ -1,4 +1,5 @@
-"""End-to-end command-line runs in subprocesses, including exit codes."""
+"""End-to-end command-line runs in subprocesses, including exit codes,
+and the ``--losses`` parser in-process."""
 
 import json
 import math
@@ -8,6 +9,9 @@ import sys
 import pytest
 
 import skewcast as sc
+from skewcast.backtest import SWEEP_POWERS
+from skewcast.cli import _parse_losses
+from skewcast.losses import _LOSS_KINDS
 
 GEN_CFG = {
     "n_items": 6,
@@ -367,7 +371,9 @@ class TestConvexity:
                        "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         lines = out.read_text(encoding="utf-8").strip().split("\n")
-        assert lines[0].startswith("mu,mse,tweedie(p=1.1)")
+        # the default losses: squared error and the sweep's Tweedie powers
+        assert lines[0].split(",") == ["mu", "mse",
+                                       *(sc.LossSpec.tweedie(p).label() for p in SWEEP_POWERS)]
         assert len(lines) == 1 + 19
 
     def test_bad_grid_is_config_error(self, workdir):
@@ -387,6 +393,10 @@ class TestConvexity:
         (["--losses", "tweedie:abc"], "--losses tweedie power"),
         (["--losses", "pseudo_huber:x"], "--losses pseudo_huber delta"),
         (["--losses", "tweedie:nan"], "--losses tweedie power"),
+        (["--losses", "tweedie"], "--losses: tweedie needs a power"),
+        (["--losses", "mse,mse:3"], "--losses: mse takes no parameter, got 'mse:3'"),
+        (["--losses", "poisson:x"], "--losses: poisson takes no parameter, got 'poisson:x'"),
+        (["--losses", "gamma:1,mse"], "--losses: gamma takes no parameter, got 'gamma:1'"),
         (["--grid", "0:nan:1"], "--grid stop"),
         (["--grid", "inf:1:1"], "--grid start"),
         (["--grid", "0:1:-inf"], "--grid step"),
@@ -394,7 +404,8 @@ class TestConvexity:
         (["--grid", "0:1000000:1"], "--grid"),
         (["--actual", "nan"], "--actual"),
         (["--actual", "inf"], "--actual"),
-    ], ids=["text-power", "text-delta", "nan-power", "nan-stop", "infinite-start",
+    ], ids=["text-power", "text-delta", "nan-power", "no-power", "mse-value", "poisson-value",
+            "gamma-value", "nan-stop", "infinite-start",
             "infinite-step", "tiny-step", "one-point-too-many", "nan-actual", "inf-actual"])
     def test_bad_argument_is_named_config_error(self, tmp_path, argv, named):
         """Each grid here holds more points than the cap, so none is allocated."""
@@ -403,6 +414,19 @@ class TestConvexity:
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"config error: {named}")
         assert not out.exists()
+
+
+class TestLossTokens:
+    """``--losses`` tokens, parsed in-process."""
+
+    def test_every_loss_kind_parses(self):
+        tokens = [f"{kind}:1.5" if kind == "tweedie" else kind for kind in _LOSS_KINDS]
+        assert [spec.kind for spec in _parse_losses(",".join(tokens))] == list(_LOSS_KINDS)
+
+    def test_parameters_and_their_defaults(self):
+        assert _parse_losses("pseudo_huber") == [sc.LossSpec.pseudo_huber()]
+        assert _parse_losses(" pseudo_huber:2 ,tweedie:1.4") == [sc.LossSpec.pseudo_huber(2.0),
+                                                                 sc.LossSpec.tweedie(1.4)]
 
 
 def test_subcommands_in_order():

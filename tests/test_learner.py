@@ -20,7 +20,7 @@ from skewcast.errors import (
     ShapeMismatch,
 )
 from skewcast import learner
-from skewcast.learner import FitModel, _linear_step, write_pairs_csv
+from skewcast.learner import FitModel, _normal_matrix, _solve_step, write_pairs_csv
 from skewcast.losses import (
     HESS_FLOOR,
     GradHess,
@@ -333,9 +333,9 @@ class TestLinearStepBits:
             expected = _reference_linear_step(Xa, g, h, l2_reg)
         except np.linalg.LinAlgError:  # same normal matrix, so both are singular
             with pytest.raises(DegenerateData):
-                _linear_step(Xa, g, h, l2_reg)
+                _solve_step(_normal_matrix(Xa, h, l2_reg), Xa, g)
             return
-        assert np.array_equal(_linear_step(Xa, g, h, l2_reg), expected)
+        assert np.array_equal(_solve_step(_normal_matrix(Xa, h, l2_reg), Xa, g), expected)
 
     @pytest.fixture(scope="class")
     def year_panel(self):

@@ -11,9 +11,14 @@ from hypothesis.extra import numpy as hnp
 import skewcast as sc
 from skewcast import learner
 from skewcast.errors import ConfigError, ShapeMismatch
+from skewcast.losses import HESS_FLOOR, WEIGHT_FLOOR
 from skewcast.trees import Tree, grow_tree, presort
 
 TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
+
+# the smallest hessian a fit passes to ``grow_tree``: the loss's floor times
+# the weight scheme's
+FIT_HESS_FLOOR = HESS_FLOOR * WEIGHT_FLOOR
 
 
 def brute_force_root_split(X, grad, hess, min_child_weight, l2_reg):
@@ -132,6 +137,15 @@ def _reference_best_split(X, grad, hess, rows, g_sum, h_sum, n_features,
     return best
 
 
+def _reference_in_a_fit(X, grad, hess, presorted, out=None):
+    """``grow_tree`` as a fit calls it, growing the reference's tree."""
+    tree = _reference_grow_tree(X, grad, hess, presorted.max_depth,
+                                presorted.min_child_weight, presorted.l2_reg)
+    if out is not None:
+        out[:] = tree.predict(X)
+    return tree
+
+
 def _depth(tree, node=0):
     if tree.feature[node] == -1:
         return 0
@@ -144,7 +158,8 @@ def assert_matches_reference(X, grad, hess, max_depth, min_child_weight, l2_reg)
     expect = _reference_grow_tree(X, grad, hess, max_depth, min_child_weight, l2_reg)
     leaf = np.full(len(X), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
-        tree = grow_tree(X, grad, hess, max_depth, min_child_weight, l2_reg, out=leaf)
+        tree = grow_tree(X, grad, hess, presort(X, max_depth, min_child_weight, l2_reg),
+                         out=leaf)
     for field in TREE_FIELDS:
         assert np.array_equal(getattr(tree, field), getattr(expect, field)), field
     assert np.array_equal(leaf, tree.predict(X))
@@ -157,8 +172,8 @@ class TestSplitSearch:
             X = rng.normal(size=(40, 3))
             grad = rng.normal(size=40)
             hess = rng.uniform(0.5, 2.0, size=40)
-            tree = grow_tree(X, grad, hess, max_depth=1,
-                             min_child_weight=1.0, l2_reg=1.0)
+            tree = grow_tree(X, grad, hess,
+                             presort(X, max_depth=1, min_child_weight=1.0, l2_reg=1.0))
             oracle = brute_force_root_split(X, grad, hess, 1.0, 1.0)
             assert oracle is not None
             gain, feat, thr = oracle
@@ -170,7 +185,7 @@ class TestSplitSearch:
         grad = rng.normal(size=30)
         hess = rng.uniform(0.5, 2.0, size=30)
         l2 = 1.5
-        tree = grow_tree(X, grad, hess, max_depth=1, min_child_weight=1.0, l2_reg=l2)
+        tree = grow_tree(X, grad, hess, presort(X, max_depth=1, min_child_weight=1.0, l2_reg=l2))
         thr, feat = tree.threshold[0], tree.feature[0]
         mask = X[:, feat] <= thr
         expect_left = -grad[mask].sum() / (hess[mask].sum() + l2)
@@ -185,7 +200,7 @@ class TestSplitSearch:
         X = np.arange(10.0).reshape(-1, 1)
         grad = np.full(10, 2.0)
         hess = np.full(10, 1.0)
-        tree = grow_tree(X, grad, hess, max_depth=3, min_child_weight=0.0, l2_reg=0.0)
+        tree = grow_tree(X, grad, hess, presort(X, max_depth=3, min_child_weight=0.0, l2_reg=0.0))
         assert tree.n_nodes == 1
         assert tree.n_leaves == 1
         np.testing.assert_allclose(tree.predict(X), -2.0)
@@ -194,10 +209,10 @@ class TestSplitSearch:
         X = np.arange(8.0).reshape(-1, 1)
         grad = np.array([-1.0] * 4 + [1.0] * 4)
         hess = np.ones(8)
-        free = grow_tree(X, grad, hess, max_depth=1, min_child_weight=1.0, l2_reg=1.0)
+        free = grow_tree(X, grad, hess, presort(X, max_depth=1, min_child_weight=1.0, l2_reg=1.0))
         assert free.n_leaves == 2
-        blocked = grow_tree(X, grad, hess, max_depth=1,
-                            min_child_weight=8.0, l2_reg=1.0)
+        blocked = grow_tree(X, grad, hess,
+                            presort(X, max_depth=1, min_child_weight=8.0, l2_reg=1.0))
         assert blocked.n_nodes == 1
 
     def test_tie_breaks_to_lowest_feature(self, rng):
@@ -207,27 +222,27 @@ class TestSplitSearch:
         X = np.hstack([col, col])
         grad = rng.normal(size=25)
         hess = np.ones(25)
-        tree = grow_tree(X, grad, hess, max_depth=1, min_child_weight=1.0, l2_reg=1.0)
+        tree = grow_tree(X, grad, hess, presort(X, max_depth=1, min_child_weight=1.0, l2_reg=1.0))
         assert tree.feature[0] == 0
 
     def test_constant_feature_never_split(self):
         X = np.ones((12, 1))
         grad = np.linspace(-1, 1, 12)
         hess = np.ones(12)
-        tree = grow_tree(X, grad, hess, max_depth=2, min_child_weight=0.5, l2_reg=1.0)
+        tree = grow_tree(X, grad, hess, presort(X, max_depth=2, min_child_weight=0.5, l2_reg=1.0))
         assert tree.n_nodes == 1
 
     def test_depth_zero_is_a_stump(self, rng):
         X = rng.normal(size=(20, 2))
         tree = grow_tree(X, rng.normal(size=20), np.ones(20),
-                         max_depth=0, min_child_weight=1.0, l2_reg=1.0)
+                         presort(X, max_depth=0, min_child_weight=1.0, l2_reg=1.0))
         assert tree.n_nodes == 1
 
     def test_depth_limit_respected(self, rng):
         X = rng.normal(size=(200, 3))
         grad = rng.normal(size=200)
         hess = np.ones(200)
-        tree = grow_tree(X, grad, hess, max_depth=2, min_child_weight=1.0, l2_reg=1.0)
+        tree = grow_tree(X, grad, hess, presort(X, max_depth=2, min_child_weight=1.0, l2_reg=1.0))
         assert tree.n_leaves <= 4
         assert tree.n_nodes <= 7
 
@@ -235,8 +250,8 @@ class TestSplitSearch:
         X = rng.normal(size=(80, 4))
         grad = rng.normal(size=80)
         hess = rng.uniform(0.5, 2.0, size=80)
-        a = grow_tree(X, grad, hess, max_depth=4, min_child_weight=1.0, l2_reg=1.0)
-        b = grow_tree(X, grad, hess, max_depth=4, min_child_weight=1.0, l2_reg=1.0)
+        a = grow_tree(X, grad, hess, presort(X, max_depth=4, min_child_weight=1.0, l2_reg=1.0))
+        b = grow_tree(X, grad, hess, presort(X, max_depth=4, min_child_weight=1.0, l2_reg=1.0))
         for field in TREE_FIELDS:
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
@@ -244,7 +259,7 @@ class TestSplitSearch:
 class TestPresortedEngine:
     def test_presort_is_a_stable_argsort_of_every_column(self, rng):
         X = rng.integers(0, 3, size=(50, 4)).astype(float)
-        sorted_ = presort(X)
+        sorted_ = presort(X, max_depth=1, min_child_weight=1.0, l2_reg=1.0)
         order, values = sorted_.order, sorted_.values
         assert order.shape == values.shape == (4, 50)
         for feat in range(4):
@@ -307,9 +322,10 @@ class TestPresortedEngine:
             hnp.arrays(np.float64, n, elements=st.floats(0, 2)),
             st.sampled_from([0.5, 1.0, 2.0, 4.0, 0.1, 3.0]).map(lambda c: np.full(n, c)),
         ), label="hess")
-        # no l2_reg = 0 with a zero hessian: a node of zero-hessian rows
-        # divides by zero in both growers, and no fit has such rows
-        l2_choices = [0.0, 0.5, 1.0] if (hess > 0).all() else [0.5, 1.0]
+        # no l2_reg = 0 with a zero or tiny hessian: a node of zero-hessian
+        # rows divides by zero in both growers and a subnormal one overflows
+        # g * g / h; no fit has either, as every hessian is at least the floor
+        l2_choices = [0.0, 0.5, 1.0] if (hess >= FIT_HESS_FLOOR).all() else [0.5, 1.0]
         assert_matches_reference(
             X, grad, hess,
             max_depth=data.draw(st.integers(1, 6), label="max_depth"),
@@ -321,32 +337,25 @@ class TestPresortedEngine:
     @pytest.mark.parametrize("learning_rate", [1.0, 0.1])
     def test_fit_matches_a_fit_with_the_reference_grower(self, small_panel, monkeypatch,
                                                          learning_rate):
-        def reference(X, grad, hess, max_depth, min_child_weight, l2_reg,
-                      presorted=None, out=None):
-            tree = _reference_grow_tree(X, grad, hess, max_depth, min_child_weight, l2_reg)
-            if out is not None:
-                out[:] = tree.predict(X)
-            return tree
-
         cfg = sc.LearnerConfig(rounds=8, max_depth=4, learning_rate=learning_rate)
         args = (small_panel, sc.TargetTransform(kind="log"), sc.LossSpec.mse(),
                 sc.WeightScheme(kind="sqrt_sales"), cfg)
         model = sc.fit(*args)
-        monkeypatch.setattr(learner, "grow_tree", reference)
+        monkeypatch.setattr(learner, "grow_tree", _reference_in_a_fit)
         assert model.to_json() == sc.fit(*args).to_json()
 
     def test_a_tree_fit_sorts_its_features_once(self, small_panel, monkeypatch):
         calls = []
 
-        def counted(X):
-            calls.append(X.shape)
-            return presort(X)
+        def counted(X, *settings):
+            calls.append((X.shape, settings))
+            return presort(X, *settings)
 
         monkeypatch.setattr(learner, "presort", counted)
         model = sc.fit(small_panel, sc.TargetTransform(kind="log"), sc.LossSpec.mse(),
                        sc.WeightScheme(kind="unit"), sc.LearnerConfig(rounds=6, max_depth=3))
         assert len(model.trees) == 6
-        assert calls == [small_panel.feature_matrix.shape]
+        assert calls == [(small_panel.feature_matrix.shape, (3, 1.0, 1.0))]
 
 
 def _assert_same_tree(tree, leaf, expect, X):
@@ -357,7 +366,7 @@ def _assert_same_tree(tree, leaf, expect, X):
 
 def _carried_nodes(sorted_):
     """The nodes a presort carries, by path of (feature, rows going left, side)."""
-    found, stack = {}, [((), sorted_.carried.root)]
+    found, stack = {}, [((), sorted_.root)]
     while stack:
         path, node = stack.pop()
         found[path] = node
@@ -386,7 +395,11 @@ class TestCarriedPartitions:
         a, b = data.draw(general, label="hess a"), data.draw(general, label="hess b")
         # unit, then a general hessian, the same one again, and a changed one
         hessians = [np.full(n, unit), np.full(n, unit), a, a.copy(), a, b, np.full(n, unit)]
-        sorted_ = presort(X)
+        l2_choices = [0.0, 0.5, 1.0] if all((h > 0).all() for h in hessians) else [0.5, 1.0]
+        settings_ = (data.draw(st.integers(1, 5), label="max_depth"),
+                     data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="mcw"),
+                     data.draw(st.sampled_from(l2_choices), label="l2_reg"))
+        sorted_ = presort(X, *settings_)
         grad = data.draw(grads, label="grad")
         for step, hess in enumerate(hessians):
             # the same gradient or a scaled one mostly repeats the last tree's
@@ -397,53 +410,47 @@ class TestCarriedPartitions:
                 grad = 0.5 * grad
             elif change == "new":
                 grad = data.draw(grads, label=f"new grad {step}")
-            l2_choices = [0.0, 0.5, 1.0] if (hess > 0).all() else [0.5, 1.0]
-            args = (data.draw(st.integers(1, 5), label=f"max_depth {step}"),
-                    data.draw(st.sampled_from([0.0, 0.5, 1.0]), label=f"mcw {step}"),
-                    data.draw(st.sampled_from(l2_choices), label=f"l2_reg {step}"))
             step_grad = np.zeros(n) if change == "zero" else grad
             leaf = np.full(n, np.nan)
             with np.errstate(all="ignore"):  # a subnormal hessian overflows both growers alike
-                expect = _reference_grow_tree(X, step_grad, hess, *args)
-                tree = grow_tree(X, step_grad, hess, *args, presorted=sorted_, out=leaf)
+                expect = _reference_grow_tree(X, step_grad, hess, *settings_)
+                tree = grow_tree(X, step_grad, hess, sorted_, out=leaf)
                 _assert_same_tree(tree, leaf, expect, X)
 
     def test_a_repeated_tree_reuses_every_partition(self, rng):
         X = rng.normal(size=(200, 3))
         grad = rng.normal(size=200)
         hess = rng.uniform(0.5, 2.0, size=200)
-        sorted_ = presort(X)
-        first = grow_tree(X, grad, hess, 4, 1.0, 1.0, presorted=sorted_)
+        sorted_ = presort(X, 4, 1.0, 1.0)
+        first = grow_tree(X, grad, hess, sorted_)
         before = _carried_nodes(sorted_)
         scorable = {path: node.scorable for path, node in before.items()}
-        second = grow_tree(X, grad, hess.copy(), 4, 1.0, 1.0, presorted=sorted_)
+        second = grow_tree(X, grad, hess.copy(), sorted_)
         after = _carried_nodes(sorted_)
         assert first.to_json() == second.to_json()
         assert len(after) == first.n_nodes
         assert all(after[path] is node for path, node in before.items())
         assert all(after[path].scorable is parts for path, parts in scorable.items())
 
-    def test_a_changed_hessian_or_depth_carries_less(self, rng):
+    def test_a_changed_hessian_carries_less(self, rng):
         X = rng.normal(size=(200, 3))
         grad = rng.normal(size=200)
         hess = rng.uniform(0.5, 2.0, size=200)
-        sorted_ = presort(X)
-        grow_tree(X, grad, hess, 3, 1.0, 1.0, presorted=sorted_)
+        sorted_ = presort(X, 3, 1.0, 1.0)
+        grow_tree(X, grad, hess, sorted_)
         # one row's hessian one ulp higher: the partitions carry over, the sums do not
         nudged = hess.copy()
         nudged[0] = np.nextafter(nudged[0], 3.0)
-        for max_depth in (3, 4):  # another depth: nothing carries over
-            before = _carried_nodes(sorted_)
-            scorable = {path: node.scorable for path, node in before.items()
-                        if node.scorable is not None}
-            tree = grow_tree(X, grad, nudged, max_depth, 1.0, 1.0, presorted=sorted_)
-            expect = _reference_grow_tree(X, grad, nudged, max_depth, 1.0, 1.0)
-            _assert_same_tree(tree, tree.predict(X), expect, X)
-            after = _carried_nodes(sorted_)
-            reused = [path for path, node in before.items() if after.get(path) is node]
-            assert bool(reused) == (max_depth == 3)
-            assert not any(after[path].scorable is parts for path, parts in scorable.items()
-                           if path in after)
+        before = _carried_nodes(sorted_)
+        scorable = {path: node.scorable for path, node in before.items()
+                    if node.scorable is not None}
+        tree = grow_tree(X, grad, nudged, sorted_)
+        _assert_same_tree(tree, tree.predict(X),
+                          _reference_grow_tree(X, grad, nudged, 3, 1.0, 1.0), X)
+        after = _carried_nodes(sorted_)
+        assert any(after.get(path) is node for path, node in before.items())
+        assert not any(after[path].scorable is parts for path, parts in scorable.items()
+                       if path in after)
 
     def test_a_leaf_keeps_no_children_from_an_older_tree(self):
         """The first tree splits at 1.5 under hessian A, the second is one
@@ -452,52 +459,44 @@ class TestCarriedPartitions:
         X = np.arange(4.0).reshape(-1, 1)
         grad = np.array([1.0, 1.0, -1.0, -1.0])
         a, b = np.ones(4), np.array([1.0, 1.0, 1.0, 3.0])
-        sorted_ = presort(X)
+        sorted_ = presort(X, 1, 0.0, 1.0)
         for step_grad, hess in [(grad, a), (np.zeros(4), b), (grad, b)]:
-            tree = grow_tree(X, step_grad, hess, 1, 0.0, 1.0, presorted=sorted_)
+            tree = grow_tree(X, step_grad, hess, sorted_)
             _assert_same_tree(tree, tree.predict(X),
                               _reference_grow_tree(X, step_grad, hess, 1, 0.0, 1.0), X)
         assert tree.value[2] == 2.0 / 5.0
 
-    @pytest.mark.parametrize("hess,l2_reg", [([0.0, 0.0, 1.0, 1.0], -0.0),
-                                             ([-0.0, -0.0, 1.0, 1.0], 0.0)],
-                             ids=["hessian", "l2_reg"])
-    def test_a_signed_zero_is_not_the_same_input(self, hess, l2_reg):
+    def test_a_signed_zero_is_not_the_same_input(self):
         """-0.0 equals 0.0, but a zero-hessian side whose hessian sum plus
-        ``l2_reg`` is -0.0 scores -inf, and +inf if it is 0.0.  The first
-        tree splits at 2.5; the second isolates a zero-hessian row, whose
-        leaf then divides by zero in both growers."""
+        ``l2_reg`` (-0.0 here) is -0.0 scores -inf, and +inf if it is 0.0.
+        The first tree, under -0.0 hessians, splits at 2.5; the second,
+        under 0.0 ones, isolates a zero-hessian row, whose leaf then
+        divides by zero in both growers."""
         X = np.arange(4.0).reshape(-1, 1)
         grad = np.array([1.0, 1.0, 1.0, -3.0])
         first = np.array([-0.0, -0.0, 1.0, 1.0])
-        sorted_ = presort(X)
+        second = np.array([0.0, 0.0, 1.0, 1.0])
+        sorted_ = presort(X, 1, 0.0, -0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            tree = grow_tree(X, grad, first, 1, 0.0, -0.0, presorted=sorted_)
+            tree = grow_tree(X, grad, first, sorted_)
             _assert_same_tree(tree, tree.predict(X),
                               _reference_grow_tree(X, grad, first, 1, 0.0, -0.0), X)
             assert tree.threshold[0] == 2.5
             with pytest.raises(ZeroDivisionError):
-                _reference_grow_tree(X, grad, np.array(hess), 1, 0.0, l2_reg)
+                _reference_grow_tree(X, grad, second, 1, 0.0, -0.0)
             with pytest.raises(ZeroDivisionError):
-                grow_tree(X, grad, np.array(hess), 1, 0.0, l2_reg, presorted=sorted_)
-        assert sorted_.carried is None  # a failed call carries nothing
+                grow_tree(X, grad, second, sorted_)
+        assert sorted_.root is None  # a failed call carries nothing
 
     @pytest.mark.parametrize("arm_id", ["E3.5", "E5"])  # Tweedie 1.5: a new hessian each round
     def test_long_fits_match_a_fit_with_the_reference_grower(self, small_panel, monkeypatch,
                                                              arm_id):
-        def reference(X, grad, hess, max_depth, min_child_weight, l2_reg,
-                      presorted=None, out=None):
-            tree = _reference_grow_tree(X, grad, hess, max_depth, min_child_weight, l2_reg)
-            if out is not None:
-                out[:] = tree.predict(X)
-            return tree
-
         arm = sc.arm_by_id(arm_id)
         args = (small_panel, arm.transform, arm.loss, arm.weight_scheme,
                 sc.LearnerConfig(rounds=20, max_depth=4))
         model = sc.fit(*args)
         assert len(model.trees) == 20
-        monkeypatch.setattr(learner, "grow_tree", reference)
+        monkeypatch.setattr(learner, "grow_tree", _reference_in_a_fit)
         assert model.to_json() == sc.fit(*args).to_json()
 
 
@@ -519,7 +518,7 @@ class TestRouting:
         X = rng.normal(size=(300, 3))
         grad = rng.normal(size=300)
         hess = np.ones(300)
-        deep = grow_tree(X, grad, hess, max_depth=5, min_child_weight=1.0, l2_reg=1.0)
+        deep = grow_tree(X, grad, hess, presort(X, max_depth=5, min_child_weight=1.0, l2_reg=1.0))
         # one row exactly on each split's threshold
         internal = np.flatnonzero(deep.feature != -1)
         on_threshold = rng.normal(size=(len(internal), 3))
@@ -546,7 +545,7 @@ class TestSerialization:
     def test_json_round_trip(self, rng):
         X = rng.normal(size=(60, 3))
         tree = grow_tree(X, rng.normal(size=60), np.ones(60),
-                         max_depth=3, min_child_weight=1.0, l2_reg=1.0)
+                         presort(X, max_depth=3, min_child_weight=1.0, l2_reg=1.0))
         back = Tree.from_json(tree.to_json())
         np.testing.assert_array_equal(back.predict(X), tree.predict(X))
         assert back.n_nodes == tree.n_nodes
