@@ -65,7 +65,7 @@ from .metrics import (
     version_metrics,
     write_metrics_csv,
 )
-from .panel import HORIZONS, ForecastVersion, SalesPanel, _fmt, read_panel
+from .panel import HORIZONS, ForecastVersion, SalesPanel, _cell, read_panel
 from .transform import TargetTransform, inverse
 
 LADDER_SCHEMES = (
@@ -226,8 +226,7 @@ def load_plan(path) -> BacktestPlan:
 def version_origins(panel: SalesPanel, plan: BacktestPlan) -> list[dt.date]:
     """Weekly origins anchored so the longest horizon ends at the panel end."""
     first_day, last_day = panel.date_range
-    max_h = max(plan.horizons)
-    last_origin = last_day - dt.timedelta(days=7 * max_h)
+    last_origin = last_day - ForecastVersion.window_length(max(plan.horizons))
     origins = [
         last_origin - dt.timedelta(days=plan.cadence_days * k)
         for k in range(plan.n_versions)
@@ -613,6 +612,5 @@ def write_trend_outputs(report: TrendReport, out_dir, csv_name: str) -> None:
     write_backtest_outputs(report, out_dir)
     lines = [",".join(report.table[0])]  # the axis, the horizon, then the aggregate's fields
     for row in report.table:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row.values()))
+        lines.append(",".join(map(_cell, row.values())))
     write_text(os.path.join(out_dir, csv_name), "\n".join(lines) + "\n")

@@ -20,7 +20,8 @@ close to normal, with genuine zero-sales days.
 
 Every draw comes from a Philox stream keyed by (seed, item, day), so
 panels are byte-identical across runs, platforms, and any parallel
-generation order.
+generation order.  Each item makes one generator and re-seats it for
+each of its days.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, check_numbers, is_integer, is_real, json_object, read_json
 from .panel import SalesPanel
-from .rng import keyed_stream
+from .rng import keyed_stream, reseat
 
 FEATURE_NAMES = ["log_price", "weekly_index", "spike_mult", "log_popularity"]
 
@@ -143,11 +144,11 @@ def generate(cfg: GenConfig) -> SalesPanel:
     sales = np.empty(cfg.n_items * n)
     features = np.empty((cfg.n_items * n, len(FEATURE_NAMES)))
     for i in range(cfg.n_items):
-        item_gen = keyed_stream(cfg.seed, i, a=0, b=_ITEM_STREAM)
-        log_pop = float(item_gen.normal(mu_pop, sigma_pop))
+        gen = keyed_stream(cfg.seed, i, a=0, b=_ITEM_STREAM)
+        log_pop = float(gen.normal(mu_pop, sigma_pop))
         popularity = float(np.exp(log_pop))
-        log_price0 = float(item_gen.normal(0.0, 0.1))
-        steps = item_gen.normal(0.0, cfg.price_walk_sigma, size=n)
+        log_price0 = float(gen.normal(0.0, 0.1))
+        steps = gen.normal(0.0, cfg.price_walk_sigma, size=n)
         log_price = log_price0 + np.cumsum(steps)
         for d in range(n):
             level = (
@@ -156,9 +157,9 @@ def generate(cfg: GenConfig) -> SalesPanel:
                 * spike_mult[d]
                 * float(np.exp(cfg.price_elasticity * log_price[d]))
             )
-            cell_gen = keyed_stream(cfg.seed, i, a=d, b=0)
+            reseat(gen, d)
             sales[i * n + d] = _compound_sales(
-                cell_gen,
+                gen,
                 lam=level ** (2.0 - p),
                 shape=cfg.gamma_shape,
                 scale=cfg.gamma_scale * level ** (p - 1.0),

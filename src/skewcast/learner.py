@@ -60,7 +60,7 @@ from .losses import (
     total_loss,
     weights_for,
 )
-from .panel import _fmt
+from .panel import _cell
 from .transform import TargetTransform, forward, inverse
 from .trees import Tree, grow_tree, presort
 
@@ -407,8 +407,8 @@ def in_sample_fit_report(model: FitModel, panel) -> dict:
 def write_pairs_csv(report: dict, path) -> None:
     """Write a fit report's (actual, predicted) pairs as a two-column CSV."""
     lines = ["actual,predicted"]
-    for a, p in report["pairs"]:
-        lines.append(f"{_fmt(a)},{_fmt(p)}")
+    for pair in report["pairs"]:
+        lines.append(",".join(map(_cell, pair)))
     write_text(path, "\n".join(lines) + "\n")
 
 

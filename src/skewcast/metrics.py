@@ -16,7 +16,7 @@ configuration: wmape_rel = wmape / baseline wmape, wbias_rel = wbias /
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,9 +27,7 @@ from .errors import (
     NoValidItems,
     write_text,
 )
-from .panel import ForecastVersion, SalesPanel, _fmt
-
-METRICS_CSV_HEADER = "config_id,version,horizon_weeks,wmape,wbias,total_actual,skipped_items"
+from .panel import ForecastVersion, SalesPanel, _cell
 
 
 @dataclass(frozen=True)
@@ -45,6 +43,11 @@ class VersionMetrics:
     @property
     def horizon_weeks(self) -> int:
         return self.version.horizon_weeks
+
+
+# a metrics.csv row is its config id, its version's label and horizon, then these
+_SCORES = tuple(f.name for f in fields(VersionMetrics) if f.name != "version")
+METRICS_CSV_HEADER = ",".join(("config_id", "version", "horizon_weeks", *_SCORES))
 
 
 @dataclass(frozen=True)
@@ -156,13 +159,6 @@ def write_metrics_csv(rows: list[tuple[str, VersionMetrics]], path) -> None:
     ordered = sorted(rows, key=row_order)
     lines = [METRICS_CSV_HEADER]
     for config_id, vm in ordered:
-        lines.append(",".join([
-            config_id,
-            vm.version.label,
-            str(vm.horizon_weeks),
-            _fmt(vm.wmape),
-            _fmt(vm.wbias),
-            _fmt(vm.total_actual),
-            str(vm.skipped_items),
-        ]))
+        lines.append(",".join([config_id, vm.version.label, str(vm.horizon_weeks),
+                               *(_cell(getattr(vm, name)) for name in _SCORES)]))
     write_text(path, "\n".join(lines) + "\n")

@@ -6,11 +6,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skewcast as sc
 from skewcast.datagen import FEATURE_NAMES, _compound_sales
 from skewcast.errors import ConfigError
-from skewcast.rng import keyed_stream
+from skewcast.rng import keyed_stream, reseat
 
 
 def _skew(x):
@@ -34,6 +36,37 @@ class TestKeyedStream:
                       keyed_stream(42, 7, a=4, b=1),
                       keyed_stream(42, 7, a=3, b=2)):
             assert not np.array_equal(base, other.normal(size=16))
+
+    @settings(max_examples=200)
+    @given(key=st.tuples(st.integers(-2**63, 2**64 - 1), st.integers(0, 2**40)),
+           start=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+           used=st.lists(st.sampled_from(["poisson", "gamma", "normal", "uint32", "bool"]),
+                         max_size=6),
+           to=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)))
+    def test_reseat_draws_as_a_new_stream(self, key, start, used, to):
+        """A re-seated generator draws what a new one at its address draws,
+        whatever the old address and however much of it was used (32-bit
+        draws leave half a word buffered)."""
+        def draws(gen, kinds):
+            out = []
+            for kind in kinds:
+                if kind == "poisson":
+                    out.append(gen.poisson(3.7))
+                elif kind == "gamma":
+                    out.append(gen.standard_gamma(0.8 * (1 + len(out))))
+                elif kind == "normal":
+                    out.append(gen.normal(0.0, 1.0, size=3).tolist())
+                elif kind == "uint32":
+                    out.append(int(gen.integers(0, 2**32, dtype=np.uint32)))
+                else:
+                    out.append(bool(gen.integers(0, 2, dtype=bool)))
+            return out
+
+        gen = keyed_stream(*key, *start)
+        draws(gen, used)
+        reseat(gen, *to)
+        kinds = ["uint32", "poisson", "gamma", "normal", "bool", "uint32"]
+        assert draws(gen, kinds) == draws(keyed_stream(*key, *to), kinds)
 
 
 class TestCompoundSales:
@@ -99,6 +132,24 @@ class TestGenerate:
         assert a.item_ids == b.item_ids
         for name in ("item_codes", "day_ordinals", "sales", "feature_matrix"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("cfg", [sc.GenConfig(n_items=3, n_days=60, seed=123),
+                                     sc.GenConfig(n_items=2, n_days=40, seed=977,
+                                                  gamma_shape=0.3, gamma_scale=2.5)])
+    def test_each_cell_draws_from_its_own_address(self, cfg):
+        """Cell (item i, day d) is one compound draw from keyed_stream(seed, i, a=d),
+        its demand level rebuilt from the row's features."""
+        panel = sc.generate(cfg)
+        p = sc.theoretical_tweedie_power(cfg)
+        days = panel.day_ordinals - cfg.start_day.toordinal()
+        for r in range(len(panel)):
+            log_price, weekly, spike, log_pop = panel.feature_matrix[r]
+            level = (float(np.exp(log_pop)) * weekly * spike
+                     * float(np.exp(cfg.price_elasticity * log_price)))
+            gen = keyed_stream(cfg.seed, int(panel.item_codes[r]), a=int(days[r]))
+            expect = _compound_sales(gen, lam=level ** (2.0 - p), shape=cfg.gamma_shape,
+                                     scale=cfg.gamma_scale * level ** (p - 1.0))
+            assert panel.sales[r] == expect, r
 
     def test_shape_and_names(self):
         cfg = sc.GenConfig(n_items=6, n_days=50, seed=123)

@@ -335,7 +335,8 @@ class TestMetricsCsv:
         path = tmp_path / "metrics.csv"
         write_metrics_csv(rows, path)
         lines = path.read_text(encoding="utf-8").strip().split("\n")
-        assert lines[0] == METRICS_CSV_HEADER
+        assert lines[0] == METRICS_CSV_HEADER == (
+            "config_id,version,horizon_weeks,wmape,wbias,total_actual,skipped_items")
         assert lines[1].startswith("E1,VDP_20210607,6,0.2,0.1,")
         assert lines[2].startswith("E1,VDP_20210614,6,")
         assert lines[3].startswith("E5,VDP_20210607,6,0.175,-0.125,400,0")

@@ -1,6 +1,8 @@
 """Panel data model and its CSV round trip."""
 
 import datetime as dt
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewcast as sc
+from skewcast import panel as panel_module
 from skewcast.errors import (
     ConfigError,
     DataError,
@@ -15,9 +18,58 @@ from skewcast.errors import (
     IoFailure,
     MalformedRow,
     NegativeSales,
+    SkewcastError,
 )
 
 D0 = dt.date(2021, 3, 1)
+
+
+def _reference_read_panel(path):
+    """``read_panel`` as a plain row loop: the reference the block reader must match."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    try:
+        lines = raw.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(raw.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise MalformedRow(1, "empty file, expected a header row")
+    header = lines[0].split(",")
+    if header[:3] != ["item_id", "day", "sales"]:
+        raise MalformedRow(1, f"header must start with item_id,day,sales (got {lines[0]!r})")
+    ncol = len(header)
+    codes: dict[str, int] = {}  # item id -> code, in order of first appearance
+    item_codes: list[int] = []
+    days: list[int] = []
+    values: list[list[float]] = []  # sales then features, one list per row
+    for line_no, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != ncol:
+            raise MalformedRow(line_no, f"expected {ncol} columns, got {len(parts)}")
+        if not parts[0]:
+            raise MalformedRow(line_no, "empty item_id")
+        try:
+            day = dt.date.fromisoformat(parts[1])
+        except ValueError:
+            raise MalformedRow(line_no, f"bad date {parts[1]!r}") from None
+        try:
+            row = [float(p) for p in parts[2:]]
+        except ValueError as exc:
+            raise MalformedRow(line_no, str(exc)) from None
+        if not all(math.isfinite(v) for v in row):
+            raise MalformedRow(line_no, "non-finite value")
+        if row[0] < 0:
+            raise NegativeSales(line_no, row[0])
+        item_codes.append(codes.setdefault(parts[0], len(codes)))
+        days.append(day.toordinal())
+        values.append(row)
+    table = np.array(values, dtype=np.float64).reshape(len(values), ncol - 2)
+    return sc.SalesPanel(list(codes), item_codes, days, table[:, 0], table[:, 1:], header[3:])
 
 
 def _panel(items, day_offsets, sales, features=None, date_range=None):
@@ -235,6 +287,122 @@ class TestCsvErrors:
             sc.read_panel(path)
 
 
+
+def _outcome(reader, path):
+    """What a reader makes of a file: the panel's exact bits, or its error."""
+    try:
+        panel = reader(path)
+    except SkewcastError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    columns = [(a.dtype, a.shape, a.strides, a.tobytes()) for a in (
+        panel.item_codes, panel.day_ordinals, panel.sales, panel.feature_matrix)]
+    return panel.item_ids, panel.feature_names, panel.date_range, columns
+
+
+_ID_TEXT = st.text(st.characters(blacklist_characters=",\n\r", blacklist_categories=("Cs",)),
+                   min_size=1, max_size=5)
+
+
+def _number_text(least: float):
+    """Number cells as a CSV may spell them; ``float()`` takes every one."""
+    return st.one_of(
+        st.floats(least, 1e15).map(repr),
+        st.floats(least, 1e15).map(lambda x: f"{x:.12g}"),
+        st.floats(least, 1e6).map(lambda x: f" {x:.4e}\t"),
+        st.integers(max(0, int(least)), 10**7).map(lambda n: f"{n:_}"),
+    )
+
+
+@st.composite
+def _panel_lines(draw, min_rows: int = 0) -> list[str]:
+    """A valid panel CSV as its lines, header first, rows in any order."""
+    k = draw(st.integers(0, 2))
+    ids = draw(st.lists(_ID_TEXT, min_size=1, max_size=4, unique=True))
+    keys = draw(st.lists(st.tuples(st.sampled_from(ids), st.integers(0, 60)),
+                         min_size=min_rows, max_size=25, unique=True))
+    lines = [",".join(["item_id", "day", "sales", *(f"f{j}" for j in range(k))])]
+    for item, offset in keys:
+        day = D0 + dt.timedelta(days=offset)
+        date = draw(st.sampled_from([day.isoformat(), day.strftime("%Y%m%d")]))
+        numbers = [draw(_number_text(0.0))] + [draw(_number_text(-1e15)) for _ in range(k)]
+        lines.append(",".join([item, date, *numbers]))
+    return lines
+
+
+# one way each to break a line's cells; each takes (cells, draw) and returns the new cells
+_CORRUPTIONS = {
+    "column count": lambda cells, draw: draw(st.sampled_from([cells[:-1], cells + ["1"]])),
+    "empty id": lambda cells, draw: ["", *cells[1:]],
+    "bad date": lambda cells, draw: [cells[0], draw(st.sampled_from(
+        ["2021-02-30", "not-a-date", "", "2021-3-1"])), *cells[2:]],
+    "text in a number": lambda cells, draw: _replace_number(cells, draw, ["abc", "1.2.3", "", "0x10"]),
+    "non-finite": lambda cells, draw: _replace_number(cells, draw, ["nan", "inf", "-inf", "1e400"]),
+    "negative sales": lambda cells, draw: [*cells[:2], draw(st.sampled_from(
+        ["-1.5", "-1e-300", "-0.0"])), *cells[3:]],
+}
+
+
+def _replace_number(cells, draw, texts):
+    j = draw(st.integers(min(2, len(cells) - 1), len(cells) - 1))  # a number cell if any
+    return [*cells[:j], draw(st.sampled_from(texts)), *cells[j + 1:]]
+
+
+@st.composite
+def _corrupted_file(draw) -> bytes:
+    """A valid panel CSV with one or two of its lines broken."""
+    lines = [line.encode("utf-8") for line in draw(_panel_lines(min_rows=1))]
+    for _ in range(draw(st.integers(1, 2))):
+        # a row mostly: a broken header hides every row rule
+        at = 0 if draw(st.integers(0, 7)) == 0 else draw(st.integers(1, len(lines) - 1))
+        kind = draw(st.sampled_from([*_CORRUPTIONS, "non-UTF-8 byte", "CRLF", "blank line"]))
+        line = lines[at]
+        if kind == "non-UTF-8 byte":
+            cut = draw(st.integers(0, len(line)))
+            lines[at] = line[:cut] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) + line[cut:]
+        elif kind == "CRLF":
+            lines[at] = line + b"\r"
+        elif kind == "blank line":
+            lines.insert(at + draw(st.integers(0, 1)), b"")
+        else:
+            cells = line.decode("utf-8", "surrogateescape").split(",")
+            cells = _CORRUPTIONS[kind](cells, draw)
+            lines[at] = ",".join(cells).encode("utf-8", "surrogateescape")
+    return b"\n".join(lines) + draw(st.sampled_from([b"\n", b""]))
+
+
+class TestBlockReader:
+    """``read_panel`` parses blocks of rows at once; it must give what the row
+    loop gives, bit for bit, and the same error for the same file."""
+
+    _BLOCKS = st.one_of(st.integers(1, 120), st.just(panel_module._BLOCK_CHARS))
+
+    def _both(self, folder, data: bytes, block_chars: int):
+        path = folder / "panel.csv"
+        path.write_bytes(data)
+        with mock.patch.object(panel_module, "_BLOCK_CHARS", block_chars):
+            return _outcome(sc.read_panel, path), _outcome(_reference_read_panel, path)
+
+    @settings(max_examples=200)
+    @given(lines=_panel_lines(), end=st.sampled_from(["\n", ""]), block_chars=_BLOCKS)
+    def test_valid_panels_read_bit_equal(self, tmp_path_factory, lines, end, block_chars):
+        data = ("\n".join(lines) + end).encode("utf-8")
+        got, want = self._both(tmp_path_factory.mktemp("csv"), data, block_chars)
+        assert got == want
+        assert isinstance(got[0], list)  # a panel, not an error
+
+    @settings(max_examples=400)
+    @given(data=_corrupted_file(), block_chars=_BLOCKS)
+    def test_broken_files_raise_the_same_error(self, tmp_path_factory, data, block_chars):
+        got, want = self._both(tmp_path_factory.mktemp("csv"), data, block_chars)
+        assert got == want
+
+    @pytest.mark.parametrize("text", ["", "\n", "item_id,day,sales", "item_id,day,sales\n",
+                                      "item_id,day,sales\n\n", "item_id,day\na,2021-03-01\n"])
+    def test_empty_and_header_only_files(self, tmp_path, text):
+        got, want = self._both(tmp_path, text.encode("utf-8"), panel_module._BLOCK_CHARS)
+        assert got == want
+
+
 class TestForecastVersion:
     def test_label_and_window_follow_the_origin(self):
         origin = dt.date(2021, 6, 7)
@@ -242,6 +410,7 @@ class TestForecastVersion:
         assert v.label == "VDP_20210607"
         assert v.window_start == origin + dt.timedelta(days=1)
         assert v.window_end == origin + dt.timedelta(days=42)
+        assert sc.ForecastVersion.window_length(24) == dt.timedelta(days=168)
 
     def test_horizon_must_be_supported(self):
         with pytest.raises(ConfigError):
