@@ -169,7 +169,6 @@ class BacktestPlan:
 
     panel_path: str | None = None
     train_window_days: int = 730
-    cadence_days: int = 7
     n_versions: int = 8
     horizons: tuple[int, ...] = HORIZONS
     arms: tuple[ExperimentArm, ...] = field(default_factory=lambda: tuple(standard_arms()))
@@ -178,11 +177,11 @@ class BacktestPlan:
     gen_config_path: str | None = None
 
     def __post_init__(self):
-        check_numbers(self, integers={"train_window_days": 1, "cadence_days": 1,
-                                      "n_versions": 1})
-        if not self.horizons or any(not is_integer(h) or h not in HORIZONS
-                                    for h in self.horizons):
-            raise ConfigError(f"horizons must be a nonempty subset of {HORIZONS}, "
+        check_numbers(self, integers={"train_window_days": 1, "n_versions": 1})
+        if (not self.horizons or any(not is_integer(h) or h not in HORIZONS
+                                     for h in self.horizons)
+                or len(set(self.horizons)) != len(self.horizons)):
+            raise ConfigError(f"horizons must be distinct members of {HORIZONS}, "
                               f"got {list(self.horizons)!r}")
         ids = [arm.id for arm in self.arms]
         if len(set(ids)) != len(ids):
@@ -192,7 +191,6 @@ class BacktestPlan:
         return {
             "panel_path": self.panel_path,
             "train_window_days": self.train_window_days,
-            "cadence_days": self.cadence_days,
             "n_versions": self.n_versions,
             "horizons": list(self.horizons),
             "arms": [arm.to_json() for arm in self.arms],
@@ -224,21 +222,21 @@ def load_plan(path) -> BacktestPlan:
 
 
 def version_origins(panel: SalesPanel, plan: BacktestPlan) -> list[dt.date]:
-    """Weekly origins anchored so the longest horizon ends at the panel end."""
+    """Weekly origins anchored so the longest horizon ends at the panel end; the
+    history they need is checked on day ordinals, before any date is built."""
+    if len(panel) == 0:
+        raise EmptyInput("panel has no rows")
     first_day, last_day = panel.date_range
-    last_origin = last_day - ForecastVersion.window_length(max(plan.horizons))
-    origins = [
-        last_origin - dt.timedelta(days=plan.cadence_days * k)
-        for k in range(plan.n_versions)
-    ]
-    origins.sort()
-    needed_start = origins[0] - dt.timedelta(days=plan.train_window_days)
-    if needed_start < first_day:
+    last_origin = last_day.toordinal() - ForecastVersion.window_length(max(plan.horizons)).days
+    first_origin = last_origin - 7 * (plan.n_versions - 1)
+    if first_origin - plan.train_window_days < first_day.toordinal():
+        needed = last_day.toordinal() - first_origin + plan.train_window_days + 1
         raise InsufficientHistory(
-            f"panel starts {first_day}, but {plan.n_versions} versions with a "
-            f"{plan.train_window_days}-day window need history back to {needed_start}"
+            f"panel starts {first_day}, but the plan (n_versions {plan.n_versions}, "
+            f"a {max(plan.horizons)}-week horizon, a {plan.train_window_days}-day "
+            f"window) needs {needed} days of history up to {last_day}"
         )
-    return origins
+    return [dt.date.fromordinal(d) for d in range(first_origin, last_origin + 1, 7)]
 
 
 def _windows(
@@ -572,10 +570,10 @@ def run_weight_ladder(plan: BacktestPlan, panel: SalesPanel | None = None) -> Tr
     panel = _panel_of(plan, panel)
     log = TargetTransform(kind="log")
     arms = [
-        ExperimentArm(f"W{i}-{s.label()}", log, LossSpec.mse(), s)
+        ExperimentArm(f"W{i}-{s.kind}", log, LossSpec.mse(), s)
         for i, s in enumerate(LADDER_SCHEMES)
     ]
-    return _trend(plan, panel, arms, "scheme", [s.label() for s in LADDER_SCHEMES],
+    return _trend(plan, panel, arms, "scheme", [s.kind for s in LADDER_SCHEMES],
                   direction="non_decreasing")
 
 

@@ -48,7 +48,7 @@ WEIGHT_FLOOR = 1e-6
 
 _LOSS_KINDS = ("mse", "pseudo_huber", "poisson", "gamma", "tweedie")
 _LOG_LINK_KINDS = ("poisson", "gamma", "tweedie")
-_WEIGHT_KINDS = ("unit", "log_sales", "sqrt_sales", "linear_sales", "power")
+_WEIGHT_KINDS = ("unit", "log_sales", "sqrt_sales", "linear_sales")
 
 
 @dataclass(frozen=True)
@@ -147,40 +147,23 @@ class WeightScheme:
     """Sample-weight rule evaluated on raw sales.
 
     The escalation ladder runs unit -> log_sales -> sqrt_sales ->
-    linear_sales; ``power`` generalizes past linear with exponent
-    ``alpha``.  Every weight gets a 1e-6 floor added so zero-sales rows
-    keep negligible but nonzero influence.
+    linear_sales.  Every weight gets a 1e-6 floor added so zero-sales
+    rows keep negligible but nonzero influence.
     """
 
     kind: str = "unit"
-    alpha: float | None = None
 
     def __post_init__(self):
         if self.kind not in _WEIGHT_KINDS:
             raise ConfigError(f"unknown weight scheme {self.kind!r}")
-        if self.alpha is not None:
-            check_numbers(self, reals=("alpha",))
-        if self.kind == "power":
-            if self.alpha is None or self.alpha < 0:
-                raise ConfigError("power weights need a non-negative exponent")
-        elif self.alpha is not None:
-            raise ConfigError("alpha only applies to power weights")
-
-    def label(self) -> str:
-        if self.kind == "power":
-            return f"power(a={self.alpha:g})"
-        return self.kind
 
     def to_json(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.alpha is not None:
-            out["alpha"] = self.alpha
-        return out
+        return {"kind": self.kind}
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeightScheme":
         obj = json_object(obj, "weight scheme", cls)
-        return cls(kind=obj["kind"], alpha=obj.get("alpha"))
+        return cls(kind=obj["kind"])
 
 
 def weights_for(scheme: WeightScheme, ys) -> np.ndarray:
@@ -194,9 +177,7 @@ def weights_for(scheme: WeightScheme, ys) -> np.ndarray:
         return np.log1p(y) + WEIGHT_FLOOR
     if scheme.kind == "sqrt_sales":
         return np.sqrt(y) + WEIGHT_FLOOR
-    if scheme.kind == "linear_sales":
-        return y + WEIGHT_FLOOR
-    return np.power(y, scheme.alpha) + WEIGHT_FLOOR
+    return y + WEIGHT_FLOOR
 
 
 def check_targets(spec: LossSpec, y) -> None:

@@ -52,6 +52,14 @@ def _cell(value) -> str:
     return _fmt(value) if isinstance(value, float) else str(value)
 
 
+def _feature_name_problem(names: list[str]) -> str | None:
+    """Why a panel cannot have these feature names, or None if it can."""
+    for i, name in enumerate(names):
+        if not name or name in names[:i]:
+            return f"feature name {name!r} is {'repeated' if name else 'empty'}"
+    return None
+
+
 @dataclass(eq=False)
 class SalesPanel:
     """Validated, canonically ordered panel columns.
@@ -60,10 +68,11 @@ class SalesPanel:
     accepts the ids in any order, keeps those that have rows, sorts them
     ascending and re-codes the rows, then sorts rows by (item, day).  It
     checks that the columns agree in length, item ids are distinct and
-    CSV-representable, (item, day) pairs are unique, sales and features
-    are finite, sales are non-negative, and every day lies inside
-    ``date_range``.  Instances are treated as immutable after
-    construction and are safe to share across threads.
+    CSV-representable, feature names are nonempty and distinct, (item,
+    day) pairs are unique, sales and features are finite, sales are
+    non-negative, and every day lies inside ``date_range``.  Instances
+    are treated as immutable after construction and are safe to share
+    across threads.
     """
 
     item_ids: list[str]
@@ -86,6 +95,9 @@ class SalesPanel:
                             f"sales {sales.shape}, features {X.shape}")
         if len(set(ids)) != len(ids):
             raise DataError("item ids are not distinct")
+        problem = _feature_name_problem(list(self.feature_names))
+        if problem:
+            raise DataError(problem)
         if n and (codes.min() < 0 or codes.max() >= len(ids)):
             raise DataError(f"item codes must lie in [0, {len(ids)})")
         keep = sorted(np.flatnonzero(np.bincount(codes, minlength=len(ids))).tolist(),
@@ -190,6 +202,9 @@ def read_panel(path) -> SalesPanel:
     if header[:3] != ["item_id", "day", "sales"]:
         raise MalformedRow(1, "header must start with item_id,day,sales "
                               f"(got {text[:header_end]!r})")
+    problem = _feature_name_problem(header[3:])
+    if problem:
+        raise MalformedRow(1, problem)
     ncol = len(header)
     n = text.count("\n", 0, end)
     item_codes = np.empty(n, dtype=np.int64)

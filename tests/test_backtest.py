@@ -27,6 +27,7 @@ from skewcast.errors import (
     DataError,
     DegenerateData,
     DomainError,
+    EmptyInput,
     InsufficientHistory,
     IoFailure,
 )
@@ -88,17 +89,44 @@ class TestScheduling:
         assert origins == sorted(origins)
         assert all((b - a).days == 7 for a, b in zip(origins, origins[1:]))
 
-    def test_cadence_days_controls_spacing(self):
-        panel = _flat_panel(n_days=400)
-        plan = sc.BacktestPlan(train_window_days=100, n_versions=3,
-                               cadence_days=14, horizons=(6,), learner=FAST_LEARNER)
-        origins = version_origins(panel, plan)
-        assert all((b - a).days == 14 for a, b in zip(origins, origins[1:]))
+    def test_retired_cadence_days_is_config_error(self):
+        assert len(dataclasses.fields(sc.BacktestPlan)) == 8
+        with pytest.raises(ConfigError, match="unknown field 'cadence_days'"):
+            sc.BacktestPlan.from_json({"cadence_days": 7})
 
     def test_short_panel_rejected(self):
         panel = _flat_panel(n_days=120)
         plan = sc.BacktestPlan(train_window_days=100, n_versions=2, horizons=(6,))
         with pytest.raises(InsufficientHistory):
+            version_origins(panel, plan)
+
+    def test_just_long_enough_panel_is_accepted(self):
+        # a 100-day window, 2 versions a week apart and a 6-week horizon
+        # need 100 + 1 + 7 + 42 = 150 days
+        plan = sc.BacktestPlan(train_window_days=100, n_versions=2, horizons=(6,))
+        start = dt.date(2020, 1, 6)
+        origins = version_origins(_flat_panel(n_days=150, start=start), plan)
+        assert origins[0] == start + dt.timedelta(days=100)
+        with pytest.raises(InsufficientHistory, match="needs 150 days of history"):
+            version_origins(_flat_panel(n_days=149, start=start), plan)
+
+    def test_empty_panel_is_empty_input(self):
+        panel = sc.SalesPanel([], [], [], [], np.empty((0, 1)), ["f"])
+        with pytest.raises(EmptyInput, match="panel has no rows"):
+            version_origins(panel, sc.BacktestPlan(train_window_days=100, n_versions=2,
+                                                   horizons=(6,)))
+
+    @pytest.mark.parametrize("start, plan", [
+        (dt.date.min, sc.BacktestPlan(train_window_days=7, n_versions=1, horizons=(24,))),
+        (dt.date(2020, 1, 6), sc.BacktestPlan(train_window_days=1_000_000, n_versions=1,
+                                              horizons=(6,))),
+        (dt.date(2020, 1, 6), sc.BacktestPlan(train_window_days=100, n_versions=200_000,
+                                              horizons=(6,))),
+    ], ids=["near-date-min", "long-window", "many-versions"])
+    def test_history_outside_the_calendar_is_insufficient(self, start, plan):
+        # each of these once reached past date.min and overflowed
+        panel = _flat_panel(n_days=160, start=start)
+        with pytest.raises(InsufficientHistory, match=f"panel starts {start}, .* needs "):
             version_origins(panel, plan)
 
     def test_training_slice_never_touches_origin(self):
@@ -116,10 +144,14 @@ class TestScheduling:
             sc.BacktestPlan(n_versions=0)
         with pytest.raises(ConfigError):
             sc.BacktestPlan(horizons=(5,))
+        with pytest.raises(ConfigError, match=r"horizons .* got \[6, 6\]"):
+            sc.BacktestPlan(horizons=(6, 6))
+        with pytest.raises(ConfigError, match=r"horizons .* got \[12, 6, 12\]"):
+            sc.BacktestPlan.from_json({"horizons": [12, 6, 12]})
         with pytest.raises(ConfigError):
             sc.BacktestPlan(arms=(sc.arm_by_id("E1"), sc.arm_by_id("E1")))
 
-    @pytest.mark.parametrize("field", ["train_window_days", "cadence_days", "n_versions"])
+    @pytest.mark.parametrize("field", ["train_window_days", "n_versions"])
     @pytest.mark.parametrize("value", [1.5, 90.5, 7.0, True, "x", None, [7]])
     def test_integer_fields_reject_non_integers(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -135,8 +167,7 @@ class TestScheduling:
             sc.BacktestPlan.from_json({"horizons": [12, horizon]})
 
     def test_numpy_integers_accepted(self):
-        plan = sc.BacktestPlan(train_window_days=np.int64(90), cadence_days=np.int32(7),
-                               n_versions=np.int64(2),
+        plan = sc.BacktestPlan(train_window_days=np.int64(90), n_versions=np.int64(2),
                                horizons=(np.int64(6),))
         assert (plan.train_window_days, plan.n_versions, plan.horizons) == (90, 2, (6,))
 
@@ -221,10 +252,9 @@ class TestArms:
         ("offset", lambda v: sc.TargetTransform(kind="log", offset=v)),
         ("power", lambda v: sc.LossSpec.tweedie(v)),
         ("delta", lambda v: sc.LossSpec.pseudo_huber(v)),
-        ("alpha", lambda v: sc.WeightScheme(kind="power", alpha=v)),
         ("bin_width", lambda v: sc.BiasCorrector(kind="prediction_binned", bin_width=v,
                                                  bin_factors=(1.0,))),
-    ], ids=["offset", "power", "delta", "alpha", "bin_width"])
+    ], ids=["offset", "power", "delta", "bin_width"])
     def test_non_finite_parameters_are_config_errors(self, field, make, value):
         with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
             make(value)
@@ -533,7 +563,9 @@ def control_ladder():
 class TestTrendRuns:
     def test_ladder_table_shape(self, control_ladder):
         assert control_ladder.axis_name == "scheme"
-        assert control_ladder.axis_values == [s.label() for s in LADDER_SCHEMES]
+        assert control_ladder.axis_values == [s.kind for s in LADDER_SCHEMES]
+        assert {arm_id for arm_id, _ in control_ladder.rows} == {
+            "W0-unit", "W1-log_sales", "W2-sqrt_sales", "W3-linear_sales"}
         assert len(control_ladder.table) == len(LADDER_SCHEMES)
         assert set(control_ladder.verdicts) == {6}
         verdict = control_ladder.verdicts[6]

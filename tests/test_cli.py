@@ -1,6 +1,7 @@
 """End-to-end command-line runs in subprocesses, including exit codes,
 and the ``--losses`` parser in-process."""
 
+import datetime as dt
 import json
 import math
 import subprocess
@@ -228,6 +229,22 @@ class TestFit:
         assert "data error: line 3: not UTF-8 text" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("header, message", [
+        ("item_id,day,sales,f,f", "feature name 'f' is repeated"),
+        ("item_id,day,sales,f,", "feature name '' is empty"),
+    ], ids=["repeated", "trailing-comma"])
+    def test_bad_feature_name_is_data_error(self, workdir, header, message):
+        bad = workdir / "bad_names_panel.csv"
+        bad.write_text(f"{header}\nitem_a,2020-01-01,1.0,0.5,0.5\n"
+                       "item_a,2020-01-02,3.0,0.5,0.5\n", encoding="utf-8")
+        model_path = workdir / "bad_names_model.json"
+        proc = run_cli("fit", "--panel", str(bad), "--arm", "E4",
+                       "--model-out", str(model_path))
+        assert proc.returncode == 3
+        assert f"data error: line 1: {message}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not model_path.exists()
+
     def test_corrupt_panel_is_data_error(self, workdir):
         bad = workdir / "bad_panel.csv"
         good = (workdir / "panel.csv").read_text(encoding="utf-8").split("\n")
@@ -261,9 +278,9 @@ class TestBacktest:
         assert proc.returncode == 2
 
     @pytest.mark.parametrize("edit", [{"n_versions": 1.5}, {"train_window_days": 90.5},
-                                      {"cadence_days": True}, {"horizons": [6.0]}],
-                             ids=["n_versions", "train_window_days", "cadence_days",
-                                  "horizons"])
+                                      {"horizons": [6.0]}, {"horizons": [6, 6]}],
+                             ids=["n_versions", "train_window_days", "horizons",
+                                  "repeated-horizon"])
     def test_mistyped_plan_is_config_error(self, workdir, edit):
         plan_path = workdir / "typed_plan.json"
         plan_path.write_text(json.dumps(_plan(workdir, **edit)), encoding="utf-8")
@@ -276,9 +293,10 @@ class TestBacktest:
 
     @pytest.mark.parametrize("edit,field", [
         ({"seed": 0}, "seed"),
+        ({"cadence_days": 7}, "cadence_days"),
         ({"learner": {**LEARNER_CFG, "subsample": 1.0}}, "subsample"),
         ({"learner": {**LEARNER_CFG, "seed": 0}}, "seed"),
-    ], ids=["plan-seed", "learner-subsample", "learner-seed"])
+    ], ids=["plan-seed", "plan-cadence_days", "learner-subsample", "learner-seed"])
     def test_retired_plan_field_is_config_error(self, workdir, edit, field):
         plan_path = workdir / "retired_plan.json"
         plan_path.write_text(json.dumps(_plan(workdir, **edit)), encoding="utf-8")
@@ -299,6 +317,21 @@ class TestBacktest:
         assert "unknown field 'oracle'" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (workdir / "oracle_out").exists()
+
+    @pytest.mark.parametrize("scheme, named", [
+        ({"kind": "power", "alpha": 0.75}, "weight scheme JSON has unknown field 'alpha'"),
+        ({"kind": "power"}, "unknown weight scheme 'power'"),
+    ], ids=["alpha", "power"])
+    def test_retired_power_weights_are_config_error(self, workdir, scheme, named):
+        arm = {**sc.arm_by_id("E4").to_json(), "id": "MINE", "weight_scheme": scheme}
+        plan_path = workdir / "power_plan.json"
+        plan_path.write_text(json.dumps(_plan(workdir, arms=["E5", arm])), encoding="utf-8")
+        proc = run_cli("backtest", "--plan", str(plan_path),
+                       "--out-dir", str(workdir / "power_out"))
+        assert proc.returncode == 2
+        assert f"config error: {named}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (workdir / "power_out").exists()
 
     def test_plan_not_object_is_config_error(self, workdir):
         plan_path = workdir / "list_plan.json"
@@ -329,6 +362,39 @@ class TestBacktest:
         proc = run_cli("backtest", "--plan", str(plan_path),
                        "--out-dir", str(workdir / "nope2"))
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize("case, command", [
+        ("header-only", "backtest"), ("near-date-min", "backtest"), ("long-window", "backtest"),
+        ("many-versions", "backtest"), ("many-versions", "ladder"), ("header-only", "sweep"),
+    ])
+    def test_history_outside_the_calendar_is_data_error(self, workdir, case, command):
+        """Each case once overflowed the calendar and ended in a traceback."""
+        panel_path, edit = workdir / "panel.csv", {}
+        if case == "header-only":
+            panel_path = workdir / "header_only_panel.csv"
+            panel_path.write_text("item_id,day,sales,f\n", encoding="utf-8")
+        elif case == "near-date-min":  # 60 days from 0001-01-01, a 24-week horizon
+            panel_path = workdir / "early_panel.csv"
+            rows = [f"item_a,{dt.date.min + dt.timedelta(d)},1.0,0.5" for d in range(60)]
+            panel_path.write_text("\n".join(["item_id,day,sales,f", *rows]) + "\n",
+                                  encoding="utf-8")
+            edit = {"horizons": [24]}
+        elif case == "long-window":
+            edit = {"train_window_days": 1_000_000}
+        else:
+            edit = {"n_versions": 200_000}
+        plan_path = workdir / f"calendar_{case}.json"
+        plan_path.write_text(json.dumps(_plan(workdir, **{"panel_path": str(panel_path),
+                                                          **edit})), encoding="utf-8")
+        proc = run_cli(command, "--plan", str(plan_path),
+                       "--out-dir", str(workdir / f"calendar_{case}_out"))
+        assert proc.returncode == 3
+        if case == "header-only":
+            assert "data error: panel has no rows" in proc.stderr
+        else:
+            assert "data error: panel starts " in proc.stderr
+            assert "days of history" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestTrendCommands:

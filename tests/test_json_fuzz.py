@@ -22,7 +22,7 @@ TWEEDIE_ARM = {
     "id": "T",
     "transform": {"kind": "log", "offset": 1.0},
     "loss": {"kind": "tweedie", "power": 1.5, "link": "log"},
-    "weight_scheme": {"kind": "power", "alpha": 0.5},
+    "weight_scheme": {"kind": "sqrt_sales"},
     "corrector_kind": "smearing",
 }
 HUBER_ARM = {
@@ -36,7 +36,6 @@ LEARNER = {"base": "tree", "rounds": 3, "learning_rate": 0.1, "max_depth": 2,
 PLAN = {
     "panel_path": "panel.csv",
     "train_window_days": 365,
-    "cadence_days": 7,
     "n_versions": 2,
     "horizons": [6, 12],
     "arms": ["E1", "E4-PB", TWEEDIE_ARM, HUBER_ARM],

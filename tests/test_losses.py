@@ -1,5 +1,6 @@
 """Loss family behavior: hand values, derivatives, minimizers, weights."""
 
+import dataclasses
 import math
 import warnings
 
@@ -13,7 +14,7 @@ from scipy.special import xlogy
 
 import skewcast as sc
 from skewcast.errors import ConfigError, DomainError, IoFailure, LengthMismatch
-from skewcast.losses import HESS_FLOOR, _ylog_ratio, convexity_profile
+from skewcast.losses import _WEIGHT_KINDS, HESS_FLOOR, _ylog_ratio, convexity_profile
 
 ALL_SPECS = [
     sc.LossSpec.mse(),
@@ -381,39 +382,34 @@ class TestWeightSchemes:
         np.testing.assert_allclose(
             sc.weights_for(sc.WeightScheme(kind="linear_sales"), y), y + floor
         )
-        np.testing.assert_allclose(
-            sc.weights_for(sc.WeightScheme(kind="power", alpha=2.0), y),
-            np.square(y) + floor,
-        )
 
     def test_weights_always_strictly_positive(self, rng):
         y = np.concatenate([[0.0], rng.lognormal(0.0, 1.5, size=200)])
         for scheme in (sc.WeightScheme(kind="unit"),
                        sc.WeightScheme(kind="log_sales"),
                        sc.WeightScheme(kind="sqrt_sales"),
-                       sc.WeightScheme(kind="linear_sales"),
-                       sc.WeightScheme(kind="power", alpha=1.5)):
+                       sc.WeightScheme(kind="linear_sales")):
             assert np.all(sc.weights_for(scheme, y) > 0.0)
 
-    def test_validation_and_labels(self):
-        with pytest.raises(ConfigError):
+    def test_validation(self):
+        with pytest.raises(ConfigError, match="unknown weight scheme 'cubic'"):
             sc.WeightScheme(kind="cubic")
-        with pytest.raises(ConfigError):
-            sc.WeightScheme(kind="power")
-        with pytest.raises(ConfigError):
-            sc.WeightScheme(kind="power", alpha=-1.0)
-        with pytest.raises(ConfigError):
-            sc.WeightScheme(kind="unit", alpha=2.0)
-        assert sc.WeightScheme(kind="power", alpha=2.0).label() == "power(a=2)"
-        assert sc.WeightScheme(kind="sqrt_sales").label() == "sqrt_sales"
+        # power weights are retired: the kind and its exponent are both named
+        with pytest.raises(ConfigError, match="unknown weight scheme 'power'"):
+            sc.WeightScheme.from_json({"kind": "power"})
+        with pytest.raises(ConfigError, match="unknown field 'alpha'"):
+            sc.WeightScheme.from_json({"kind": "power", "alpha": 0.75})
+        assert [f.name for f in dataclasses.fields(sc.WeightScheme)] == ["kind"]
+        assert _WEIGHT_KINDS == ("unit", "log_sales", "sqrt_sales", "linear_sales")
 
     def test_negative_sales_rejected(self):
         with pytest.raises(DomainError):
             sc.weights_for(sc.WeightScheme(kind="linear_sales"), [-1.0])
 
     def test_json_round_trip(self):
-        for scheme in (sc.WeightScheme(kind="unit"),
-                       sc.WeightScheme(kind="power", alpha=0.5)):
+        for kind in _WEIGHT_KINDS:
+            scheme = sc.WeightScheme(kind=kind)
+            assert scheme.to_json() == {"kind": kind}
             assert sc.WeightScheme.from_json(scheme.to_json()) == scheme
 
     def test_unknown_field_is_config_error(self):

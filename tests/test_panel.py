@@ -42,6 +42,10 @@ def _reference_read_panel(path):
     header = lines[0].split(",")
     if header[:3] != ["item_id", "day", "sales"]:
         raise MalformedRow(1, f"header must start with item_id,day,sales (got {lines[0]!r})")
+    names = header[3:]
+    for i, name in enumerate(names):
+        if not name or name in names[:i]:
+            raise MalformedRow(1, f"feature name {name!r} is {'repeated' if name else 'empty'}")
     ncol = len(header)
     codes: dict[str, int] = {}  # item id -> code, in order of first appearance
     item_codes: list[int] = []
@@ -172,6 +176,14 @@ class TestSalesPanel:
         with pytest.raises(DataError):
             _panel(["a,b"], [0], [1.0])
 
+    @pytest.mark.parametrize("names, message", [
+        (["f", "f"], "feature name 'f' is repeated"),
+        (["f", ""], "feature name '' is empty"),
+    ], ids=["repeated", "empty"])
+    def test_repeated_or_empty_feature_name_rejected(self, names, message):
+        with pytest.raises(DataError, match=message):
+            sc.SalesPanel(["a"], [0], [D0.toordinal()], [1.0], [(1.0, 2.0)], names)
+
     def test_day_outside_declared_range_rejected(self):
         with pytest.raises(DataError):
             _panel(["a"], [5], [1.0], date_range=(D0, D0))
@@ -285,6 +297,19 @@ class TestCsvErrors:
         path = self._write(tmp_path, "item_id,day,sales,f1\na,2021-03-01,nan,0.5\n")
         with pytest.raises(MalformedRow):
             sc.read_panel(path)
+
+    @pytest.mark.parametrize("header, message", [
+        ("item_id,day,sales,f,f", "feature name 'f' is repeated"),
+        ("item_id,day,sales,f,g,f", "feature name 'f' is repeated"),
+        ("item_id,day,sales,f,", "feature name '' is empty"),
+        ("item_id,day,sales,,f", "feature name '' is empty"),
+    ], ids=["repeated", "repeated-apart", "trailing-comma", "empty-first"])
+    def test_bad_feature_name_is_named_on_line_one(self, tmp_path, header, message):
+        ncol = header.count(",") + 1
+        path = self._write(tmp_path, f"{header}\na,2021-03-01{',1.0' * (ncol - 2)}\n")
+        with pytest.raises(MalformedRow, match=f"line 1: {message}") as err:
+            sc.read_panel(path)
+        assert err.value.line_no == 1
 
 
 
