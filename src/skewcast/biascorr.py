@@ -36,7 +36,7 @@ from .transform import TargetTransform, forward, inverse
 
 KINDS = ("none", "variance_based", "smearing", "prediction_binned")
 
-BIN_WIDTH = 2.0
+BIN_WIDTH = 2.0  # a prediction_binned bucket's width, in transformed units
 MIN_BIN_COUNT = 30
 
 
@@ -46,18 +46,15 @@ class BiasCorrector:
 
     kind: str = "none"
     factor: float = 1.0
-    bin_width: float = BIN_WIDTH
     bin_factors: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown bias corrector kind {self.kind!r}")
-        check_numbers(self, reals=("factor", "bin_width"))
+        check_numbers(self, reals=("factor",))
         if self.factor <= 0.0:
             raise ConfigError("bias correction factor must be positive")
         if self.kind == "prediction_binned":
-            if self.bin_width <= 0.0:
-                raise ConfigError("bin width must be positive")
             if len(self.bin_factors) < 1:
                 raise ConfigError("prediction_binned corrector needs at least one bin")
             if any(not is_real(f) or f <= 0.0 for f in self.bin_factors):
@@ -69,7 +66,7 @@ class BiasCorrector:
 
     def bin_index(self, pred_transformed: np.ndarray) -> np.ndarray:
         """Bucket of each transformed prediction; the last bin is open-ended."""
-        idx = np.floor(np.asarray(pred_transformed, dtype=np.float64) / self.bin_width)
+        idx = np.floor(np.asarray(pred_transformed, dtype=np.float64) / BIN_WIDTH)
         return np.clip(idx, 0, self.n_bins - 1).astype(np.int64)
 
     def apply(self, pred_raw, pred_transformed=None):
@@ -93,7 +90,6 @@ class BiasCorrector:
             obj["factor"] = self.factor
         elif self.kind == "prediction_binned":
             obj["factor"] = self.factor
-            obj["bin_width"] = self.bin_width
             obj["bin_factors"] = list(self.bin_factors)
         return obj
 
@@ -103,7 +99,6 @@ class BiasCorrector:
         return cls(
             kind=obj.get("kind", "none"),
             factor=real(obj.get("factor", 1.0), "factor"),
-            bin_width=real(obj.get("bin_width", BIN_WIDTH), "bin_width"),
             bin_factors=tuple(json_numbers(obj.get("bin_factors", ()), "bin_factors")),
         )
 

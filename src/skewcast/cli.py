@@ -61,6 +61,20 @@ def _check_out_path(path) -> None:
         raise IoFailure(f"cannot write {path}: not a file in an existing directory")
 
 
+def _check_out_dir(path) -> None:
+    """``IoFailure`` unless ``path`` is, or could be made, a directory.
+
+    Nothing is created: the nearest existing ancestor of ``path`` (or
+    ``path`` itself) must be a directory this process may write in.
+    """
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing) or not os.access(existing, os.W_OK | os.X_OK):
+        raise IoFailure(f"cannot create output directory {path}: "
+                        f"{existing} is not a writable directory")
+
+
 def _cmd_fit(args) -> int:
     arm = _load_arm(args.arm)
     learner_cfg = _load_learner(args.learner)
@@ -88,7 +102,7 @@ _GRIDS = (
 
 def _cmd_grid(args) -> int:
     plan = bt.load_plan(args.plan)
-    bt.make_out_dir(args.out_dir)  # fail before the grid, not after it
+    _check_out_dir(args.out_dir)  # fail before the grid, not after it
     report = args.runner(plan)
     written = "metrics.csv and report.json"
     if args.trend_csv is None:

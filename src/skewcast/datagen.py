@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, check_numbers, is_integer, is_real, json_object, read_json
-from .panel import SalesPanel
+from .panel import SalesPanel, parse_day
 from .rng import keyed_stream, reseat
 
 FEATURE_NAMES = ["log_price", "weekly_index", "spike_mult", "log_popularity"]
@@ -49,7 +49,7 @@ _FROM_JSON = {
     "base_rate_lognormal": tuple,
     "weekly_seasonality": tuple,
     "spike_days": lambda days: tuple((d, float(m) if is_real(m) else m) for d, m in days),
-    "start_day": dt.date.fromisoformat,
+    "start_day": parse_day,
 }
 
 

@@ -60,11 +60,11 @@ from .losses import (
     total_loss,
     weights_for,
 )
-from .panel import _cell
+from .panel import _cell, _feature_name_problem
 from .transform import TargetTransform, forward, inverse
 from .trees import Tree, grow_tree, presort
 
-MODEL_FORMAT = "skewcast-model-v2"
+MODEL_FORMAT = "skewcast-model-v3"
 
 _BASES = ("tree", "linear")
 
@@ -211,9 +211,12 @@ def _check_matrix(X, n_features: int) -> np.ndarray:
 
 
 def _names(value) -> list[str]:
-    """A model JSON's ``feature_names``: a list of strings, or a ``ConfigError``."""
+    """A model JSON's ``feature_names``: names a panel could carry, or a ``ConfigError``."""
     if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
         raise ConfigError(f"feature_names must be a list of strings, got {value!r}")
+    problem = _feature_name_problem(value)
+    if problem:
+        raise ConfigError(f"feature_names: {problem}")
     return list(value)
 
 

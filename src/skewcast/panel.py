@@ -4,9 +4,9 @@ A panel is the universal currency between modules: item x day rows with
 non-negative sales and a fixed-length feature vector, held as parallel
 columns ordered by (item, day).  ``item_codes`` index the ascending
 ``item_ids`` and days are ``date.toordinal()`` values.  CSV is the sole
-on-disk format: ``item_id,day,sales,<feature names...>`` with ISO dates,
-floats at 12 significant digits, and no quoting (item ids containing
-commas are rejected outright).
+on-disk format: ``item_id,day,sales,<feature names...>`` with
+``YYYY-MM-DD`` dates, floats at 12 significant digits, and no quoting
+(item ids containing commas are rejected outright).
 
 ``read_panel`` parses in blocks of lines, not row by row: it splits a
 block's cells at once, converts each number column with one
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -50,6 +51,17 @@ def _fmt(x: float) -> str:
 def _cell(value) -> str:
     """A CSV cell: a float through ``_fmt``, anything else through ``str``."""
     return _fmt(value) if isinstance(value, float) else str(value)
+
+
+# date.fromisoformat alone also reads 20210301 and week dates on Python 3.11, not on 3.10
+_ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_day(text: str) -> dt.date:
+    """An ASCII ``YYYY-MM-DD`` date on every Python; anything else is a ``ValueError``."""
+    if not _ISO_DAY.fullmatch(text):
+        raise ValueError(f"date must be YYYY-MM-DD, got {text!r}")
+    return dt.date.fromisoformat(text)
 
 
 def _feature_name_problem(names: list[str]) -> str | None:
@@ -247,7 +259,7 @@ def _parse_block(lines: list[str], codes: dict[str, int], ordinals: dict[str, in
     for item in dict.fromkeys(ids):
         codes.setdefault(item, len(codes))
     for date in set(dates).difference(ordinals):
-        ordinals[date] = dt.date.fromisoformat(date).toordinal()
+        ordinals[date] = parse_day(date).toordinal()
     item_codes[:] = np.fromiter(map(codes.__getitem__, ids), dtype=np.int64, count=len(ids))
     days[:] = np.fromiter(map(ordinals.__getitem__, dates), dtype=np.int64, count=len(dates))
     for j in range(2, ncol):  # float() on every cell
@@ -268,7 +280,7 @@ def _check_rows(lines: list[str], line_no: int, ncol: int) -> None:
         if not parts[0]:
             raise MalformedRow(line_no, "empty item_id")
         try:
-            dt.date.fromisoformat(parts[1])
+            parse_day(parts[1])
         except ValueError:
             raise MalformedRow(line_no, f"bad date {parts[1]!r}") from None
         try:

@@ -13,47 +13,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, EmptyInput, check_numbers, is_real, json_object
+from .errors import ConfigError, DomainError, EmptyInput, json_object
 
 _KINDS = ("identity", "log", "sqrt")
 
 
 @dataclass(frozen=True)
 class TargetTransform:
-    """Target-variable transform: identity, log(y + offset), or sqrt(y).
+    """Target-variable transform: identity, log(y + 1), or sqrt(y).
 
-    ``offset`` only applies to the log kind.  The default offset of 1.0
-    keeps zero-sales days representable; offset 0 requires strictly
-    positive targets.
+    The log kind adds 1 so that zero-sales days stay representable.
     """
 
     kind: str = "identity"
-    offset: float = 1.0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown transform kind {self.kind!r}")
-        check_numbers(self, reals=("offset",))
-        if self.offset < 0:
-            raise ConfigError("log offset must be non-negative")
 
     @property
     def is_identity(self) -> bool:
         return self.kind == "identity"
 
-    def label(self) -> str:
-        if self.kind == "log":
-            return f"log(y+{self.offset:g})"
-        return self.kind
-
     def to_json(self) -> dict:
-        return {"kind": self.kind, "offset": self.offset}
+        return {"kind": self.kind}
 
     @classmethod
     def from_json(cls, obj: dict) -> "TargetTransform":
-        obj = json_object(obj, "transform", cls)
-        offset = obj.get("offset", 1.0)  # anything but a finite number fails the field check
-        return cls(kind=obj["kind"], offset=float(offset) if is_real(offset) else offset)
+        return cls(kind=json_object(obj, "transform", cls)["kind"])
 
 
 @dataclass(frozen=True)
@@ -74,10 +61,7 @@ def forward(t: TargetTransform, y):
     if t.kind == "identity":
         out = y.copy()
     elif t.kind == "log":
-        if np.any(y + t.offset <= 0):
-            raise DomainError("log transform needs y + offset > 0")
-        # log1p keeps the round trip accurate near zero for the default offset
-        out = np.log1p(y) if t.offset == 1.0 else np.log(y + t.offset)
+        out = np.log1p(y)  # accurate near zero, where log(y + 1) would round
     else:
         out = np.sqrt(y)
     return float(out) if out.ndim == 0 else out
@@ -89,8 +73,7 @@ def inverse(t: TargetTransform, z):
     if t.kind == "identity":
         out = np.maximum(z, 0.0)
     elif t.kind == "log":
-        raw = np.expm1(z) if t.offset == 1.0 else np.exp(z) - t.offset
-        out = np.maximum(raw, 0.0)
+        out = np.maximum(np.expm1(z), 0.0)
     else:
         out = np.square(np.maximum(z, 0.0))
     return float(out) if out.ndim == 0 else out

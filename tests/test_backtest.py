@@ -249,12 +249,9 @@ class TestArms:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field, make", [
-        ("offset", lambda v: sc.TargetTransform(kind="log", offset=v)),
         ("power", lambda v: sc.LossSpec.tweedie(v)),
         ("delta", lambda v: sc.LossSpec.pseudo_huber(v)),
-        ("bin_width", lambda v: sc.BiasCorrector(kind="prediction_binned", bin_width=v,
-                                                 bin_factors=(1.0,))),
-    ], ids=["offset", "power", "delta", "bin_width"])
+    ], ids=["power", "delta"])
     def test_non_finite_parameters_are_config_errors(self, field, make, value):
         with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
             make(value)
@@ -498,9 +495,7 @@ class TestPreflight:
     @pytest.mark.parametrize("transform,loss,message", [
         (sc.TargetTransform(kind="identity"), sc.LossSpec.gamma(),
          "gamma deviance needs y > 0"),
-        (sc.TargetTransform(kind="log", offset=0.0), sc.LossSpec.mse(),
-         "log transform needs y + offset > 0"),
-    ], ids=["gamma", "log-offset-0"])
+    ], ids=["gamma"])
     def test_zero_sales_fail_before_any_fit(self, small_panel, monkeypatch,
                                             transform, loss, message):
         assert (small_panel.sales == 0).any()

@@ -4,6 +4,9 @@
 refactor that renames or re-routes one of them leaves that layer's
 numbers at zero; this runs one traced worker per workload and checks
 that every target resolved and that the layers recorded their spans.
+The worker's own result must pass its checks and, under the numpy of
+``bench/reference.json``, reproduce that workload's reference hash at the
+default seed.
 """
 
 import json
@@ -11,20 +14,30 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+with open(os.path.join(ROOT, "bench", "reference.json"), encoding="utf-8") as _fh:
+    REFERENCE = json.load(_fh)
 
 
 def _trace(workload, tmp_path):
-    """Run one traced worker of ``workload``; its trace."""
-    trace_path = tmp_path / "trace.json"
+    """Run one traced worker of ``workload`` at the reference seed; its trace,
+    once its result has passed the worker's checks."""
+    trace_path, result_path = tmp_path / "trace.json", tmp_path / "result.json"
     proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "bench", "workloads.py"), workload, "20240405",
-         str(tmp_path / "out"), str(tmp_path / "result.json"), str(tmp_path / "unused.csv"),
-         "--trace", str(trace_path)],
+        [sys.executable, os.path.join(ROOT, "bench", "workloads.py"), workload,
+         str(REFERENCE["seed"]), str(tmp_path / "out"), str(result_path),
+         str(tmp_path / "unused.csv"), "--trace", str(trace_path)],
         capture_output=True, text=True, timeout=600,
         env={**os.environ, "SKEWCAST_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == 0, proc.stderr
+    run = json.loads(result_path.read_text(encoding="utf-8"))["runs"][0]
+    assert run["problems"] == []
+    if np.__version__ == REFERENCE["numpy"]:  # other numpy builds may round differently
+        assert run["sha256"] == REFERENCE["sha256"][workload]
     return json.loads(trace_path.read_text(encoding="utf-8"))
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import skewcast as sc
-from skewcast.biascorr import MIN_BIN_COUNT, BiasCorrector
+from skewcast.biascorr import BIN_WIDTH, MIN_BIN_COUNT, BiasCorrector
 from skewcast.errors import (
     ConfigError,
     EmptyInput,
@@ -82,23 +82,21 @@ class TestApply:
         np.testing.assert_allclose(corr.apply(np.array([100.0])), [125.0])
 
     def test_binned_needs_transformed_predictions(self):
-        corr = BiasCorrector(kind="prediction_binned", factor=1.0,
-                             bin_width=2.0, bin_factors=(1.0, 2.0))
+        corr = BiasCorrector(kind="prediction_binned", factor=1.0, bin_factors=(1.0, 2.0))
         with pytest.raises(ConfigError):
             corr.apply(np.array([1.0]))
         with pytest.raises(LengthMismatch):
             corr.apply(np.array([1.0]), np.array([1.0, 2.0]))
 
     def test_binned_bucket_lookup(self):
-        corr = BiasCorrector(kind="prediction_binned", factor=1.0, bin_width=2.0,
+        corr = BiasCorrector(kind="prediction_binned", factor=1.0,
                              bin_factors=(1.0, 1.1, 1.2, 1.3, 1.4))
         raw = np.ones(4)
         z = np.array([5.0, 0.0, 9.9, 47.0])  # [4,6) -> 1.2; overflow -> last
         np.testing.assert_allclose(corr.apply(raw, z), [1.2, 1.0, 1.4, 1.4])
 
     def test_negative_transformed_prediction_uses_first_bucket(self):
-        corr = BiasCorrector(kind="prediction_binned", factor=1.0, bin_width=2.0,
-                             bin_factors=(1.5, 2.0))
+        corr = BiasCorrector(kind="prediction_binned", factor=1.0, bin_factors=(1.5, 2.0))
         np.testing.assert_allclose(corr.apply(np.ones(1), np.array([-3.0])), [1.5])
 
 
@@ -117,7 +115,7 @@ class TestPredictionBinned:
         y = np.expm1(z)
         corr = sc.fit_prediction_binned(y, z, LOG)
         assert corr.n_bins == 5
-        assert corr.bin_width == 2.0
+        assert BIN_WIDTH == 2.0
 
     def test_hand_value_multiplier(self):
         """One bucket where actuals average 30 and back-transformed

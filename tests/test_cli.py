@@ -1,5 +1,5 @@
-"""End-to-end command-line runs in subprocesses, including exit codes,
-and the ``--losses`` parser in-process."""
+"""End-to-end command-line runs in subprocesses, including exit codes;
+the ``--losses`` parser and the output-directory check in-process."""
 
 import datetime as dt
 import json
@@ -10,8 +10,9 @@ import sys
 import pytest
 
 import skewcast as sc
+from skewcast import backtest
 from skewcast.backtest import SWEEP_POWERS
-from skewcast.cli import _parse_losses
+from skewcast.cli import _parse_losses, main
 from skewcast.losses import _LOSS_KINDS
 
 GEN_CFG = {
@@ -149,16 +150,19 @@ class TestFit:
         assert proc.returncode == 0, proc.stderr
         assert sc.load_model(model_path).transform.kind == "sqrt"
 
-    def test_offset_too_large_for_a_float_is_config_error(self, workdir):
+    def test_retired_offset_is_config_error(self, workdir):
+        """The log offset is retired: an arm that sets it, even to its old
+        default of 1, is named before the panel is read."""
         arm = sc.arm_by_id("E4").to_json()
-        arm["transform"]["offset"] = 10**400
-        arm_path = workdir / "huge_offset_arm.json"
+        arm["transform"]["offset"] = 1.0
+        arm_path = workdir / "offset_arm.json"
         arm_path.write_text(json.dumps(arm), encoding="utf-8")
         proc = run_cli("fit", "--panel", str(workdir / "panel.csv"),
                        "--arm", str(arm_path), "--model-out", str(workdir / "m.json"))
         assert proc.returncode == 2
-        assert "config error: offset" in proc.stderr
+        assert "config error: transform JSON has unknown field 'offset'" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not (workdir / "m.json").exists()
 
     def test_unknown_arm_is_config_error(self, workdir):
         proc = run_cli("fit", "--panel", str(workdir / "panel.csv"),
@@ -260,7 +264,7 @@ class TestBacktest:
     def test_grid_and_outputs(self, workdir):
         plan_path = workdir / "plan.json"
         plan_path.write_text(json.dumps(_plan(workdir)), encoding="utf-8")
-        out_dir = workdir / "grid_out"
+        out_dir = workdir / "grid_out" / "sub"  # made, parents too, when written
         proc = run_cli("backtest", "--plan", str(plan_path),
                        "--out-dir", str(out_dir))
         assert proc.returncode == 0, proc.stderr
@@ -354,6 +358,7 @@ class TestBacktest:
         assert proc.returncode == 3
         assert "data error: arm GAMMA at origin " in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not (workdir / "gamma_out").exists()
 
     def test_too_short_history_is_data_error(self, workdir):
         plan_path = workdir / "short_plan.json"
@@ -362,6 +367,7 @@ class TestBacktest:
         proc = run_cli("backtest", "--plan", str(plan_path),
                        "--out-dir", str(workdir / "nope2"))
         assert proc.returncode == 3
+        assert not (workdir / "nope2").exists()
 
     @pytest.mark.parametrize("case, command", [
         ("header-only", "backtest"), ("near-date-min", "backtest"), ("long-window", "backtest"),
@@ -395,6 +401,7 @@ class TestBacktest:
             assert "data error: panel starts " in proc.stderr
             assert "days of history" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not (workdir / f"calendar_{case}_out").exists()
 
 
 class TestTrendCommands:
@@ -519,8 +526,20 @@ class TestUnwritableOutput:
         proc = run_cli(command, "--plan", str(workdir / "io_plan.json"),
                        "--out-dir", str(afile / "sub"))
         assert proc.returncode == 3
-        assert "data error" in proc.stderr
+        assert f"data error: cannot create output directory {afile / 'sub'}" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("under", ["afile", "missing-under-afile"])
+    def test_grid_out_dir_fails_before_the_first_fit(self, workdir, afile, monkeypatch,
+                                                     capsys, under):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran before the output directory was checked")
+
+        monkeypatch.setattr(backtest, "fit", no_fit)
+        out_dir = afile if under == "afile" else afile / "missing" / "sub"
+        assert main(["backtest", "--plan", str(workdir / "io_plan.json"),
+                     "--out-dir", str(out_dir)]) == 3
+        assert f"cannot create output directory {out_dir}" in capsys.readouterr().err
 
     def test_fit_report(self, workdir, afile):
         proc = run_cli("fit", "--panel", str(workdir / "panel.csv"),

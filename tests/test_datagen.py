@@ -263,10 +263,10 @@ class TestGenConfig:
         assert sc.GenConfig.from_json({"n_items": 200, "n_days": 730}) == sc.GenConfig()
 
     @pytest.mark.parametrize("obj", [
-        [1, 2], {"start_day": 5}, {"start_day": "not a date"}, {"spike_days": [[1]]},
-        {"spike_days": [["a", 2.0]]}, {"weekly_seasonality": 7},
-    ], ids=["list", "day-not-text", "day-not-iso", "spike-not-pair", "spike-day-not-number",
-            "weekly-not-list"])
+        [1, 2], {"start_day": 5}, {"start_day": "not a date"}, {"start_day": "20200106"},
+        {"spike_days": [[1]]}, {"spike_days": [["a", 2.0]]}, {"weekly_seasonality": 7},
+    ], ids=["list", "day-not-text", "day-not-iso", "day-compact", "spike-not-pair",
+            "spike-day-not-number", "weekly-not-list"])
     def test_malformed_json_is_config_error(self, obj):
         with pytest.raises(ConfigError):
             sc.GenConfig.from_json(obj)

@@ -20,14 +20,14 @@ NOT_NUMBERS = [True, False, "x", "1.5", math.nan, math.inf, -math.inf]
 
 TWEEDIE_ARM = {
     "id": "T",
-    "transform": {"kind": "log", "offset": 1.0},
+    "transform": {"kind": "log"},
     "loss": {"kind": "tweedie", "power": 1.5, "link": "log"},
     "weight_scheme": {"kind": "sqrt_sales"},
     "corrector_kind": "smearing",
 }
 HUBER_ARM = {
     "id": "H",
-    "transform": {"kind": "identity", "offset": 1.0},
+    "transform": {"kind": "identity"},
     "loss": {"kind": "pseudo_huber", "delta": 2.0},
     "weight_scheme": {"kind": "unit"},
 }
@@ -45,7 +45,7 @@ PLAN = {
 }
 TREE_MODEL = {
     "version": sc.MODEL_FORMAT,
-    "transform": {"kind": "log", "offset": 1.0},
+    "transform": {"kind": "log"},
     "loss": {"kind": "mse", "link": "identity"},
     "weight_scheme": {"kind": "sqrt_sales"},
     "learner": LEARNER,
@@ -55,8 +55,7 @@ TREE_MODEL = {
                "left": [1, -1, -1], "right": [2, -1, -1], "value": [0.0, -0.25, 0.25]}],
     "betas": [],
     "training_loss": [0.5, 0.25],
-    "bias_corrector": {"kind": "prediction_binned", "factor": 1.1, "bin_width": 2.0,
-                       "bin_factors": [1.05, 1.2]},
+    "bias_corrector": {"kind": "prediction_binned", "factor": 1.1, "bin_factors": [1.05, 1.2]},
 }
 LINEAR_MODEL = {
     **TREE_MODEL,
@@ -132,7 +131,6 @@ def test_fuzzed_fields_fail_only_as_config_or_data_errors(name):
     (sc.FitModel.from_json, LINEAR_MODEL, ("betas", 0, 0), "1.5", "betas"),
     (sc.BiasCorrector.from_json, TREE_MODEL["bias_corrector"], ("factor",), "2", "factor"),
     (sc.BiasCorrector.from_json, TREE_MODEL["bias_corrector"], ("factor",), True, "factor"),
-    (sc.BiasCorrector.from_json, TREE_MODEL["bias_corrector"], ("bin_width",), "2", "bin_width"),
     (sc.BiasCorrector.from_json, TREE_MODEL["bias_corrector"], ("bin_factors",), ["1.5", True],
      "bin_factors"),
     (sc.GenConfig.from_json, {"spike_days": [[170, 3.0]]}, ("spike_days", 0, 0), True,
@@ -140,7 +138,7 @@ def test_fuzzed_fields_fail_only_as_config_or_data_errors(name):
     (sc.GenConfig.from_json, {"spike_days": [[170, 3.0]]}, ("spike_days", 0, 1), "4",
      "spike_days"),
 ], ids=["nan-base-score", "text-base-score", "nan-training-loss", "text-threshold",
-        "bool-value", "float-child", "text-beta", "text-factor", "bool-factor", "text-bin-width",
+        "bool-value", "float-child", "text-beta", "text-factor", "bool-factor",
         "text-bin-factors", "bool-spike-day", "text-spike-multiplier"])
 def test_rejected_number_names_its_field(load, doc, path, value, field):
     load(copy.deepcopy(doc))  # the document itself is valid

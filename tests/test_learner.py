@@ -514,6 +514,28 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="unsupported model version 'skewcast-model-v1'"):
             sc.load_model(path)
 
+    def test_v2_model_is_rejected_by_version(self, small_panel, tmp_path):
+        """A v2 model, whose transform still holds an offset and whose binned
+        corrector a bin width, is rejected by version before its fields."""
+        model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT, _quick_config(rounds=1))
+        obj = model.with_corrector(sc.BiasCorrector("prediction_binned", 1.1, (1.0, 1.2))).to_json()
+        obj["version"] = "skewcast-model-v2"
+        obj["transform"]["offset"] = 1.0
+        obj["bias_corrector"]["bin_width"] = 2.0
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ConfigError, match="unsupported model version 'skewcast-model-v2', "
+                                              "expected 'skewcast-model-v3'"):
+            sc.load_model(path)
+        obj["version"] = sc.MODEL_FORMAT  # as v3, each retired key is named
+        with pytest.raises(ConfigError, match="transform JSON has unknown field 'offset'"):
+            FitModel.from_json(obj)
+        del obj["transform"]["offset"]
+        with pytest.raises(ConfigError, match="bias corrector JSON has unknown field 'bin_width'"):
+            FitModel.from_json(obj)
+        del obj["bias_corrector"]["bin_width"]
+        assert FitModel.from_json(obj).bias_corrector.bin_factors == (1.0, 1.2)
+
     @pytest.mark.parametrize("base,edit", [
         ("tree", lambda obj: obj["trees"][0]["feature"].__setitem__(0, 7)),
         ("linear", lambda obj: obj["betas"][0].pop()),
@@ -525,9 +547,12 @@ class TestSerialization:
         ("tree", lambda obj: obj.__setitem__("bias_corrector", ["smearing", 1.2])),
         ("tree", lambda obj: obj.__setitem__("loss", "mse")),
         ("tree", lambda obj: obj.__setitem__("feature_names", 3)),
+        ("tree", lambda obj: obj["feature_names"].__setitem__(1, obj["feature_names"][0])),
+        ("linear", lambda obj: obj["feature_names"].__setitem__(0, "")),
     ], ids=["tree-feature-out-of-range", "betas-too-short", "betas-not-1d",
             "betas-not-finite", "betas-not-numeric", "missing-transform", "missing-trees",
-            "corrector-not-object", "loss-not-object", "feature-names-not-list"])
+            "corrector-not-object", "loss-not-object", "feature-names-not-list",
+            "feature-name-repeated", "feature-name-empty"])
     def test_corrupt_model_rejected(self, small_panel, base, edit):
         model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT,
                        _quick_config(base=base, rounds=2))
@@ -561,11 +586,10 @@ class TestSerialization:
 
     @pytest.mark.parametrize("edit", [
         lambda obj: obj["trees"][0]["feature"].__setitem__(0, 2**70),
-        lambda obj: obj["transform"].__setitem__("offset", 10**400),
         lambda obj: obj.__setitem__("base_score", 10**400),
         lambda obj: obj["training_loss"].__setitem__(0, 10**400),
         lambda obj: obj.__setitem__("bias_corrector", {"kind": "smearing", "factor": 10**400}),
-    ], ids=["tree-feature", "offset", "base-score", "training-loss", "corrector-factor"])
+    ], ids=["tree-feature", "base-score", "training-loss", "corrector-factor"])
     def test_number_too_large_to_convert_is_config_error(self, small_panel, tmp_path, edit):
         obj = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT, _quick_config(rounds=2)).to_json()
         edit(obj)
@@ -574,7 +598,7 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             sc.load_model(path)
 
-    @pytest.mark.parametrize("text", ['[1, 2]', '"model"', '{"version": "skewcast-model-v2"}'],
+    @pytest.mark.parametrize("text", ['[1, 2]', '"model"', '{"version": "skewcast-model-v3"}'],
                              ids=["list", "string", "only-version"])
     def test_malformed_model_json_is_config_error(self, tmp_path, text):
         path = tmp_path / "model.json"

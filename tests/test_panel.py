@@ -57,8 +57,13 @@ def _reference_read_panel(path):
             raise MalformedRow(line_no, f"expected {ncol} columns, got {len(parts)}")
         if not parts[0]:
             raise MalformedRow(line_no, "empty item_id")
+        text = parts[1]  # ASCII YYYY-MM-DD and nothing else, on every Python
+        digits = text[:4] + text[5:7] + text[8:]
         try:
-            day = dt.date.fromisoformat(parts[1])
+            if not (len(text) == 10 and text[4] == text[7] == "-" and digits.isascii()
+                    and digits.isdigit()):
+                raise ValueError(text)
+            day = dt.date(int(text[:4]), int(text[5:7]), int(text[8:]))
         except ValueError:
             raise MalformedRow(line_no, f"bad date {parts[1]!r}") from None
         try:
@@ -266,6 +271,16 @@ class TestCsvErrors:
             sc.read_panel(path)
         assert err.value.line_no == 3
 
+    @pytest.mark.parametrize("date", ["20210301", "2021-W09-1", "2021-060", "2021-03-01T00",
+                                      " 2021-03-01", "\uff12\uff10\uff12\uff11-03-01"],
+                             ids=["compact", "week", "ordinal", "time", "space", "wide-digits"])
+    def test_only_yyyy_mm_dd_is_a_date(self, tmp_path, date):
+        """One date rule on every Python: ``date.fromisoformat`` on 3.11
+        also reads compact and week dates, which 3.10 rejects."""
+        path = self._write(tmp_path, f"item_id,day,sales\na,2021-03-01,1.0\nb,{date},1.0\n")
+        with pytest.raises(MalformedRow, match=f"line 3: bad date {date!r}"):
+            sc.read_panel(path)
+
     def test_column_count_mismatch(self, tmp_path):
         path = self._write(tmp_path, "item_id,day,sales,f1\na,2021-03-01,1.0\n")
         with pytest.raises(MalformedRow) as err:
@@ -348,7 +363,7 @@ def _panel_lines(draw, min_rows: int = 0) -> list[str]:
     lines = [",".join(["item_id", "day", "sales", *(f"f{j}" for j in range(k))])]
     for item, offset in keys:
         day = D0 + dt.timedelta(days=offset)
-        date = draw(st.sampled_from([day.isoformat(), day.strftime("%Y%m%d")]))
+        date = day.isoformat()
         numbers = [draw(_number_text(0.0))] + [draw(_number_text(-1e15)) for _ in range(k)]
         lines.append(",".join([item, date, *numbers]))
     return lines
@@ -359,7 +374,8 @@ _CORRUPTIONS = {
     "column count": lambda cells, draw: draw(st.sampled_from([cells[:-1], cells + ["1"]])),
     "empty id": lambda cells, draw: ["", *cells[1:]],
     "bad date": lambda cells, draw: [cells[0], draw(st.sampled_from(
-        ["2021-02-30", "not-a-date", "", "2021-3-1"])), *cells[2:]],
+        ["2021-02-30", "not-a-date", "", "2021-3-1", "20210301", "2021-W09-1",
+         "\uff12\uff10\uff12\uff11-03-01"])), *cells[2:]],
     "text in a number": lambda cells, draw: _replace_number(cells, draw, ["abc", "1.2.3", "", "0x10"]),
     "non-finite": lambda cells, draw: _replace_number(cells, draw, ["nan", "inf", "-inf", "1e400"]),
     "negative sales": lambda cells, draw: [*cells[:2], draw(st.sampled_from(
