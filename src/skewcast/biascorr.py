@@ -36,7 +36,7 @@ from .transform import TargetTransform, forward, inverse
 
 KINDS = ("none", "variance_based", "smearing", "prediction_binned")
 
-BIN_WIDTH = 2.0  # a prediction_binned bucket's width, in transformed units
+BIN_WIDTH = 2.0
 MIN_BIN_COUNT = 30
 
 

@@ -363,9 +363,8 @@ def _panel_lines(draw, min_rows: int = 0) -> list[str]:
     lines = [",".join(["item_id", "day", "sales", *(f"f{j}" for j in range(k))])]
     for item, offset in keys:
         day = D0 + dt.timedelta(days=offset)
-        date = day.isoformat()
         numbers = [draw(_number_text(0.0))] + [draw(_number_text(-1e15)) for _ in range(k)]
-        lines.append(",".join([item, date, *numbers]))
+        lines.append(",".join([item, day.isoformat(), *numbers]))
     return lines
 
 
