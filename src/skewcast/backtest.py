@@ -65,7 +65,7 @@ from .metrics import (
     version_metrics,
     write_metrics_csv,
 )
-from .panel import HORIZONS, ForecastVersion, SalesPanel, _cell, read_panel
+from .panel import HORIZONS, ForecastVersion, SalesPanel, _cell, is_csv_name, read_panel
 from .transform import TargetTransform, inverse
 
 LADDER_SCHEMES = (
@@ -103,7 +103,7 @@ class ExperimentArm:
     corrector_kind: str = "none"
 
     def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id or any(c in self.id for c in ",\n\r"):
+        if not is_csv_name(self.id):
             raise ConfigError(f"arm id {self.id!r} is not representable in CSV")
         if self.corrector_kind not in CORRECTOR_KINDS:
             raise ConfigError(f"unknown corrector kind {self.corrector_kind!r}")

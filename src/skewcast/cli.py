@@ -29,12 +29,13 @@ from .learner import (
     save_model,
     write_pairs_csv,
 )
-from .losses import LossSpec, convexity_profile
+from .losses import _LOSS_KINDS, LossSpec, convexity_profile
 from .panel import read_panel, write_panel
 
 
 def _cmd_gen(args) -> int:
     cfg = load_gen_config(args.config)
+    _check_out_path(args.out)  # fail before generating, not after it
     panel = generate(cfg)
     write_panel(panel, args.out)
     print(f"wrote {len(panel)} rows to {args.out}")
@@ -138,28 +139,19 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.arange(start, stop + 0.5 * step, step)
 
 
-# kind -> (constructor, name of its one parameter or None)
-_LOSS_PARSERS = {
-    "mse": (LossSpec.mse, None),
-    "poisson": (LossSpec.poisson, None),
-    "gamma": (LossSpec.gamma, None),
-    "tweedie": (LossSpec.tweedie, "power"),
-    "pseudo_huber": (LossSpec.pseudo_huber, "delta"),
-}
-
-
 def _parse_losses(text: str) -> list[LossSpec]:
+    """``kind`` or ``kind:value`` tokens, each built by the ``LossSpec`` method of its kind."""
     specs = []
     for token in text.split(","):
         name, colon, param = token.strip().partition(":")
-        if name not in _LOSS_PARSERS:
+        if name not in _LOSS_KINDS:
             raise ConfigError(f"--losses: unknown loss {name!r}")
-        make, param_name = _LOSS_PARSERS[name]
+        param_name = _LOSS_KINDS[name][1]
         if param_name is None and colon:
             raise ConfigError(f"--losses: {name} takes no parameter, got {token.strip()!r}")
         args = (_number(param, f"--losses {name} {param_name}"),) if param else ()
         try:
-            specs.append(make(*args))
+            specs.append(getattr(LossSpec, name)(*args))
         except TypeError:  # no value for a parameter without a default
             raise ConfigError(f"--losses: {name} needs a {param_name}, e.g. {name}:1.5") from None
     return specs
@@ -172,6 +164,7 @@ def _cmd_convexity(args) -> int:
     real(args.actual, "--actual")
     specs = _parse_losses(args.losses)
     grid = _parse_grid(args.grid)
+    _check_out_path(args.out)
     table = convexity_profile(specs, args.actual, grid)
     table.write_csv(args.out)
     print(f"wrote {len(grid)} grid rows for {len(specs)} losses to {args.out}")

@@ -64,7 +64,7 @@ from .panel import _cell, _feature_name_problem
 from .transform import TargetTransform, forward, inverse
 from .trees import Tree, grow_tree, presort
 
-MODEL_FORMAT = "skewcast-model-v3"
+MODEL_FORMAT = "skewcast-model-v4"
 
 _BASES = ("tree", "linear")
 

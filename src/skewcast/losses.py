@@ -21,10 +21,10 @@ deviance, so it contributes exactly 2 * mu.
 
 Scores relate to mean predictions through the link: identity for squared
 error and pseudo-Huber, log for Poisson/Gamma/Tweedie (so mean = exp(score)
-is always positive).  The kind fixes the link, and a loss JSON naming
-another link is rejected, because Newton boosting needs a positive
-second derivative, which e.g. squared error under a log link cannot
-guarantee.
+is always positive).  The kind fixes the link, and a loss JSON names
+only the kind and its parameter, because Newton boosting needs a
+positive second derivative, which e.g. squared error under a log link
+cannot guarantee.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .errors import (
     ConfigError,
     DomainError,
     LengthMismatch,
-    check_numbers,
     json_object,
+    real,
     write_text,
 )
 from .panel import _fmt
@@ -46,8 +46,14 @@ from .panel import _fmt
 HESS_FLOOR = 1e-16
 WEIGHT_FLOOR = 1e-6
 
-_LOSS_KINDS = ("mse", "pseudo_huber", "poisson", "gamma", "tweedie")
-_LOG_LINK_KINDS = ("poisson", "gamma", "tweedie")
+# kind -> (log link?, name of its one parameter or None)
+_LOSS_KINDS = {
+    "mse": (False, None),
+    "pseudo_huber": (False, "delta"),
+    "poisson": (True, None),
+    "gamma": (True, None),
+    "tweedie": (True, "power"),
+}
 _WEIGHT_KINDS = ("unit", "log_sales", "sqrt_sales", "linear_sales")
 
 
@@ -66,19 +72,18 @@ class LossSpec:
     delta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _LOSS_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _LOSS_KINDS:
             raise ConfigError(f"unknown loss kind {self.kind!r}")
-        check_numbers(self, reals=[f for f in ("power", "delta") if getattr(self, f) is not None])
-        if self.kind == "tweedie":
-            if self.power is None or not (1.0 < self.power < 2.0):
-                raise ConfigError("tweedie power must lie strictly inside (1, 2)")
-        elif self.power is not None:
-            raise ConfigError("power only applies to the tweedie loss")
-        if self.kind == "pseudo_huber":
-            if self.delta is None or self.delta <= 0:
-                raise ConfigError("pseudo_huber delta must be positive")
-        elif self.delta is not None:
-            raise ConfigError("delta only applies to the pseudo_huber loss")
+        param = _LOSS_KINDS[self.kind][1]
+        for name in ("power", "delta"):
+            if name != param and getattr(self, name) is not None:
+                raise ConfigError(f"the {self.kind} loss takes no {name}")
+        if param is not None:
+            real(getattr(self, param), f"{self.kind} {param}")
+        if self.kind == "tweedie" and not 1.0 < self.power < 2.0:
+            raise ConfigError("tweedie power must lie strictly inside (1, 2)")
+        if self.kind == "pseudo_huber" and self.delta <= 0:
+            raise ConfigError("pseudo_huber delta must be positive")
 
     @classmethod
     def mse(cls) -> "LossSpec":
@@ -101,36 +106,21 @@ class LossSpec:
         return cls(kind="tweedie", power=power)
 
     @property
-    def link(self) -> str:
-        return "log" if self.log_link else "identity"
-
-    @property
     def log_link(self) -> bool:
-        return self.kind in _LOG_LINK_KINDS
+        return _LOSS_KINDS[self.kind][0]
 
-    def label(self) -> str:
-        if self.kind == "tweedie":
-            return f"tweedie(p={self.power:g})"
-        if self.kind == "pseudo_huber":
-            return f"pseudo_huber(d={self.delta:g})"
-        return self.kind
+    def label(self) -> str:  # tweedie(p=1.5): the parameter's initial and value
+        param = _LOSS_KINDS[self.kind][1]
+        return self.kind if param is None else f"{self.kind}({param[0]}={getattr(self, param):g})"
 
     def to_json(self) -> dict:
-        out: dict = {"kind": self.kind, "link": self.link}
-        if self.power is not None:
-            out["power"] = self.power
-        if self.delta is not None:
-            out["delta"] = self.delta
-        return out
+        param = _LOSS_KINDS[self.kind][1]
+        return {"kind": self.kind, **({} if param is None else {param: getattr(self, param)})}
 
     @classmethod
     def from_json(cls, obj: dict) -> "LossSpec":
-        obj = json_object(obj, "loss", cls, extra=("link",))
-        spec = cls(kind=obj["kind"], power=obj.get("power"), delta=obj.get("delta"))
-        if obj.get("link", spec.link) != spec.link:
-            raise ConfigError(f"{spec.kind} loss requires the {spec.link} link, "
-                              f"got {obj['link']!r}")
-        return spec
+        obj = json_object(obj, "loss", cls)
+        return cls(kind=obj["kind"], power=obj.get("power"), delta=obj.get("delta"))
 
 
 @dataclass(frozen=True)
@@ -194,7 +184,7 @@ def check_targets(spec: LossSpec, y) -> None:
 
 
 def _check_mean(spec: LossSpec, mu) -> None:
-    if spec.kind in ("poisson", "gamma", "tweedie") and np.any(mu <= 0):
+    if spec.log_link and np.any(mu <= 0):
         raise DomainError(f"{spec.kind} deviance needs mu > 0")
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     DegenerateBaseline,
+    DomainError,
     EmptyInput,
     LengthMismatch,
     NoValidItems,
@@ -74,8 +75,8 @@ class RelativeMetrics:
 def version_metrics(forecasts, panel: SalesPanel, version: ForecastVersion) -> VersionMetrics:
     """Actual-weighted |PE| and PE across items for one version.
 
-    ``forecasts`` holds one value per row of ``panel``, whose sales are
-    the actuals.  Both are summed per item over the version's window,
+    ``forecasts`` holds one finite value per row of ``panel``, whose sales
+    are the actuals.  Both are summed per item over the version's window,
     day by day in row order.  Every item of the panel is scored; items
     whose actual total over the window is zero carry no weight and are
     skipped (the percent error is undefined there); they are counted in
@@ -84,6 +85,8 @@ def version_metrics(forecasts, panel: SalesPanel, version: ForecastVersion) -> V
     forecasts = np.asarray(forecasts, dtype=np.float64)
     if forecasts.shape != panel.sales.shape:
         raise LengthMismatch(f"{forecasts.shape} forecasts for {len(panel)} panel rows")
+    if not np.isfinite(forecasts).all():
+        raise DomainError("a forecast is not finite")
     if not len(panel):
         raise NoValidItems("no items to score")
     days = panel.day_ordinals

@@ -6,7 +6,7 @@ columns ordered by (item, day).  ``item_codes`` index the ascending
 ``item_ids`` and days are ``date.toordinal()`` values.  CSV is the sole
 on-disk format: ``item_id,day,sales,<feature names...>`` with
 ``YYYY-MM-DD`` dates, floats at 12 significant digits, and no quoting
-(item ids containing commas are rejected outright).
+(so item ids and feature names must pass ``is_csv_name``).
 
 ``read_panel`` parses in blocks of lines, not row by row: it splits a
 block's cells at once, converts each number column with one
@@ -64,11 +64,18 @@ def parse_day(text: str) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
+def is_csv_name(name) -> bool:
+    """Non-empty text with no comma, line feed or carriage return: a CSV cell as it is."""
+    return isinstance(name, str) and name != "" and not any(c in name for c in ",\n\r")
+
+
 def _feature_name_problem(names: list[str]) -> str | None:
     """Why a panel cannot have these feature names, or None if it can."""
     for i, name in enumerate(names):
-        if not name or name in names[:i]:
+        if name == "" or name in names[:i]:
             return f"feature name {name!r} is {'repeated' if name else 'empty'}"
+        if not is_csv_name(name):
+            return f"feature name {name!r} is not representable in CSV"
     return None
 
 
@@ -80,7 +87,7 @@ class SalesPanel:
     accepts the ids in any order, keeps those that have rows, sorts them
     ascending and re-codes the rows, then sorts rows by (item, day).  It
     checks that the columns agree in length, item ids are distinct and
-    CSV-representable, feature names are nonempty and distinct, (item,
+    CSV names, feature names are distinct CSV names, (item,
     day) pairs are unique, sales and features are finite, sales are
     non-negative, and every day lies inside ``date_range``.  Instances
     are treated as immutable after construction and are safe to share
@@ -118,7 +125,7 @@ class SalesPanel:
         recode[keep] = np.arange(len(keep))
         self.item_ids = [ids[c] for c in keep]
         for item in self.item_ids:
-            if not item or any(c in item for c in ",\n\r"):
+            if not is_csv_name(item):
                 raise DataError(f"item_id {item!r} is not representable in panel CSV")
         codes = recode[codes]
         order = np.lexsort((days, codes))

@@ -135,6 +135,18 @@ class TestPredictionBinned:
         assert corr.factor == pytest.approx(expect_fallback, rel=1e-12)
         assert corr.bin_factors[-1] == pytest.approx(expect_fallback, rel=1e-12)
 
+    def test_bin_with_no_positive_back_mapped_mean_falls_back(self, rng):
+        """``MIN_BIN_COUNT`` predictions of 0 fill the first bin, whose
+        back-mapped mean is ``expm1(0) == 0``: its factor is the global
+        smearing factor, not a division by zero."""
+        z = np.concatenate([np.zeros(MIN_BIN_COUNT), rng.uniform(2.0, 3.9, size=50)])
+        y = np.concatenate([np.full(MIN_BIN_COUNT, 1.0), np.expm1(z[MIN_BIN_COUNT:]) * 1.2])
+        corr = sc.fit_prediction_binned(y, z, LOG)
+        assert corr.n_bins == 2 and np.mean(inverse(LOG, z[:MIN_BIN_COUNT])) == 0.0
+        assert corr.bin_factors[0] == corr.factor
+        assert corr.factor == float(np.mean(np.exp(forward(LOG, y) - z)))
+        assert corr.bin_factors[1] == pytest.approx(1.2, rel=1e-12)
+
     def test_bin_index_reproduces_the_fitted_bins(self, rng):
         """Each factor, fitted again from the rows the corrector's own
         ``bin_index`` puts in its bin, is the same bits; sparse bins hold

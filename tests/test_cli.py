@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import skewcast as sc
-from skewcast import backtest
+from skewcast import backtest, cli
 from skewcast.backtest import SWEEP_POWERS
 from skewcast.cli import _parse_losses, main
 from skewcast.losses import _LOSS_KINDS
@@ -236,7 +236,8 @@ class TestFit:
     @pytest.mark.parametrize("header, message", [
         ("item_id,day,sales,f,f", "feature name 'f' is repeated"),
         ("item_id,day,sales,f,", "feature name '' is empty"),
-    ], ids=["repeated", "trailing-comma"])
+        ("item_id,day,sales,f,g\r", "feature name 'g\\r' is not representable in CSV"),
+    ], ids=["repeated", "trailing-comma", "crlf-header"])
     def test_bad_feature_name_is_data_error(self, workdir, header, message):
         bad = workdir / "bad_names_panel.csv"
         bad.write_text(f"{header}\nitem_a,2020-01-01,1.0,0.5,0.5\n"
@@ -280,6 +281,30 @@ class TestBacktest:
         proc = run_cli("backtest", "--plan", str(plan_path),
                        "--out-dir", str(workdir / "nope"))
         assert proc.returncode == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_forecast_is_data_error(self, tmp_path, capsys):
+        """A price of -10000 over the last 42 days drives the linear E3.5 and
+        E4 forecasts past the largest float; the run names the first arm and
+        origin and writes nothing, instead of ``inf`` scores."""
+        made = sc.generate(sc.GenConfig(n_items=4, n_days=260, seed=5))
+        X = made.feature_matrix.copy()
+        X[made.day_ordinals > made.day_ordinals.max() - 42,
+          made.feature_names.index("log_price")] = -10000.0
+        sc.write_panel(sc.SalesPanel(made.item_ids, made.item_codes, made.day_ordinals,
+                                     made.sales, X, made.feature_names), tmp_path / "panel.csv")
+        plan = {"panel_path": str(tmp_path / "panel.csv"), "train_window_days": 120,
+                "n_versions": 2, "horizons": [6], "arms": ["E3.5", "E1", "E4"],
+                "baseline_id": "E1", "learner": {"base": "linear", "rounds": 5}}
+        (tmp_path / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert main(["backtest", "--plan", str(tmp_path / "plan.json"),
+                     "--out-dir", str(out_dir)]) == 3
+        first_origin = backtest.version_origins(sc.read_panel(tmp_path / "panel.csv"),
+                                                sc.BacktestPlan.from_json(plan))[0]
+        assert capsys.readouterr().err == (f"data error: arm E3.5 at origin {first_origin}: "
+                                           "a forecast is not finite\n")
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("edit", [{"n_versions": 1.5}, {"train_window_days": 90.5},
                                       {"horizons": [6.0]}, {"horizons": [6, 6]}],
@@ -563,6 +588,20 @@ class TestUnwritableOutput:
         proc = run_cli("convexity", "--out", str(afile / "curves.csv"))
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command,work", [("gen", "generate"),
+                                              ("convexity", "convexity_profile")])
+    @pytest.mark.parametrize("under", ["afile", "missing-dir"])
+    def test_out_is_checked_before_the_work(self, workdir, afile, monkeypatch, capsys,
+                                            command, work, under):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --out was checked")
+
+        monkeypatch.setattr(cli, work, no_work)
+        out = afile / "p.csv" if under == "afile" else workdir / "no_such_dir" / "p.csv"
+        argv = ["--config", str(workdir / "gen.json")] if command == "gen" else []
+        assert main([command, *argv, "--out", str(out)]) == 3
+        assert f"data error: cannot write {out}" in capsys.readouterr().err
 
 
 class TestUnreadableJson:

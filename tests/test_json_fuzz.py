@@ -21,7 +21,7 @@ NOT_NUMBERS = [True, False, "x", "1.5", math.nan, math.inf, -math.inf]
 TWEEDIE_ARM = {
     "id": "T",
     "transform": {"kind": "log"},
-    "loss": {"kind": "tweedie", "power": 1.5, "link": "log"},
+    "loss": {"kind": "tweedie", "power": 1.5},
     "weight_scheme": {"kind": "sqrt_sales"},
     "corrector_kind": "smearing",
 }
@@ -46,7 +46,7 @@ PLAN = {
 TREE_MODEL = {
     "version": sc.MODEL_FORMAT,
     "transform": {"kind": "log"},
-    "loss": {"kind": "mse", "link": "identity"},
+    "loss": {"kind": "mse"},
     "weight_scheme": {"kind": "sqrt_sales"},
     "learner": LEARNER,
     "feature_names": ["f0", "f1"],
@@ -59,7 +59,7 @@ TREE_MODEL = {
 }
 LINEAR_MODEL = {
     **TREE_MODEL,
-    "loss": {"kind": "gamma", "link": "log"},
+    "loss": {"kind": "gamma"},
     "learner": {**LEARNER, "base": "linear"},
     "trees": [],
     "betas": [[0.1, -0.2, 1.0], [0.0, 0.5, -1]],

@@ -525,9 +525,9 @@ class TestSerialization:
         path = tmp_path / "v2.json"
         path.write_text(json.dumps(obj), encoding="utf-8")
         with pytest.raises(ConfigError, match="unsupported model version 'skewcast-model-v2', "
-                                              "expected 'skewcast-model-v3'"):
+                                              "expected 'skewcast-model-v4'"):
             sc.load_model(path)
-        obj["version"] = sc.MODEL_FORMAT  # as v3, each retired key is named
+        obj["version"] = sc.MODEL_FORMAT  # as the current version, each retired key is named
         with pytest.raises(ConfigError, match="transform JSON has unknown field 'offset'"):
             FitModel.from_json(obj)
         del obj["transform"]["offset"]
@@ -535,6 +535,25 @@ class TestSerialization:
             FitModel.from_json(obj)
         del obj["bias_corrector"]["bin_width"]
         assert FitModel.from_json(obj).bias_corrector.bin_factors == (1.0, 1.2)
+
+    @pytest.mark.parametrize("link", ["identity", "log"])
+    def test_v3_model_is_rejected_by_version(self, small_panel, tmp_path, link):
+        """A v3 model, whose loss still holds its derived link, is rejected by
+        version; as the current version, its link key is named."""
+        obj = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT, _quick_config(rounds=1)).to_json()
+        assert obj["loss"] == {"kind": "mse"}
+        obj["version"] = "skewcast-model-v3"
+        obj["loss"]["link"] = link
+        path = tmp_path / "v3.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ConfigError, match="unsupported model version 'skewcast-model-v3', "
+                                              "expected 'skewcast-model-v4'"):
+            sc.load_model(path)
+        obj["version"] = sc.MODEL_FORMAT
+        with pytest.raises(ConfigError, match="loss JSON has unknown field 'link'"):
+            FitModel.from_json(obj)
+        del obj["loss"]["link"]
+        assert FitModel.from_json(obj).loss == sc.LossSpec.mse()
 
     @pytest.mark.parametrize("base,edit", [
         ("tree", lambda obj: obj["trees"][0]["feature"].__setitem__(0, 7)),
@@ -549,10 +568,13 @@ class TestSerialization:
         ("tree", lambda obj: obj.__setitem__("feature_names", 3)),
         ("tree", lambda obj: obj["feature_names"].__setitem__(1, obj["feature_names"][0])),
         ("linear", lambda obj: obj["feature_names"].__setitem__(0, "")),
+        ("tree", lambda obj: obj["feature_names"].__setitem__(1, "log_popularity\r")),
+        ("linear", lambda obj: obj["feature_names"].__setitem__(0, "a,b")),
     ], ids=["tree-feature-out-of-range", "betas-too-short", "betas-not-1d",
             "betas-not-finite", "betas-not-numeric", "missing-transform", "missing-trees",
             "corrector-not-object", "loss-not-object", "feature-names-not-list",
-            "feature-name-repeated", "feature-name-empty"])
+            "feature-name-repeated", "feature-name-empty", "feature-name-carriage-return",
+            "feature-name-comma"])
     def test_corrupt_model_rejected(self, small_panel, base, edit):
         model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT,
                        _quick_config(base=base, rounds=2))
@@ -598,7 +620,8 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             sc.load_model(path)
 
-    @pytest.mark.parametrize("text", ['[1, 2]', '"model"', '{"version": "skewcast-model-v3"}'],
+    @pytest.mark.parametrize("text", ['[1, 2]', '"model"',
+                                      json.dumps({"version": sc.MODEL_FORMAT})],
                              ids=["list", "string", "only-version"])
     def test_malformed_model_json_is_config_error(self, tmp_path, text):
         path = tmp_path / "model.json"

@@ -279,18 +279,33 @@ class TestKernelProperties:
 
 class TestSpecValidation:
     def test_family_losses_require_log_link(self):
+        """The kind fixes the link, so a loss JSON naming one, even the right
+        one, has an unknown field."""
         for obj in ({"kind": "poisson"}, {"kind": "gamma"}, {"kind": "tweedie", "power": 1.5}):
-            assert sc.LossSpec.from_json({**obj, "link": "log"}).link == "log"
-            with pytest.raises(ConfigError, match=f"{obj['kind']} loss requires the log link, "
-                                                  "got 'identity'"):
-                sc.LossSpec.from_json({**obj, "link": "identity"})
+            assert sc.LossSpec.from_json(obj).log_link
+            for link in ("log", "identity", None):
+                with pytest.raises(ConfigError, match="loss JSON has unknown field 'link'"):
+                    sc.LossSpec.from_json({**obj, "link": link})
 
     def test_raw_losses_require_identity_link(self):
         for obj in ({"kind": "mse"}, {"kind": "pseudo_huber", "delta": 1.0}):
-            assert sc.LossSpec.from_json({**obj, "link": "identity"}).link == "identity"
-            for link in ("log", "logit", None):
-                with pytest.raises(ConfigError, match=f"requires the identity link, got {link!r}"):
+            assert not sc.LossSpec.from_json(obj).log_link
+            for link in ("identity", "log", "logit"):
+                with pytest.raises(ConfigError, match="loss JSON has unknown field 'link'"):
                     sc.LossSpec.from_json({**obj, "link": link})
+
+    @pytest.mark.parametrize("obj", [
+        {"kind": "mse", "power": 1.5}, {"kind": "gamma", "delta": 1.0},
+        {"kind": "tweedie", "power": 1.5, "delta": 1.0}, {"kind": "pseudo_huber", "power": 1.5},
+    ], ids=["mse-power", "gamma-delta", "tweedie-delta", "huber-power"])
+    def test_parameter_of_another_kind_is_config_error(self, obj):
+        with pytest.raises(ConfigError, match="loss takes no (power|delta)"):
+            sc.LossSpec.from_json(obj)
+
+    @pytest.mark.parametrize("kind", [None, 3, ["mse"], {"kind": "mse"}])
+    def test_kind_that_is_not_text_is_config_error(self, kind):
+        with pytest.raises(ConfigError, match="unknown loss kind"):
+            sc.LossSpec(kind=kind)
 
     def test_tweedie_power_strictly_inside_unit_interval(self):
         for bad in (1.0, 2.0, 0.5, 2.5):
@@ -309,6 +324,12 @@ class TestSpecValidation:
     def test_json_round_trip(self):
         for spec in ALL_SPECS:
             assert sc.LossSpec.from_json(spec.to_json()) == spec
+
+    def test_json_holds_the_kind_and_its_parameter_only(self):
+        assert sc.LossSpec.mse().to_json() == {"kind": "mse"}
+        assert sc.LossSpec.gamma().to_json() == {"kind": "gamma"}
+        assert sc.LossSpec.tweedie(1.5).to_json() == {"kind": "tweedie", "power": 1.5}
+        assert sc.LossSpec.pseudo_huber(2.0).to_json() == {"kind": "pseudo_huber", "delta": 2.0}
 
     def test_unknown_field_is_config_error(self):
         with pytest.raises(ConfigError, match="loss JSON has unknown field 'powr'"):

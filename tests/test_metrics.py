@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import skewcast as sc
 from skewcast.errors import (
     DegenerateBaseline,
+    DomainError,
     EmptyInput,
     LengthMismatch,
     NoValidItems,
@@ -144,6 +145,16 @@ class TestVersionMetrics:
     def test_no_items(self):
         with pytest.raises(NoValidItems):
             _score({}, {})
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_forecast_rejected(self, bad):
+        """``inf`` or ``nan`` would become the score, and then text that no
+        JSON reader takes."""
+        preds, panel = _columns({"a": _flat(1.0), "b": _flat(2.0)},
+                                {"a": _flat(1.0), "b": _flat(2.0)})
+        preds[-1] = bad
+        with pytest.raises(DomainError, match="a forecast is not finite"):
+            sc.version_metrics(preds, panel, V6)
 
     def test_item_relabeling_invariance(self, rng):
         base_f = {f"i{k}": _flat(float(rng.uniform(50, 150))) for k in range(6)}

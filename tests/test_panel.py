@@ -2,6 +2,7 @@
 
 import datetime as dt
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -46,6 +47,8 @@ def _reference_read_panel(path):
     for i, name in enumerate(names):
         if not name or name in names[:i]:
             raise MalformedRow(1, f"feature name {name!r} is {'repeated' if name else 'empty'}")
+        if "\r" in name:  # the only character of the CSV-name rule a header cell can hold
+            raise MalformedRow(1, f"feature name {name!r} is not representable in CSV")
     ncol = len(header)
     codes: dict[str, int] = {}  # item id -> code, in order of first appearance
     item_codes: list[int] = []
@@ -189,6 +192,13 @@ class TestSalesPanel:
         with pytest.raises(DataError, match=message):
             sc.SalesPanel(["a"], [0], [D0.toordinal()], [1.0], [(1.0, 2.0)], names)
 
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "log_popularity\r", 7, None])
+    def test_feature_name_must_be_a_csv_name(self, name):
+        """A name that ``write_panel`` could not write as one header cell is
+        rejected when the panel is built."""
+        with pytest.raises(DataError, match=re.escape(f"feature name {name!r} is not repr")):
+            sc.SalesPanel(["a"], [0], [D0.toordinal()], [1.0], [(1.0, 2.0)], ["f", name])
+
     def test_day_outside_declared_range_rejected(self):
         with pytest.raises(DataError):
             _panel(["a"], [5], [1.0], date_range=(D0, D0))
@@ -325,6 +335,16 @@ class TestCsvErrors:
         with pytest.raises(MalformedRow, match=f"line 1: {message}") as err:
             sc.read_panel(path)
         assert err.value.line_no == 1
+
+    def test_crlf_file_is_named_on_line_one(self, tmp_path):
+        """Every row of a CRLF file parses, since ``float`` strips the ``\\r``,
+        so only the header's last name shows the line ends."""
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"item_id,day,sales,log_popularity\r\n"
+                         b"a,2021-03-01,2.0,0.5\r\na,2021-03-02,3.0,0.5\r\n")
+        with pytest.raises(MalformedRow, match="line 1: feature name 'log_popularity\\\\r' "
+                                               "is not representable in CSV"):
+            sc.read_panel(path)
 
 
 

@@ -225,6 +225,21 @@ class TestSplitSearch:
         tree = grow_tree(X, grad, hess, presort(X, max_depth=1, min_child_weight=1.0, l2_reg=1.0))
         assert tree.feature[0] == 0
 
+    def test_threshold_between_adjacent_floats_is_the_lower_value(self):
+        """The midpoint of two adjacent floats can round up to the upper one,
+        which would send the upper rows left; the threshold then takes the
+        lower value."""
+        lo, hi = 1.0000000000000002, 1.0000000000000004
+        assert np.nextafter(lo, 2.0) == hi and 0.5 * (lo + hi) == hi
+        X = np.array([[lo]] * 5 + [[hi]] * 5)
+        grad = np.array([-1.0] * 5 + [1.0] * 5)
+        leaf = np.empty(10)
+        tree = grow_tree(X, grad, np.ones(10),
+                         presort(X, max_depth=1, min_child_weight=1.0, l2_reg=1.0), out=leaf)
+        assert tree.n_leaves == 2 and tree.threshold[0] == lo
+        assert np.array_equal(tree.predict(X), leaf)
+        np.testing.assert_array_equal(leaf, [5.0 / 6] * 5 + [-5.0 / 6] * 5)  # -G / (H + l2)
+
     def test_constant_feature_never_split(self):
         X = np.ones((12, 1))
         grad = np.linspace(-1, 1, 12)
