@@ -356,9 +356,11 @@ def _forecasts(
     """Fit one group's model on a training window; each arm's forecast of the test rows."""
     lead = arms[0]
     model = fit(train, lead.transform, lead.loss, lead.weight_scheme, plan.learner)
-    # corrected exactly as FitModel.predict corrects
-    zhat = model.predict_transformed(test.feature_matrix)
-    raw = inverse(model.transform, zhat)
+    # corrected exactly as FitModel.predict corrects; a forecast that
+    # overflows is named by version_metrics, not warned about by numpy
+    with np.errstate(over="ignore"):
+        zhat = model.predict_transformed(test.feature_matrix)
+        raw = inverse(model.transform, zhat)
     return [c.apply(raw, zhat) for c in _fit_correctors(arms, model, train)]
 
 
@@ -428,7 +430,8 @@ def _run_grid(
     per-arm aggregates.
 
     Each origin's windows are sliced once, and every job is checked,
-    before the pool starts.
+    before the pool starts.  The first job to fail, in submission order,
+    is reported, and no job starts after it fails.
     """
     origins = version_origins(panel, plan)
     windows = _windows(panel, plan, origins)
@@ -437,7 +440,11 @@ def _run_grid(
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         futures = [pool.submit(_score_versions, group, plan, *window)
                    for group in groups for window in windows]
-        rows = [row for fut in futures for row in fut.result()]
+        try:
+            rows = [row for fut in futures for row in fut.result()]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     rows.sort(key=row_order)
     aggregates = {
         arm.id: aggregate_versions([vm for aid, vm in rows if aid == arm.id])

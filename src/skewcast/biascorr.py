@@ -12,6 +12,10 @@ correctors here all scale the back-transformed prediction up:
   prediction) within each bucket, so large forecasts (which are
   squeezed hardest by a concave transform) get a larger boost.  Sparse
   buckets fall back to the global smearing factor.
+
+A fitted corrector of any kind is one table of multipliers, one per
+bucket of the transformed prediction; only a binned corrector has more
+than one bucket.
 """
 
 from __future__ import annotations
@@ -26,11 +30,9 @@ from .errors import (
     EmptyInput,
     InsufficientData,
     LengthMismatch,
-    check_numbers,
     is_real,
     json_numbers,
     json_object,
-    real,
 )
 from .transform import TargetTransform, forward, inverse
 
@@ -40,67 +42,54 @@ BIN_WIDTH = 2.0
 MIN_BIN_COUNT = 30
 
 
+def bin_index(pred_transformed, n_bins: int) -> np.ndarray:
+    """Bucket of each transformed prediction among ``n_bins`` buckets
+    [0, w), [w, 2w), ... with w = ``BIN_WIDTH``; the first bucket is open
+    below and the last open above."""
+    idx = np.floor(np.asarray(pred_transformed, dtype=np.float64) / BIN_WIDTH)
+    return np.clip(idx, 0, n_bins - 1).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class BiasCorrector:
-    """Fitted corrector; ``apply`` rescales back-transformed predictions."""
+    """Fitted corrector: one multiplier per bucket of the transformed
+    prediction (see ``bin_index``).  A ``prediction_binned`` corrector may
+    hold several, any other kind exactly one, and ``none`` exactly 1."""
 
     kind: str = "none"
-    factor: float = 1.0
-    bin_factors: tuple[float, ...] = ()
+    factors: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown bias corrector kind {self.kind!r}")
-        check_numbers(self, reals=("factor",))
-        if self.factor <= 0.0:
-            raise ConfigError("bias correction factor must be positive")
-        if self.kind == "prediction_binned":
-            if len(self.bin_factors) < 1:
-                raise ConfigError("prediction_binned corrector needs at least one bin")
-            if any(not is_real(f) or f <= 0.0 for f in self.bin_factors):
-                raise ConfigError("bin factors must be positive and finite")
+        if not self.factors or any(not is_real(f) or f <= 0.0 for f in self.factors):
+            raise ConfigError(f"bias correction factors must be positive and finite, "
+                              f"got {list(self.factors)!r}")
+        if len(self.factors) > 1 and self.kind != "prediction_binned":
+            raise ConfigError(f"a {self.kind} corrector holds one factor, "
+                              f"got {len(self.factors)}")
+        if self.kind == "none" and self.factors[0] != 1.0:
+            raise ConfigError(f"a none corrector's factor is 1, got {self.factors[0]!r}")
 
-    @property
-    def n_bins(self) -> int:
-        return len(self.bin_factors)
-
-    def bin_index(self, pred_transformed: np.ndarray) -> np.ndarray:
-        """Bucket of each transformed prediction; the last bin is open-ended."""
-        idx = np.floor(np.asarray(pred_transformed, dtype=np.float64) / BIN_WIDTH)
-        return np.clip(idx, 0, self.n_bins - 1).astype(np.int64)
-
-    def apply(self, pred_raw, pred_transformed=None):
-        """Corrected prediction; binned correction needs the transformed one."""
+    def apply(self, pred_raw, pred_transformed) -> np.ndarray:
+        """Each raw prediction times the factor of its transformed prediction's bucket."""
         pred_raw = np.asarray(pred_raw, dtype=np.float64)
-        if self.kind == "none":
-            return pred_raw.copy()
-        if self.kind in ("variance_based", "smearing"):
-            return self.factor * pred_raw
-        if pred_transformed is None:
-            raise ConfigError("prediction_binned correction needs transformed predictions")
         pred_transformed = np.asarray(pred_transformed, dtype=np.float64)
         if pred_transformed.shape != pred_raw.shape:
             raise LengthMismatch("raw and transformed predictions differ in shape")
-        factors = np.asarray(self.bin_factors, dtype=np.float64)
-        return pred_raw * factors[self.bin_index(pred_transformed)]
+        factors = np.asarray(self.factors, dtype=np.float64)
+        if len(factors) == 1:  # one bucket: a NaN prediction is scaled, not bucketed
+            return pred_raw * factors[0]
+        return pred_raw * factors[bin_index(pred_transformed, len(factors))]
 
     def to_json(self) -> dict:
-        obj: dict = {"kind": self.kind}
-        if self.kind in ("variance_based", "smearing"):
-            obj["factor"] = self.factor
-        elif self.kind == "prediction_binned":
-            obj["factor"] = self.factor
-            obj["bin_factors"] = list(self.bin_factors)
-        return obj
+        return {"kind": self.kind, "factors": list(self.factors)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "BiasCorrector":
         obj = json_object(obj, "bias corrector", cls)
-        return cls(
-            kind=obj.get("kind", "none"),
-            factor=real(obj.get("factor", 1.0), "factor"),
-            bin_factors=tuple(json_numbers(obj.get("bin_factors", ()), "bin_factors")),
-        )
+        return cls(kind=obj.get("kind", "none"),
+                   factors=tuple(json_numbers(obj.get("factors", [1.0]), "factors")))
 
 
 def fit_variance_based(residuals) -> BiasCorrector:
@@ -108,8 +97,7 @@ def fit_variance_based(residuals) -> BiasCorrector:
     residuals = np.asarray(residuals, dtype=np.float64)
     if residuals.size < 2:
         raise InsufficientData("variance-based correction needs at least 2 residuals")
-    factor = float(np.exp(0.5 * np.var(residuals)))
-    return BiasCorrector(kind="variance_based", factor=factor)
+    return BiasCorrector("variance_based", (float(np.exp(0.5 * np.var(residuals))),))
 
 
 def fit_smearing(residuals) -> BiasCorrector:
@@ -117,55 +105,27 @@ def fit_smearing(residuals) -> BiasCorrector:
     residuals = np.asarray(residuals, dtype=np.float64)
     if residuals.size < 1:
         raise InsufficientData("smearing correction needs at least 1 residual")
-    factor = float(np.mean(np.exp(residuals)))
-    return BiasCorrector(kind="smearing", factor=factor)
+    return BiasCorrector("smearing", (float(np.mean(np.exp(residuals))),))
 
 
 def fit_prediction_binned(y_raw, pred_transformed, transform: TargetTransform) -> BiasCorrector:
     """Per-bucket empirical multipliers over the transformed prediction.
 
-    Buckets are [0, w), [w, 2w), ... in transformed units, with
-    w = ``BIN_WIDTH``; the last one is open above.  A bucket's multiplier
-    is mean(actual) over mean of the back-transformed prediction,
-    provided it holds at least ``MIN_BIN_COUNT`` rows and its denominator
-    is positive; otherwise the global smearing factor is used.
+    Buckets (see ``bin_index``) run up to the one holding the largest
+    prediction.  A bucket's multiplier is mean(actual) over mean of the
+    back-transformed prediction, provided it holds at least
+    ``MIN_BIN_COUNT`` rows and its denominator is positive; otherwise the
+    global smearing factor is used.
     """
-    y_raw = np.asarray(y_raw, dtype=np.float64)
-    pred_transformed = np.asarray(pred_transformed, dtype=np.float64)
-    if y_raw.shape != pred_transformed.shape:
-        raise LengthMismatch("actuals and predictions differ in shape")
-    if y_raw.size == 0:
-        raise EmptyInput("no rows to fit a bias corrector on")
-
-    backmapped = inverse(transform, pred_transformed)
-    residuals = forward(transform, y_raw) - pred_transformed
-    fallback = float(np.mean(np.exp(residuals)))
-    if not (fallback > 0.0 and math.isfinite(fallback)):
-        fallback = 1.0
-
-    n_bins = max(1, int(np.floor(np.max(pred_transformed) / BIN_WIDTH)) + 1)
-    idx = BiasCorrector("prediction_binned", bin_factors=(1.0,) * n_bins).bin_index(
-        pred_transformed)
-    factors = []
-    for b in range(n_bins):
-        mask = idx == b
-        count = int(np.sum(mask))
-        if count < MIN_BIN_COUNT:
-            factors.append(fallback)
-            continue
-        denom = float(np.mean(backmapped[mask]))
-        if denom <= 0.0:
-            factors.append(fallback)
-            continue
-        factors.append(float(np.mean(y_raw[mask])) / denom)
-    factors = [f if (f > 0.0 and math.isfinite(f)) else fallback for f in factors]
-    return BiasCorrector(kind="prediction_binned", factor=fallback, bin_factors=tuple(factors))
+    return fit_corrector("prediction_binned", y_raw, pred_transformed, transform)
 
 
 def fit_corrector(kind: str, y_raw, pred_transformed, transform: TargetTransform) -> BiasCorrector:
     """Fit any corrector kind from actuals and transformed predictions."""
+    if kind not in KINDS:
+        raise ConfigError(f"unknown bias corrector kind {kind!r}")
     if kind == "none":
-        return BiasCorrector(kind="none")
+        return BiasCorrector()
     y_raw = np.asarray(y_raw, dtype=np.float64)
     pred_transformed = np.asarray(pred_transformed, dtype=np.float64)
     if y_raw.shape != pred_transformed.shape:
@@ -175,6 +135,19 @@ def fit_corrector(kind: str, y_raw, pred_transformed, transform: TargetTransform
         return fit_variance_based(residuals)
     if kind == "smearing":
         return fit_smearing(residuals)
-    if kind == "prediction_binned":
-        return fit_prediction_binned(y_raw, pred_transformed, transform)
-    raise ConfigError(f"unknown bias corrector kind {kind!r}")
+    if y_raw.size == 0:
+        raise EmptyInput("no rows to fit a bias corrector on")
+
+    fallback = float(np.mean(np.exp(residuals)))
+    if not (fallback > 0.0 and math.isfinite(fallback)):
+        fallback = 1.0
+    backmapped = inverse(transform, pred_transformed)
+    n_bins = max(1, int(np.floor(np.max(pred_transformed) / BIN_WIDTH)) + 1)
+    idx = bin_index(pred_transformed, n_bins)
+    factors = []
+    for b in range(n_bins):
+        mask = idx == b
+        denom = float(np.mean(backmapped[mask])) if np.sum(mask) >= MIN_BIN_COUNT else 0.0
+        factor = float(np.mean(y_raw[mask])) / denom if denom > 0.0 else fallback
+        factors.append(factor if factor > 0.0 and math.isfinite(factor) else fallback)
+    return BiasCorrector("prediction_binned", tuple(factors))

@@ -64,7 +64,7 @@ from .panel import _cell, _feature_name_problem
 from .transform import TargetTransform, forward, inverse
 from .trees import Tree, grow_tree, presort
 
-MODEL_FORMAT = "skewcast-model-v4"
+MODEL_FORMAT = "skewcast-model-v5"
 
 _BASES = ("tree", "linear")
 
@@ -186,6 +186,9 @@ class FitModel:
             raise ConfigError(f"model JSON missing field {exc}") from None
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad model JSON: {exc}") from None
+        foreign = "betas" if model.learner.base == "tree" else "trees"
+        if getattr(model, foreign):
+            raise ConfigError(f"a {model.learner.base} model holds no {foreign}")
         n_features = len(model.feature_names)
         for tree in model.trees:
             if (tree.feature >= n_features).any():

@@ -118,18 +118,28 @@ def version_metrics(forecasts, panel: SalesPanel, version: ForecastVersion) -> V
     )
 
 
+def _running_sum(values) -> float:
+    """Left-to-right float sum, the same bits on every Python: ``sum()``
+    compensates its rounding from Python 3.12 on."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def aggregate_versions(per_version: list[VersionMetrics]) -> dict[int, AggregateMetrics]:
-    """Sales-weighted average of wmape and wbias, one summary per horizon."""
+    """Sales-weighted average of wmape and wbias, one summary per horizon;
+    each sum runs over the versions in the order given."""
     if not per_version:
         raise EmptyInput("no version metrics to aggregate")
     out: dict[int, AggregateMetrics] = {}
     for h in sorted({vm.horizon_weeks for vm in per_version}):
         group = [vm for vm in per_version if vm.horizon_weeks == h]
-        weight = sum(vm.total_actual for vm in group)
+        weight = _running_sum(vm.total_actual for vm in group)
         out[h] = AggregateMetrics(
             horizon_weeks=h,
-            wmape=sum(vm.total_actual * vm.wmape for vm in group) / weight,
-            wbias=sum(vm.total_actual * vm.wbias for vm in group) / weight,
+            wmape=_running_sum(vm.total_actual * vm.wmape for vm in group) / weight,
+            wbias=_running_sum(vm.total_actual * vm.wbias for vm in group) / weight,
             total_actual=weight,
             n_versions=len(group),
             skipped_items=sum(vm.skipped_items for vm in group),

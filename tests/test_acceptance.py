@@ -192,7 +192,7 @@ class TestBiasCorrectionEfficacy:
         naive = log_target_fit["naive"]
         resid_z = forward(TargetTransform(kind="log"), y) - zhat
         corrector = fit_smearing(resid_z)
-        corrected = corrector.apply(naive)
+        corrected = corrector.apply(naive, zhat)
         before = abs(float(np.mean(y - naive)))
         after = abs(float(np.mean(y - corrected)))
         reduction = 1.0 - after / before
@@ -216,8 +216,8 @@ class TestBiasCorrectionEfficacy:
         worst = 0.0
         for sigma in (0.1, 0.25, 0.4, 0.6):
             eps = rng.normal(0.0, sigma, size=10_000)
-            v = fit_variance_based(eps).factor
-            s = fit_smearing(eps).factor
+            v = fit_variance_based(eps).factors[0]
+            s = fit_smearing(eps).factors[0]
             worst = max(worst, abs(v / s - 1.0))
         ok = worst <= 0.02
         _check(8, "variance and smearing factors agree on Gaussian noise",

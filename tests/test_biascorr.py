@@ -1,11 +1,15 @@
-"""Bias correctors: hand values, the two estimators' agreement, and the
-binned corrector's bucket mechanics."""
+"""Bias correctors: hand values, the two estimators' agreement, the
+binned corrector's bucket mechanics, and ``apply`` against the
+three-branch formulas that corrected forecasts before every corrector
+became one table of factors."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skewcast as sc
-from skewcast.biascorr import BIN_WIDTH, MIN_BIN_COUNT, BiasCorrector
+from skewcast.biascorr import BIN_WIDTH, KINDS, MIN_BIN_COUNT, BiasCorrector, bin_index
 from skewcast.errors import (
     ConfigError,
     EmptyInput,
@@ -20,14 +24,15 @@ LOG = sc.TargetTransform(kind="log")
 class TestVarianceBased:
     def test_zero_residuals_give_unit_factor(self):
         corr = sc.fit_variance_based(np.zeros(10))
-        assert corr.factor == pytest.approx(1.0)
+        assert corr.factors == (pytest.approx(1.0),)
 
     def test_hand_value(self):
         """Population variance 0.5 must give exp(0.25) ~ 1.284025."""
         residuals = np.array([1.0, -1.0, 0.0, 0.0])  # population var = 0.5
         corr = sc.fit_variance_based(residuals)
-        assert corr.factor == pytest.approx(np.exp(0.25), rel=1e-12)
-        assert corr.factor == pytest.approx(1.284025, abs=1e-6)
+        (factor,) = corr.factors
+        assert factor == pytest.approx(np.exp(0.25), rel=1e-12)
+        assert factor == pytest.approx(1.284025, abs=1e-6)
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
@@ -37,24 +42,24 @@ class TestVarianceBased:
         for _ in range(20):
             r = rng.normal(0.0, rng.uniform(0.05, 1.0), size=500)
             r -= r.mean()
-            assert sc.fit_variance_based(r).factor >= 1.0
+            assert sc.fit_variance_based(r).factors[0] >= 1.0
 
 
 class TestSmearing:
     def test_zero_residuals_give_unit_factor(self):
-        assert sc.fit_smearing(np.zeros(3)).factor == pytest.approx(1.0)
+        assert sc.fit_smearing(np.zeros(3)).factors == (pytest.approx(1.0),)
 
     def test_hand_value(self):
         """Residuals {ln 2, -ln 2}: (2 + 1/2) / 2 = 1.25 exactly."""
         corr = sc.fit_smearing(np.array([np.log(2.0), -np.log(2.0)]))
-        assert corr.factor == pytest.approx(1.25, rel=1e-14)
+        assert corr.factors == (pytest.approx(1.25, rel=1e-14),)
 
     def test_zero_mean_sample_factor_at_least_one(self, rng):
         """mean(exp(r)) >= exp(mean(r)) = 1 for centered residuals."""
         for _ in range(20):
             r = rng.uniform(-2.0, 2.0, size=300)
             r -= r.mean()
-            assert sc.fit_smearing(r).factor >= 1.0
+            assert sc.fit_smearing(r).factors[0] >= 1.0
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
@@ -65,39 +70,81 @@ class TestSmearing:
         estimate land within 2% of each other for sigma up to 0.6."""
         for sigma in (0.1, 0.3, 0.5, 0.6):
             r = rng.normal(0.0, sigma, size=10_000)
-            vb = sc.fit_variance_based(r).factor
-            sm = sc.fit_smearing(r).factor
+            (vb,) = sc.fit_variance_based(r).factors
+            (sm,) = sc.fit_smearing(r).factors
             assert abs(vb - sm) / sm < 0.02
+
+
+def _three_branch_apply(kind, factor, bin_factors, pred_raw, pred_transformed):
+    """How a corrector with a scalar ``factor`` and separate ``bin_factors``
+    corrected a forecast: a copy for ``none``, ``factor * raw`` for the
+    scalar kinds, and a clipped bucket lookup for ``prediction_binned``."""
+    if kind == "none":
+        return pred_raw.copy()
+    if kind in ("variance_based", "smearing"):
+        return factor * pred_raw
+    idx = np.clip(np.floor(pred_transformed / BIN_WIDTH), 0, len(bin_factors) - 1)
+    return pred_raw * np.asarray(bin_factors, dtype=np.float64)[idx.astype(np.int64)]
+
+
+@st.composite
+def _corrections(draw):
+    kind = draw(st.sampled_from(KINDS))
+    factor = st.floats(1e-3, 1e3)
+    factors = ((1.0,) if kind == "none" else
+               tuple(draw(st.lists(factor, min_size=1,
+                                   max_size=6 if kind == "prediction_binned" else 1))))
+    n = draw(st.integers(0, 20))
+    raw = np.array(draw(st.lists(st.floats(-1e12, 1e12), min_size=n, max_size=n)))
+    z = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)))
+    return kind, factors, raw, z
 
 
 class TestApply:
     def test_none_is_identity(self):
         pred = np.array([1.0, 5.0])
-        out = BiasCorrector(kind="none").apply(pred)
+        out = BiasCorrector(kind="none").apply(pred, np.log1p(pred))
         np.testing.assert_array_equal(out, pred)
         assert out is not pred
 
     def test_scalar_kinds_multiply(self):
-        corr = BiasCorrector(kind="smearing", factor=1.25)
-        np.testing.assert_allclose(corr.apply(np.array([100.0])), [125.0])
+        corr = BiasCorrector(kind="smearing", factors=(1.25,))
+        np.testing.assert_allclose(corr.apply(np.array([100.0]), np.array([4.6])), [125.0])
 
     def test_binned_needs_transformed_predictions(self):
-        corr = BiasCorrector(kind="prediction_binned", factor=1.0, bin_factors=(1.0, 2.0))
-        with pytest.raises(ConfigError):
-            corr.apply(np.array([1.0]))
-        with pytest.raises(LengthMismatch):
-            corr.apply(np.array([1.0]), np.array([1.0, 2.0]))
+        """Every kind takes the transformed predictions, in the raw ones' shape."""
+        for corr in (BiasCorrector(), BiasCorrector("smearing", (1.2,)),
+                     BiasCorrector("prediction_binned", (1.0, 2.0))):
+            with pytest.raises(LengthMismatch):
+                corr.apply(np.array([1.0]), np.array([1.0, 2.0]))
 
     def test_binned_bucket_lookup(self):
-        corr = BiasCorrector(kind="prediction_binned", factor=1.0,
-                             bin_factors=(1.0, 1.1, 1.2, 1.3, 1.4))
+        corr = BiasCorrector(kind="prediction_binned", factors=(1.0, 1.1, 1.2, 1.3, 1.4))
         raw = np.ones(4)
         z = np.array([5.0, 0.0, 9.9, 47.0])  # [4,6) -> 1.2; overflow -> last
         np.testing.assert_allclose(corr.apply(raw, z), [1.2, 1.0, 1.4, 1.4])
 
     def test_negative_transformed_prediction_uses_first_bucket(self):
-        corr = BiasCorrector(kind="prediction_binned", factor=1.0, bin_factors=(1.5, 2.0))
+        corr = BiasCorrector(kind="prediction_binned", factors=(1.5, 2.0))
         np.testing.assert_allclose(corr.apply(np.ones(1), np.array([-3.0])), [1.5])
+
+    def test_bin_index_opens_the_end_buckets(self):
+        z = [-3.0, 0.0, 1.99, 2.0, 4.0, 47.0]
+        np.testing.assert_array_equal(bin_index(z, 3), [0, 0, 0, 1, 2, 2])
+        np.testing.assert_array_equal(bin_index(z, 1), [0] * 6)
+
+    def test_one_factor_scales_a_nan_prediction_without_bucketing(self):
+        """A NaN prediction is left for scoring to name, not cast to a bucket."""
+        for kind in ("smearing", "prediction_binned"):
+            out = BiasCorrector(kind, (1.5,)).apply([2.0, np.nan], [1.0, np.nan])
+            np.testing.assert_array_equal(out, [3.0, np.nan])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_corrections())
+    def test_matches_the_three_branch_formulas(self, case):
+        kind, factors, raw, z = case
+        got = BiasCorrector(kind, factors).apply(raw, z)
+        assert np.array_equal(got, _three_branch_apply(kind, factors[0], factors, raw, z))
 
 
 class TestPredictionBinned:
@@ -105,7 +152,7 @@ class TestPredictionBinned:
         y = rng.lognormal(1.0, 1.0, size=2000)
         z = forward(LOG, y)
         corr = sc.fit_prediction_binned(y, z, LOG)
-        np.testing.assert_allclose(corr.bin_factors, 1.0, rtol=1e-9)
+        np.testing.assert_allclose(corr.factors, 1.0, rtol=1e-9)
 
     def test_bucket_count_follows_the_max_prediction(self, rng):
         """Transformed predictions topping out in [8, 10) produce the
@@ -114,7 +161,7 @@ class TestPredictionBinned:
         z[0] = 9.4  # pin the max inside [8, 10)
         y = np.expm1(z)
         corr = sc.fit_prediction_binned(y, z, LOG)
-        assert corr.n_bins == 5
+        assert len(corr.factors) == 5
         assert BIN_WIDTH == 2.0
 
     def test_hand_value_multiplier(self):
@@ -124,7 +171,7 @@ class TestPredictionBinned:
         backmapped = np.expm1(1.0)
         y = np.full(40, backmapped * 1.5)
         corr = sc.fit_prediction_binned(y, z, LOG)
-        assert corr.bin_factors[0] == pytest.approx(1.5, rel=1e-12)
+        assert corr.factors[0] == pytest.approx(1.5, rel=1e-12)
 
     def test_sparse_bucket_falls_back_to_smearing(self, rng):
         y = rng.lognormal(0.5, 0.4, size=400)
@@ -132,8 +179,7 @@ class TestPredictionBinned:
         z[0] = 7.9  # a lone row in the top bucket
         corr = sc.fit_prediction_binned(y, z, LOG)
         expect_fallback = float(np.mean(np.exp(forward(LOG, y) - z)))
-        assert corr.factor == pytest.approx(expect_fallback, rel=1e-12)
-        assert corr.bin_factors[-1] == pytest.approx(expect_fallback, rel=1e-12)
+        assert corr.factors[-1] == pytest.approx(expect_fallback, rel=1e-12)
 
     def test_bin_with_no_positive_back_mapped_mean_falls_back(self, rng):
         """``MIN_BIN_COUNT`` predictions of 0 fill the first bin, whose
@@ -142,27 +188,26 @@ class TestPredictionBinned:
         z = np.concatenate([np.zeros(MIN_BIN_COUNT), rng.uniform(2.0, 3.9, size=50)])
         y = np.concatenate([np.full(MIN_BIN_COUNT, 1.0), np.expm1(z[MIN_BIN_COUNT:]) * 1.2])
         corr = sc.fit_prediction_binned(y, z, LOG)
-        assert corr.n_bins == 2 and np.mean(inverse(LOG, z[:MIN_BIN_COUNT])) == 0.0
-        assert corr.bin_factors[0] == corr.factor
-        assert corr.factor == float(np.mean(np.exp(forward(LOG, y) - z)))
-        assert corr.bin_factors[1] == pytest.approx(1.2, rel=1e-12)
+        assert len(corr.factors) == 2 and np.mean(inverse(LOG, z[:MIN_BIN_COUNT])) == 0.0
+        assert corr.factors[0] == float(np.mean(np.exp(forward(LOG, y) - z)))
+        assert corr.factors[1] == pytest.approx(1.2, rel=1e-12)
 
     def test_bin_index_reproduces_the_fitted_bins(self, rng):
-        """Each factor, fitted again from the rows the corrector's own
-        ``bin_index`` puts in its bin, is the same bits; sparse bins hold
-        the fallback."""
+        """Each factor, fitted again from the rows ``bin_index`` puts in its
+        bin, is the same bits; sparse bins hold the fallback."""
         y = rng.lognormal(1.5, 1.0, size=3000)
         z = forward(LOG, y) + rng.normal(0.0, 0.3, size=3000)
         z[:3] = [-0.5, 9.0, 9.5]  # a clipped low row and a sparse top bin
         corr = sc.fit_prediction_binned(y, z, LOG)
-        idx = corr.bin_index(z)
+        idx = bin_index(z, len(corr.factors))
+        fallback = float(np.mean(np.exp(forward(LOG, y) - z)))
         dense = []
-        for b, factor in enumerate(corr.bin_factors):
+        for b, factor in enumerate(corr.factors):
             rows = idx == b
             dense.append(rows.sum() >= MIN_BIN_COUNT)
-            expect = np.mean(y[rows]) / np.mean(inverse(LOG, z[rows])) if dense[-1] else corr.factor
+            expect = np.mean(y[rows]) / np.mean(inverse(LOG, z[rows])) if dense[-1] else fallback
             assert factor == expect, b
-        assert corr.n_bins == 5 and dense[0] and not dense[-1]
+        assert len(corr.factors) == 5 and dense[0] and not dense[-1]
 
     def test_errors(self):
         with pytest.raises(LengthMismatch):
@@ -178,6 +223,39 @@ class TestPredictionBinned:
         corr = sc.fit_prediction_binned(y, z, LOG)
         corrected = corr.apply(0.8 * y, z)
         assert abs(np.mean(y - corrected)) < 0.01 * y.mean()
+
+
+class TestCorrectorState:
+    """A corrector holds only factors its kind applies."""
+
+    @pytest.mark.parametrize("kind,factors,message", [
+        ("smearing", (1.5, 3.0), "a smearing corrector holds one factor, got 2"),
+        ("variance_based", (1.1, 1.2), "a variance_based corrector holds one factor"),
+        ("none", (2.0,), "a none corrector's factor is 1, got 2.0"),
+        ("none", (1.0, 1.0), "a none corrector holds one factor"),
+        ("prediction_binned", (), "factors must be positive and finite"),
+        ("smearing", (0.0,), "factors must be positive and finite"),
+        ("prediction_binned", (1.0, float("nan")), "factors must be"),
+    ], ids=["smearing-two", "variance-two", "none-two", "none-pair", "binned-empty",
+            "zero", "nan"])
+    def test_meaningless_state_is_config_error(self, kind, factors, message):
+        with pytest.raises(ConfigError, match=message):
+            BiasCorrector(kind, factors)
+        with pytest.raises(ConfigError, match=message):
+            BiasCorrector.from_json({"kind": kind, "factors": list(factors)})
+
+    @pytest.mark.parametrize("retired", [{"factor": 2.0}, {"bin_factors": [3.0, 4.0]}],
+                             ids=["factor", "bin_factors"])
+    def test_retired_key_is_named(self, retired):
+        key = next(iter(retired))
+        with pytest.raises(ConfigError, match=f"bias corrector JSON has unknown field '{key}'"):
+            BiasCorrector.from_json({"kind": "smearing", "factors": [1.5], **retired})
+
+    def test_to_json_has_one_shape(self):
+        for corr in (BiasCorrector(), BiasCorrector("variance_based", (1.1,)),
+                     BiasCorrector("prediction_binned", (1.0, 1.3))):
+            assert corr.to_json() == {"kind": corr.kind, "factors": list(corr.factors)}
+        assert BiasCorrector.from_json({"kind": "none"}) == BiasCorrector()
 
 
 class TestFitCorrector:

@@ -282,11 +282,10 @@ class TestBacktest:
                        "--out-dir", str(workdir / "nope"))
         assert proc.returncode == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_non_finite_forecast_is_data_error(self, tmp_path, capsys):
+    @staticmethod
+    def _overflowing_plan(tmp_path):
         """A price of -10000 over the last 42 days drives the linear E3.5 and
-        E4 forecasts past the largest float; the run names the first arm and
-        origin and writes nothing, instead of ``inf`` scores."""
+        E4 forecasts past the largest float; the plan's path and its first origin."""
         made = sc.generate(sc.GenConfig(n_items=4, n_days=260, seed=5))
         X = made.feature_matrix.copy()
         X[made.day_ordinals > made.day_ordinals.max() - 42,
@@ -297,14 +296,35 @@ class TestBacktest:
                 "n_versions": 2, "horizons": [6], "arms": ["E3.5", "E1", "E4"],
                 "baseline_id": "E1", "learner": {"base": "linear", "rounds": 5}}
         (tmp_path / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
-        out_dir = tmp_path / "out"
-        assert main(["backtest", "--plan", str(tmp_path / "plan.json"),
-                     "--out-dir", str(out_dir)]) == 3
         first_origin = backtest.version_origins(sc.read_panel(tmp_path / "panel.csv"),
                                                 sc.BacktestPlan.from_json(plan))[0]
+        return tmp_path / "plan.json", first_origin
+
+    def test_non_finite_forecast_is_data_error(self, tmp_path, capsys):
+        """The run names the first arm and origin and writes nothing, instead
+        of ``inf`` scores; numpy's overflow warning is not printed above it."""
+        plan_path, first_origin = self._overflowing_plan(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(["backtest", "--plan", str(plan_path), "--out-dir", str(out_dir)]) == 3
         assert capsys.readouterr().err == (f"data error: arm E3.5 at origin {first_origin}: "
                                            "a forecast is not finite\n")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_failing_grid_starts_no_later_job(self, tmp_path, capsys, monkeypatch, threads):
+        """E3.5 fails at its first origin, the first of 6 jobs: a job already
+        running may finish, but no queued one starts, and the error is the
+        same at any thread count."""
+        plan_path, first_origin = self._overflowing_plan(tmp_path)
+        fits = []
+        real_fit = backtest.fit
+        monkeypatch.setattr(backtest, "fit", lambda *a: fits.append(1) or real_fit(*a))
+        monkeypatch.setenv("SKEWCAST_THREADS", threads)
+        assert main(["backtest", "--plan", str(plan_path),
+                     "--out-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (f"data error: arm E3.5 at origin {first_origin}: "
+                                           "a forecast is not finite\n")
+        assert len(fits) <= 2 * int(threads)
 
     @pytest.mark.parametrize("edit", [{"n_versions": 1.5}, {"train_window_days": 90.5},
                                       {"horizons": [6.0]}, {"horizons": [6, 6]}],

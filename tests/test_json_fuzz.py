@@ -55,7 +55,7 @@ TREE_MODEL = {
                "left": [1, -1, -1], "right": [2, -1, -1], "value": [0.0, -0.25, 0.25]}],
     "betas": [],
     "training_loss": [0.5, 0.25],
-    "bias_corrector": {"kind": "prediction_binned", "factor": 1.1, "bin_factors": [1.05, 1.2]},
+    "bias_corrector": {"kind": "prediction_binned", "factors": [1.05, 1.2]},
 }
 LINEAR_MODEL = {
     **TREE_MODEL,
@@ -63,7 +63,7 @@ LINEAR_MODEL = {
     "learner": {**LEARNER, "base": "linear"},
     "trees": [],
     "betas": [[0.1, -0.2, 1.0], [0.0, 0.5, -1]],
-    "bias_corrector": {"kind": "variance_based", "factor": 1.2},
+    "bias_corrector": {"kind": "variance_based", "factors": [1.2]},
 }
 
 DOCUMENTS = {
@@ -129,10 +129,10 @@ def test_fuzzed_fields_fail_only_as_config_or_data_errors(name):
     (sc.FitModel.from_json, TREE_MODEL, ("trees", 0, "value", 1), True, "tree value"),
     (sc.FitModel.from_json, TREE_MODEL, ("trees", 0, "left", 0), 1.0, "tree left"),
     (sc.FitModel.from_json, LINEAR_MODEL, ("betas", 0, 0), "1.5", "betas"),
-    (sc.BiasCorrector.from_json, TREE_MODEL["bias_corrector"], ("factor",), "2", "factor"),
-    (sc.BiasCorrector.from_json, TREE_MODEL["bias_corrector"], ("factor",), True, "factor"),
-    (sc.BiasCorrector.from_json, TREE_MODEL["bias_corrector"], ("bin_factors",), ["1.5", True],
-     "bin_factors"),
+    (sc.BiasCorrector.from_json, LINEAR_MODEL["bias_corrector"], ("factors", 0), "2", "factors"),
+    (sc.BiasCorrector.from_json, LINEAR_MODEL["bias_corrector"], ("factors", 0), True, "factors"),
+    (sc.BiasCorrector.from_json, TREE_MODEL["bias_corrector"], ("factors",), ["1.5", True],
+     "factors"),
     (sc.GenConfig.from_json, {"spike_days": [[170, 3.0]]}, ("spike_days", 0, 0), True,
      "spike_days"),
     (sc.GenConfig.from_json, {"spike_days": [[170, 3.0]]}, ("spike_days", 0, 1), "4",

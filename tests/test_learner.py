@@ -37,6 +37,10 @@ UNIT = sc.WeightScheme(kind="unit")
 SQRT = sc.WeightScheme(kind="sqrt_sales")
 
 
+# a one-node tree whose leaf adds 1 to every score
+_LEAF_TREE = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], "value": [1.0]}
+
+
 def _quick_config(**kw):
     base = dict(rounds=20, max_depth=3, learning_rate=0.1, l2_reg=1.0)
     base.update(kw)
@@ -518,23 +522,27 @@ class TestSerialization:
         """A v2 model, whose transform still holds an offset and whose binned
         corrector a bin width, is rejected by version before its fields."""
         model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT, _quick_config(rounds=1))
-        obj = model.with_corrector(sc.BiasCorrector("prediction_binned", 1.1, (1.0, 1.2))).to_json()
+        obj = model.to_json()
         obj["version"] = "skewcast-model-v2"
         obj["transform"]["offset"] = 1.0
-        obj["bias_corrector"]["bin_width"] = 2.0
+        obj["bias_corrector"] = {"kind": "prediction_binned", "factor": 1.1,
+                                 "bin_factors": [1.0, 1.2], "bin_width": 2.0}
         path = tmp_path / "v2.json"
         path.write_text(json.dumps(obj), encoding="utf-8")
         with pytest.raises(ConfigError, match="unsupported model version 'skewcast-model-v2', "
-                                              "expected 'skewcast-model-v4'"):
+                                              "expected 'skewcast-model-v5'"):
             sc.load_model(path)
         obj["version"] = sc.MODEL_FORMAT  # as the current version, each retired key is named
         with pytest.raises(ConfigError, match="transform JSON has unknown field 'offset'"):
             FitModel.from_json(obj)
         del obj["transform"]["offset"]
-        with pytest.raises(ConfigError, match="bias corrector JSON has unknown field 'bin_width'"):
-            FitModel.from_json(obj)
-        del obj["bias_corrector"]["bin_width"]
-        assert FitModel.from_json(obj).bias_corrector.bin_factors == (1.0, 1.2)
+        for key in ("bin_factors", "bin_width", "factor"):
+            with pytest.raises(ConfigError,
+                               match=f"bias corrector JSON has unknown field '{key}'"):
+                FitModel.from_json(obj)
+            del obj["bias_corrector"][key]
+        obj["bias_corrector"]["factors"] = [1.0, 1.2]
+        assert FitModel.from_json(obj).bias_corrector.factors == (1.0, 1.2)
 
     @pytest.mark.parametrize("link", ["identity", "log"])
     def test_v3_model_is_rejected_by_version(self, small_panel, tmp_path, link):
@@ -547,13 +555,40 @@ class TestSerialization:
         path = tmp_path / "v3.json"
         path.write_text(json.dumps(obj), encoding="utf-8")
         with pytest.raises(ConfigError, match="unsupported model version 'skewcast-model-v3', "
-                                              "expected 'skewcast-model-v4'"):
+                                              "expected 'skewcast-model-v5'"):
             sc.load_model(path)
         obj["version"] = sc.MODEL_FORMAT
         with pytest.raises(ConfigError, match="loss JSON has unknown field 'link'"):
             FitModel.from_json(obj)
         del obj["loss"]["link"]
         assert FitModel.from_json(obj).loss == sc.LossSpec.mse()
+
+    @pytest.mark.parametrize("kind", ["none", "smearing", "prediction_binned"])
+    def test_v4_model_is_rejected_by_version(self, small_panel, tmp_path, kind):
+        """A v4 model, whose corrector held ``factor`` and ``bin_factors``
+        apart, is rejected by version; as the current version, the first
+        retired key is named, and the same factors load as ``factors``."""
+        obj = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT, _quick_config(rounds=1)).to_json()
+        obj["version"] = "skewcast-model-v4"
+        v4 = {"none": {"kind": "none"},
+              "smearing": {"kind": "smearing", "factor": 1.3},
+              "prediction_binned": {"kind": "prediction_binned", "factor": 1.1,
+                                    "bin_factors": [1.05, 1.2]}}[kind]
+        obj["bias_corrector"] = v4
+        path = tmp_path / "v4.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ConfigError, match="unsupported model version 'skewcast-model-v4', "
+                                              "expected 'skewcast-model-v5'"):
+            sc.load_model(path)
+        obj["version"] = sc.MODEL_FORMAT
+        if kind != "none":
+            retired = "bin_factors" if kind == "prediction_binned" else "factor"
+            with pytest.raises(ConfigError,
+                               match=f"bias corrector JSON has unknown field '{retired}'"):
+                FitModel.from_json(obj)
+        factors = v4.pop("bin_factors", [v4.pop("factor", 1.0)])
+        obj["bias_corrector"] = {"kind": kind, "factors": factors}
+        assert FitModel.from_json(obj).bias_corrector == sc.BiasCorrector(kind, tuple(factors))
 
     @pytest.mark.parametrize("base,edit", [
         ("tree", lambda obj: obj["trees"][0]["feature"].__setitem__(0, 7)),
@@ -570,11 +605,16 @@ class TestSerialization:
         ("linear", lambda obj: obj["feature_names"].__setitem__(0, "")),
         ("tree", lambda obj: obj["feature_names"].__setitem__(1, "log_popularity\r")),
         ("linear", lambda obj: obj["feature_names"].__setitem__(0, "a,b")),
+        ("tree", lambda obj: obj["betas"].append([5.0] * (len(obj["feature_names"]) + 1))),
+        ("linear", lambda obj: obj["trees"].append(_LEAF_TREE)),
+        ("tree", lambda obj: obj["bias_corrector"].update(kind="smearing", factors=[1.1, 1.2])),
+        ("tree", lambda obj: obj["bias_corrector"].update(factors=[2.0])),
     ], ids=["tree-feature-out-of-range", "betas-too-short", "betas-not-1d",
             "betas-not-finite", "betas-not-numeric", "missing-transform", "missing-trees",
             "corrector-not-object", "loss-not-object", "feature-names-not-list",
             "feature-name-repeated", "feature-name-empty", "feature-name-carriage-return",
-            "feature-name-comma"])
+            "feature-name-comma", "tree-with-betas", "linear-with-trees",
+            "corrector-second-factor", "none-corrector-factor"])
     def test_corrupt_model_rejected(self, small_panel, base, edit):
         model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT,
                        _quick_config(base=base, rounds=2))
@@ -582,6 +622,18 @@ class TestSerialization:
         FitModel.from_json(obj)  # the unedited model loads
         edit(obj)
         with pytest.raises(ConfigError):
+            FitModel.from_json(obj)
+
+    @pytest.mark.parametrize("base", ["tree", "linear"])
+    def test_steps_must_match_the_base(self, small_panel, base):
+        """A tree model holds no betas and a linear model no trees, which
+        ``score`` would otherwise add to the model's own steps."""
+        obj = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT,
+                     _quick_config(base=base, rounds=1)).to_json()
+        foreign = "betas" if base == "tree" else "trees"
+        obj[foreign] = ([[5.0] * (len(obj["feature_names"]) + 1)] if base == "tree"
+                        else [_LEAF_TREE])
+        with pytest.raises(ConfigError, match=f"a {base} model holds no {foreign}"):
             FitModel.from_json(obj)
 
     def test_unknown_model_field_rejected(self, small_panel):
@@ -610,7 +662,7 @@ class TestSerialization:
         lambda obj: obj["trees"][0]["feature"].__setitem__(0, 2**70),
         lambda obj: obj.__setitem__("base_score", 10**400),
         lambda obj: obj["training_loss"].__setitem__(0, 10**400),
-        lambda obj: obj.__setitem__("bias_corrector", {"kind": "smearing", "factor": 10**400}),
+        lambda obj: obj.__setitem__("bias_corrector", {"kind": "smearing", "factors": [10**400]}),
     ], ids=["tree-feature", "base-score", "training-loss", "corrector-factor"])
     def test_number_too_large_to_convert_is_config_error(self, small_panel, tmp_path, edit):
         obj = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT, _quick_config(rounds=2)).to_json()

@@ -293,6 +293,22 @@ class TestAggregateVersions:
         assert agg.total_actual == pytest.approx(400.0)
         assert agg.n_versions == 2
 
+    def test_sums_run_left_to_right_on_every_python(self):
+        """From Python 3.12 on, ``sum()`` compensates its rounding: over these
+        totals it would give 1e16 + 2, and the ratios would move by one
+        ulp.  The aggregate sums in version order, as Python 3.10 and 3.11
+        did, so its bits do not depend on the Python."""
+        h = float.fromhex
+        totals = [h("0x1.1c37937e08000p+53"), 1.0, 1.0]  # 1e16, 1, 1
+        vms = [_vm(t, wmape, wbias, origin=ORIGIN + dt.timedelta(days=7 * i))
+               for i, (t, wmape, wbias) in enumerate(zip(
+                   totals, [h("0x1.999999999999ap-4"), 1.0, 1.0],
+                   [h("-0x1.999999999999ap-4"), 1.0, 1.0]))]
+        agg = sc.aggregate_versions(vms)[6]
+        assert agg.total_actual.hex() == "0x1.1c37937e08000p+53"
+        assert agg.wmape.hex() == "0x1.99999999999a8p-4"
+        assert agg.wbias.hex() == "-0x1.999999999998bp-4"
+
     def test_horizons_grouped_separately(self):
         vms = [_vm(100.0, 0.1, 0.0, horizon=6), _vm(100.0, 0.3, 0.0, horizon=12)]
         out = sc.aggregate_versions(vms)
