@@ -32,6 +32,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -47,6 +48,7 @@ from .errors import (
     EmptyInput,
     InsufficientHistory,
     IoFailure,
+    JsonRecord,
     check_numbers,
     is_integer,
     json_object,
@@ -93,7 +95,7 @@ def worker_count() -> int:
 
 
 @dataclass(frozen=True)
-class ExperimentArm:
+class ExperimentArm(JsonRecord):
     """One grid configuration: transform x loss x weights x corrector."""
 
     id: str
@@ -107,15 +109,6 @@ class ExperimentArm:
             raise ConfigError(f"arm id {self.id!r} is not representable in CSV")
         if self.corrector_kind not in CORRECTOR_KINDS:
             raise ConfigError(f"unknown corrector kind {self.corrector_kind!r}")
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "transform": self.transform.to_json(),
-            "loss": self.loss.to_json(),
-            "weight_scheme": self.weight_scheme.to_json(),
-            "corrector_kind": self.corrector_kind,
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentArm":
@@ -164,7 +157,7 @@ def arm_by_id(arm_id: str) -> ExperimentArm:
 
 
 @dataclass(frozen=True)
-class BacktestPlan:
+class BacktestPlan(JsonRecord):
     """Everything a backtest run depends on; JSON-serializable."""
 
     panel_path: str | None = None
@@ -187,21 +180,12 @@ class BacktestPlan:
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate arm ids in plan")
 
-    def to_json(self) -> dict:
-        return {
-            "panel_path": self.panel_path,
-            "train_window_days": self.train_window_days,
-            "n_versions": self.n_versions,
-            "horizons": list(self.horizons),
-            "arms": [arm.to_json() for arm in self.arms],
-            "baseline_id": self.baseline_id,
-            "learner": self.learner.to_json(),
-            "gen_config_path": self.gen_config_path,
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "BacktestPlan":
         kwargs = dict(json_object(obj, "backtest plan", cls))
+        for name in ("horizons", "arms"):
+            if name in kwargs and not isinstance(kwargs[name], list):
+                raise ConfigError(f"{name} must be a list, got {type(kwargs[name]).__name__}")
         try:
             if "horizons" in kwargs:
                 kwargs["horizons"] = tuple(kwargs["horizons"])
@@ -431,20 +415,31 @@ def _run_grid(
 
     Each origin's windows are sliced once, and every job is checked,
     before the pool starts.  The first job to fail, in submission order,
-    is reported, and no job starts after it fails.
+    is reported, and no job starts after it fails, at any thread count:
+    each job checks, in its worker, that no earlier job has failed.
     """
     origins = version_origins(panel, plan)
     windows = _windows(panel, plan, origins)
     groups = _model_groups(arms)
     _preflight(groups, windows)
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        futures = [pool.submit(_score_versions, group, plan, *window)
-                   for group in groups for window in windows]
+    jobs = [(group, window) for group in groups for window in windows]
+    first_failed = len(jobs)  # the least index of a failed job
+    lock = threading.Lock()
+
+    def run(i: int, group: list[ExperimentArm], window) -> list[tuple[str, VersionMetrics]]:
+        nonlocal first_failed
+        if first_failed < i:
+            return []  # never read: the failed job comes first
         try:
-            rows = [row for fut in futures for row in fut.result()]
+            return _score_versions(group, plan, *window)
         except BaseException:
-            pool.shutdown(cancel_futures=True)
+            with lock:
+                first_failed = min(first_failed, i)
             raise
+
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        futures = [pool.submit(run, i, *job) for i, job in enumerate(jobs)]
+        rows = [row for fut in futures for row in fut.result()]
     rows.sort(key=row_order)
     aggregates = {
         arm.id: aggregate_versions([vm for aid, vm in rows if aid == arm.id])

@@ -29,6 +29,7 @@ from .errors import (
     ConfigError,
     EmptyInput,
     InsufficientData,
+    JsonRecord,
     LengthMismatch,
     is_real,
     json_numbers,
@@ -51,7 +52,7 @@ def bin_index(pred_transformed, n_bins: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BiasCorrector:
+class BiasCorrector(JsonRecord):
     """Fitted corrector: one multiplier per bucket of the transformed
     prediction (see ``bin_index``).  A ``prediction_binned`` corrector may
     hold several, any other kind exactly one, and ``none`` exactly 1."""
@@ -81,9 +82,6 @@ class BiasCorrector:
         if len(factors) == 1:  # one bucket: a NaN prediction is scaled, not bucketed
             return pred_raw * factors[0]
         return pred_raw * factors[bin_index(pred_transformed, len(factors))]
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "factors": list(self.factors)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "BiasCorrector":

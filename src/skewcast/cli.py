@@ -43,10 +43,11 @@ def _cmd_gen(args) -> int:
 
 
 def _load_arm(spec: str) -> bt.ExperimentArm:
-    """An arm is either a standard grid id or a path to an arm JSON."""
-    if os.path.exists(spec):
-        return bt.ExperimentArm.from_json(read_json(spec, "arm"))
-    return bt.arm_by_id(spec)
+    """A standard grid id always names that arm; any other spec is a path
+    to an arm JSON, or else an unknown arm id."""
+    if not os.path.exists(spec) or spec in {arm.id for arm in bt.standard_arms()}:
+        return bt.arm_by_id(spec)
+    return bt.ExperimentArm.from_json(read_json(spec, "arm"))
 
 
 def _load_learner(path: str | None) -> LearnerConfig:

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, check_numbers, is_integer, is_real, json_object, read_json
+from .errors import (ConfigError, JsonRecord, check_numbers, is_integer, is_real, json_object,
+                     read_json)
 from .panel import SalesPanel, parse_day
 from .rng import keyed_stream, reseat
 
@@ -54,7 +55,7 @@ _FROM_JSON = {
 
 
 @dataclass(frozen=True)
-class GenConfig:
+class GenConfig(JsonRecord):
     """Knobs of the synthetic world; generation is a pure function of it."""
 
     n_items: int = 200
@@ -76,6 +77,11 @@ class GenConfig:
         if int(self.n_items) * int(self.n_days) > _MAX_CELLS:  # numpy integers may wrap
             raise ConfigError(f"n_items * n_days must be at most {_MAX_CELLS:,} cells, "
                               f"got {self.n_items} * {self.n_days}")
+        if not isinstance(self.start_day, dt.date):
+            raise ConfigError(f"start_day must be a date, got {self.start_day!r}")
+        if self.start_day.toordinal() + int(self.n_days) - 1 > dt.date.max.toordinal():
+            raise ConfigError(f"start_day {self.start_day} and n_days {self.n_days} put the "
+                              f"last day after {dt.date.max}")
         if self.gamma_shape <= 0 or self.gamma_scale <= 0:
             raise ConfigError("gamma shape and scale must be positive")
         if self.price_elasticity > 0:
@@ -91,21 +97,6 @@ class GenConfig:
         if any(not is_integer(d) or not is_real(m) or m < 1.0 for d, m in self.spike_days):
             raise ConfigError("spike_days must be (integer day, finite multiplier >= 1) pairs, "
                               f"got {[list(s) for s in self.spike_days]!r}")
-
-    def to_json(self) -> dict:
-        return {
-            "n_items": self.n_items,
-            "n_days": self.n_days,
-            "seed": self.seed,
-            "base_rate_lognormal": list(self.base_rate_lognormal),
-            "gamma_shape": self.gamma_shape,
-            "gamma_scale": self.gamma_scale,
-            "price_elasticity": self.price_elasticity,
-            "spike_days": [list(s) for s in self.spike_days],
-            "weekly_seasonality": list(self.weekly_seasonality),
-            "start_day": self.start_day.isoformat(),
-            "price_walk_sigma": self.price_walk_sigma,
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "GenConfig":

@@ -5,10 +5,13 @@ configuration problems (bad knobs, incompatible choices) and data
 problems (malformed files, values outside a valid domain).
 """
 
+import datetime as dt
 import json
 import math
 from dataclasses import fields
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class SkewcastError(Exception):
@@ -82,6 +85,31 @@ def json_object(obj, what: str, cls=None, extra=()) -> dict:
         if unknown:
             raise ConfigError(f"{what} JSON has unknown field {unknown[0]!r}")
     return obj
+
+
+class JsonRecord:
+    """A dataclass written as JSON by one rule, the writer's side of
+    ``json_object``: each field that is not None, by name.
+
+    A nested record becomes an object, a tuple or list a list, a numpy
+    array or scalar its ``tolist()`` and a date its ISO text.
+    """
+
+    def to_json(self) -> dict:
+        return {f.name: _json_value(value) for f in fields(self)
+                if (value := getattr(self, f.name)) is not None}
+
+
+def _json_value(value):
+    if isinstance(value, JsonRecord):
+        return value.to_json()
+    if isinstance(value, (tuple, list)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, dt.date):
+        return value.isoformat()
+    return value
 
 
 def is_integer(value) -> bool:

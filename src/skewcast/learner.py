@@ -41,6 +41,7 @@ from .errors import (
     DegenerateData,
     DomainError,
     EmptyInput,
+    JsonRecord,
     ShapeMismatch,
     check_numbers,
     json_numbers,
@@ -70,7 +71,7 @@ _BASES = ("tree", "linear")
 
 
 @dataclass(frozen=True)
-class LearnerConfig:
+class LearnerConfig(JsonRecord):
     """Boosting hyperparameters; defaults suit daily retail panels."""
 
     base: str = "tree"
@@ -92,23 +93,13 @@ class LearnerConfig:
         if self.l2_reg < 0:
             raise ConfigError("l2_reg must be >= 0")
 
-    def to_json(self) -> dict:
-        return {
-            "base": self.base,
-            "rounds": self.rounds,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "min_child_weight": self.min_child_weight,
-            "l2_reg": self.l2_reg,
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "LearnerConfig":
         return cls(**json_object(obj, "learner", cls))
 
 
 @dataclass
-class FitModel:
+class FitModel(JsonRecord):
     """A fitted forecaster: score function plus the back-mapping recipe."""
 
     transform: TargetTransform
@@ -140,26 +131,17 @@ class FitModel:
 
     def predict(self, X) -> np.ndarray:
         """Raw-sales prediction: back-transformed and bias-corrected."""
-        zhat = self.predict_transformed(X)
+        return self.raw_from_transformed(self.predict_transformed(X))
+
+    def raw_from_transformed(self, zhat) -> np.ndarray:
+        """The raw-sales prediction of a transformed-unit prediction ``zhat``."""
         return self.bias_corrector.apply(inverse(self.transform, zhat), zhat)
 
     def with_corrector(self, corrector: BiasCorrector) -> "FitModel":
         return replace(self, bias_corrector=corrector)
 
     def to_json(self) -> dict:
-        return {
-            "version": MODEL_FORMAT,
-            "transform": self.transform.to_json(),
-            "loss": self.loss.to_json(),
-            "weight_scheme": self.weight_scheme.to_json(),
-            "learner": self.learner.to_json(),
-            "feature_names": list(self.feature_names),
-            "base_score": self.base_score,
-            "trees": [t.to_json() for t in self.trees],
-            "betas": [b.tolist() for b in self.betas],
-            "training_loss": list(self.training_loss),
-            "bias_corrector": self.bias_corrector.to_json(),
-        }
+        return {"version": MODEL_FORMAT, **super().to_json()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "FitModel":
@@ -394,7 +376,7 @@ def in_sample_fit_report(model: FitModel, panel) -> dict:
         raise EmptyInput("cannot report on an empty panel")
     z = forward(model.transform, y)
     zhat = model.predict_transformed(X)
-    yhat = model.predict(X)
+    yhat = model.raw_from_transformed(zhat)
     rz = z - zhat
     ry = y - yhat
     return {

@@ -36,6 +36,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DomainError,
+    JsonRecord,
     LengthMismatch,
     json_object,
     real,
@@ -58,7 +59,7 @@ _WEIGHT_KINDS = ("unit", "log_sales", "sqrt_sales", "linear_sales")
 
 
 @dataclass(frozen=True)
-class LossSpec:
+class LossSpec(JsonRecord):
     """One member of the loss family; its link follows from the kind.
 
     ``power`` is the Tweedie variance power, restricted to the open
@@ -113,10 +114,6 @@ class LossSpec:
         param = _LOSS_KINDS[self.kind][1]
         return self.kind if param is None else f"{self.kind}({param[0]}={getattr(self, param):g})"
 
-    def to_json(self) -> dict:
-        param = _LOSS_KINDS[self.kind][1]
-        return {"kind": self.kind, **({} if param is None else {param: getattr(self, param)})}
-
     @classmethod
     def from_json(cls, obj: dict) -> "LossSpec":
         obj = json_object(obj, "loss", cls)
@@ -133,7 +130,7 @@ class GradHess:
 
 
 @dataclass(frozen=True)
-class WeightScheme:
+class WeightScheme(JsonRecord):
     """Sample-weight rule evaluated on raw sales.
 
     The escalation ladder runs unit -> log_sales -> sqrt_sales ->
@@ -146,9 +143,6 @@ class WeightScheme:
     def __post_init__(self):
         if self.kind not in _WEIGHT_KINDS:
             raise ConfigError(f"unknown weight scheme {self.kind!r}")
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind}
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeightScheme":

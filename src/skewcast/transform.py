@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, EmptyInput, json_object
+from .errors import ConfigError, DomainError, EmptyInput, JsonRecord, json_object
 
 _KINDS = ("identity", "log", "sqrt")
 
 
 @dataclass(frozen=True)
-class TargetTransform:
+class TargetTransform(JsonRecord):
     """Target-variable transform: identity, log(y + 1), or sqrt(y).
 
     The log kind adds 1 so that zero-sales days stay representable.
@@ -34,9 +34,6 @@ class TargetTransform:
     @property
     def is_identity(self) -> bool:
         return self.kind == "identity"
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind}
 
     @classmethod
     def from_json(cls, obj: dict) -> "TargetTransform":

@@ -74,13 +74,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatch, json_numbers, json_object
+from .errors import ConfigError, JsonRecord, ShapeMismatch, json_numbers, json_object
 
 _LEAF = -1
 
 
 @dataclass
-class Tree:
+class Tree(JsonRecord):
     """Flat-array binary tree; ``feature[i] == -1`` marks a leaf."""
 
     feature: np.ndarray
@@ -130,15 +130,6 @@ class Tree:
                 return depth
             depth += 1
             level = np.concatenate([self.left[level], self.right[level]])
-
-    def to_json(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "Tree":

@@ -212,6 +212,20 @@ class TestArms:
         again = sc.BacktestPlan.from_json(json.loads(json.dumps(plan.to_json())))
         assert again == plan
 
+    def test_numpy_integer_plan_dumps_to_json(self):
+        plan = sc.BacktestPlan(train_window_days=np.int64(200), n_versions=np.int64(3),
+                               horizons=(np.int64(6),), learner=FAST_LEARNER)
+        again = sc.BacktestPlan.from_json(json.loads(json.dumps(plan.to_json())))
+        assert again == plan
+
+    def test_unset_paths_are_left_out(self):
+        plan = sc.BacktestPlan(n_versions=2, learner=FAST_LEARNER)
+        obj = plan.to_json()
+        assert "panel_path" not in obj and "gen_config_path" not in obj
+        assert sc.BacktestPlan.from_json(obj) == plan
+        obj = sc.BacktestPlan(panel_path="p.csv", gen_config_path="g.json").to_json()
+        assert (obj["panel_path"], obj["gen_config_path"]) == ("p.csv", "g.json")
+
     def test_plan_accepts_arm_ids_as_strings(self):
         plan = sc.BacktestPlan.from_json({
             "train_window_days": 150,

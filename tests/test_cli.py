@@ -96,9 +96,11 @@ class TestGen:
         ({"spike_days": [[math.inf, 3.0]]}, "spike_days"),
         ({"spike_days": [[3, 10**400]]}, "spike_days"),
         ({"n_items": 2**70, "n_days": 10}, "n_items * n_days"),
+        ({"n_days": 30, "start_day": "9999-12-20"}, "start_day 9999-12-20 and n_days 30"),
     ], ids=["float-items", "text-seed", "one-number", "negative-sigma", "nan-sigma",
             "negative-weekday", "text-weekday", "nan-spike", "scalar-lognormal",
-            "scalar-weekly", "infinite-spike-day", "huge-spike", "huge-panel"])
+            "scalar-weekly", "infinite-spike-day", "huge-spike", "huge-panel",
+            "last-day-past-9999"])
     def test_mistyped_config_is_config_error(self, workdir, edit, field):
         path = workdir / "typed_gen.json"
         path.write_text(json.dumps({**GEN_CFG, **edit}), encoding="utf-8")
@@ -198,6 +200,23 @@ class TestFit:
         assert proc.returncode == 2
         assert f"unknown field '{field}'" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_standard_arm_id_is_never_read_as_a_path(self, workdir, tmp_path, monkeypatch,
+                                                     capsys):
+        """A directory named E4 does not hide the E4 arm; a spec that is
+        neither a standard id nor a path is named as an unknown arm id."""
+        (tmp_path / "E4").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["fit", "--panel", str(workdir / "panel.csv"), "--arm", "E4",
+                     "--model-out", "e4_model.json",
+                     "--learner", str(workdir / "learner.json")]) == 0
+        assert capsys.readouterr().err == ""
+        model = sc.load_model(tmp_path / "e4_model.json")
+        assert (model.transform, model.loss) == (sc.TargetTransform(kind="log"),
+                                                 sc.LossSpec.mse())
+        assert main(["fit", "--panel", str(workdir / "panel.csv"), "--arm", "E9",
+                     "--model-out", "e9_model.json"]) == 2
+        assert capsys.readouterr().err == "config error: unknown arm id 'E9'\n"
 
     def test_arm_directory_is_config_error(self, workdir, tmp_path):
         proc = run_cli("fit", "--panel", str(workdir / "panel.csv"),
@@ -327,9 +346,10 @@ class TestBacktest:
         assert len(fits) <= 2 * int(threads)
 
     @pytest.mark.parametrize("edit", [{"n_versions": 1.5}, {"train_window_days": 90.5},
-                                      {"horizons": [6.0]}, {"horizons": [6, 6]}],
+                                      {"horizons": [6.0]}, {"horizons": [6, 6]},
+                                      {"arms": "E4"}, {"horizons": 6}],
                              ids=["n_versions", "train_window_days", "horizons",
-                                  "repeated-horizon"])
+                                  "repeated-horizon", "arms-text", "horizons-number"])
     def test_mistyped_plan_is_config_error(self, workdir, edit):
         plan_path = workdir / "typed_plan.json"
         plan_path.write_text(json.dumps(_plan(workdir, **edit)), encoding="utf-8")

@@ -276,6 +276,19 @@ class TestGenConfig:
                            spike_days=((10, 2.0),))
         assert sc.GenConfig.from_json(cfg.to_json()) == cfg
 
+    def test_start_day_is_a_date_within_the_calendar(self):
+        with pytest.raises(ConfigError, match="start_day must be a date"):
+            sc.GenConfig(start_day="2020-01-06")
+        with pytest.raises(ConfigError, match="start_day 9999-12-03 and n_days 30"):
+            sc.GenConfig(n_days=30, start_day=dt.date(9999, 12, 3))
+        last = sc.generate(sc.GenConfig(n_items=1, n_days=30, start_day=dt.date(9999, 12, 2)))
+        assert last.date_range[1] == dt.date.max
+
+    def test_numpy_integers_dump_to_json(self):
+        cfg = sc.GenConfig(n_items=np.int64(5), n_days=np.int64(30), seed=np.int64(3),
+                           spike_days=((np.int64(4), 2.0),))
+        assert sc.GenConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
+
     def test_load_gen_config(self, tmp_path):
         cfg = sc.GenConfig(n_items=7, seed=99)
         path = tmp_path / "gen.json"

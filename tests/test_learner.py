@@ -492,6 +492,17 @@ class TestSerialization:
         assert back.loss == model.loss
         assert back.feature_names == model.feature_names
 
+    def test_numpy_integer_config_saves_and_loads(self, small_panel, tmp_path):
+        """A learner config the constructor accepts is written as JSON numbers."""
+        cfg = _quick_config(rounds=np.int64(2), max_depth=np.int64(3))
+        model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT, cfg)
+        path = tmp_path / "model.json"
+        sc.save_model(model, path)
+        back = sc.load_model(path)
+        assert back.learner == _quick_config(rounds=2, max_depth=3)
+        X = small_panel.feature_matrix
+        np.testing.assert_array_equal(back.predict(X), model.predict(X))
+
     @pytest.mark.parametrize("arm_id", ["E2", "E5", "E4-S", "E4-V", "E4-PB"])
     def test_saved_arm_models_load(self, small_panel, tmp_path, arm_id):
         """Every part a saved model holds passes the unknown-field check."""
@@ -701,6 +712,18 @@ class TestFitReport:
         z_std = np.sqrt(report["var_transformed_residual"])
         assert abs(report["mean_transformed_residual"]) < 0.01 * z_std
         assert report["mean_raw_residual"] > 0.0
+
+    def test_rows_are_scored_once(self, small_panel, monkeypatch):
+        """The report's predictions are the model's, corrector included,
+        from one scoring of the rows."""
+        model = sc.fit_arm(sc.arm_by_id("E4-PB"), small_panel, _quick_config(rounds=3))
+        expected = model.predict(small_panel.feature_matrix).tolist()
+        scored = []
+        score = FitModel.score
+        monkeypatch.setattr(FitModel, "score", lambda self, X: scored.append(1) or score(self, X))
+        report = sc.in_sample_fit_report(model, small_panel)
+        assert len(scored) == 1
+        assert [yhat for _, yhat in report["pairs"]] == expected
 
     def test_pairs_csv(self, small_panel, tmp_path):
         model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT,
