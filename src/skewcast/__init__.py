@@ -21,13 +21,7 @@ from .backtest import (
     run_weight_ladder,
     standard_arms,
 )
-from .biascorr import (
-    BiasCorrector,
-    fit_corrector,
-    fit_prediction_binned,
-    fit_smearing,
-    fit_variance_based,
-)
+from .biascorr import BiasCorrector, fit_corrector
 from .datagen import GenConfig, generate, load_gen_config, theoretical_tweedie_power
 from .errors import ConfigError, DataError, SkewcastError
 from .learner import (
@@ -94,9 +88,6 @@ __all__ = [
     "fit_arm",
     "fit_arrays",
     "fit_corrector",
-    "fit_prediction_binned",
-    "fit_smearing",
-    "fit_variance_based",
     "generate",
     "grad_hess",
     "in_sample_fit_report",

@@ -15,8 +15,9 @@ Tweedie power sweep.
 
 The grid's unit of work is one (distinct model, origin) job.  Arms that
 share a transform, loss and weight scheme fit the same model, so they
-form one group: the job fits that model once, predicts the test rows
-once, then fits each arm's own corrector on the training predictions
+form one group: the job fits that model once and each arm's own
+corrector on the training predictions (``fit_arm``, which ``skewcast
+fit`` also runs), predicts the test rows once, corrects them per arm
 and scores every arm at every horizon.  Before the pool starts, each
 origin's training and test windows are sliced once and shared by every
 group's job, and every job is checked (non-empty windows, fittable
@@ -35,12 +36,11 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .biascorr import BiasCorrector, fit_corrector
-from .biascorr import KINDS as CORRECTOR_KINDS
+from .biascorr import BiasCorrector, check_corrector, fit_corrector
 from .datagen import load_gen_config, theoretical_tweedie_power
 from .errors import (
     ConfigError,
@@ -68,7 +68,7 @@ from .metrics import (
     write_metrics_csv,
 )
 from .panel import HORIZONS, ForecastVersion, SalesPanel, _cell, is_csv_name, read_panel
-from .transform import TargetTransform, inverse
+from .transform import TargetTransform
 
 LADDER_SCHEMES = (
     WeightScheme(kind="unit"),
@@ -107,8 +107,8 @@ class ExperimentArm(JsonRecord):
     def __post_init__(self):
         if not is_csv_name(self.id):
             raise ConfigError(f"arm id {self.id!r} is not representable in CSV")
-        if self.corrector_kind not in CORRECTOR_KINDS:
-            raise ConfigError(f"unknown corrector kind {self.corrector_kind!r}")
+        with _naming(f"arm {self.id}"):
+            check_corrector(self.corrector_kind, self.transform)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentArm":
@@ -295,40 +295,35 @@ def _preflight(groups: list[list[ExperimentArm]], windows) -> None:
         raise family(detail) from first
 
 
-def _fit_correctors(
-    arms: list[ExperimentArm],
-    model: FitModel,
-    train: SalesPanel,
-) -> list[BiasCorrector]:
-    """Each arm's bias corrector on a model the arms share.
-
-    The training rows are predicted once, and only if some arm corrects.
-    """
-    zhat = None
-    correctors = []
-    for arm in arms:
-        if arm.corrector_kind == "none":
-            correctors.append(BiasCorrector())
-            continue
-        if zhat is None:
-            zhat = model.predict_transformed(train.feature_matrix)
-        correctors.append(fit_corrector(arm.corrector_kind, train.sales, zhat, arm.transform))
-    return correctors
-
-
-def fit_arm(arm: ExperimentArm, train: SalesPanel, learner_cfg: LearnerConfig) -> FitModel:
-    """Fit an arm's model on a training panel, corrector included."""
-    model = fit(train, arm.transform, arm.loss, arm.weight_scheme, learner_cfg)
-    (corrector,) = _fit_correctors([arm], model, train)
-    return model.with_corrector(corrector)
-
-
 def _model_groups(arms) -> list[list[ExperimentArm]]:
     """Arms grouped by the model they fit, in first-seen order."""
     groups: dict[tuple, list[ExperimentArm]] = {}
     for arm in arms:
         groups.setdefault((arm.transform, arm.loss, arm.weight_scheme), []).append(arm)
     return list(groups.values())
+
+
+def fit_arm(arms: list[ExperimentArm], train: SalesPanel, learner: LearnerConfig) -> list[FitModel]:
+    """Fit the model a group of arms shares, once, on a training panel;
+    each arm's model, with its own bias corrector.
+
+    The training rows are predicted once, and only if some arm corrects.
+    """
+    if len(_model_groups(arms)) != 1:
+        raise ConfigError("fit_arm fits arms that share one transform, loss and weight "
+                          f"scheme, got {[arm.id for arm in arms]}")
+    lead = arms[0]
+    model = fit(train, lead.transform, lead.loss, lead.weight_scheme, learner)
+    zhat = None
+    models = []
+    for arm in arms:
+        corrector = BiasCorrector()
+        if arm.corrector_kind != "none":
+            if zhat is None:
+                zhat = model.predict_transformed(train.feature_matrix)
+            corrector = fit_corrector(arm.corrector_kind, train.sales, zhat, arm.transform)
+        models.append(replace(model, bias_corrector=corrector))
+    return models
 
 
 def _forecasts(
@@ -338,14 +333,12 @@ def _forecasts(
     test: SalesPanel,
 ) -> list[np.ndarray]:
     """Fit one group's model on a training window; each arm's forecast of the test rows."""
-    lead = arms[0]
-    model = fit(train, lead.transform, lead.loss, lead.weight_scheme, plan.learner)
-    # corrected exactly as FitModel.predict corrects; a forecast that
-    # overflows is named by version_metrics, not warned about by numpy
+    models = fit_arm(arms, train, plan.learner)
+    # the test rows are scored once; a forecast that overflows is named by
+    # version_metrics, not warned about by numpy
     with np.errstate(over="ignore"):
-        zhat = model.predict_transformed(test.feature_matrix)
-        raw = inverse(model.transform, zhat)
-    return [c.apply(raw, zhat) for c in _fit_correctors(arms, model, train)]
+        zhat = models[0].predict_transformed(test.feature_matrix)
+        return [model.bias_corrector.correct(model.transform, zhat) for model in models]
 
 
 def _score_versions(

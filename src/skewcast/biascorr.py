@@ -2,20 +2,26 @@
 
 Training on a concave transform of sales and inverting the point
 forecast systematically undershoots the conditional mean.  The
-correctors here all scale the back-transformed prediction up:
+correctors here all scale the back-transformed prediction up, fitted
+on residuals r = transform(actual) - prediction in transformed units:
 
-* ``variance_based``: exp(var(residuals)/2), the lognormal-error
-  closed form; residuals are taken in transformed units.
-* ``smearing``: mean(exp(residuals)), Duan's nonparametric smearing.
+* ``variance_based``: exp(var(r)/2), the lognormal-error closed form,
+  from the population variance of at least 2 residuals.
+* ``smearing``: mean(exp(r)), Duan's nonparametric smearing.
 * ``prediction_binned``: a separate empirical multiplier per bucket of
-  the transformed prediction, mean(actual)/mean(back-transformed
-  prediction) within each bucket, so large forecasts (which are
-  squeezed hardest by a concave transform) get a larger boost.  Sparse
-  buckets fall back to the global smearing factor.
+  the transformed prediction (see ``bin_index``), up to the bucket of
+  the largest one: mean(actual)/mean(back-transformed prediction)
+  within the bucket, so large forecasts (which are squeezed hardest by
+  a concave transform) get a larger boost.  A bucket of fewer than
+  ``MIN_BIN_COUNT`` rows, or whose mean back-transformed prediction is
+  not positive, falls back to the smearing factor (to 1 if that is not
+  positive and finite).
 
 A fitted corrector of any kind is one table of multipliers, one per
 bucket of the transformed prediction; only a binned corrector has more
-than one bucket.
+than one bucket.  ``fit_corrector`` fits every kind, and
+``BiasCorrector.correct`` is the one map from a transformed prediction
+to the forecast: back-transform, then the bucket's factor.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    EmptyInput,
     InsufficientData,
     JsonRecord,
     LengthMismatch,
@@ -72,16 +77,15 @@ class BiasCorrector(JsonRecord):
         if self.kind == "none" and self.factors[0] != 1.0:
             raise ConfigError(f"a none corrector's factor is 1, got {self.factors[0]!r}")
 
-    def apply(self, pred_raw, pred_transformed) -> np.ndarray:
-        """Each raw prediction times the factor of its transformed prediction's bucket."""
-        pred_raw = np.asarray(pred_raw, dtype=np.float64)
-        pred_transformed = np.asarray(pred_transformed, dtype=np.float64)
-        if pred_transformed.shape != pred_raw.shape:
-            raise LengthMismatch("raw and transformed predictions differ in shape")
+    def correct(self, transform: TargetTransform, zhat) -> np.ndarray:
+        """The raw-sales forecast of transformed predictions ``zhat``: each
+        back-transformed, then times the factor of its bucket."""
+        zhat = np.asarray(zhat, dtype=np.float64)
+        raw = inverse(transform, zhat)
         factors = np.asarray(self.factors, dtype=np.float64)
         if len(factors) == 1:  # one bucket: a NaN prediction is scaled, not bucketed
-            return pred_raw * factors[0]
-        return pred_raw * factors[bin_index(pred_transformed, len(factors))]
+            return raw * factors[0]
+        return raw * factors[bin_index(zhat, len(factors))]
 
     @classmethod
     def from_json(cls, obj: dict) -> "BiasCorrector":
@@ -90,55 +94,40 @@ class BiasCorrector(JsonRecord):
                    factors=tuple(json_numbers(obj.get("factors", [1.0]), "factors")))
 
 
-def fit_variance_based(residuals) -> BiasCorrector:
-    """exp(var/2) from transformed-space residuals (population variance)."""
-    residuals = np.asarray(residuals, dtype=np.float64)
-    if residuals.size < 2:
-        raise InsufficientData("variance-based correction needs at least 2 residuals")
-    return BiasCorrector("variance_based", (float(np.exp(0.5 * np.var(residuals))),))
+def check_corrector(kind: str, transform: TargetTransform) -> None:
+    """``ConfigError`` unless ``kind`` is a corrector kind ``transform`` can use.
 
-
-def fit_smearing(residuals) -> BiasCorrector:
-    """mean(exp(residual)) from transformed-space residuals."""
-    residuals = np.asarray(residuals, dtype=np.float64)
-    if residuals.size < 1:
-        raise InsufficientData("smearing correction needs at least 1 residual")
-    return BiasCorrector("smearing", (float(np.mean(np.exp(residuals))),))
-
-
-def fit_prediction_binned(y_raw, pred_transformed, transform: TargetTransform) -> BiasCorrector:
-    """Per-bucket empirical multipliers over the transformed prediction.
-
-    Buckets (see ``bin_index``) run up to the one holding the largest
-    prediction.  A bucket's multiplier is mean(actual) over mean of the
-    back-transformed prediction, provided it holds at least
-    ``MIN_BIN_COUNT`` rows and its denominator is positive; otherwise the
-    global smearing factor is used.
+    Only ``none`` suits the identity transform: there is no back-transform
+    to correct, and the exponential of a raw-sales residual is no factor.
     """
-    return fit_corrector("prediction_binned", y_raw, pred_transformed, transform)
+    if kind not in KINDS:
+        raise ConfigError(f"unknown bias corrector kind {kind!r}")
+    if kind != "none" and transform.is_identity:
+        raise ConfigError(f"a {kind} corrector needs a log or sqrt transform, not identity")
 
 
 def fit_corrector(kind: str, y_raw, pred_transformed, transform: TargetTransform) -> BiasCorrector:
-    """Fit any corrector kind from actuals and transformed predictions."""
-    if kind not in KINDS:
-        raise ConfigError(f"unknown bias corrector kind {kind!r}")
+    """Fit a corrector of ``kind`` (see the module docstring) from actuals
+    and transformed predictions."""
+    check_corrector(kind, transform)
     if kind == "none":
         return BiasCorrector()
     y_raw = np.asarray(y_raw, dtype=np.float64)
     pred_transformed = np.asarray(pred_transformed, dtype=np.float64)
     if y_raw.shape != pred_transformed.shape:
         raise LengthMismatch("actuals and predictions differ in shape")
+    needed = 2 if kind == "variance_based" else 1
+    if y_raw.size < needed:
+        raise InsufficientData(f"a {kind} corrector needs at least {needed} rows, "
+                               f"got {y_raw.size}")
     residuals = forward(transform, y_raw) - pred_transformed
     if kind == "variance_based":
-        return fit_variance_based(residuals)
+        return BiasCorrector(kind, (float(np.exp(0.5 * np.var(residuals))),))
+    smearing = float(np.mean(np.exp(residuals)))
     if kind == "smearing":
-        return fit_smearing(residuals)
-    if y_raw.size == 0:
-        raise EmptyInput("no rows to fit a bias corrector on")
+        return BiasCorrector(kind, (smearing,))
 
-    fallback = float(np.mean(np.exp(residuals)))
-    if not (fallback > 0.0 and math.isfinite(fallback)):
-        fallback = 1.0
+    fallback = smearing if smearing > 0.0 and math.isfinite(smearing) else 1.0
     backmapped = inverse(transform, pred_transformed)
     n_bins = max(1, int(np.floor(np.max(pred_transformed) / BIN_WIDTH)) + 1)
     idx = bin_index(pred_transformed, n_bins)

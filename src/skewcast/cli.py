@@ -84,7 +84,7 @@ def _cmd_fit(args) -> int:
         if path is not None:  # fail before the fit, not after it
             _check_out_path(path)
     panel = read_panel(args.panel)
-    model = bt.fit_arm(arm, panel, learner_cfg)
+    (model,) = bt.fit_arm([arm], panel, learner_cfg)
     save_model(model, args.model_out)
     report = in_sample_fit_report(model, panel)
     if args.report is not None:

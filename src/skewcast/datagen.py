@@ -27,6 +27,7 @@ each of its days.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,9 @@ _ITEM_STREAM = 1 << 32
 # the most item-day cells a panel may have: 68 times the default 200 x 730
 # panel, about 0.4 GB of arrays
 _MAX_CELLS = 10**7
+
+# the largest rate numpy's Poisson sampler accepts
+_POISSON_MAX = np.iinfo("l").max - 10 * np.sqrt(np.iinfo("l").max)
 
 # the generator config's JSON fields that are not stored as parsed
 _FROM_JSON = {
@@ -97,6 +101,9 @@ class GenConfig(JsonRecord):
         if any(not is_integer(d) or not is_real(m) or m < 1.0 for d, m in self.spike_days):
             raise ConfigError("spike_days must be (integer day, finite multiplier >= 1) pairs, "
                               f"got {[list(s) for s in self.spike_days]!r}")
+        days = [d for d, _ in self.spike_days]
+        if len(set(days)) != len(days) or min(days, default=0) < 0:
+            raise ConfigError(f"spike_days must name distinct days >= 0, got {days!r}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "GenConfig":
@@ -125,7 +132,11 @@ def theoretical_tweedie_power(cfg: GenConfig) -> float:
 
 
 def generate(cfg: GenConfig) -> SalesPanel:
-    """Generate the panel for a config (deterministic, item-parallel safe)."""
+    """Generate the panel for a config (deterministic, item-parallel safe).
+
+    A cell whose demand no float holds, or numpy's Poisson sampler cannot
+    draw from, is a ``ConfigError`` naming the cell.
+    """
     spikes = dict(cfg.spike_days)
     mu_pop, sigma_pop = cfg.base_rate_lognormal
     n = cfg.n_days
@@ -134,29 +145,35 @@ def generate(cfg: GenConfig) -> SalesPanel:
     p = theoretical_tweedie_power(cfg)
     sales = np.empty(cfg.n_items * n)
     features = np.empty((cfg.n_items * n, len(FEATURE_NAMES)))
-    for i in range(cfg.n_items):
-        gen = keyed_stream(cfg.seed, i, a=0, b=_ITEM_STREAM)
-        log_pop = float(gen.normal(mu_pop, sigma_pop))
-        popularity = float(np.exp(log_pop))
-        log_price0 = float(gen.normal(0.0, 0.1))
-        steps = gen.normal(0.0, cfg.price_walk_sigma, size=n)
-        log_price = log_price0 + np.cumsum(steps)
-        for d in range(n):
-            level = (
-                popularity
-                * weekly[d]
-                * spike_mult[d]
-                * float(np.exp(cfg.price_elasticity * log_price[d]))
-            )
-            reseat(gen, d)
-            sales[i * n + d] = _compound_sales(
-                gen,
-                lam=level ** (2.0 - p),
-                shape=cfg.gamma_shape,
-                scale=cfg.gamma_scale * level ** (p - 1.0),
-            )
-        features[i * n:(i + 1) * n] = np.column_stack(
-            [log_price, weekly, spike_mult, np.full(n, log_pop)])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        for i in range(cfg.n_items):
+            gen = keyed_stream(cfg.seed, i, a=0, b=_ITEM_STREAM)
+            log_pop = float(gen.normal(mu_pop, sigma_pop))
+            popularity = float(np.exp(log_pop))
+            log_price0 = float(gen.normal(0.0, 0.1))
+            steps = gen.normal(0.0, cfg.price_walk_sigma, size=n)
+            log_price = log_price0 + np.cumsum(steps)
+            for d in range(n):
+                level = (
+                    popularity
+                    * weekly[d]
+                    * spike_mult[d]
+                    * float(np.exp(cfg.price_elasticity * log_price[d]))
+                )
+                reseat(gen, d)
+                sales[i * n + d] = _compound_sales(
+                    gen,
+                    lam=level ** (2.0 - p),
+                    shape=cfg.gamma_shape,
+                    scale=cfg.gamma_scale * level ** (p - 1.0),
+                )
+                if not math.isfinite(sales[i * n + d]):
+                    raise ConfigError(
+                        f"item {i}, day {d}: the demand level is too large to draw sales "
+                        "from; it is set by base_rate_lognormal, weekly_seasonality, "
+                        "spike_days, price_elasticity, price_walk_sigma and gamma_scale")
+            features[i * n:(i + 1) * n] = np.column_stack(
+                [log_price, weekly, spike_mult, np.full(n, log_pop)])
     start = cfg.start_day.toordinal()
     return SalesPanel(
         [f"item_{i:04d}" for i in range(cfg.n_items)],
@@ -172,8 +189,11 @@ def _compound_sales(gen: np.random.Generator, lam: float, shape: float, scale: f
     """One draw of sum_{k<=N} Gamma(shape, scale) with N ~ Poisson(lam).
 
     Uses the additivity of same-scale Gammas: the sum is exactly
-    Gamma(shape * N, scale), so one draw suffices.
+    Gamma(shape * N, scale), so one draw suffices.  NaN, and no draw, if
+    the rate is beyond numpy's sampler or the scale is not finite.
     """
+    if not (lam <= _POISSON_MAX and math.isfinite(scale)):
+        return math.nan
     if lam <= 0.0:
         return 0.0
     n = int(gen.poisson(lam))

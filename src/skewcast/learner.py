@@ -30,11 +30,11 @@ ran before it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .biascorr import BiasCorrector
+from .biascorr import BiasCorrector, check_corrector
 from .errors import (
     ConfigError,
     DataError,
@@ -62,12 +62,16 @@ from .losses import (
     weights_for,
 )
 from .panel import _cell, _feature_name_problem
-from .transform import TargetTransform, forward, inverse
+from .transform import TargetTransform, forward
 from .trees import Tree, grow_tree, presort
 
 MODEL_FORMAT = "skewcast-model-v5"
 
 _BASES = ("tree", "linear")
+
+# the most boosting rounds a config may ask for, 500 times the default 200;
+# the bound keeps a mistyped count from running a grid for days
+MAX_ROUNDS = 100_000
 
 
 @dataclass(frozen=True)
@@ -86,6 +90,8 @@ class LearnerConfig(JsonRecord):
             raise ConfigError(f"unknown base learner {self.base!r}")
         check_numbers(self, integers={"rounds": 0, "max_depth": 1},
                       reals=("learning_rate", "min_child_weight", "l2_reg"))
+        if self.rounds > MAX_ROUNDS:
+            raise ConfigError(f"rounds must be at most {MAX_ROUNDS:,}, got {self.rounds}")
         if not (0.0 < self.learning_rate <= 1.0):
             raise ConfigError("learning_rate must lie in (0, 1]")
         if self.min_child_weight < 0:
@@ -131,14 +137,7 @@ class FitModel(JsonRecord):
 
     def predict(self, X) -> np.ndarray:
         """Raw-sales prediction: back-transformed and bias-corrected."""
-        return self.raw_from_transformed(self.predict_transformed(X))
-
-    def raw_from_transformed(self, zhat) -> np.ndarray:
-        """The raw-sales prediction of a transformed-unit prediction ``zhat``."""
-        return self.bias_corrector.apply(inverse(self.transform, zhat), zhat)
-
-    def with_corrector(self, corrector: BiasCorrector) -> "FitModel":
-        return replace(self, bias_corrector=corrector)
+        return self.bias_corrector.correct(self.transform, self.predict_transformed(X))
 
     def to_json(self) -> dict:
         return {"version": MODEL_FORMAT, **super().to_json()}
@@ -171,6 +170,7 @@ class FitModel(JsonRecord):
         foreign = "betas" if model.learner.base == "tree" else "trees"
         if getattr(model, foreign):
             raise ConfigError(f"a {model.learner.base} model holds no {foreign}")
+        check_corrector(model.bias_corrector.kind, model.transform)
         n_features = len(model.feature_names)
         for tree in model.trees:
             if (tree.feature >= n_features).any():
@@ -376,7 +376,7 @@ def in_sample_fit_report(model: FitModel, panel) -> dict:
         raise EmptyInput("cannot report on an empty panel")
     z = forward(model.transform, y)
     zhat = model.predict_transformed(X)
-    yhat = model.raw_from_transformed(zhat)
+    yhat = model.bias_corrector.correct(model.transform, zhat)
     rz = z - zhat
     ry = y - yhat
     return {

@@ -16,7 +16,7 @@ import pytest
 from conftest import record_criterion
 
 import skewcast as sc
-from skewcast.biascorr import fit_prediction_binned, fit_smearing, fit_variance_based
+from skewcast.biascorr import fit_corrector
 from skewcast.losses import (
     LossSpec,
     deviance,
@@ -25,7 +25,7 @@ from skewcast.losses import (
     total_loss,
     weights_for,
 )
-from skewcast.transform import TargetTransform, forward, jensen_gap
+from skewcast.transform import TargetTransform, jensen_gap
 
 from scipy import optimize
 
@@ -190,9 +190,8 @@ class TestBiasCorrectionEfficacy:
     def test_smearing_reduces_mean_residual(self, log_target_fit):
         y, zhat = log_target_fit["y"], log_target_fit["zhat"]
         naive = log_target_fit["naive"]
-        resid_z = forward(TargetTransform(kind="log"), y) - zhat
-        corrector = fit_smearing(resid_z)
-        corrected = corrector.apply(naive, zhat)
+        log = TargetTransform(kind="log")
+        corrected = fit_corrector("smearing", y, zhat, log).correct(log, zhat)
         before = abs(float(np.mean(y - naive)))
         after = abs(float(np.mean(y - corrected)))
         reduction = 1.0 - after / before
@@ -203,9 +202,8 @@ class TestBiasCorrectionEfficacy:
 
     def test_binned_correction_centers_residuals(self, log_target_fit):
         y, zhat = log_target_fit["y"], log_target_fit["zhat"]
-        naive = log_target_fit["naive"]
-        corrector = fit_prediction_binned(y, zhat, TargetTransform(kind="log"))
-        corrected = corrector.apply(naive, zhat)
+        log = TargetTransform(kind="log")
+        corrected = fit_corrector("prediction_binned", y, zhat, log).correct(log, zhat)
         resid = abs(float(np.mean(y - corrected)))
         budget = 0.05 * float(np.mean(y))
         ok = resid <= budget
@@ -214,10 +212,12 @@ class TestBiasCorrectionEfficacy:
 
     def test_variance_and_smearing_agree_on_gaussian(self, rng):
         worst = 0.0
+        log = TargetTransform(kind="log")
         for sigma in (0.1, 0.25, 0.4, 0.6):
             eps = rng.normal(0.0, sigma, size=10_000)
-            v = fit_variance_based(eps).factors[0]
-            s = fit_smearing(eps).factors[0]
+            # zero sales, log(0 + 1) = 0, against predictions -eps: residuals eps
+            v = fit_corrector("variance_based", np.zeros(eps.size), -eps, log).factors[0]
+            s = fit_corrector("smearing", np.zeros(eps.size), -eps, log).factors[0]
             worst = max(worst, abs(v / s - 1.0))
         ok = worst <= 0.02
         _check(8, "variance and smearing factors agree on Gaussian noise",

@@ -204,6 +204,14 @@ class TestArms:
                              sc.LossSpec.mse(), sc.WeightScheme(kind="unit"),
                              corrector_kind="mystery")
 
+    @pytest.mark.parametrize("kind", ["variance_based", "smearing", "prediction_binned"])
+    def test_identity_arm_takes_no_corrector(self, kind):
+        identity = sc.TargetTransform(kind="identity")
+        with pytest.raises(ConfigError, match=f"arm RAW: a {kind} corrector needs a log or "
+                                              "sqrt transform, not identity"):
+            sc.ExperimentArm("RAW", identity, sc.LossSpec.mse(), sc.WeightScheme(kind="unit"),
+                             corrector_kind=kind)
+
     def test_plan_json_round_trip(self):
         plan = sc.BacktestPlan(train_window_days=200, n_versions=3,
                                horizons=(6, 24), baseline_id="E4",
@@ -457,6 +465,24 @@ class TestModelGroups:
 class TestForecastSeam:
     """``_forecasts`` corrects each arm exactly as ``FitModel.predict`` does."""
 
+    def test_fit_arm_fits_a_group_once(self, small_panel, monkeypatch):
+        """The arms share one fit and differ only in their correctors."""
+        fits = []
+        real_fit = backtest.fit
+        monkeypatch.setattr(backtest, "fit", lambda *a: fits.append(1) or real_fit(*a))
+        arms = [sc.arm_by_id(a) for a in ("E4", "E4-S", "E4-PB")]
+        models = backtest.fit_arm(arms, small_panel, FAST_LEARNER)
+        assert len(fits) == 1
+        assert [m.bias_corrector.kind for m in models] == ["none", "smearing",
+                                                          "prediction_binned"]
+        assert all(m.trees is models[0].trees for m in models)
+
+    def test_fit_arm_needs_one_shared_model(self, small_panel):
+        with pytest.raises(ConfigError, match=r"share one transform, loss and weight scheme, "
+                                              r"got \['E4', 'E5'\]"):
+            backtest.fit_arm([sc.arm_by_id("E4"), sc.arm_by_id("E5")], small_panel,
+                             FAST_LEARNER)
+
     @pytest.mark.parametrize("learner", [FAST_LEARNER,
                                          sc.LearnerConfig(base="linear", rounds=5)],
                              ids=["tree", "linear"])
@@ -470,8 +496,8 @@ class TestForecastSeam:
         got = backtest._forecasts(arms, plan, train, test)
         assert len(got) == len(arms)
         for arm, preds in zip(arms, got):
-            expected = backtest.fit_arm(arm, train, learner).predict(test.feature_matrix)
-            assert np.array_equal(preds, expected), arm.id
+            (model,) = backtest.fit_arm([arm], train, learner)
+            assert np.array_equal(preds, model.predict(test.feature_matrix)), arm.id
 
 
 class TestGridErrors:

@@ -1,7 +1,7 @@
 """Bias correctors: hand values, the two estimators' agreement, the
-binned corrector's bucket mechanics, and ``apply`` against the
-three-branch formulas that corrected forecasts before every corrector
-became one table of factors."""
+binned corrector's bucket mechanics, the identity-transform rule, and
+``correct`` against the three-branch formulas that corrected forecasts
+before every corrector became one table of factors."""
 
 import numpy as np
 import pytest
@@ -10,48 +10,52 @@ from hypothesis import strategies as st
 
 import skewcast as sc
 from skewcast.biascorr import BIN_WIDTH, KINDS, MIN_BIN_COUNT, BiasCorrector, bin_index
-from skewcast.errors import (
-    ConfigError,
-    EmptyInput,
-    InsufficientData,
-    LengthMismatch,
-)
+from skewcast.errors import ConfigError, InsufficientData, LengthMismatch
 from skewcast.transform import forward, inverse
 
 LOG = sc.TargetTransform(kind="log")
+SQRT = sc.TargetTransform(kind="sqrt")
+
+
+def _from_residuals(kind, residuals):
+    """A ``kind`` corrector fitted on transformed-unit residuals exactly
+    ``residuals``: zero sales, whose log(y + 1) is 0, against predictions
+    of minus each residual."""
+    residuals = np.asarray(residuals, dtype=np.float64)
+    return sc.fit_corrector(kind, np.zeros(residuals.shape), -residuals, LOG)
 
 
 class TestVarianceBased:
     def test_zero_residuals_give_unit_factor(self):
-        corr = sc.fit_variance_based(np.zeros(10))
+        corr = _from_residuals("variance_based", np.zeros(10))
         assert corr.factors == (pytest.approx(1.0),)
 
     def test_hand_value(self):
         """Population variance 0.5 must give exp(0.25) ~ 1.284025."""
         residuals = np.array([1.0, -1.0, 0.0, 0.0])  # population var = 0.5
-        corr = sc.fit_variance_based(residuals)
+        corr = _from_residuals("variance_based", residuals)
         (factor,) = corr.factors
         assert factor == pytest.approx(np.exp(0.25), rel=1e-12)
         assert factor == pytest.approx(1.284025, abs=1e-6)
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
-            sc.fit_variance_based([0.3])
+            _from_residuals("variance_based", [0.3])
 
     def test_factor_at_least_one(self, rng):
         for _ in range(20):
             r = rng.normal(0.0, rng.uniform(0.05, 1.0), size=500)
             r -= r.mean()
-            assert sc.fit_variance_based(r).factors[0] >= 1.0
+            assert _from_residuals("variance_based", r).factors[0] >= 1.0
 
 
 class TestSmearing:
     def test_zero_residuals_give_unit_factor(self):
-        assert sc.fit_smearing(np.zeros(3)).factors == (pytest.approx(1.0),)
+        assert _from_residuals("smearing", np.zeros(3)).factors == (pytest.approx(1.0),)
 
     def test_hand_value(self):
         """Residuals {ln 2, -ln 2}: (2 + 1/2) / 2 = 1.25 exactly."""
-        corr = sc.fit_smearing(np.array([np.log(2.0), -np.log(2.0)]))
+        corr = _from_residuals("smearing", np.array([np.log(2.0), -np.log(2.0)]))
         assert corr.factors == (pytest.approx(1.25, rel=1e-14),)
 
     def test_zero_mean_sample_factor_at_least_one(self, rng):
@@ -59,19 +63,19 @@ class TestSmearing:
         for _ in range(20):
             r = rng.uniform(-2.0, 2.0, size=300)
             r -= r.mean()
-            assert sc.fit_smearing(r).factors[0] >= 1.0
+            assert _from_residuals("smearing", r).factors[0] >= 1.0
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
-            sc.fit_smearing(np.array([]))
+            _from_residuals("smearing", np.array([]))
 
     def test_agrees_with_variance_based_on_gaussian_residuals(self, rng):
         """On normal residuals the closed form and the nonparametric
         estimate land within 2% of each other for sigma up to 0.6."""
         for sigma in (0.1, 0.3, 0.5, 0.6):
             r = rng.normal(0.0, sigma, size=10_000)
-            (vb,) = sc.fit_variance_based(r).factors
-            (sm,) = sc.fit_smearing(r).factors
+            (vb,) = _from_residuals("variance_based", r).factors
+            (sm,) = _from_residuals("smearing", r).factors
             assert abs(vb - sm) / sm < 0.02
 
 
@@ -94,39 +98,28 @@ def _corrections(draw):
     factors = ((1.0,) if kind == "none" else
                tuple(draw(st.lists(factor, min_size=1,
                                    max_size=6 if kind == "prediction_binned" else 1))))
-    n = draw(st.integers(0, 20))
-    raw = np.array(draw(st.lists(st.floats(-1e12, 1e12), min_size=n, max_size=n)))
-    z = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)))
-    return kind, factors, raw, z
+    transform = draw(st.sampled_from([LOG, SQRT]))
+    z = np.array(draw(st.lists(st.floats(-50.0, 50.0), max_size=20)))
+    return kind, factors, transform, z
 
 
 class TestApply:
+    """``BiasCorrector.correct``: back-transform, then the bucket's factor."""
+
     def test_none_is_identity(self):
-        pred = np.array([1.0, 5.0])
-        out = BiasCorrector(kind="none").apply(pred, np.log1p(pred))
-        np.testing.assert_array_equal(out, pred)
-        assert out is not pred
+        z = np.log1p(np.array([1.0, 5.0]))
+        out = BiasCorrector(kind="none").correct(LOG, z)
+        np.testing.assert_array_equal(out, inverse(LOG, z))
+        assert out is not z
 
     def test_scalar_kinds_multiply(self):
         corr = BiasCorrector(kind="smearing", factors=(1.25,))
-        np.testing.assert_allclose(corr.apply(np.array([100.0]), np.array([4.6])), [125.0])
-
-    def test_binned_needs_transformed_predictions(self):
-        """Every kind takes the transformed predictions, in the raw ones' shape."""
-        for corr in (BiasCorrector(), BiasCorrector("smearing", (1.2,)),
-                     BiasCorrector("prediction_binned", (1.0, 2.0))):
-            with pytest.raises(LengthMismatch):
-                corr.apply(np.array([1.0]), np.array([1.0, 2.0]))
+        np.testing.assert_allclose(corr.correct(SQRT, np.array([10.0])), [125.0])
 
     def test_binned_bucket_lookup(self):
         corr = BiasCorrector(kind="prediction_binned", factors=(1.0, 1.1, 1.2, 1.3, 1.4))
-        raw = np.ones(4)
         z = np.array([5.0, 0.0, 9.9, 47.0])  # [4,6) -> 1.2; overflow -> last
-        np.testing.assert_allclose(corr.apply(raw, z), [1.2, 1.0, 1.4, 1.4])
-
-    def test_negative_transformed_prediction_uses_first_bucket(self):
-        corr = BiasCorrector(kind="prediction_binned", factors=(1.5, 2.0))
-        np.testing.assert_allclose(corr.apply(np.ones(1), np.array([-3.0])), [1.5])
+        np.testing.assert_allclose(corr.correct(SQRT, z), np.square(z) * [1.2, 1.0, 1.4, 1.4])
 
     def test_bin_index_opens_the_end_buckets(self):
         z = [-3.0, 0.0, 1.99, 2.0, 4.0, 47.0]
@@ -136,14 +129,17 @@ class TestApply:
     def test_one_factor_scales_a_nan_prediction_without_bucketing(self):
         """A NaN prediction is left for scoring to name, not cast to a bucket."""
         for kind in ("smearing", "prediction_binned"):
-            out = BiasCorrector(kind, (1.5,)).apply([2.0, np.nan], [1.0, np.nan])
-            np.testing.assert_array_equal(out, [3.0, np.nan])
+            out = BiasCorrector(kind, (1.5,)).correct(SQRT, [2.0, np.nan])
+            np.testing.assert_array_equal(out, [6.0, np.nan])
 
     @settings(max_examples=300, deadline=None)
     @given(_corrections())
     def test_matches_the_three_branch_formulas(self, case):
-        kind, factors, raw, z = case
-        got = BiasCorrector(kind, factors).apply(raw, z)
+        """Each corrected forecast is the back-transformed prediction
+        corrected as the three branches corrected it."""
+        kind, factors, transform, z = case
+        got = BiasCorrector(kind, factors).correct(transform, z)
+        raw = inverse(transform, z)
         assert np.array_equal(got, _three_branch_apply(kind, factors[0], factors, raw, z))
 
 
@@ -151,7 +147,7 @@ class TestPredictionBinned:
     def test_perfect_predictions_give_unit_multipliers(self, rng):
         y = rng.lognormal(1.0, 1.0, size=2000)
         z = forward(LOG, y)
-        corr = sc.fit_prediction_binned(y, z, LOG)
+        corr = sc.fit_corrector("prediction_binned", y, z, LOG)
         np.testing.assert_allclose(corr.factors, 1.0, rtol=1e-9)
 
     def test_bucket_count_follows_the_max_prediction(self, rng):
@@ -160,7 +156,7 @@ class TestPredictionBinned:
         z = rng.uniform(0.0, 9.5, size=5000)
         z[0] = 9.4  # pin the max inside [8, 10)
         y = np.expm1(z)
-        corr = sc.fit_prediction_binned(y, z, LOG)
+        corr = sc.fit_corrector("prediction_binned", y, z, LOG)
         assert len(corr.factors) == 5
         assert BIN_WIDTH == 2.0
 
@@ -170,14 +166,14 @@ class TestPredictionBinned:
         z = np.full(40, 1.0)
         backmapped = np.expm1(1.0)
         y = np.full(40, backmapped * 1.5)
-        corr = sc.fit_prediction_binned(y, z, LOG)
+        corr = sc.fit_corrector("prediction_binned", y, z, LOG)
         assert corr.factors[0] == pytest.approx(1.5, rel=1e-12)
 
     def test_sparse_bucket_falls_back_to_smearing(self, rng):
         y = rng.lognormal(0.5, 0.4, size=400)
         z = forward(LOG, y) - 0.1
         z[0] = 7.9  # a lone row in the top bucket
-        corr = sc.fit_prediction_binned(y, z, LOG)
+        corr = sc.fit_corrector("prediction_binned", y, z, LOG)
         expect_fallback = float(np.mean(np.exp(forward(LOG, y) - z)))
         assert corr.factors[-1] == pytest.approx(expect_fallback, rel=1e-12)
 
@@ -187,7 +183,7 @@ class TestPredictionBinned:
         smearing factor, not a division by zero."""
         z = np.concatenate([np.zeros(MIN_BIN_COUNT), rng.uniform(2.0, 3.9, size=50)])
         y = np.concatenate([np.full(MIN_BIN_COUNT, 1.0), np.expm1(z[MIN_BIN_COUNT:]) * 1.2])
-        corr = sc.fit_prediction_binned(y, z, LOG)
+        corr = sc.fit_corrector("prediction_binned", y, z, LOG)
         assert len(corr.factors) == 2 and np.mean(inverse(LOG, z[:MIN_BIN_COUNT])) == 0.0
         assert corr.factors[0] == float(np.mean(np.exp(forward(LOG, y) - z)))
         assert corr.factors[1] == pytest.approx(1.2, rel=1e-12)
@@ -198,7 +194,7 @@ class TestPredictionBinned:
         y = rng.lognormal(1.5, 1.0, size=3000)
         z = forward(LOG, y) + rng.normal(0.0, 0.3, size=3000)
         z[:3] = [-0.5, 9.0, 9.5]  # a clipped low row and a sparse top bin
-        corr = sc.fit_prediction_binned(y, z, LOG)
+        corr = sc.fit_corrector("prediction_binned", y, z, LOG)
         idx = bin_index(z, len(corr.factors))
         fallback = float(np.mean(np.exp(forward(LOG, y) - z)))
         dense = []
@@ -211,17 +207,17 @@ class TestPredictionBinned:
 
     def test_errors(self):
         with pytest.raises(LengthMismatch):
-            sc.fit_prediction_binned(np.ones(3), np.ones(2), LOG)
-        with pytest.raises(EmptyInput):
-            sc.fit_prediction_binned(np.ones(0), np.ones(0), LOG)
+            sc.fit_corrector("prediction_binned", np.ones(3), np.ones(2), LOG)
+        with pytest.raises(InsufficientData):
+            sc.fit_corrector("prediction_binned", np.ones(0), np.ones(0), LOG)
 
     def test_corrects_a_deliberately_shrunk_prediction(self, rng):
         """Fitting on predictions that are 20% low in raw units yields
         multipliers near 1.25 and a near-zero corrected residual mean."""
         y = rng.lognormal(1.5, 0.5, size=20_000)
         z = forward(LOG, 0.8 * y)
-        corr = sc.fit_prediction_binned(y, z, LOG)
-        corrected = corr.apply(0.8 * y, z)
+        corr = sc.fit_corrector("prediction_binned", y, z, LOG)
+        corrected = corr.correct(LOG, z)
         assert abs(np.mean(y - corrected)) < 0.01 * y.mean()
 
 
@@ -279,3 +275,13 @@ class TestFitCorrector:
     def test_unknown_field_is_config_error(self):
         with pytest.raises(ConfigError, match="bias corrector JSON has unknown field 'factr'"):
             BiasCorrector.from_json({"kind": "none", "factr": 2})
+
+    @pytest.mark.parametrize("kind", ["variance_based", "smearing", "prediction_binned"])
+    def test_identity_transform_takes_no_corrector(self, kind):
+        """A raw-sales forecast has no back-transform to correct."""
+        identity = sc.TargetTransform(kind="identity")
+        y = np.arange(1.0, 41.0)
+        with pytest.raises(ConfigError, match=f"a {kind} corrector needs a log or sqrt "
+                                              "transform, not identity"):
+            sc.fit_corrector(kind, y, y, identity)
+        assert sc.fit_corrector("none", y, y, identity) == BiasCorrector()

@@ -97,10 +97,12 @@ class TestGen:
         ({"spike_days": [[3, 10**400]]}, "spike_days"),
         ({"n_items": 2**70, "n_days": 10}, "n_items * n_days"),
         ({"n_days": 30, "start_day": "9999-12-20"}, "start_day 9999-12-20 and n_days 30"),
+        ({"spike_days": [[10, 2.0], [10, 3.0]]}, "spike_days must name distinct days >= 0"),
+        ({"spike_days": [[-1, 2.0]]}, "spike_days must name distinct days >= 0"),
     ], ids=["float-items", "text-seed", "one-number", "negative-sigma", "nan-sigma",
             "negative-weekday", "text-weekday", "nan-spike", "scalar-lognormal",
             "scalar-weekly", "infinite-spike-day", "huge-spike", "huge-panel",
-            "last-day-past-9999"])
+            "last-day-past-9999", "repeated-spike-day", "negative-spike-day"])
     def test_mistyped_config_is_config_error(self, workdir, edit, field):
         path = workdir / "typed_gen.json"
         path.write_text(json.dumps({**GEN_CFG, **edit}), encoding="utf-8")
@@ -108,6 +110,26 @@ class TestGen:
         assert proc.returncode == 2
         assert f"config error: {field}" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("edit,cell", [
+        ({"base_rate_lognormal": [800, 1]}, "item 0, day 0"),
+        ({"price_elasticity": -1e300}, "item 1, day 0"),
+        ({"price_walk_sigma": 1e300}, "item 0, day 0"),
+        ({"weekly_seasonality": [1e308] * 7}, "item 0, day 0"),
+        ({"spike_days": [[3, 1e308]]}, "item 0, day 3"),
+        ({"gamma_scale": 1e308}, "item 0, day 0"),
+    ], ids=["popularity", "elasticity", "price-walk", "weekly", "spike", "gamma-scale"])
+    def test_overflowing_demand_is_config_error(self, workdir, edit, cell):
+        """A finite config whose demand no float holds names the first such
+        cell and the fields that set its level, without numpy's warnings."""
+        path = workdir / "overflow_gen.json"
+        path.write_text(json.dumps({"n_items": 2, "n_days": 20, **edit}), encoding="utf-8")
+        proc = run_cli("gen", "--config", str(path), "--out", str(workdir / "x.csv"))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"config error: {cell}: the demand level is too large to draw sales from; it is "
+            "set by base_rate_lognormal, weekly_seasonality, spike_days, price_elasticity, "
+            "price_walk_sigma and gamma_scale\n")
 
     def test_spike_day_too_large_for_an_integer_is_config_error(self, workdir):
         """JSON reads 1e400 as infinity, which no integer holds."""
@@ -165,6 +187,17 @@ class TestFit:
         assert "config error: transform JSON has unknown field 'offset'" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (workdir / "m.json").exists()
+
+    @pytest.mark.parametrize("kind", ["variance_based", "smearing", "prediction_binned"])
+    def test_corrector_on_identity_transform_is_config_error(self, workdir, kind):
+        arm = {**sc.arm_by_id("E1").to_json(), "id": "RAW-C", "corrector_kind": kind}
+        arm_path = workdir / "identity_corrected_arm.json"
+        arm_path.write_text(json.dumps(arm), encoding="utf-8")
+        proc = run_cli("fit", "--panel", str(workdir / "panel.csv"),
+                       "--arm", str(arm_path), "--model-out", str(workdir / "m.json"))
+        assert proc.returncode == 2
+        assert proc.stderr == (f"config error: arm RAW-C: a {kind} corrector needs a log or "
+                               "sqrt transform, not identity\n")
 
     def test_unknown_arm_is_config_error(self, workdir):
         proc = run_cli("fit", "--panel", str(workdir / "panel.csv"),
@@ -232,7 +265,9 @@ class TestFit:
         ({"max_depth": 2.5}, "max_depth"),
         ({"l2_reg": "1"}, "l2_reg"),
         ({"rounds": 3, "subsample": 1.0}, "learner JSON has unknown field 'subsample'"),
-    ], ids=["float-rounds", "float-seed", "float-depth", "string-l2", "retired-subsample"])
+        ({"base": "linear", "rounds": 10**9}, "rounds must be at most 100,000"),
+    ], ids=["float-rounds", "float-seed", "float-depth", "string-l2", "retired-subsample",
+            "unbounded-rounds"])
     def test_mistyped_learner_is_config_error(self, workdir, learner, named):
         learner_path = workdir / "mistyped_learner.json"
         learner_path.write_text(json.dumps(learner), encoding="utf-8")
@@ -344,6 +379,18 @@ class TestBacktest:
         assert capsys.readouterr().err == (f"data error: arm E3.5 at origin {first_origin}: "
                                            "a forecast is not finite\n")
         assert len(fits) <= 2 * int(threads)
+
+    def test_unbounded_rounds_are_config_error(self, workdir):
+        """A billion rounds would run for days; the plan is refused at once."""
+        plan_path = workdir / "rounds_plan.json"
+        plan_path.write_text(json.dumps(_plan(workdir, learner={"base": "linear",
+                                                                "rounds": 10**9})),
+                             encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "skewcast.cli", "backtest",
+                               "--plan", str(plan_path), "--out-dir", str(workdir / "rounds")],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2
+        assert proc.stderr == "config error: rounds must be at most 100,000, got 1000000000\n"
 
     @pytest.mark.parametrize("edit", [{"n_versions": 1.5}, {"train_window_days": 90.5},
                                       {"horizons": [6.0]}, {"horizons": [6, 6]},

@@ -20,7 +20,13 @@ from skewcast.errors import (
     ShapeMismatch,
 )
 from skewcast import learner
-from skewcast.learner import FitModel, _normal_matrix, _solve_step, write_pairs_csv
+from skewcast.learner import (
+    MAX_ROUNDS,
+    FitModel,
+    _normal_matrix,
+    _solve_step,
+    write_pairs_csv,
+)
 from skewcast.losses import (
     HESS_FLOOR,
     GradHess,
@@ -64,6 +70,21 @@ class TestLearnerConfig:
 
     def test_zero_rounds_allowed(self):
         assert sc.LearnerConfig(rounds=0).rounds == 0
+
+    def test_rounds_are_bounded(self, small_panel):
+        """A config, plan or saved model asking for more than ``MAX_ROUNDS``
+        rounds is refused before any fit runs them."""
+        assert sc.LearnerConfig(rounds=MAX_ROUNDS).rounds == MAX_ROUNDS
+        message = f"rounds must be at most {MAX_ROUNDS:,}, got {MAX_ROUNDS + 1}"
+        with pytest.raises(ConfigError, match=message):
+            sc.LearnerConfig(rounds=MAX_ROUNDS + 1)
+        with pytest.raises(ConfigError, match="rounds must be at most"):
+            sc.BacktestPlan.from_json({"learner": {"base": "linear", "rounds": 10**9}})
+        model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT, _quick_config(rounds=1))
+        obj = model.to_json()
+        obj["learner"]["rounds"] = 10**9
+        with pytest.raises(ConfigError, match="rounds must be at most"):
+            FitModel.from_json(obj)
 
     @pytest.mark.parametrize("field", ["rounds", "max_depth"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None, [3]])
@@ -506,7 +527,7 @@ class TestSerialization:
     @pytest.mark.parametrize("arm_id", ["E2", "E5", "E4-S", "E4-V", "E4-PB"])
     def test_saved_arm_models_load(self, small_panel, tmp_path, arm_id):
         """Every part a saved model holds passes the unknown-field check."""
-        model = sc.fit_arm(sc.arm_by_id(arm_id), small_panel, _quick_config(rounds=2))
+        (model,) = sc.fit_arm([sc.arm_by_id(arm_id)], small_panel, _quick_config(rounds=2))
         path = tmp_path / "model.json"
         sc.save_model(model, path)
         assert sc.load_model(path).to_json() == model.to_json()
@@ -620,12 +641,14 @@ class TestSerialization:
         ("linear", lambda obj: obj["trees"].append(_LEAF_TREE)),
         ("tree", lambda obj: obj["bias_corrector"].update(kind="smearing", factors=[1.1, 1.2])),
         ("tree", lambda obj: obj["bias_corrector"].update(factors=[2.0])),
+        ("linear", lambda obj: (obj["transform"].update(kind="identity"),
+                                obj["bias_corrector"].update(kind="smearing", factors=[1e37]))),
     ], ids=["tree-feature-out-of-range", "betas-too-short", "betas-not-1d",
             "betas-not-finite", "betas-not-numeric", "missing-transform", "missing-trees",
             "corrector-not-object", "loss-not-object", "feature-names-not-list",
             "feature-name-repeated", "feature-name-empty", "feature-name-carriage-return",
             "feature-name-comma", "tree-with-betas", "linear-with-trees",
-            "corrector-second-factor", "none-corrector-factor"])
+            "corrector-second-factor", "none-corrector-factor", "identity-corrected"])
     def test_corrupt_model_rejected(self, small_panel, base, edit):
         model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT,
                        _quick_config(base=base, rounds=2))
@@ -716,7 +739,7 @@ class TestFitReport:
     def test_rows_are_scored_once(self, small_panel, monkeypatch):
         """The report's predictions are the model's, corrector included,
         from one scoring of the rows."""
-        model = sc.fit_arm(sc.arm_by_id("E4-PB"), small_panel, _quick_config(rounds=3))
+        (model,) = sc.fit_arm([sc.arm_by_id("E4-PB")], small_panel, _quick_config(rounds=3))
         expected = model.predict(small_panel.feature_matrix).tolist()
         scored = []
         score = FitModel.score
