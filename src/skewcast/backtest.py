@@ -51,7 +51,6 @@ from .errors import (
     JsonRecord,
     check_numbers,
     is_integer,
-    json_object,
     read_json,
     write_text,
 )
@@ -98,6 +97,8 @@ def worker_count() -> int:
 class ExperimentArm(JsonRecord):
     """One grid configuration: transform x loss x weights x corrector."""
 
+    JSON_NAME = "arm"
+
     id: str
     transform: TargetTransform
     loss: LossSpec
@@ -111,20 +112,9 @@ class ExperimentArm(JsonRecord):
             check_corrector(self.corrector_kind, self.transform)
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ExperimentArm":
-        obj = json_object(obj, "arm", cls)
-        try:
-            return cls(
-                id=obj["id"],
-                transform=TargetTransform.from_json(obj["transform"]),
-                loss=LossSpec.from_json(obj["loss"]),
-                weight_scheme=WeightScheme.from_json(obj["weight_scheme"]),
-                corrector_kind=obj.get("corrector_kind", "none"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"arm JSON missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad arm JSON: {exc}") from None
+    def from_json(cls, obj) -> "ExperimentArm":
+        """An arm object, or the id of a standard arm (as in a plan's ``arms``)."""
+        return arm_by_id(obj) if isinstance(obj, str) else super().from_json(obj)
 
 
 def standard_arms() -> list[ExperimentArm]:
@@ -160,6 +150,8 @@ def arm_by_id(arm_id: str) -> ExperimentArm:
 class BacktestPlan(JsonRecord):
     """Everything a backtest run depends on; JSON-serializable."""
 
+    JSON_NAME = "backtest plan"
+
     panel_path: str | None = None
     train_window_days: int = 730
     n_versions: int = 8
@@ -179,26 +171,6 @@ class BacktestPlan(JsonRecord):
         ids = [arm.id for arm in self.arms]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate arm ids in plan")
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BacktestPlan":
-        kwargs = dict(json_object(obj, "backtest plan", cls))
-        for name in ("horizons", "arms"):
-            if name in kwargs and not isinstance(kwargs[name], list):
-                raise ConfigError(f"{name} must be a list, got {type(kwargs[name]).__name__}")
-        try:
-            if "horizons" in kwargs:
-                kwargs["horizons"] = tuple(kwargs["horizons"])
-            if "arms" in kwargs:
-                kwargs["arms"] = tuple(
-                    arm_by_id(a) if isinstance(a, str) else ExperimentArm.from_json(a)
-                    for a in kwargs["arms"]
-                )
-            if "learner" in kwargs:
-                kwargs["learner"] = LearnerConfig.from_json(kwargs["learner"])
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"bad backtest plan: {exc}") from None
 
 
 def load_plan(path) -> BacktestPlan:

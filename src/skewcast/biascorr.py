@@ -37,8 +37,6 @@ from .errors import (
     JsonRecord,
     LengthMismatch,
     is_real,
-    json_numbers,
-    json_object,
 )
 from .transform import TargetTransform, forward, inverse
 
@@ -51,9 +49,9 @@ MIN_BIN_COUNT = 30
 def bin_index(pred_transformed, n_bins: int) -> np.ndarray:
     """Bucket of each transformed prediction among ``n_bins`` buckets
     [0, w), [w, 2w), ... with w = ``BIN_WIDTH``; the first bucket is open
-    below and the last open above."""
+    below and the last open above; a NaN prediction takes the first."""
     idx = np.floor(np.asarray(pred_transformed, dtype=np.float64) / BIN_WIDTH)
-    return np.clip(idx, 0, n_bins - 1).astype(np.int64)
+    return np.clip(np.nan_to_num(idx), 0, n_bins - 1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -61,6 +59,8 @@ class BiasCorrector(JsonRecord):
     """Fitted corrector: one multiplier per bucket of the transformed
     prediction (see ``bin_index``).  A ``prediction_binned`` corrector may
     hold several, any other kind exactly one, and ``none`` exactly 1."""
+
+    JSON_NAME = "bias corrector"
 
     kind: str = "none"
     factors: tuple[float, ...] = (1.0,)
@@ -83,15 +83,7 @@ class BiasCorrector(JsonRecord):
         zhat = np.asarray(zhat, dtype=np.float64)
         raw = inverse(transform, zhat)
         factors = np.asarray(self.factors, dtype=np.float64)
-        if len(factors) == 1:  # one bucket: a NaN prediction is scaled, not bucketed
-            return raw * factors[0]
         return raw * factors[bin_index(zhat, len(factors))]
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BiasCorrector":
-        obj = json_object(obj, "bias corrector", cls)
-        return cls(kind=obj.get("kind", "none"),
-                   factors=tuple(json_numbers(obj.get("factors", [1.0]), "factors")))
 
 
 def check_corrector(kind: str, transform: TargetTransform) -> None:

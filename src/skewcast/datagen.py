@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, JsonRecord, check_numbers, is_integer, is_real, json_object,
-                     read_json)
-from .panel import SalesPanel, parse_day
+from .errors import ConfigError, JsonRecord, check_numbers, is_integer, is_real, read_json
+from .panel import SalesPanel
 from .rng import keyed_stream, reseat
 
 FEATURE_NAMES = ["log_price", "weekly_index", "spike_mult", "log_popularity"]
@@ -49,18 +48,11 @@ _MAX_CELLS = 10**7
 # the largest rate numpy's Poisson sampler accepts
 _POISSON_MAX = np.iinfo("l").max - 10 * np.sqrt(np.iinfo("l").max)
 
-# the generator config's JSON fields that are not stored as parsed
-_FROM_JSON = {
-    "base_rate_lognormal": tuple,
-    "weekly_seasonality": tuple,
-    "spike_days": lambda days: tuple((d, float(m) if is_real(m) else m) for d, m in days),
-    "start_day": parse_day,
-}
-
-
 @dataclass(frozen=True)
 class GenConfig(JsonRecord):
     """Knobs of the synthetic world; generation is a pure function of it."""
+
+    JSON_NAME = "generator config"
 
     n_items: int = 200
     n_days: int = 730
@@ -105,17 +97,6 @@ class GenConfig(JsonRecord):
         if len(set(days)) != len(days) or min(days, default=0) < 0:
             raise ConfigError(f"spike_days must name distinct days >= 0, got {days!r}")
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "GenConfig":
-        kwargs = dict(json_object(obj, "generator config", cls))
-        for name, convert in _FROM_JSON.items():
-            if name in kwargs:
-                try:
-                    kwargs[name] = convert(kwargs[name])
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise ConfigError(f"{name} is not valid: {exc}") from None
-        return cls(**kwargs)
-
 
 def load_gen_config(path) -> GenConfig:
     return GenConfig.from_json(read_json(path, "generator config"))
@@ -141,7 +122,7 @@ def generate(cfg: GenConfig) -> SalesPanel:
     mu_pop, sigma_pop = cfg.base_rate_lognormal
     n = cfg.n_days
     weekly = np.asarray(cfg.weekly_seasonality, dtype=np.float64)[np.arange(n) % 7]
-    spike_mult = np.array([spikes.get(d, 1.0) for d in range(n)])
+    spike_mult = np.array([spikes.get(d, 1.0) for d in range(n)], dtype=np.float64)
     p = theoretical_tweedie_power(cfg)
     sales = np.empty(cfg.n_items * n)
     features = np.empty((cfg.n_items * n, len(FEATURE_NAMES)))

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one JSON
+reader and writer of its configs and saved models (``JsonRecord``).
 
 Two broad families matter to callers (and to the CLI exit codes):
 configuration problems (bad knobs, incompatible choices) and data
@@ -8,7 +9,11 @@ problems (malformed files, values outside a valid domain).
 import datetime as dt
 import json
 import math
-from dataclasses import fields
+import re
+import types
+import typing
+from dataclasses import MISSING, fields
+from functools import cache
 from numbers import Integral, Real
 
 import numpy as np
@@ -71,33 +76,98 @@ def read_json(path, what: str):
         raise ConfigError(f"{what} {path} nests too deeply to parse") from None
 
 
-def json_object(obj, what: str, cls=None, extra=()) -> dict:
+def json_object(obj, what: str, cls=None) -> dict:
     """``obj`` itself if it is a JSON object; otherwise a ``ConfigError`` naming ``what``.
 
-    With a dataclass ``cls``, every key must also name one of its fields
-    or be one of ``extra``, so a misspelt field is an error, not a silent
-    default.
+    With a dataclass ``cls``, every key must also name one of its fields,
+    so a misspelt field is an error, not a silent default.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} must be a JSON object, got {type(obj).__name__}")
     if cls is not None:
-        unknown = sorted(set(obj) - {f.name for f in fields(cls)} - set(extra))
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"{what} JSON has unknown field {unknown[0]!r}")
     return obj
 
 
-class JsonRecord:
-    """A dataclass written as JSON by one rule, the writer's side of
-    ``json_object``: each field that is not None, by name.
+# date.fromisoformat alone also reads 20210301 and week dates on Python 3.11, not on 3.10
+_ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
-    A nested record becomes an object, a tuple or list a list, a numpy
-    array or scalar its ``tolist()`` and a date its ISO text.
+
+def parse_day(text: str) -> dt.date:
+    """An ASCII ``YYYY-MM-DD`` date on every Python; anything else is a ``ValueError``."""
+    if not _ISO_DAY.fullmatch(text):
+        raise ValueError(f"date must be YYYY-MM-DD, got {text!r}")
+    return dt.date.fromisoformat(text)
+
+
+class JsonRecord:
+    """A dataclass written and read as JSON by one rule each way.
+
+    ``to_json`` writes each field that is not None under its name: a record
+    as an object, a tuple or list as a list, a numpy array or scalar as its
+    ``tolist()`` and a date as ISO text.  ``from_json`` reads it back: a key
+    may be left out only if its field has a default, and each value must
+    have its field's declared type (``_read``); nothing is converted, and
+    ``__post_init__`` checks the values as in any construction.
+    ``JSON_NAME`` names the record in errors.
     """
 
     def to_json(self) -> dict:
         return {f.name: _json_value(value) for f in fields(self)
                 if (value := getattr(self, f.name)) is not None}
+
+    @classmethod
+    def from_json(cls, obj):
+        obj = json_object(obj, cls.JSON_NAME, cls)
+        kwargs = {}
+        for name, kind, required in _json_fields(cls):
+            if name in obj:
+                kwargs[name] = _read(obj[name], kind, name)
+            elif required:
+                raise ConfigError(f"{cls.JSON_NAME} JSON missing field {name!r}")
+        return cls(**kwargs)
+
+
+@cache
+def _json_fields(cls) -> tuple:
+    """(name, declared type, required?) of each field of a record class."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+                 for f in fields(cls))
+
+
+def _read(value, kind, name: str):
+    """JSON ``value`` as field ``name`` of declared type ``kind``: text for
+    ``str``, an integer for ``int``, a finite number (an integer too) for
+    ``float``, null or an X for ``X | None``, a list for a tuple or list
+    (of exactly its length for a fixed tuple), an object for a record, a
+    list of finite numbers for a numpy array and ``YYYY-MM-DD`` for a date."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (types.UnionType, typing.Union):  # X | None
+        return None if value is None else _read(value, args[0], name)
+    if origin in (tuple, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {type(value).__name__}")
+        if origin is list or args[1:] == (...,):
+            return origin(_read(v, args[0], name) for v in value)
+        if len(value) != len(args):
+            raise ConfigError(f"{name} must be a list of {len(args)}, got {len(value)} items")
+        return tuple(_read(v, a, name) for v, a in zip(value, args))
+    if isinstance(kind, type) and issubclass(kind, JsonRecord):
+        return kind.from_json(value)
+    if kind is np.ndarray:
+        return json_numbers(value, name)
+    if kind is dt.date:
+        try:
+            return parse_day(_read(value, str, name))
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
+    accepts, expected = _SCALARS[kind]
+    if not accepts(value):
+        raise ConfigError(f"{name} must be {expected}, got {type(value).__name__}")
+    return value
 
 
 def _json_value(value):
@@ -125,6 +195,12 @@ def is_real(value) -> bool:
         return False
 
 
+# each scalar type a record field may declare: (test of a JSON value, what it must be)
+_SCALARS = {str: (lambda v: isinstance(v, str), "text"),
+            int: (is_integer, "an integer"),
+            float: (is_real, "a finite number")}
+
+
 def check_numbers(obj, integers: dict | None = None, reals=()) -> None:
     """``ConfigError`` unless the named fields of ``obj`` hold numbers.
 
@@ -150,17 +226,17 @@ def real(value, name: str) -> float:
     return float(value)
 
 
-def json_numbers(values, name: str, integers: bool = False) -> list:
-    """A JSON list of finite real numbers as floats, or with ``integers`` of
-    integers as they are; otherwise a ``ConfigError`` naming ``name``."""
+def json_numbers(values, name: str, integers: bool = False) -> np.ndarray:
+    """A JSON list of finite real numbers as a float64 array, or with
+    ``integers`` of integers as int64; otherwise a ``ConfigError`` naming ``name``."""
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"{name} must be a list, got {type(values).__name__}")
     if integers:
         for value in values:
             if not is_integer(value):
                 raise ConfigError(f"{name} must hold integers, got {value!r}")
-        return list(values)
-    return [real(value, name) for value in values]
+        return np.asarray(values, dtype=np.int64)
+    return np.asarray([real(value, name) for value in values], dtype=np.float64)
 
 
 class DomainError(DataError):

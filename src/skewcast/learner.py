@@ -30,7 +30,7 @@ ran before it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,10 +44,8 @@ from .errors import (
     JsonRecord,
     ShapeMismatch,
     check_numbers,
-    json_numbers,
     json_object,
     read_json,
-    real,
     write_text,
 )
 from .losses import (
@@ -78,6 +76,8 @@ MAX_ROUNDS = 100_000
 class LearnerConfig(JsonRecord):
     """Boosting hyperparameters; defaults suit daily retail panels."""
 
+    JSON_NAME = "learner"
+
     base: str = "tree"
     rounds: int = 200
     learning_rate: float = 0.1
@@ -99,14 +99,12 @@ class LearnerConfig(JsonRecord):
         if self.l2_reg < 0:
             raise ConfigError("l2_reg must be >= 0")
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "LearnerConfig":
-        return cls(**json_object(obj, "learner", cls))
-
 
 @dataclass
 class FitModel(JsonRecord):
     """A fitted forecaster: score function plus the back-mapping recipe."""
+
+    JSON_NAME = "model"
 
     transform: TargetTransform
     loss: LossSpec
@@ -114,10 +112,10 @@ class FitModel(JsonRecord):
     learner: LearnerConfig
     feature_names: list[str]
     base_score: float
-    trees: list[Tree] = field(default_factory=list)
-    betas: list[np.ndarray] = field(default_factory=list)
-    training_loss: list[float] = field(default_factory=list)
-    bias_corrector: BiasCorrector = field(default_factory=BiasCorrector)
+    trees: list[Tree]
+    betas: list[np.ndarray]
+    training_loss: list[float]
+    bias_corrector: BiasCorrector
 
     def score(self, X) -> np.ndarray:
         """Raw additive score for each feature row."""
@@ -144,29 +142,14 @@ class FitModel(JsonRecord):
 
     @classmethod
     def from_json(cls, obj: dict) -> "FitModel":
-        obj = json_object(obj, "model")
-        if obj.get("version") != MODEL_FORMAT:
-            raise ConfigError(
-                f"unsupported model version {obj.get('version')!r}, expected {MODEL_FORMAT!r}"
-            )
-        json_object(obj, "model", cls, extra=("version",))
-        try:
-            model = cls(
-                transform=TargetTransform.from_json(obj["transform"]),
-                loss=LossSpec.from_json(obj["loss"]),
-                weight_scheme=WeightScheme.from_json(obj["weight_scheme"]),
-                learner=LearnerConfig.from_json(obj["learner"]),
-                feature_names=_names(obj["feature_names"]),
-                base_score=real(obj["base_score"], "base_score"),
-                trees=[Tree.from_json(t) for t in obj["trees"]],
-                betas=[np.asarray(json_numbers(b, "betas")) for b in obj["betas"]],
-                training_loss=json_numbers(obj["training_loss"], "training_loss"),
-                bias_corrector=BiasCorrector.from_json(obj["bias_corrector"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"model JSON missing field {exc}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad model JSON: {exc}") from None
+        """The record reader between the version check and the checks across parts."""
+        version = json_object(obj, cls.JSON_NAME).get("version")
+        if version != MODEL_FORMAT:
+            raise ConfigError(f"unsupported model version {version!r}, expected {MODEL_FORMAT!r}")
+        model = super().from_json({k: v for k, v in obj.items() if k != "version"})
+        problem = _feature_name_problem(model.feature_names)
+        if problem:
+            raise ConfigError(f"feature_names: {problem}")
         foreign = "betas" if model.learner.base == "tree" else "trees"
         if getattr(model, foreign):
             raise ConfigError(f"a {model.learner.base} model holds no {foreign}")
@@ -193,16 +176,6 @@ def _check_matrix(X, n_features: int) -> np.ndarray:
     if not np.isfinite(X).all():
         raise DataError("feature matrix has non-finite values")
     return X
-
-
-def _names(value) -> list[str]:
-    """A model JSON's ``feature_names``: names a panel could carry, or a ``ConfigError``."""
-    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
-        raise ConfigError(f"feature_names must be a list of strings, got {value!r}")
-    problem = _feature_name_problem(value)
-    if problem:
-        raise ConfigError(f"feature_names: {problem}")
-    return list(value)
 
 
 def _augment(X: np.ndarray) -> np.ndarray:
@@ -279,6 +252,10 @@ def fit_arrays(
         learner=config,
         feature_names=list(feature_names),
         base_score=base,
+        trees=[],
+        betas=[],
+        training_loss=curve,
+        bias_corrector=BiasCorrector(),
     )
     Xa = _augment(X) if config.base == "linear" else None
     # a tree fit sorts the features once; each row's step is the leaf it grew into
@@ -300,7 +277,6 @@ def fit_arrays(
         scores += config.learning_rate * step
         terms = objective.at(scores)
         curve.append(total_loss(loss, w, z, terms.mu, terms) / w_total)
-    model.training_loss = curve
     return model
 
 

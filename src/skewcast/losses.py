@@ -38,7 +38,6 @@ from .errors import (
     DomainError,
     JsonRecord,
     LengthMismatch,
-    json_object,
     real,
     write_text,
 )
@@ -67,6 +66,8 @@ class LossSpec(JsonRecord):
     pseudo-Huber scale in model units.  The link is log for Poisson,
     Gamma and Tweedie and identity for the others.
     """
+
+    JSON_NAME = "loss"
 
     kind: str
     power: float | None = None
@@ -114,11 +115,6 @@ class LossSpec(JsonRecord):
         param = _LOSS_KINDS[self.kind][1]
         return self.kind if param is None else f"{self.kind}({param[0]}={getattr(self, param):g})"
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "LossSpec":
-        obj = json_object(obj, "loss", cls)
-        return cls(kind=obj["kind"], power=obj.get("power"), delta=obj.get("delta"))
-
 
 @dataclass(frozen=True)
 class GradHess:
@@ -138,16 +134,13 @@ class WeightScheme(JsonRecord):
     rows keep negligible but nonzero influence.
     """
 
-    kind: str = "unit"
+    JSON_NAME = "weight scheme"
+
+    kind: str
 
     def __post_init__(self):
         if self.kind not in _WEIGHT_KINDS:
             raise ConfigError(f"unknown weight scheme {self.kind!r}")
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "WeightScheme":
-        obj = json_object(obj, "weight scheme", cls)
-        return cls(kind=obj["kind"])
 
 
 def weights_for(scheme: WeightScheme, ys) -> np.ndarray:

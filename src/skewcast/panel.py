@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-import re
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -33,6 +32,7 @@ from .errors import (
     IoFailure,
     MalformedRow,
     NegativeSales,
+    parse_day,
     write_text,
 )
 
@@ -51,17 +51,6 @@ def _fmt(x: float) -> str:
 def _cell(value) -> str:
     """A CSV cell: a float through ``_fmt``, anything else through ``str``."""
     return _fmt(value) if isinstance(value, float) else str(value)
-
-
-# date.fromisoformat alone also reads 20210301 and week dates on Python 3.11, not on 3.10
-_ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-
-
-def parse_day(text: str) -> dt.date:
-    """An ASCII ``YYYY-MM-DD`` date on every Python; anything else is a ``ValueError``."""
-    if not _ISO_DAY.fullmatch(text):
-        raise ValueError(f"date must be YYYY-MM-DD, got {text!r}")
-    return dt.date.fromisoformat(text)
 
 
 def is_csv_name(name) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, EmptyInput, JsonRecord, json_object
+from .errors import ConfigError, DomainError, EmptyInput, JsonRecord
 
 _KINDS = ("identity", "log", "sqrt")
 
@@ -25,7 +25,9 @@ class TargetTransform(JsonRecord):
     The log kind adds 1 so that zero-sales days stay representable.
     """
 
-    kind: str = "identity"
+    JSON_NAME = "transform"
+
+    kind: str
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -34,10 +36,6 @@ class TargetTransform(JsonRecord):
     @property
     def is_identity(self) -> bool:
         return self.kind == "identity"
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TargetTransform":
-        return cls(kind=json_object(obj, "transform", cls)["kind"])
 
 
 @dataclass(frozen=True)

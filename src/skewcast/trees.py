@@ -83,6 +83,8 @@ _LEAF = -1
 class Tree(JsonRecord):
     """Flat-array binary tree; ``feature[i] == -1`` marks a leaf."""
 
+    JSON_NAME = "tree"
+
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
@@ -139,16 +141,12 @@ class Tree(JsonRecord):
         numbers, children of internal nodes must point forward (and so
         every walk ends in a leaf), and leaves must carry no children.
         """
-        obj = json_object(obj, "tree", cls)
-
-        def column(name: str, integers: bool) -> np.ndarray:
-            return np.asarray(json_numbers(obj[name], f"tree {name}", integers),
-                              dtype=np.int64 if integers else np.float64)
-
+        obj = json_object(obj, cls.JSON_NAME, cls)
         try:
-            tree = cls(feature=column("feature", True), threshold=column("threshold", False),
-                       left=column("left", True), right=column("right", True),
-                       value=column("value", False))
+            tree = cls(**{name: json_numbers(obj[name], f"tree {name}", integers)
+                          for name, integers in (("feature", True), ("threshold", False),
+                                                 ("left", True), ("right", True),
+                                                 ("value", False))})
         except (KeyError, OverflowError) as exc:
             raise ConfigError(f"bad tree JSON: {exc!r}") from None
         n = tree.feature.size

@@ -3,6 +3,8 @@ binned corrector's bucket mechanics, the identity-transform rule, and
 ``correct`` against the three-branch formulas that corrected forecasts
 before every corrector became one table of factors."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,6 +133,14 @@ class TestApply:
         for kind in ("smearing", "prediction_binned"):
             out = BiasCorrector(kind, (1.5,)).correct(SQRT, [2.0, np.nan])
             np.testing.assert_array_equal(out, [6.0, np.nan])
+
+    def test_binned_nan_prediction_stays_nan_without_a_warning(self):
+        """A NaN prediction takes the first bucket, not an integer cast of
+        NaN, so only scoring names it."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = BiasCorrector("prediction_binned", (1.0, 2.0)).correct(LOG, [np.nan, 1.0])
+        np.testing.assert_array_equal(out, [np.nan, np.expm1(1.0)])
 
     @settings(max_examples=300, deadline=None)
     @given(_corrections())

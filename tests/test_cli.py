@@ -26,10 +26,10 @@ GEN_CFG = {
 LEARNER_CFG = {"rounds": 5, "max_depth": 2}
 
 
-def run_cli(*args):
+def run_cli(*args, stdin=None):
     return subprocess.run(
         [sys.executable, "-m", "skewcast.cli", *args],
-        capture_output=True, text=True, timeout=300,
+        input=stdin, capture_output=True, text=True, timeout=300,
     )
 
 
@@ -99,10 +99,12 @@ class TestGen:
         ({"n_days": 30, "start_day": "9999-12-20"}, "start_day 9999-12-20 and n_days 30"),
         ({"spike_days": [[10, 2.0], [10, 3.0]]}, "spike_days must name distinct days >= 0"),
         ({"spike_days": [[-1, 2.0]]}, "spike_days must name distinct days >= 0"),
+        ({"spike_days": {}}, "spike_days must be a list, got dict"),
     ], ids=["float-items", "text-seed", "one-number", "negative-sigma", "nan-sigma",
             "negative-weekday", "text-weekday", "nan-spike", "scalar-lognormal",
             "scalar-weekly", "infinite-spike-day", "huge-spike", "huge-panel",
-            "last-day-past-9999", "repeated-spike-day", "negative-spike-day"])
+            "last-day-past-9999", "repeated-spike-day", "negative-spike-day",
+            "spike-days-object"])
     def test_mistyped_config_is_config_error(self, workdir, edit, field):
         path = workdir / "typed_gen.json"
         path.write_text(json.dumps({**GEN_CFG, **edit}), encoding="utf-8")
@@ -448,6 +450,24 @@ class TestBacktest:
         assert f"config error: {named}" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (workdir / "power_out").exists()
+
+    @pytest.mark.parametrize("command,field,value", [
+        ("backtest", "panel_path", 0), ("backtest", "panel_path", True),
+        ("sweep", "gen_config_path", []), ("ladder", "baseline_id", 5),
+        ("sweep", "baseline_id", 5),
+    ], ids=["panel-path-zero", "panel-path-true", "gen-config-path-list",
+            "ladder-baseline-number", "sweep-baseline-number"])
+    def test_non_text_plan_field_is_config_error(self, workdir, command, field, value):
+        """A plan's paths and ids are text: ``panel_path`` 0 is no file
+        descriptor, so the panel CSV on stdin is never read."""
+        plan_path = workdir / "text_plan.json"
+        plan_path.write_text(json.dumps(_plan(workdir, **{field: value})), encoding="utf-8")
+        proc = run_cli(command, "--plan", str(plan_path), "--out-dir", str(workdir / "text_out"),
+                       stdin=(workdir / "panel.csv").read_text(encoding="utf-8"))
+        assert proc.returncode == 2
+        assert proc.stderr == (f"config error: {field} must be text, "
+                               f"got {type(value).__name__}\n")
+        assert not (workdir / "text_out").exists()
 
     def test_plan_not_object_is_config_error(self, workdir):
         plan_path = workdir / "list_plan.json"

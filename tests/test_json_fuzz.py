@@ -1,22 +1,29 @@
 """Fuzzed JSON inputs: every field path of a valid plan, arm, learner
-config, generator config and model takes each of a set of hostile values.
+config, generator config, model and model part (transform, loss, weight
+scheme, corrector), and each document as a whole, takes each of a set of
+hostile values.
 
-Only a ``ConfigError`` or ``DataError`` may escape a loader, and a field
-that holds a number must reject text, bools and non-finite values.  The
-loaders only parse: nothing here generates a panel or fits a model.
+Only a ``ConfigError`` or ``DataError`` may escape a loader, a field that
+holds a number must reject text, bools and non-finite values, and a field
+that holds text must reject every value that is not text.  The loaders
+only parse: nothing here generates a panel or fits a model.
 """
 
 import copy
+import dataclasses
 import math
+import typing
 
 import pytest
 
 import skewcast as sc
-from skewcast.errors import ConfigError, DataError
+from skewcast.errors import ConfigError, DataError, JsonRecord
 
 HOSTILE = [None, True, False, "x", "1.5", [], {}, [[1]], 1, -1, 0, 10**400, 2**70,
            math.nan, math.inf, -math.inf]
 NOT_NUMBERS = [True, False, "x", "1.5", math.nan, math.inf, -math.inf]
+# text fields that may also be null
+NULLABLE = {("panel_path",), ("gen_config_path",)}
 
 TWEEDIE_ARM = {
     "id": "T",
@@ -73,6 +80,10 @@ DOCUMENTS = {
     "generator": (sc.GenConfig.from_json, sc.GenConfig().to_json()),
     "tree-model": (sc.FitModel.from_json, TREE_MODEL),
     "linear-model": (sc.FitModel.from_json, LINEAR_MODEL),
+    "transform": (sc.TargetTransform.from_json, {"kind": "log"}),
+    "loss": (sc.LossSpec.from_json, {"kind": "pseudo_huber", "delta": 2.0}),
+    "weights": (sc.WeightScheme.from_json, {"kind": "sqrt_sales"}),
+    "corrector": (sc.BiasCorrector.from_json, TREE_MODEL["bias_corrector"]),
 }
 
 
@@ -90,6 +101,9 @@ def _paths(obj, prefix=()):
 
 
 def _with(obj, path, value):
+    """A copy of ``obj`` with ``value`` at ``path``; the empty path replaces it whole."""
+    if not path:
+        return copy.deepcopy(value)
     obj = copy.deepcopy(obj)
     parent = obj
     for key in path[:-1]:
@@ -107,7 +121,7 @@ def test_fuzzed_fields_fail_only_as_config_or_data_errors(name):
     load, doc = DOCUMENTS[name]
     load(copy.deepcopy(doc))  # the document itself is valid
     problems = []
-    for path, original in _paths(doc):
+    for path, original in [((), doc), *_paths(doc)]:
         for value in HOSTILE:
             try:
                 load(_with(doc, path, value))
@@ -118,7 +132,34 @@ def test_fuzzed_fields_fail_only_as_config_or_data_errors(name):
                 continue
             if _is_number(original) and any(value is v for v in NOT_NUMBERS):
                 problems.append(f"{path} = {value!r} was accepted for a number")
+            if isinstance(original, str) and not isinstance(value, str) and not (
+                    value is None and path in NULLABLE):
+                problems.append(f"{path} = {value!r} was accepted for text")
     assert problems == []
+
+
+def _records(cls=JsonRecord):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _records(sub)
+
+
+RECORDS = sorted(_records(), key=lambda cls: cls.__name__)
+
+
+def test_every_config_and_model_class_is_a_record():
+    assert {cls.__name__ for cls in RECORDS} == {
+        "BacktestPlan", "BiasCorrector", "ExperimentArm", "FitModel", "GenConfig",
+        "LearnerConfig", "LossSpec", "TargetTransform", "Tree", "WeightScheme"}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_annotations_resolve(cls):
+    """The reader reads each field by its evaluated annotation, so one it
+    cannot evaluate on this Python fails here, not at a user's first load."""
+    hints = typing.get_type_hints(cls)
+    assert {f.name for f in dataclasses.fields(cls)} <= set(hints)
+    assert isinstance(cls.JSON_NAME, str)
 
 
 @pytest.mark.parametrize("load,doc,path,value,field", [

@@ -209,6 +209,10 @@ class TestPredictionContracts:
             learner=_quick_config(rounds=0),
             feature_names=["f0"],
             base_score=-5.0,
+            trees=[],
+            betas=[],
+            training_loss=[],
+            bias_corrector=sc.BiasCorrector(),
         )
         np.testing.assert_array_equal(model.predict(np.zeros((3, 1))), 0.0)
 
