@@ -49,8 +49,7 @@ from .errors import (
     InsufficientHistory,
     IoFailure,
     JsonRecord,
-    check_numbers,
-    is_integer,
+    at_least,
     read_json,
     write_text,
 )
@@ -106,6 +105,7 @@ class ExperimentArm(JsonRecord):
     corrector_kind: str = "none"
 
     def __post_init__(self):
+        super().__post_init__()
         if not is_csv_name(self.id):
             raise ConfigError(f"arm id {self.id!r} is not representable in CSV")
         with _naming(f"arm {self.id}"):
@@ -162,9 +162,9 @@ class BacktestPlan(JsonRecord):
     gen_config_path: str | None = None
 
     def __post_init__(self):
-        check_numbers(self, integers={"train_window_days": 1, "n_versions": 1})
-        if (not self.horizons or any(not is_integer(h) or h not in HORIZONS
-                                     for h in self.horizons)
+        super().__post_init__()
+        at_least(self, train_window_days=1, n_versions=1)
+        if (not self.horizons or any(h not in HORIZONS for h in self.horizons)
                 or len(set(self.horizons)) != len(self.horizons)):
             raise ConfigError(f"horizons must be distinct members of {HORIZONS}, "
                               f"got {list(self.horizons)!r}")

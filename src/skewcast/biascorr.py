@@ -31,13 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    InsufficientData,
-    JsonRecord,
-    LengthMismatch,
-    is_real,
-)
+from .errors import ConfigError, DomainError, InsufficientData, JsonRecord, LengthMismatch
 from .transform import TargetTransform, forward, inverse
 
 KINDS = ("none", "variance_based", "smearing", "prediction_binned")
@@ -66,9 +60,10 @@ class BiasCorrector(JsonRecord):
     factors: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kind not in KINDS:
             raise ConfigError(f"unknown bias corrector kind {self.kind!r}")
-        if not self.factors or any(not is_real(f) or f <= 0.0 for f in self.factors):
+        if not self.factors or any(f <= 0.0 for f in self.factors):
             raise ConfigError(f"bias correction factors must be positive and finite, "
                               f"got {list(self.factors)!r}")
         if len(self.factors) > 1 and self.kind != "prediction_binned":
@@ -100,14 +95,17 @@ def check_corrector(kind: str, transform: TargetTransform) -> None:
 
 def fit_corrector(kind: str, y_raw, pred_transformed, transform: TargetTransform) -> BiasCorrector:
     """Fit a corrector of ``kind`` (see the module docstring) from actuals
-    and transformed predictions."""
+    and transformed predictions; a non-finite one is a ``DomainError``."""
     check_corrector(kind, transform)
-    if kind == "none":
-        return BiasCorrector()
     y_raw = np.asarray(y_raw, dtype=np.float64)
     pred_transformed = np.asarray(pred_transformed, dtype=np.float64)
     if y_raw.shape != pred_transformed.shape:
         raise LengthMismatch("actuals and predictions differ in shape")
+    for values, what in ((y_raw, "actuals"), (pred_transformed, "transformed predictions")):
+        if not np.isfinite(values).all():
+            raise DomainError(f"a {kind} corrector needs finite {what}")
+    if kind == "none":
+        return BiasCorrector()
     needed = 2 if kind == "variance_based" else 1
     if y_raw.size < needed:
         raise InsufficientData(f"a {kind} corrector needs at least {needed} rows, "

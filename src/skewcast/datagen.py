@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, JsonRecord, check_numbers, is_integer, is_real, read_json
+from .errors import ConfigError, JsonRecord, at_least, read_json
 from .panel import SalesPanel
 from .rng import keyed_stream, reseat
 
@@ -67,14 +67,11 @@ class GenConfig(JsonRecord):
     price_walk_sigma: float = 0.0075
 
     def __post_init__(self):
-        check_numbers(self, integers={"n_items": 1, "n_days": 1, "seed": None},
-                      reals=("gamma_shape", "gamma_scale", "price_elasticity",
-                             "price_walk_sigma"))
+        super().__post_init__()
+        at_least(self, n_items=1, n_days=1)
         if int(self.n_items) * int(self.n_days) > _MAX_CELLS:  # numpy integers may wrap
             raise ConfigError(f"n_items * n_days must be at most {_MAX_CELLS:,} cells, "
                               f"got {self.n_items} * {self.n_days}")
-        if not isinstance(self.start_day, dt.date):
-            raise ConfigError(f"start_day must be a date, got {self.start_day!r}")
         if self.start_day.toordinal() + int(self.n_days) - 1 > dt.date.max.toordinal():
             raise ConfigError(f"start_day {self.start_day} and n_days {self.n_days} put the "
                               f"last day after {dt.date.max}")
@@ -82,16 +79,15 @@ class GenConfig(JsonRecord):
             raise ConfigError("gamma shape and scale must be positive")
         if self.price_elasticity > 0:
             raise ConfigError("price elasticity must be <= 0")
-        mu_sigma = self.base_rate_lognormal
-        if len(mu_sigma) != 2 or not all(map(is_real, mu_sigma)) or mu_sigma[1] < 0:
-            raise ConfigError("base_rate_lognormal must be two finite numbers (mu, sigma) "
-                              f"with sigma >= 0, got {list(mu_sigma)!r}")
+        if self.base_rate_lognormal[1] < 0:
+            raise ConfigError("base_rate_lognormal must be (mu, sigma) with sigma >= 0, "
+                              f"got {list(self.base_rate_lognormal)!r}")
         weekly = self.weekly_seasonality
-        if len(weekly) != 7 or not all(is_real(m) and m >= 0 for m in weekly):
-            raise ConfigError("weekly_seasonality must be 7 finite multipliers >= 0, "
+        if len(weekly) != 7 or min(weekly) < 0:
+            raise ConfigError("weekly_seasonality must be 7 multipliers >= 0, "
                               f"got {list(weekly)!r}")
-        if any(not is_integer(d) or not is_real(m) or m < 1.0 for d, m in self.spike_days):
-            raise ConfigError("spike_days must be (integer day, finite multiplier >= 1) pairs, "
+        if any(m < 1.0 for _, m in self.spike_days):
+            raise ConfigError("spike_days multipliers must be >= 1, "
                               f"got {[list(s) for s in self.spike_days]!r}")
         days = [d for d, _ in self.spike_days]
         if len(set(days)) != len(days) or min(days, default=0) < 0:

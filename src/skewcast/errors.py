@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, and the one JSON
-reader and writer of its configs and saved models (``JsonRecord``).
+"""Exception hierarchy shared across the package, and the one type rule,
+JSON reader and JSON writer of its configs and saved models
+(``JsonRecord``): a field's declared type, checked at construction.
 
 Two broad families matter to callers (and to the CLI exit codes):
 configuration problems (bad knobs, incompatible choices) and data
@@ -103,16 +104,29 @@ def parse_day(text: str) -> dt.date:
 
 
 class JsonRecord:
-    """A dataclass written and read as JSON by one rule each way.
+    """A dataclass with one type rule for its fields, in code and in JSON.
+
+    A field's declared type is its rule (``_typed``): ``str`` is text,
+    ``int`` an integer, ``float`` a finite number (an integer too; a
+    ``bool`` is neither), ``X | None`` None or an X, a tuple or list one
+    of its items each (exactly its length for a fixed tuple), a record an
+    instance, and ``np.ndarray`` or ``dt.date`` an instance.
+    ``__post_init__`` checks every field by it, so a record built in code
+    passes the rule a JSON one does; a record's own ``__post_init__``
+    calls it first and then checks only values.
 
     ``to_json`` writes each field that is not None under its name: a record
     as an object, a tuple or list as a list, a numpy array or scalar as its
     ``tolist()`` and a date as ISO text.  ``from_json`` reads it back: a key
-    may be left out only if its field has a default, and each value must
-    have its field's declared type (``_read``); nothing is converted, and
-    ``__post_init__`` checks the values as in any construction.
-    ``JSON_NAME`` names the record in errors.
+    may be left out only if its field has a default, and a JSON list,
+    object or text becomes the tuple, list, array, record or date its
+    field declares; nothing else is converted.  ``JSON_NAME`` names the
+    record in errors.
     """
+
+    def __post_init__(self):
+        for name, kind, _ in _json_fields(type(self)):
+            _typed(getattr(self, name), kind, name)
 
     def to_json(self) -> dict:
         return {f.name: _json_value(value) for f in fields(self)
@@ -124,7 +138,7 @@ class JsonRecord:
         kwargs = {}
         for name, kind, required in _json_fields(cls):
             if name in obj:
-                kwargs[name] = _read(obj[name], kind, name)
+                kwargs[name] = _typed(obj[name], kind, name, read=True)
             elif required:
                 raise ConfigError(f"{cls.JSON_NAME} JSON missing field {name!r}")
         return cls(**kwargs)
@@ -138,36 +152,48 @@ def _json_fields(cls) -> tuple:
                  for f in fields(cls))
 
 
-def _read(value, kind, name: str):
-    """JSON ``value`` as field ``name`` of declared type ``kind``: text for
-    ``str``, an integer for ``int``, a finite number (an integer too) for
-    ``float``, null or an X for ``X | None``, a list for a tuple or list
-    (of exactly its length for a fixed tuple), an object for a record, a
-    list of finite numbers for a numpy array and ``YYYY-MM-DD`` for a date."""
-    origin, args = typing.get_origin(kind), typing.get_args(kind)
+# what a value of each declared type must be; any other type is a record
+_EXPECTED = {str: "text", int: "an integer", float: "a finite number",
+             np.ndarray: "an array", dt.date: "a date"}
+
+
+def _typed(value, kind, name: str, read: bool = False):
+    """``value`` if it has field ``name``'s declared type ``kind``; else a
+    ``ConfigError`` naming the field.  With ``read``, ``value`` is JSON,
+    and a list, object or text becomes what ``kind`` declares.  Without
+    it ``value`` itself is returned, so a caller's list stays its own."""
+    origin, args = _parts(kind)
     if origin in (types.UnionType, typing.Union):  # X | None
-        return None if value is None else _read(value, args[0], name)
+        return None if value is None else _typed(value, args[0], name, read)
     if origin in (tuple, list):
-        if not isinstance(value, list):
+        if not isinstance(value, (tuple, list)):
             raise ConfigError(f"{name} must be a list, got {type(value).__name__}")
         if origin is list or args[1:] == (...,):
-            return origin(_read(v, args[0], name) for v in value)
-        if len(value) != len(args):
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
             raise ConfigError(f"{name} must be a list of {len(args)}, got {len(value)} items")
-        return tuple(_read(v, a, name) for v, a in zip(value, args))
-    if isinstance(kind, type) and issubclass(kind, JsonRecord):
-        return kind.from_json(value)
-    if kind is np.ndarray:
+        items = [_typed(v, a, name, read) for v, a in zip(value, args)]
+        return origin(items) if read else value
+    if read and kind not in _EXPECTED and isinstance(value, (dict, str)):
+        return kind.from_json(value)  # an object, or the id of a standard arm
+    if read and kind is np.ndarray and isinstance(value, list):
         return json_numbers(value, name)
-    if kind is dt.date:
+    if read and kind is dt.date and isinstance(value, str):
         try:
-            return parse_day(_read(value, str, name))
+            return parse_day(value)
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from None
-    accepts, expected = _SCALARS[kind]
-    if not accepts(value):
-        raise ConfigError(f"{name} must be {expected}, got {type(value).__name__}")
+    if not (is_integer(value) if kind is int else is_real(value) if kind is float
+            else isinstance(value, kind)):
+        raise ConfigError(f"{name} must be {_EXPECTED.get(kind, 'an object')}, "
+                          f"got {type(value).__name__}")
     return value
+
+
+@cache
+def _parts(kind) -> tuple:
+    """``typing``'s origin and arguments of a declared type, taken once per type."""
+    return typing.get_origin(kind), typing.get_args(kind)
 
 
 def _json_value(value):
@@ -195,27 +221,11 @@ def is_real(value) -> bool:
         return False
 
 
-# each scalar type a record field may declare: (test of a JSON value, what it must be)
-_SCALARS = {str: (lambda v: isinstance(v, str), "text"),
-            int: (is_integer, "an integer"),
-            float: (is_real, "a finite number")}
-
-
-def check_numbers(obj, integers: dict | None = None, reals=()) -> None:
-    """``ConfigError`` unless the named fields of ``obj`` hold numbers.
-
-    ``integers`` maps each integer field to its least allowed value, or
-    to None for any integer; each field in ``reals`` must be a finite
-    real number.  A ``bool`` is neither, and an integer is also real.
-    """
-    for name, least in (integers or {}).items():
-        value = getattr(obj, name)
-        if not is_integer(value):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if least is not None and value < least:
-            raise ConfigError(f"{name} must be >= {least}, got {value}")
-    for name in reals:
-        real(getattr(obj, name), name)
+def at_least(obj, **bounds) -> None:
+    """``ConfigError`` unless each named field of ``obj`` is at least its bound."""
+    for name, least in bounds.items():
+        if getattr(obj, name) < least:
+            raise ConfigError(f"{name} must be >= {least}, got {getattr(obj, name)}")
 
 
 def real(value, name: str) -> float:
@@ -229,8 +239,6 @@ def real(value, name: str) -> float:
 def json_numbers(values, name: str, integers: bool = False) -> np.ndarray:
     """A JSON list of finite real numbers as a float64 array, or with
     ``integers`` of integers as int64; otherwise a ``ConfigError`` naming ``name``."""
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{name} must be a list, got {type(values).__name__}")
     if integers:
         for value in values:
             if not is_integer(value):

@@ -43,7 +43,7 @@ from .errors import (
     EmptyInput,
     JsonRecord,
     ShapeMismatch,
-    check_numbers,
+    at_least,
     json_object,
     read_json,
     write_text,
@@ -86,18 +86,14 @@ class LearnerConfig(JsonRecord):
     l2_reg: float = 1.0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.base not in _BASES:
             raise ConfigError(f"unknown base learner {self.base!r}")
-        check_numbers(self, integers={"rounds": 0, "max_depth": 1},
-                      reals=("learning_rate", "min_child_weight", "l2_reg"))
+        at_least(self, rounds=0, max_depth=1, min_child_weight=0, l2_reg=0)
         if self.rounds > MAX_ROUNDS:
             raise ConfigError(f"rounds must be at most {MAX_ROUNDS:,}, got {self.rounds}")
         if not (0.0 < self.learning_rate <= 1.0):
             raise ConfigError("learning_rate must lie in (0, 1]")
-        if self.min_child_weight < 0:
-            raise ConfigError("min_child_weight must be >= 0")
-        if self.l2_reg < 0:
-            raise ConfigError("l2_reg must be >= 0")
 
 
 @dataclass
@@ -116,6 +112,24 @@ class FitModel(JsonRecord):
     betas: list[np.ndarray]
     training_loss: list[float]
     bias_corrector: BiasCorrector
+
+    def __post_init__(self):  # the checks across parts, in code as in a loaded model
+        super().__post_init__()
+        problem = _feature_name_problem(self.feature_names)
+        if problem:
+            raise ConfigError(f"feature_names: {problem}")
+        foreign = "betas" if self.learner.base == "tree" else "trees"
+        if getattr(self, foreign):
+            raise ConfigError(f"a {self.learner.base} model holds no {foreign}")
+        check_corrector(self.bias_corrector.kind, self.transform)
+        n_features = len(self.feature_names)
+        for tree in self.trees:
+            if (tree.feature >= n_features).any():
+                raise ConfigError(f"tree splits on a feature beyond the model's {n_features}")
+        for beta in self.betas:
+            if beta.shape != (n_features + 1,):
+                raise ConfigError(f"betas must have {n_features + 1} entries (features and "
+                                  f"intercept), got shape {beta.shape}")
 
     def score(self, X) -> np.ndarray:
         """Raw additive score for each feature row."""
@@ -142,29 +156,11 @@ class FitModel(JsonRecord):
 
     @classmethod
     def from_json(cls, obj: dict) -> "FitModel":
-        """The record reader between the version check and the checks across parts."""
+        """The record reader, after the version check."""
         version = json_object(obj, cls.JSON_NAME).get("version")
         if version != MODEL_FORMAT:
             raise ConfigError(f"unsupported model version {version!r}, expected {MODEL_FORMAT!r}")
-        model = super().from_json({k: v for k, v in obj.items() if k != "version"})
-        problem = _feature_name_problem(model.feature_names)
-        if problem:
-            raise ConfigError(f"feature_names: {problem}")
-        foreign = "betas" if model.learner.base == "tree" else "trees"
-        if getattr(model, foreign):
-            raise ConfigError(f"a {model.learner.base} model holds no {foreign}")
-        check_corrector(model.bias_corrector.kind, model.transform)
-        n_features = len(model.feature_names)
-        for tree in model.trees:
-            if (tree.feature >= n_features).any():
-                raise ConfigError(f"tree splits on a feature beyond the model's {n_features}")
-        for beta in model.betas:
-            if beta.shape != (n_features + 1,):
-                raise ConfigError(
-                    f"betas must have {n_features + 1} entries (features and intercept), "
-                    f"got shape {beta.shape}"
-                )
-        return model
+        return super().from_json({k: v for k, v in obj.items() if k != "version"})
 
 
 def _check_matrix(X, n_features: int) -> np.ndarray:

@@ -29,18 +29,12 @@ cannot guarantee.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    JsonRecord,
-    LengthMismatch,
-    real,
-    write_text,
-)
+from .errors import ConfigError, DomainError, JsonRecord, LengthMismatch, write_text
 from .panel import _fmt
 
 HESS_FLOOR = 1e-16
@@ -74,18 +68,22 @@ class LossSpec(JsonRecord):
     delta: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in _LOSS_KINDS:
+        super().__post_init__()
+        if self.kind not in _LOSS_KINDS:
             raise ConfigError(f"unknown loss kind {self.kind!r}")
         param = _LOSS_KINDS[self.kind][1]
         for name in ("power", "delta"):
             if name != param and getattr(self, name) is not None:
                 raise ConfigError(f"the {self.kind} loss takes no {name}")
-        if param is not None:
-            real(getattr(self, param), f"{self.kind} {param}")
+        if param is not None and getattr(self, param) is None:
+            raise ConfigError(f"the {self.kind} loss needs a {param}")
         if self.kind == "tweedie" and not 1.0 < self.power < 2.0:
             raise ConfigError("tweedie power must lie strictly inside (1, 2)")
         if self.kind == "pseudo_huber" and self.delta <= 0:
             raise ConfigError("pseudo_huber delta must be positive")
+        d = float(self.delta or 0.0)
+        if not math.isfinite(d * d):  # the deviance is d * d * (root - 1)
+            raise ConfigError(f"pseudo_huber delta must have a finite square, got {d:g}")
 
     @classmethod
     def mse(cls) -> "LossSpec":
@@ -139,6 +137,7 @@ class WeightScheme(JsonRecord):
     kind: str
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kind not in _WEIGHT_KINDS:
             raise ConfigError(f"unknown weight scheme {self.kind!r}")
 

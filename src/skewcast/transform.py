@@ -30,6 +30,7 @@ class TargetTransform(JsonRecord):
     kind: str
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown transform kind {self.kind!r}")
 

@@ -95,10 +95,6 @@ class Tree(JsonRecord):
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    @property
-    def n_leaves(self) -> int:
-        return int(np.sum(self.feature == _LEAF))
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Route every row to its leaf; rows go left when x <= threshold.
 
@@ -142,8 +138,9 @@ class Tree(JsonRecord):
         every walk ends in a leaf), and leaves must carry no children.
         """
         obj = json_object(obj, cls.JSON_NAME, cls)
-        try:
+        try:  # a value that is not a list fails the type rule, as in code
             tree = cls(**{name: json_numbers(obj[name], f"tree {name}", integers)
+                          if isinstance(obj[name], list) else obj[name]
                           for name, integers in (("feature", True), ("threshold", False),
                                                  ("left", True), ("right", True),
                                                  ("value", False))})

@@ -3,6 +3,7 @@ binned corrector's bucket mechanics, the identity-transform rule, and
 ``correct`` against the three-branch formulas that corrected forecasts
 before every corrector became one table of factors."""
 
+import math
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import skewcast as sc
 from skewcast.biascorr import BIN_WIDTH, KINDS, MIN_BIN_COUNT, BiasCorrector, bin_index
-from skewcast.errors import ConfigError, InsufficientData, LengthMismatch
+from skewcast.errors import ConfigError, DomainError, InsufficientData, LengthMismatch
 from skewcast.transform import forward, inverse
 
 LOG = sc.TargetTransform(kind="log")
@@ -281,6 +282,18 @@ class TestFitCorrector:
             corr = sc.fit_corrector(kind, y, z, LOG)
             back = BiasCorrector.from_json(corr.to_json())
             assert back == corr
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind", ["none", "variance_based", "smearing", "prediction_binned"])
+    @pytest.mark.parametrize("where", ["actuals", "transformed predictions"])
+    def test_non_finite_input_is_domain_error(self, rng, where, kind, bad):
+        """Checked before any residual: a NaN or infinite prediction used to
+        end in a raw ValueError or OverflowError, or a silent factor."""
+        y = rng.lognormal(1.0, 0.5, size=100)
+        z = forward(LOG, y)
+        (y if where == "actuals" else z)[7] = bad
+        with pytest.raises(DomainError, match=f"a {kind} corrector needs finite {where}$"):
+            sc.fit_corrector(kind, y, z, LOG)
 
     def test_unknown_field_is_config_error(self):
         with pytest.raises(ConfigError, match="bias corrector JSON has unknown field 'factr'"):

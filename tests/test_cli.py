@@ -201,6 +201,20 @@ class TestFit:
         assert proc.stderr == (f"config error: arm RAW-C: a {kind} corrector needs a log or "
                                "sqrt transform, not identity\n")
 
+    @pytest.mark.parametrize("delta", [1e200, 2**1000], ids=["1e200", "2**1000"])
+    def test_pseudo_huber_delta_with_no_finite_square_is_config_error(self, workdir, delta):
+        """The deviance scales by delta squared; an overflow there used to
+        fit a NaN training loss, or end in a raw OverflowError."""
+        arm = {**sc.arm_by_id("E2").to_json(), "loss": {"kind": "pseudo_huber", "delta": delta}}
+        arm_path = workdir / "huge_delta_arm.json"
+        arm_path.write_text(json.dumps(arm), encoding="utf-8")
+        proc = run_cli("fit", "--panel", str(workdir / "panel.csv"),
+                       "--arm", str(arm_path), "--model-out", str(workdir / "m.json"))
+        assert proc.returncode == 2
+        assert proc.stderr == ("config error: pseudo_huber delta must have a finite square, "
+                               f"got {delta:g}\n")
+        assert not (workdir / "m.json").exists()
+
     def test_unknown_arm_is_config_error(self, workdir):
         proc = run_cli("fit", "--panel", str(workdir / "panel.csv"),
                        "--arm", "E99", "--model-out", str(workdir / "m.json"))

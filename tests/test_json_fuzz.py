@@ -5,8 +5,11 @@ hostile values.
 
 Only a ``ConfigError`` or ``DataError`` may escape a loader, a field that
 holds a number must reject text, bools and non-finite values, and a field
-that holds text must reject every value that is not text.  The loaders
-only parse: nothing here generates a panel or fits a model.
+that holds text must reject every value that is not text.  Every field
+of every record, found by walking ``JsonRecord``'s subclasses, rejects a
+value of the wrong type with the same error whether the record is built
+in code or read from JSON.  The loaders only parse: nothing here
+generates a panel or fits a model.
 """
 
 import copy
@@ -18,6 +21,7 @@ import pytest
 
 import skewcast as sc
 from skewcast.errors import ConfigError, DataError, JsonRecord
+from skewcast.trees import Tree
 
 HOSTILE = [None, True, False, "x", "1.5", [], {}, [[1]], 1, -1, 0, 10**400, 2**70,
            math.nan, math.inf, -math.inf]
@@ -147,10 +151,48 @@ def _records(cls=JsonRecord):
 RECORDS = sorted(_records(), key=lambda cls: cls.__name__)
 
 
+# one valid document of each record class
+VALID = {load.__self__: doc for load, doc in DOCUMENTS.values()} | {Tree: TREE_MODEL["trees"][0]}
+
+
 def test_every_config_and_model_class_is_a_record():
-    assert {cls.__name__ for cls in RECORDS} == {
-        "BacktestPlan", "BiasCorrector", "ExperimentArm", "FitModel", "GenConfig",
-        "LearnerConfig", "LossSpec", "TargetTransform", "Tree", "WeightScheme"}
+    """Each record the walk finds has a valid document, so a new record is
+    fuzzed here and its every field checked below."""
+    assert set(RECORDS) == set(VALID)
+
+
+def _wrong_value(kind):
+    """A JSON value of the wrong type for a field declared ``kind``: text
+    where a number fits, else a number."""
+    return "3" if {int, float} & {kind, *typing.get_args(kind)} else 3
+
+
+@pytest.mark.parametrize("cls,name", [(cls, f.name) for cls in RECORDS
+                                      for f in dataclasses.fields(cls)],
+                         ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_wrong_type_is_the_same_error_in_code_and_json(cls, name):
+    """A record built in code passes the type rule its JSON reader applies."""
+    doc = VALID[cls]
+    value = _wrong_value(typing.get_type_hints(cls)[name])
+    with pytest.raises(ConfigError, match=f"^{name} must be ") as in_code:
+        dataclasses.replace(cls.from_json(copy.deepcopy(doc)), **{name: value})
+    with pytest.raises(ConfigError) as in_json:
+        cls.from_json({**copy.deepcopy(doc), name: value})
+    assert str(in_json.value) == str(in_code.value)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: sc.BacktestPlan(panel_path=0), "panel_path must be text, got int"),
+    (lambda: sc.BacktestPlan(baseline_id=5), "baseline_id must be text, got int"),
+    (lambda: sc.BacktestPlan(learner=3), "learner must be an object, got int"),
+    (lambda: sc.BacktestPlan(arms=("E4",)), "arms must be an object, got str"),
+    (lambda: sc.LossSpec("tweedie", power="1.5"), "power must be a finite number, got str"),
+    (lambda: sc.BiasCorrector("smearing", (True,)), "factors must be a finite number, got bool"),
+], ids=["panel-path-zero", "baseline-number", "learner-number", "arm-id", "text-power",
+        "bool-factor"])
+def test_record_built_in_code_is_type_checked(make, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        make()
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)

@@ -304,8 +304,21 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("kind", [None, 3, ["mse"], {"kind": "mse"}])
     def test_kind_that_is_not_text_is_config_error(self, kind):
-        with pytest.raises(ConfigError, match="unknown loss kind"):
+        with pytest.raises(ConfigError, match="kind must be text"):
             sc.LossSpec(kind=kind)
+
+    @pytest.mark.parametrize("delta", [1e200, 2**1000, np.float64(1.4e154), 1.35e154],
+                             ids=["1e200", "2**1000", "float64", "just-too-large"])
+    def test_pseudo_huber_delta_square_must_be_finite(self, delta):
+        with pytest.raises(ConfigError, match="pseudo_huber delta must have a finite square"):
+            sc.LossSpec.pseudo_huber(delta)
+        with pytest.raises(ConfigError, match="pseudo_huber delta must have a finite square"):
+            sc.LossSpec.from_json({"kind": "pseudo_huber", "delta": float(delta)})
+
+    def test_pseudo_huber_delta_with_a_finite_square_is_kept(self):
+        spec = sc.LossSpec.pseudo_huber(1.34e154)
+        assert spec.delta == 1.34e154
+        assert np.isfinite(sc.deviance(spec, 3.0, 1.0))
 
     def test_tweedie_power_strictly_inside_unit_interval(self):
         for bad in (1.0, 2.0, 0.5, 2.5):

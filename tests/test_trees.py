@@ -202,7 +202,7 @@ class TestSplitSearch:
         hess = np.full(10, 1.0)
         tree = grow_tree(X, grad, hess, presort(X, max_depth=3, min_child_weight=0.0, l2_reg=0.0))
         assert tree.n_nodes == 1
-        assert tree.n_leaves == 1
+        assert (tree.feature == -1).sum() == 1
         np.testing.assert_allclose(tree.predict(X), -2.0)
 
     def test_min_child_weight_blocks_splits(self):
@@ -210,7 +210,7 @@ class TestSplitSearch:
         grad = np.array([-1.0] * 4 + [1.0] * 4)
         hess = np.ones(8)
         free = grow_tree(X, grad, hess, presort(X, max_depth=1, min_child_weight=1.0, l2_reg=1.0))
-        assert free.n_leaves == 2
+        assert (free.feature == -1).sum() == 2
         blocked = grow_tree(X, grad, hess,
                             presort(X, max_depth=1, min_child_weight=8.0, l2_reg=1.0))
         assert blocked.n_nodes == 1
@@ -236,7 +236,7 @@ class TestSplitSearch:
         leaf = np.empty(10)
         tree = grow_tree(X, grad, np.ones(10),
                          presort(X, max_depth=1, min_child_weight=1.0, l2_reg=1.0), out=leaf)
-        assert tree.n_leaves == 2 and tree.threshold[0] == lo
+        assert (tree.feature == -1).sum() == 2 and tree.threshold[0] == lo
         assert np.array_equal(tree.predict(X), leaf)
         np.testing.assert_array_equal(leaf, [5.0 / 6] * 5 + [-5.0 / 6] * 5)  # -G / (H + l2)
 
@@ -258,7 +258,7 @@ class TestSplitSearch:
         grad = rng.normal(size=200)
         hess = np.ones(200)
         tree = grow_tree(X, grad, hess, presort(X, max_depth=2, min_child_weight=1.0, l2_reg=1.0))
-        assert tree.n_leaves <= 4
+        assert (tree.feature == -1).sum() <= 4
         assert tree.n_nodes <= 7
 
     def test_identical_inputs_grow_identical_trees(self, rng):
