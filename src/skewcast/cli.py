@@ -83,6 +83,8 @@ def _cmd_fit(args) -> int:
     for path in (args.model_out, args.report):
         if path is not None:  # fail before the fit, not after it
             _check_out_path(path)
+    if args.report and os.path.realpath(args.report) == os.path.realpath(args.model_out):
+        raise ConfigError(f"--report {args.report} is the --model-out file")
     panel = read_panel(args.panel)
     (model,) = bt.fit_arm([arm], panel, learner_cfg)
     save_model(model, args.model_out)

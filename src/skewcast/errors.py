@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package, and the one type rule,
-JSON reader and JSON writer of its configs and saved models
-(``JsonRecord``): a field's declared type, checked at construction.
+JSON reader and JSON writer of its configs, trees and saved models
+(``JsonRecord``): a field's declared type, checked as a frozen record is built.
 
 Two broad families matter to callers (and to the CLI exit codes):
 configuration problems (bad knobs, incompatible choices) and data
@@ -104,16 +104,20 @@ def parse_day(text: str) -> dt.date:
 
 
 class JsonRecord:
-    """A dataclass with one type rule for its fields, in code and in JSON.
+    """A frozen dataclass with one type rule for its fields, in code and in JSON.
 
     A field's declared type is its rule (``_typed``): ``str`` is text,
     ``int`` an integer, ``float`` a finite number (an integer too; a
     ``bool`` is neither), ``X | None`` None or an X, a tuple or list one
     of its items each (exactly its length for a fixed tuple), a record an
-    instance, and ``np.ndarray`` or ``dt.date`` an instance.
+    instance, ``np.ndarray`` an array of numbers (finite ones in JSON),
+    ``IntArray`` an array of integers, and ``dt.date`` an instance.
     ``__post_init__`` checks every field by it, so a record built in code
     passes the rule a JSON one does; a record's own ``__post_init__``
-    calls it first and then checks only values.
+    calls it first and then checks only values.  Every record is declared
+    ``frozen=True``: it is checked whole once, when it is constructed, and
+    ``dataclasses.replace`` is the one way to a changed record, checked
+    again.
 
     ``to_json`` writes each field that is not None under its name: a record
     as an object, a tuple or list as a list, a numpy array or scalar as its
@@ -152,16 +156,20 @@ def _json_fields(cls) -> tuple:
                  for f in fields(cls))
 
 
+# the declared type of an array of integers, such as a tree's node indices
+IntArray = np.ndarray[typing.Any, np.dtype[np.int64]]
+
 # what a value of each declared type must be; any other type is a record
 _EXPECTED = {str: "text", int: "an integer", float: "a finite number",
-             np.ndarray: "an array", dt.date: "a date"}
+             np.ndarray: "an array of numbers", IntArray: "an integer array",
+             dt.date: "a date"}
 
 
 def _typed(value, kind, name: str, read: bool = False):
     """``value`` if it has field ``name``'s declared type ``kind``; else a
     ``ConfigError`` naming the field.  With ``read``, ``value`` is JSON,
-    and a list, object or text becomes what ``kind`` declares.  Without
-    it ``value`` itself is returned, so a caller's list stays its own."""
+    and a list, object or text becomes what ``kind`` declares; without
+    it ``value`` itself is returned."""
     origin, args = _parts(kind)
     if origin in (types.UnionType, typing.Union):  # X | None
         return None if value is None else _typed(value, args[0], name, read)
@@ -176,15 +184,19 @@ def _typed(value, kind, name: str, read: bool = False):
         return origin(items) if read else value
     if read and kind not in _EXPECTED and isinstance(value, (dict, str)):
         return kind.from_json(value)  # an object, or the id of a standard arm
-    if read and kind is np.ndarray and isinstance(value, list):
-        return json_numbers(value, name)
+    if read and kind in (np.ndarray, IntArray) and isinstance(value, list):
+        item, dtype = (float, np.float64) if kind is np.ndarray else (int, np.int64)
+        try:
+            return np.asarray([_typed(v, item, name) for v in value], dtype=dtype)
+        except OverflowError:  # an integer beyond 64 bits
+            raise ConfigError(f"{name} must hold 64-bit integers") from None
     if read and kind is dt.date and isinstance(value, str):
         try:
             return parse_day(value)
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from None
-    if not (is_integer(value) if kind is int else is_real(value) if kind is float
-            else isinstance(value, kind)):
+    check = _CHECKS.get(kind)
+    if not (check(value) if check else isinstance(value, kind)):
         raise ConfigError(f"{name} must be {_EXPECTED.get(kind, 'an object')}, "
                           f"got {type(value).__name__}")
     return value
@@ -228,23 +240,18 @@ def at_least(obj, **bounds) -> None:
             raise ConfigError(f"{name} must be >= {least}, got {getattr(obj, name)}")
 
 
+# the declared types an ``isinstance`` test does not decide
+_CHECKS = {int: is_integer, float: is_real,
+           np.ndarray: lambda value: isinstance(value, np.ndarray) and value.dtype.kind in "iuf",
+           IntArray: lambda value: isinstance(value, np.ndarray) and value.dtype.kind == "i"}
+
+
 def real(value, name: str) -> float:
     """``value`` as a float if it is a finite real number; else a
     ``ConfigError`` naming ``name``."""
     if not is_real(value):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
-
-
-def json_numbers(values, name: str, integers: bool = False) -> np.ndarray:
-    """A JSON list of finite real numbers as a float64 array, or with
-    ``integers`` of integers as int64; otherwise a ``ConfigError`` naming ``name``."""
-    if integers:
-        for value in values:
-            if not is_integer(value):
-                raise ConfigError(f"{name} must hold integers, got {value!r}")
-        return np.asarray(values, dtype=np.int64)
-    return np.asarray([real(value, name) for value in values], dtype=np.float64)
 
 
 class DomainError(DataError):

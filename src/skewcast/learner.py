@@ -8,13 +8,16 @@ damped Newton step.  The mean prediction is recovered from the score
 through the loss's link, mapped back through the target transform, and
 finally rescaled by an optional bias corrector.
 
-Every round fits its base learner on all rows.  Everything is
-deterministic: a tree fit sorts each feature column once and every
-round's tree grows from that order, features are scanned in order, and
-the linear step builds its normal equations with einsum on the
-row-major ``(n, k)`` design, which fixes the summation order: each
-entry of the normal matrix is a left-to-right sum over rows of
-``(x_ij * h_i) * x_ik``, at any row count.  A ``(k, n)`` layout, BLAS
+Every round fits its base learner on all rows.  A round whose training
+loss is not finite ends the fit in a ``DataError`` naming the loss and
+the round.  The rounds are collected and the frozen ``FitModel`` is
+built once, from the finished fit, so its checks see every step it
+holds.  Everything is deterministic: a tree fit sorts each feature
+column once and every round's tree grows from that order, features are
+scanned in order, and the linear step builds its normal equations with
+einsum on the row-major ``(n, k)`` design, which fixes the summation
+order: each entry of the normal matrix is a left-to-right sum over rows
+of ``(x_ij * h_i) * x_ik``, at any row count.  A ``(k, n)`` layout, BLAS
 (``@``, ``np.dot``, ``tensordot``) or ``optimize=True`` would sum in
 another order, and the bits of the fit would then depend on the row
 count and the library.
@@ -96,7 +99,7 @@ class LearnerConfig(JsonRecord):
             raise ConfigError("learning_rate must lie in (0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitModel(JsonRecord):
     """A fitted forecaster: score function plus the back-mapping recipe."""
 
@@ -106,11 +109,11 @@ class FitModel(JsonRecord):
     loss: LossSpec
     weight_scheme: WeightScheme
     learner: LearnerConfig
-    feature_names: list[str]
+    feature_names: tuple[str, ...]
     base_score: float
-    trees: list[Tree]
-    betas: list[np.ndarray]
-    training_loss: list[float]
+    trees: tuple[Tree, ...]
+    betas: tuple[np.ndarray, ...]
+    training_loss: tuple[float, ...]
     bias_corrector: BiasCorrector
 
     def __post_init__(self):  # the checks across parts, in code as in a loaded model
@@ -194,7 +197,7 @@ def fit(
         loss,
         weight_scheme,
         config,
-        feature_names=list(panel.feature_names),
+        feature_names=panel.feature_names,
     )
 
 
@@ -229,51 +232,52 @@ def fit_arrays(
 
     z = fit_targets(transform, loss, y)
     w = weights_for(weight_scheme, y)
-    try:
-        base = constant_score(loss, z, w)
-    except DomainError as exc:
-        raise DegenerateData(f"cannot initialize fit: {exc}") from None
-
-    objective = Objective(loss, z, w)
-    scores = np.full(len(y), base, dtype=np.float64)
     w_total = float(np.sum(w))
-    # one evaluation per round serves the round's loss and the next round's step
-    terms = objective.at(scores)
-    curve = [total_loss(loss, w, z, terms.mu, terms) / w_total]
-
-    model = FitModel(
+    trees, betas, curve = [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):  # a loss that is not finite is named below
+        try:
+            base = constant_score(loss, z, w)
+        except DomainError as exc:
+            raise DegenerateData(f"cannot initialize fit: {exc}") from None
+        objective = Objective(loss, z, w)
+        scores = np.full(len(y), base, dtype=np.float64)
+        Xa = _augment(X) if config.base == "linear" else None
+        # a tree fit sorts the features once; each row's step is the leaf it grew into
+        presorted = (presort(X, config.max_depth, config.min_child_weight, config.l2_reg)
+                     if config.base == "tree" else None)
+        normal = None  # the last linear round's (hessian, normal matrix)
+        for round_no in range(config.rounds + 1):
+            # one evaluation serves the round's loss and the next round's step
+            terms = objective.at(scores)
+            curve.append(total_loss(loss, w, z, terms.mu, terms) / w_total)
+            if not np.isfinite(curve[-1]):
+                raise DataError(f"the training loss of {loss.label()} is not finite "
+                                f"at round {round_no}")
+            if round_no == config.rounds:
+                break
+            gh = grad_hess(loss, z, scores, terms)
+            g = w * gh.grad
+            h = w * gh.hess
+            if config.base == "linear":
+                normal = _carried_normal(normal, Xa, h, config.l2_reg)
+                betas.append(_solve_step(normal[1], Xa, g))
+                step = np.einsum("ij,j->i", Xa, betas[-1])
+            else:
+                step = np.empty(len(y))
+                trees.append(grow_tree(X, g, h, presorted, out=step))
+            scores += config.learning_rate * step
+    return FitModel(
         transform=transform,
         loss=loss,
         weight_scheme=weight_scheme,
         learner=config,
-        feature_names=list(feature_names),
+        feature_names=tuple(feature_names),
         base_score=base,
-        trees=[],
-        betas=[],
-        training_loss=curve,
+        trees=tuple(trees),
+        betas=tuple(betas),
+        training_loss=tuple(curve),
         bias_corrector=BiasCorrector(),
     )
-    Xa = _augment(X) if config.base == "linear" else None
-    # a tree fit sorts the features once; each row's step is the leaf it grew into
-    presorted = (presort(X, config.max_depth, config.min_child_weight, config.l2_reg)
-                 if config.base == "tree" else None)
-    normal = None  # the last linear round's (hessian, normal matrix)
-    for _ in range(config.rounds):
-        gh = grad_hess(loss, z, scores, terms)
-        g = w * gh.grad
-        h = w * gh.hess
-        if config.base == "linear":
-            normal = _carried_normal(normal, Xa, h, config.l2_reg)
-            beta = _solve_step(normal[1], Xa, g)
-            model.betas.append(beta)
-            step = np.einsum("ij,j->i", Xa, beta)
-        else:
-            step = np.empty(len(y))
-            model.trees.append(grow_tree(X, g, h, presorted, out=step))
-        scores += config.learning_rate * step
-        terms = objective.at(scores)
-        curve.append(total_loss(loss, w, z, terms.mu, terms) / w_total)
-    return model
 
 
 def fit_targets(transform: TargetTransform, loss: LossSpec, y: np.ndarray) -> np.ndarray:

@@ -390,9 +390,6 @@ class ConvexityTable:
     labels: list[str]
     values: np.ndarray  # shape (n_specs, n_grid)
 
-    def column(self, label: str) -> np.ndarray:
-        return self.values[self.labels.index(label)]
-
     def write_csv(self, path) -> None:
         lines = ["mu," + ",".join(self.labels)]
         for j, m in enumerate(self.mu_grid):

@@ -6,10 +6,11 @@ candidates with the standard second-order gain
     0.5 * (GL^2/(HL+reg) + GR^2/(HR+reg) - G^2/(H+reg))
 
 and assigning leaf values -G / (H + reg), where G and H are sums of
-per-row gradients and hessians.  Nodes are stored in flat parallel
-arrays.  Prediction is a fixed-step descent: leaves point to themselves,
-so every row takes as many steps as the tree is deep and no step has to
-pick out the rows still moving.
+per-row gradients and hessians.  Nodes are stored in the flat parallel
+arrays of a frozen ``Tree``, whose structure is checked when it is
+built, in code as from JSON.  Prediction is a fixed-step descent: leaves
+point to themselves, so every row takes as many steps as the tree is
+deep and no step has to pick out the rows still moving.
 
 Growth sorts each feature once per fit (``presort``, the "column block"
 layout of XGBoost), not once per node or per tree.  Every node carries
@@ -74,22 +75,41 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, JsonRecord, ShapeMismatch, json_numbers, json_object
+from .errors import ConfigError, IntArray, JsonRecord, ShapeMismatch
 
 _LEAF = -1
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tree(JsonRecord):
-    """Flat-array binary tree; ``feature[i] == -1`` marks a leaf."""
+    """Flat-array binary tree; ``feature[i] == -1`` marks a leaf.
+
+    Construction rejects any structure ``predict`` cannot walk: the
+    arrays must be non-empty, one-dimensional and of equal length, a
+    leaf's feature, left and right all -1, and a split's children later
+    nodes, so every walk ends in a leaf.
+    """
 
     JSON_NAME = "tree"
 
-    feature: np.ndarray
+    feature: IntArray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    left: IntArray
+    right: IntArray
     value: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        n = self.feature.size
+        if not n or not (self.feature.shape == self.threshold.shape == self.left.shape
+                         == self.right.shape == self.value.shape == (n,)):
+            raise ConfigError("tree arrays must be non-empty, one-dimensional and of equal length")
+        for node, (feature, left, right) in enumerate(zip(
+                self.feature.tolist(), self.left.tolist(), self.right.tolist())):
+            if not (feature == left == right == _LEAF
+                    or (feature >= 0 and node < left < n and node < right < n)):
+                raise ConfigError(f"tree node {node} must be a leaf, with feature, left and "
+                                  "right all -1, or a split whose children are later nodes")
 
     @property
     def n_nodes(self) -> int:
@@ -128,37 +148,6 @@ class Tree(JsonRecord):
                 return depth
             depth += 1
             level = np.concatenate([self.left[level], self.right[level]])
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Tree":
-        """Load a tree, rejecting any structure ``predict`` cannot walk.
-
-        Node indices must be integers, thresholds and values finite
-        numbers, children of internal nodes must point forward (and so
-        every walk ends in a leaf), and leaves must carry no children.
-        """
-        obj = json_object(obj, cls.JSON_NAME, cls)
-        try:  # a value that is not a list fails the type rule, as in code
-            tree = cls(**{name: json_numbers(obj[name], f"tree {name}", integers)
-                          if isinstance(obj[name], list) else obj[name]
-                          for name, integers in (("feature", True), ("threshold", False),
-                                                 ("left", True), ("right", True),
-                                                 ("value", False))})
-        except (KeyError, OverflowError) as exc:
-            raise ConfigError(f"bad tree JSON: {exc!r}") from None
-        n = tree.feature.size
-        arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
-        if n == 0 or any(a.size != n for a in arrays):
-            raise ConfigError("tree arrays must be non-empty and of equal length")
-        leaf = tree.feature == _LEAF
-        childless = (tree.left[leaf] == _LEAF) & (tree.right[leaf] == _LEAF)
-        if (tree.feature < _LEAF).any() or not childless.all():
-            raise ConfigError("tree leaves must have feature, left and right all -1")
-        node = np.nonzero(~leaf)[0]
-        for child in (tree.left[~leaf], tree.right[~leaf]):
-            if ((child <= node) | (child >= n)).any():
-                raise ConfigError("tree children must point forward to an existing node")
-        return tree
 
 
 @dataclass(slots=True, eq=False)

@@ -215,6 +215,31 @@ class TestFit:
                                f"got {delta:g}\n")
         assert not (workdir / "m.json").exists()
 
+    @pytest.mark.parametrize("delta", [1e-200, 1e-160])
+    def test_pseudo_huber_loss_that_is_not_finite_is_data_error(self, workdir, delta):
+        """A tiny delta overflows the training loss before the first round;
+        the loss and the round are named, with no numpy warning above them."""
+        arm = {**sc.arm_by_id("E2").to_json(), "loss": {"kind": "pseudo_huber", "delta": delta}}
+        arm_path = workdir / "tiny_delta_arm.json"
+        arm_path.write_text(json.dumps(arm), encoding="utf-8")
+        proc = run_cli("fit", "--panel", str(workdir / "panel.csv"),
+                       "--arm", str(arm_path), "--model-out", str(workdir / "m.json"))
+        assert proc.returncode == 3
+        assert proc.stderr == (f"data error: the training loss of pseudo_huber(d={delta:g}) "
+                               "is not finite at round 0\n")
+        assert not (workdir / "m.json").exists()
+
+    def test_report_on_the_model_file_is_config_error(self, workdir):
+        """The pairs CSV would overwrite the saved model; the run is refused
+        before the fit, also when the two paths differ only in spelling."""
+        model_path = workdir / "same.out"
+        report = f"{workdir}/./same.out"  # a Path would drop the "."
+        proc = run_cli("fit", "--panel", str(workdir / "panel.csv"), "--arm", "E4",
+                       "--model-out", str(model_path), "--report", report)
+        assert proc.returncode == 2
+        assert proc.stderr == f"config error: --report {report} is the --model-out file\n"
+        assert not model_path.exists()
+
     def test_unknown_arm_is_config_error(self, workdir):
         proc = run_cli("fit", "--panel", str(workdir / "panel.csv"),
                        "--arm", "E99", "--model-out", str(workdir / "m.json"))

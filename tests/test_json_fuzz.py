@@ -161,6 +161,12 @@ def test_every_config_and_model_class_is_a_record():
     assert set(RECORDS) == set(VALID)
 
 
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_every_record_is_frozen(cls):
+    """A record is checked whole when it is built, so no field may change afterwards."""
+    assert cls.__dataclass_params__.frozen
+
+
 def _wrong_value(kind):
     """A JSON value of the wrong type for a field declared ``kind``: text
     where a number fits, else a number."""
@@ -208,9 +214,9 @@ def test_record_annotations_resolve(cls):
     (sc.FitModel.from_json, TREE_MODEL, ("base_score",), math.nan, "base_score"),
     (sc.FitModel.from_json, TREE_MODEL, ("base_score",), "1.5", "base_score"),
     (sc.FitModel.from_json, TREE_MODEL, ("training_loss", 1), math.nan, "training_loss"),
-    (sc.FitModel.from_json, TREE_MODEL, ("trees", 0, "threshold", 0), "1.5", "tree threshold"),
-    (sc.FitModel.from_json, TREE_MODEL, ("trees", 0, "value", 1), True, "tree value"),
-    (sc.FitModel.from_json, TREE_MODEL, ("trees", 0, "left", 0), 1.0, "tree left"),
+    (sc.FitModel.from_json, TREE_MODEL, ("trees", 0, "threshold", 0), "1.5", "threshold"),
+    (sc.FitModel.from_json, TREE_MODEL, ("trees", 0, "value", 1), True, "value"),
+    (sc.FitModel.from_json, TREE_MODEL, ("trees", 0, "left", 0), 1.0, "left"),
     (sc.FitModel.from_json, LINEAR_MODEL, ("betas", 0, 0), "1.5", "betas"),
     (sc.BiasCorrector.from_json, LINEAR_MODEL["bias_corrector"], ("factors", 0), "2", "factors"),
     (sc.BiasCorrector.from_json, LINEAR_MODEL["bias_corrector"], ("factors", 0), True, "factors"),

@@ -1,8 +1,10 @@
 """Boosted learner: initialization, training-loss behavior, determinism,
 prediction contracts, and serialization."""
 
+import dataclasses
 import datetime as dt
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +183,26 @@ class TestTrainingLoss:
         mu = mean_from_score(loss, model.score(small_panel.feature_matrix))
         assert total_loss(loss, w, forward(transform, y), mu) / np.sum(w) == model.training_loss[-1]
 
+    @pytest.mark.parametrize("delta", [1e-200, 1e-160])
+    def test_a_loss_that_is_not_finite_is_a_data_error(self, rng, delta):
+        """A tiny pseudo-Huber delta overflows the loss before the first
+        round: the error names the loss and the round, with no numpy warning."""
+        X, y = rng.normal(size=(20, 2)), rng.gamma(2.0, 5.0, size=20)
+        loss = sc.LossSpec.pseudo_huber(delta)
+        message = rf"^the training loss of pseudo_huber\(d={delta:g}\) is not finite at round 0$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=message):
+                sc.fit_arrays(X, y, IDENTITY, loss, UNIT, _quick_config(rounds=2))
+
+    @pytest.mark.parametrize("base", ["tree", "linear"])
+    def test_every_round_loss_is_checked_before_the_next_round(self, rng, monkeypatch, base):
+        X, y = rng.normal(size=(40, 2)), rng.gamma(2.0, 5.0, size=40)
+        losses = iter([1.0, 0.5, np.inf])
+        monkeypatch.setattr(learner, "total_loss", lambda *args: next(losses))
+        with pytest.raises(DataError, match="^the training loss of mse is not finite at round 2$"):
+            sc.fit_arrays(X, y, IDENTITY, sc.LossSpec.mse(), UNIT, _quick_config(base=base))
+
 
 class TestDeterminism:
     def test_refit_is_bit_identical(self, small_panel):
@@ -215,6 +237,19 @@ class TestPredictionContracts:
             bias_corrector=sc.BiasCorrector(),
         )
         np.testing.assert_array_equal(model.predict(np.zeros((3, 1))), 0.0)
+
+    def test_a_fitted_model_is_frozen(self, small_panel):
+        """A corrector cannot be set on a model in place: on an identity
+        transform it would scale the forecast and save a file that does not
+        load; ``dataclasses.replace`` checks the changed copy."""
+        model = sc.fit(small_panel, IDENTITY, sc.LossSpec.mse(), UNIT, _quick_config(rounds=2))
+        corrector = sc.BiasCorrector("smearing", (2.0,))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.bias_corrector = corrector
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.trees = ()
+        with pytest.raises(ConfigError, match="smearing corrector needs a log or sqrt"):
+            dataclasses.replace(model, bias_corrector=corrector)
 
     def test_log_target_prediction_is_inverse_of_score(self, small_panel):
         model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT,
@@ -257,6 +292,20 @@ class TestFitValidation:
             sc.fit_arrays(X, rng.lognormal(size=50), IDENTITY, sc.LossSpec.mse(), UNIT,
                           _quick_config())
 
+    def test_a_tree_beyond_the_features_fails_the_fit(self, rng, monkeypatch):
+        """The model is built from the finished fit, so its checks across
+        parts see every tree it holds."""
+        grow_tree = learner.grow_tree
+
+        def beyond(*args, **kwargs):
+            tree = grow_tree(*args, **kwargs)
+            return dataclasses.replace(tree, feature=np.where(tree.feature == -1, -1, 99))
+
+        monkeypatch.setattr(learner, "grow_tree", beyond)
+        with pytest.raises(ConfigError, match="^tree splits on a feature beyond the model's 2$"):
+            sc.fit_arrays(rng.normal(size=(50, 2)), rng.lognormal(size=50), IDENTITY,
+                          sc.LossSpec.mse(), UNIT, _quick_config(rounds=3))
+
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             sc.fit_arrays(np.zeros((0, 2)), np.zeros(0), IDENTITY,
@@ -289,7 +338,7 @@ class TestLinearBase:
                                l2_reg=1.0)
         model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT, cfg)
         assert np.all(np.diff(model.training_loss) <= 1e-12)
-        assert model.trees == []
+        assert model.trees == ()
         assert len(model.betas) == 15
 
 

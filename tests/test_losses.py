@@ -460,11 +460,9 @@ class TestConvexityProfile:
         specs = [sc.LossSpec.mse(), sc.LossSpec.tweedie(1.1),
                  sc.LossSpec.tweedie(1.5), sc.LossSpec.tweedie(1.9)]
         table = convexity_profile(specs, actual, grid)
-        d2 = {}
-        for spec in specs:
-            col = table.column(spec.label())
-            k = int(np.argmin(np.abs(grid - actual)))
-            d2[spec.label()] = col[k - 1] - 2.0 * col[k] + col[k + 1]
+        k = int(np.argmin(np.abs(grid - actual)))
+        d2 = {label: col[k - 1] - 2.0 * col[k] + col[k + 1]
+              for label, col in zip(table.labels, table.values)}
         assert d2["tweedie(p=1.1)"] > d2["tweedie(p=1.5)"] > d2["tweedie(p=1.9)"]
         assert d2["mse"] > d2["tweedie(p=1.1)"]
 

@@ -2,6 +2,8 @@
 presorted engine against the per-node-sort grower it replaced, routing,
 and structural determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -585,13 +587,32 @@ class TestSerialization:
             "unequal-lengths", "not-one-dimensional", "scalar", "empty", "leaf-with-child",
             "bad-leaf-marker", "nan-value", "inf-threshold", "non-numeric", "huge-feature",
             "infinite-feature"])
-    def test_corrupt_tree_rejected(self, change):
+    def test_corrupt_tree_rejected(self, change, request):
+        """Each case fails as JSON, and each but a non-finite float also when
+        the tree is built in code, before any ``predict`` could walk it (the
+        self-loop would never end).  In code a float array may hold any
+        float: a tree grown on a subnormal hessian holds an infinite leaf."""
         obj = {"feature": [0, -1, -1], "threshold": [1.5, 0.0, 0.0],
                "left": [1, -1, -1], "right": [2, -1, -1], "value": [0.0, 10.0, 20.0]}
+
+        def in_code(obj):
+            return Tree(**{name: np.asarray(value) if isinstance(value, list) else value
+                           for name, value in obj.items()})
+
         Tree.from_json(obj)  # the unchanged tree loads
+        in_code(obj)
         obj.update(change)
         with pytest.raises(ConfigError):
             Tree.from_json(obj)
+        if request.node.callspec.id not in ("nan-value", "inf-threshold"):
+            with pytest.raises(ConfigError):
+                in_code(obj)
+
+    def test_tree_is_frozen(self):
+        tree = Tree.from_json({"feature": [-1], "threshold": [0.0], "left": [-1],
+                               "right": [-1], "value": [1.0]})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tree.left = np.array([0])
 
     def test_missing_field_rejected(self):
         with pytest.raises(ConfigError):
