@@ -65,7 +65,7 @@ from .metrics import (
     version_metrics,
     write_metrics_csv,
 )
-from .panel import HORIZONS, ForecastVersion, SalesPanel, _cell, is_csv_name, read_panel
+from .panel import HORIZONS, ForecastVersion, SalesPanel, is_csv_name, read_panel, write_csv
 from .transform import TargetTransform
 
 LADDER_SCHEMES = (
@@ -573,9 +573,6 @@ def run_power_sweep(plan: BacktestPlan, panel: SalesPanel | None = None) -> Tren
 
 
 def write_trend_outputs(report: TrendReport, out_dir, csv_name: str) -> None:
-    """Emit <csv_name> (trend table), metrics.csv (per-version), report.json."""
+    """Emit <csv_name> (each trend row: axis, horizon, aggregate), metrics.csv, report.json."""
     write_backtest_outputs(report, out_dir)
-    lines = [",".join(report.table[0])]  # the axis, the horizon, then the aggregate's fields
-    for row in report.table:
-        lines.append(",".join(map(_cell, row.values())))
-    write_text(os.path.join(out_dir, csv_name), "\n".join(lines) + "\n")
+    write_csv(os.path.join(out_dir, csv_name), report.table[0], map(dict.values, report.table))

@@ -16,6 +16,7 @@ import typing
 from dataclasses import MISSING, fields
 from functools import cache
 from numbers import Integral, Real
+from operator import is_
 
 import numpy as np
 
@@ -108,29 +109,30 @@ class JsonRecord:
 
     A field's declared type is its rule (``_typed``): ``str`` is text,
     ``int`` an integer, ``float`` a finite number (an integer too; a
-    ``bool`` is neither), ``X | None`` None or an X, a tuple or list one
-    of its items each (exactly its length for a fixed tuple), a record an
+    ``bool`` is neither), ``X | None`` None or an X, ``tuple[...]`` a tuple
+    or list of its items (exactly its length for a fixed tuple), a record an
     instance, ``np.ndarray`` an array of numbers (finite ones in JSON),
     ``IntArray`` an array of integers, and ``dt.date`` an instance.
-    ``__post_init__`` checks every field by it, so a record built in code
-    passes the rule a JSON one does; a record's own ``__post_init__``
-    calls it first and then checks only values.  Every record is declared
-    ``frozen=True``: it is checked whole once, when it is constructed, and
-    ``dataclasses.replace`` is the one way to a changed record, checked
-    again.
+    ``__post_init__`` checks every field by it and stores a list as a
+    tuple and a writable array as a read-only copy, so a record built in
+    code passes the rule a JSON one does and holds nothing its caller can
+    change; a record's own ``__post_init__`` calls it first and then
+    checks only values.  Every record is declared ``frozen=True``: it is
+    checked whole once, when it is constructed, and ``dataclasses.replace``
+    is the one way to a changed record, checked again.
 
     ``to_json`` writes each field that is not None under its name: a record
-    as an object, a tuple or list as a list, a numpy array or scalar as its
+    as an object, a tuple as a list, a numpy array or scalar as its
     ``tolist()`` and a date as ISO text.  ``from_json`` reads it back: a key
     may be left out only if its field has a default, and a JSON list,
-    object or text becomes the tuple, list, array, record or date its
+    object or text becomes the tuple, array, record or date its
     field declares; nothing else is converted.  ``JSON_NAME`` names the
     record in errors.
     """
 
     def __post_init__(self):
         for name, kind, _ in _json_fields(type(self)):
-            _typed(getattr(self, name), kind, name)
+            object.__setattr__(self, name, _typed(getattr(self, name), kind, name))
 
     def to_json(self) -> dict:
         return {f.name: _json_value(value) for f in fields(self)
@@ -166,28 +168,27 @@ _EXPECTED = {str: "text", int: "an integer", float: "a finite number",
 
 
 def _typed(value, kind, name: str, read: bool = False):
-    """``value`` if it has field ``name``'s declared type ``kind``; else a
-    ``ConfigError`` naming the field.  With ``read``, ``value`` is JSON,
-    and a list, object or text becomes what ``kind`` declares; without
-    it ``value`` itself is returned."""
+    """``value`` as a record holds it (a tuple, an array read-only) if it has field
+    ``name``'s declared type ``kind``; else a ``ConfigError`` naming the field.  With
+    ``read``, ``value`` is JSON, and a list, object or text becomes what ``kind`` declares."""
     origin, args = _parts(kind)
-    if origin in (types.UnionType, typing.Union):  # X | None
+    if origin is types.UnionType:  # X | None
         return None if value is None else _typed(value, args[0], name, read)
-    if origin in (tuple, list):
+    if origin is tuple:
         if not isinstance(value, (tuple, list)):
             raise ConfigError(f"{name} must be a list, got {type(value).__name__}")
-        if origin is list or args[1:] == (...,):
+        if args[1:] == (...,):
             args = args[:1] * len(value)
         elif len(value) != len(args):
             raise ConfigError(f"{name} must be a list of {len(args)}, got {len(value)} items")
-        items = [_typed(v, a, name, read) for v, a in zip(value, args)]
-        return origin(items) if read else value
+        items = tuple(_typed(v, a, name, read) for v, a in zip(value, args))
+        return value if isinstance(value, tuple) and all(map(is_, items, value)) else items
     if read and kind not in _EXPECTED and isinstance(value, (dict, str)):
         return kind.from_json(value)  # an object, or the id of a standard arm
     if read and kind in (np.ndarray, IntArray) and isinstance(value, list):
         item, dtype = (float, np.float64) if kind is np.ndarray else (int, np.int64)
         try:
-            return np.asarray([_typed(v, item, name) for v in value], dtype=dtype)
+            value = np.asarray([_typed(v, item, name) for v in value], dtype=dtype)
         except OverflowError:  # an integer beyond 64 bits
             raise ConfigError(f"{name} must hold 64-bit integers") from None
     if read and kind is dt.date and isinstance(value, str):
@@ -199,6 +200,9 @@ def _typed(value, kind, name: str, read: bool = False):
     if not (check(value) if check else isinstance(value, kind)):
         raise ConfigError(f"{name} must be {_EXPECTED.get(kind, 'an object')}, "
                           f"got {type(value).__name__}")
+    if isinstance(value, np.ndarray) and value.flags.writeable:  # the record's own, read-only
+        value = value.copy()
+        value.setflags(write=False)
     return value
 
 
@@ -211,7 +215,7 @@ def _parts(kind) -> tuple:
 def _json_value(value):
     if isinstance(value, JsonRecord):
         return value.to_json()
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, tuple):
         return [_json_value(v) for v in value]
     if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()

@@ -62,7 +62,7 @@ from .losses import (
     total_loss,
     weights_for,
 )
-from .panel import _cell, _feature_name_problem
+from .panel import _feature_name_problem, write_csv
 from .transform import TargetTransform, forward
 from .trees import Tree, grow_tree, presort
 
@@ -133,6 +133,10 @@ class FitModel(JsonRecord):
             if beta.shape != (n_features + 1,):
                 raise ConfigError(f"betas must have {n_features + 1} entries (features and "
                                   f"intercept), got shape {beta.shape}")
+        for name, steps in (("tree threshold", [t.threshold for t in self.trees]),
+                            ("tree value", [t.value for t in self.trees]), ("betas", self.betas)):
+            if not np.isfinite(np.concatenate([[], *steps])).all():  # JSON holds no NaN or inf
+                raise ConfigError(f"{name} must hold finite numbers")
 
     def score(self, X) -> np.ndarray:
         """Raw additive score for each feature row."""
@@ -370,10 +374,7 @@ def in_sample_fit_report(model: FitModel, panel) -> dict:
 
 def write_pairs_csv(report: dict, path) -> None:
     """Write a fit report's (actual, predicted) pairs as a two-column CSV."""
-    lines = ["actual,predicted"]
-    for pair in report["pairs"]:
-        lines.append(",".join(map(_cell, pair)))
-    write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, ("actual", "predicted"), report["pairs"])
 
 
 def save_model(model: FitModel, path) -> None:

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, JsonRecord, LengthMismatch, write_text
-from .panel import _fmt
+from .errors import ConfigError, DomainError, JsonRecord, LengthMismatch
+from .panel import write_csv
 
 HESS_FLOOR = 1e-16
 WEIGHT_FLOOR = 1e-6
@@ -391,10 +391,7 @@ class ConvexityTable:
     values: np.ndarray  # shape (n_specs, n_grid)
 
     def write_csv(self, path) -> None:
-        lines = ["mu," + ",".join(self.labels)]
-        for j, m in enumerate(self.mu_grid):
-            lines.append(",".join([_fmt(m), *map(_fmt, self.values[:, j])]))
-        write_text(path, "\n".join(lines) + "\n")
+        write_csv(path, ["mu", *self.labels], zip(self.mu_grid, *self.values))
 
 
 def convexity_profile(specs: list[LossSpec], actual: float, mu_grid) -> ConvexityTable:

@@ -26,9 +26,8 @@ from .errors import (
     EmptyInput,
     LengthMismatch,
     NoValidItems,
-    write_text,
 )
-from .panel import ForecastVersion, SalesPanel, _cell
+from .panel import ForecastVersion, SalesPanel, write_csv
 
 
 @dataclass(frozen=True)
@@ -46,9 +45,10 @@ class VersionMetrics:
         return self.version.horizon_weeks
 
 
-# a metrics.csv row is its config id, its version's label and horizon, then these
-_SCORES = tuple(f.name for f in fields(VersionMetrics) if f.name != "version")
-METRICS_CSV_HEADER = ",".join(("config_id", "version", "horizon_weeks", *_SCORES))
+# a metrics.csv row is its config id, its version's label, then the rest as its metrics' fields
+_COLUMNS = ("config_id", "version", "horizon_weeks",
+            *(f.name for f in fields(VersionMetrics) if f.name != "version"))
+METRICS_CSV_HEADER = ",".join(_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -169,9 +169,5 @@ def row_order(row: tuple[str, VersionMetrics]) -> tuple[str, str, int]:
 
 def write_metrics_csv(rows: list[tuple[str, VersionMetrics]], path) -> None:
     """Write per-version metric rows in ``row_order``."""
-    ordered = sorted(rows, key=row_order)
-    lines = [METRICS_CSV_HEADER]
-    for config_id, vm in ordered:
-        lines.append(",".join([config_id, vm.version.label, str(vm.horizon_weeks),
-                               *(_cell(getattr(vm, name)) for name in _SCORES)]))
-    write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, _COLUMNS, ([arm_id, vm.version.label, *(getattr(vm, c) for c in _COLUMNS[2:])]
+                               for arm_id, vm in sorted(rows, key=row_order)))

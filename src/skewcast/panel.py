@@ -5,8 +5,9 @@ non-negative sales and a fixed-length feature vector, held as parallel
 columns ordered by (item, day).  ``item_codes`` index the ascending
 ``item_ids`` and days are ``date.toordinal()`` values.  CSV is the sole
 on-disk format: ``item_id,day,sales,<feature names...>`` with
-``YYYY-MM-DD`` dates, floats at 12 significant digits, and no quoting
-(so item ids and feature names must pass ``is_csv_name``).
+``YYYY-MM-DD`` dates and no quoting, written by ``write_csv`` like every
+table of the package (so item ids must pass ``is_csv_name``, and feature
+names must too and may not be ``item_id``, ``day`` or ``sales``).
 
 ``read_panel`` parses in blocks of lines, not row by row: it splits a
 block's cells at once, converts each number column with one
@@ -21,7 +22,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -37,20 +38,13 @@ from .errors import (
 )
 
 HORIZONS = (6, 12, 24)
+PANEL_COLUMNS = ("item_id", "day", "sales")  # the first columns; no feature takes their names
+_FLOATS = (float, np.floating)  # the cells write_csv writes at 12 significant digits
 
 # read_panel parses its rows in blocks that end at the first line break
 # after this many characters; a block's cells are about 7 times its text in
 # memory, and 1 << 20 added 8 MB to the peak RSS of a default-panel read
 _BLOCK_CHARS = 1 << 16
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def _cell(value) -> str:
-    """A CSV cell: a float through ``_fmt``, anything else through ``str``."""
-    return _fmt(value) if isinstance(value, float) else str(value)
 
 
 def is_csv_name(name) -> bool:
@@ -63,6 +57,8 @@ def _feature_name_problem(names: list[str]) -> str | None:
     for i, name in enumerate(names):
         if name == "" or name in names[:i]:
             return f"feature name {name!r} is {'repeated' if name else 'empty'}"
+        if name in PANEL_COLUMNS:
+            return f"feature name {name!r} is the name of a panel column"
         if not is_csv_name(name):
             return f"feature name {name!r} is not representable in CSV"
     return None
@@ -207,8 +203,8 @@ def read_panel(path) -> SalesPanel:
     if header_end < 0:
         header_end = end
     header = text[:header_end].split(",")
-    if header[:3] != ["item_id", "day", "sales"]:
-        raise MalformedRow(1, "header must start with item_id,day,sales "
+    if tuple(header[:3]) != PANEL_COLUMNS:
+        raise MalformedRow(1, f"header must start with {','.join(PANEL_COLUMNS)} "
                               f"(got {text[:header_end]!r})")
     problem = _feature_name_problem(header[3:])
     if problem:
@@ -289,11 +285,18 @@ def _check_rows(lines: list[str], line_no: int, ncol: int) -> None:
             raise NegativeSales(line_no, row[0])
 
 
+def write_csv(path, header, rows) -> None:
+    """Write ``header``, then each of ``rows`` (read once), as lines that end in ``\n``;
+    a float cell (Python or numpy) is written at 12 significant digits, any other by ``str``."""
+    lines = [",".join([f"{c:.12g}" if isinstance(c, _FLOATS) else str(c) for c in row])
+             for row in chain([header], rows)]
+    write_text(path, "\n".join(lines) + "\n")
+
+
 def write_panel(panel: SalesPanel, path) -> None:
     """Write a panel CSV with deterministic (item_id, day) row order."""
-    out = [",".join(["item_id", "day", "sales", *panel.feature_names])]
     iso = {d: dt.date.fromordinal(d).isoformat() for d in set(panel.day_ordinals.tolist())}
-    for code, day, sales, features in zip(panel.item_codes.tolist(), panel.day_ordinals.tolist(),
-                                          panel.sales.tolist(), panel.feature_matrix.tolist()):
-        out.append(",".join([panel.item_ids[code], iso[day], _fmt(sales), *map(_fmt, features)]))
-    write_text(path, "\n".join(out) + "\n")
+    rows = zip(panel.item_codes.tolist(), panel.day_ordinals.tolist(), panel.sales.tolist(),
+               panel.feature_matrix.tolist())
+    write_csv(path, [*PANEL_COLUMNS, *panel.feature_names],
+              ([panel.item_ids[code], iso[day], sales, *x] for code, day, sales, x in rows))

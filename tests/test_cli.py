@@ -332,7 +332,8 @@ class TestFit:
         ("item_id,day,sales,f,f", "feature name 'f' is repeated"),
         ("item_id,day,sales,f,", "feature name '' is empty"),
         ("item_id,day,sales,f,g\r", "feature name 'g\\r' is not representable in CSV"),
-    ], ids=["repeated", "trailing-comma", "crlf-header"])
+        ("item_id,day,sales,sales,day", "feature name 'sales' is the name of a panel column"),
+    ], ids=["repeated", "trailing-comma", "crlf-header", "panel-columns"])
     def test_bad_feature_name_is_data_error(self, workdir, header, message):
         bad = workdir / "bad_names_panel.csv"
         bad.write_text(f"{header}\nitem_a,2020-01-01,1.0,0.5,0.5\n"
@@ -573,6 +574,22 @@ class TestBacktest:
             assert "days of history" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (workdir / f"calendar_{case}_out").exists()
+
+    def test_feature_named_as_a_panel_column_is_data_error(self, workdir):
+        """Such a panel was read with features ``sales`` and ``day``, and
+        ``write_panel`` wrote it back with repeated column names."""
+        panel_path = workdir / "column_named_panel.csv"
+        panel_path.write_text("item_id,day,sales,sales,day\nitem_a,2020-01-01,1.0,0.5,0.5\n",
+                              encoding="utf-8")
+        plan_path = workdir / "column_named_plan.json"
+        plan_path.write_text(json.dumps(_plan(workdir, panel_path=str(panel_path))),
+                             encoding="utf-8")
+        proc = run_cli("backtest", "--plan", str(plan_path),
+                       "--out-dir", str(workdir / "column_named_out"))
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == ("data error: line 1: feature name 'sales' is the name of "
+                               "a panel column\n")
+        assert not (workdir / "column_named_out").exists()
 
 
 class TestTrendCommands:

@@ -17,10 +17,11 @@ import dataclasses
 import math
 import typing
 
+import numpy as np
 import pytest
 
 import skewcast as sc
-from skewcast.errors import ConfigError, DataError, JsonRecord
+from skewcast.errors import ConfigError, DataError, IntArray, JsonRecord
 from skewcast.trees import Tree
 
 HOSTILE = [None, True, False, "x", "1.5", [], {}, [[1]], 1, -1, 0, 10**400, 2**70,
@@ -165,6 +166,70 @@ def test_every_config_and_model_class_is_a_record():
 def test_every_record_is_frozen(cls):
     """A record is checked whole when it is built, so no field may change afterwards."""
     assert cls.__dataclass_params__.frozen
+
+
+def _as_given(value):
+    """``value`` as a caller may pass it in code: a tuple as a list, an array writable."""
+    if isinstance(value, tuple):
+        return [_as_given(v) for v in value]
+    return value.copy() if isinstance(value, np.ndarray) else value
+
+
+def _change(given) -> None:
+    """Change in place every list and array that ``_as_given`` made."""
+    if isinstance(given, list):
+        for item in given:
+            _change(item)
+        given.append(given[0] if given else 0)
+    elif isinstance(given, np.ndarray):
+        given += 1
+
+
+def _held_fixed(value) -> bool:
+    """Nothing in ``value`` can change in place: tuples and read-only arrays all the way down."""
+    if isinstance(value, tuple):
+        return all(map(_held_fixed, value))
+    if isinstance(value, np.ndarray):
+        return not value.flags.writeable
+    return not isinstance(value, (list, dict))
+
+
+@pytest.mark.parametrize("cls,name", [(cls, name) for cls in RECORDS
+                                      for name, kind in typing.get_type_hints(cls).items()
+                                      if typing.get_origin(kind) is tuple
+                                      or kind in (np.ndarray, IntArray)],
+                         ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_a_record_holds_no_value_its_caller_can_change(cls, name):
+    """A record stores a list given in code as a tuple and a writable array
+    as a read-only copy, so its caller cannot change it after its checks."""
+    record = cls.from_json(copy.deepcopy(VALID[cls]))
+    assert _held_fixed(getattr(record, name))
+    given = _as_given(getattr(record, name))
+    built = dataclasses.replace(record, **{name: given})
+    assert _held_fixed(getattr(built, name))
+    _change(given)
+    assert built.to_json() == record.to_json()
+
+
+def test_a_plan_keeps_the_horizons_it_was_given():
+    """A changed list once changed the plan, which its own JSON then refused."""
+    horizons = [6, 12]
+    plan = sc.BacktestPlan(horizons=horizons)
+    horizons.append(-3)
+    assert plan.horizons == (6, 12)
+    assert sc.BacktestPlan.from_json(plan.to_json()) == plan
+
+
+def test_a_read_only_array_is_held_as_it_is_and_a_writable_one_copied():
+    arrays = {name: np.array(value) for name, value in TREE_MODEL["trees"][0].items()}
+    arrays["value"].flags.writeable = False
+    tree = Tree(**arrays)
+    assert tree.value is arrays["value"]
+    assert tree.threshold is not arrays["threshold"]
+    arrays["threshold"][0] = 9.0
+    assert tree.threshold.tolist() == [0.5, 0.0, 0.0]
+    with pytest.raises(ValueError, match="read-only"):
+        tree.threshold[0] = 9.0
 
 
 def _wrong_value(kind):

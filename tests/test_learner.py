@@ -203,6 +203,21 @@ class TestTrainingLoss:
         with pytest.raises(DataError, match="^the training loss of mse is not finite at round 2$"):
             sc.fit_arrays(X, y, IDENTITY, sc.LossSpec.mse(), UNIT, _quick_config(base=base))
 
+    def test_an_infinite_leaf_ends_the_fit_in_the_loss_error(self, rng, monkeypatch):
+        """A tree may hold an infinite leaf (a subnormal hessian grows one),
+        and the fit names the loss it makes, before any model is built."""
+        grow_tree = learner.grow_tree
+
+        def infinite(*args, out):
+            tree = grow_tree(*args, out=out)
+            out[:] = np.inf
+            return dataclasses.replace(tree, value=np.full(tree.n_nodes, np.inf))
+
+        monkeypatch.setattr(learner, "grow_tree", infinite)
+        with pytest.raises(DataError, match="^the training loss of mse is not finite at round 1$"):
+            sc.fit_arrays(rng.normal(size=(40, 2)), rng.gamma(2.0, 5.0, size=40), IDENTITY,
+                          sc.LossSpec.mse(), UNIT, _quick_config(rounds=3))
+
 
 class TestDeterminism:
     def test_refit_is_bit_identical(self, small_panel):
@@ -250,6 +265,25 @@ class TestPredictionContracts:
             model.trees = ()
         with pytest.raises(ConfigError, match="smearing corrector needs a log or sqrt"):
             dataclasses.replace(model, bias_corrector=corrector)
+
+    @pytest.mark.parametrize("base,name,bad", [
+        ("tree", "threshold", np.nan), ("tree", "value", np.inf), ("tree", "value", -np.inf),
+        ("linear", "betas", np.nan), ("linear", "betas", np.inf),
+    ])
+    def test_a_step_that_is_not_finite_is_refused(self, small_panel, base, name, bad):
+        """A model built in code may hold only steps its saved file can hold:
+        JSON has no NaN or infinity, so ``load_model`` would refuse the file."""
+        model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT,
+                       _quick_config(base=base, rounds=2))
+        if base == "tree":
+            tree = model.trees[-1]
+            changed = np.where(np.arange(tree.n_nodes) == 0, bad, getattr(tree, name))
+            steps = {"trees": (*model.trees[:-1], dataclasses.replace(tree, **{name: changed}))}
+            name = f"tree {name}"  # a tree itself may hold an infinite leaf
+        else:
+            steps = {"betas": (model.betas[0], np.where(model.betas[1] == 0, 0, bad))}
+        with pytest.raises(ConfigError, match=f"^{name} must hold finite numbers$"):
+            dataclasses.replace(model, **steps)
 
     def test_log_target_prediction_is_inverse_of_score(self, small_panel):
         model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT,
@@ -690,6 +724,7 @@ class TestSerialization:
         ("linear", lambda obj: obj["feature_names"].__setitem__(0, "")),
         ("tree", lambda obj: obj["feature_names"].__setitem__(1, "log_popularity\r")),
         ("linear", lambda obj: obj["feature_names"].__setitem__(0, "a,b")),
+        ("tree", lambda obj: obj["feature_names"].__setitem__(0, "sales")),
         ("tree", lambda obj: obj["betas"].append([5.0] * (len(obj["feature_names"]) + 1))),
         ("linear", lambda obj: obj["trees"].append(_LEAF_TREE)),
         ("tree", lambda obj: obj["bias_corrector"].update(kind="smearing", factors=[1.1, 1.2])),
@@ -700,7 +735,7 @@ class TestSerialization:
             "betas-not-finite", "betas-not-numeric", "missing-transform", "missing-trees",
             "corrector-not-object", "loss-not-object", "feature-names-not-list",
             "feature-name-repeated", "feature-name-empty", "feature-name-carriage-return",
-            "feature-name-comma", "tree-with-betas", "linear-with-trees",
+            "feature-name-comma", "feature-name-panel-column", "tree-with-betas", "linear-with-trees",
             "corrector-second-factor", "none-corrector-factor", "identity-corrected"])
     def test_corrupt_model_rejected(self, small_panel, base, edit):
         model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT,

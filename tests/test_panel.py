@@ -192,6 +192,13 @@ class TestSalesPanel:
         with pytest.raises(DataError, match=message):
             sc.SalesPanel(["a"], [0], [D0.toordinal()], [1.0], [(1.0, 2.0)], names)
 
+    @pytest.mark.parametrize("name", panel_module.PANEL_COLUMNS)
+    def test_feature_may_not_take_a_panel_column_name(self, name):
+        """``write_panel`` would write the panel column's name twice in the header."""
+        message = f"^feature name '{name}' is the name of a panel column$"
+        with pytest.raises(DataError, match=message):
+            sc.SalesPanel(["a"], [0], [D0.toordinal()], [1.0], [(1.0, 2.0)], ["f", name])
+
     @pytest.mark.parametrize("name", ["a,b", "a\nb", "log_popularity\r", 7, None])
     def test_feature_name_must_be_a_csv_name(self, name):
         """A name that ``write_panel`` could not write as one header cell is
@@ -252,6 +259,46 @@ class TestCsvRoundTrip:
         sc.write_panel(_tiny_panel(), path)
         first = path.read_text(encoding="utf-8").split("\n", 1)[0]
         assert first == "item_id,day,sales,f_one,f_two"
+
+
+class TestWriteCsv:
+    """``write_csv`` is the one writer of every CSV table the package writes."""
+
+    def test_cells_rows_and_line_ends(self, tmp_path):
+        path = tmp_path / "table.csv"
+        rows = ([name, n, x, np.float64(x)] for name, n, x in
+                [("a", 3, 0.1), ("b", -7, 1 / 3), ("c", 0, 1e-300), ("d", 2**70, 123456789.0)])
+        panel_module.write_csv(path, ["name", "n", "x", "x64"], rows)
+        assert path.read_bytes() == (b"name,n,x,x64\n"
+                                     b"a,3,0.1,0.1\n"
+                                     b"b,-7,0.333333333333,0.333333333333\n"
+                                     b"c,0,1e-300,1e-300\n"
+                                     b"d,1180591620717411303424,123456789,123456789\n")
+
+    def test_numpy_float_cells_match_python_floats(self, tmp_path):
+        values = [0.1, 2 / 3, 1e22, -0.0, 5.0, 1.5e-7, 123456789012345.0]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        panel_module.write_csv(a, ["v"], ([v] for v in values))
+        panel_module.write_csv(b, ["v"], ([v] for v in np.array(values)))
+        assert a.read_bytes() == b.read_bytes() == (
+            b"v\n0.1\n0.666666666667\n1e+22\n-0\n5\n1.5e-07\n1.23456789012e+14\n")
+        panel_module.write_csv(a, ["v"], [[np.float32(0.1)]])  # any numpy float, not by str
+        assert a.read_bytes() == b"v\n0.10000000149\n"
+
+    def test_zero_rows_write_the_header_only(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        panel_module.write_csv(path, ("actual", "predicted"), iter(()))
+        assert path.read_bytes() == b"actual,predicted\n"
+
+    def test_repeated_header_names_are_kept(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        panel_module.write_csv(path, ["mu", "mse", "mse"], [(1.0, 2.0, 2.0)])
+        assert path.read_bytes() == b"mu,mse,mse\n1,2,2\n"
+
+    def test_unwritable_path_is_io_failure_naming_it(self, tmp_path):
+        path = tmp_path / "no_such_dir" / "table.csv"
+        with pytest.raises(IoFailure, match=re.escape(f"cannot write {path}")):
+            panel_module.write_csv(path, ["a"], [(1,)])
 
 
 class TestCsvErrors:
@@ -328,7 +375,10 @@ class TestCsvErrors:
         ("item_id,day,sales,f,g,f", "feature name 'f' is repeated"),
         ("item_id,day,sales,f,", "feature name '' is empty"),
         ("item_id,day,sales,,f", "feature name '' is empty"),
-    ], ids=["repeated", "repeated-apart", "trailing-comma", "empty-first"])
+        ("item_id,day,sales,sales,day", "feature name 'sales' is the name of a panel column"),
+        ("item_id,day,sales,f,item_id", "feature name 'item_id' is the name of a panel column"),
+    ], ids=["repeated", "repeated-apart", "trailing-comma", "empty-first", "panel-columns",
+            "item-id"])
     def test_bad_feature_name_is_named_on_line_one(self, tmp_path, header, message):
         ncol = header.count(",") + 1
         path = self._write(tmp_path, f"{header}\na,2021-03-01{',1.0' * (ncol - 2)}\n")

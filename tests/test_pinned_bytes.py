@@ -1,7 +1,8 @@
 """Output bytes that a refactor must keep, pinned by their SHA-256.
 
 ``bench/reference.json`` pins the two benchmark grids.  This pins the
-rest of what the command line writes from a fitted model: the saved
+panel CSV that ``write_panel`` writes for a small generator config, and
+the rest of what the command line writes from a fitted model: the saved
 model, the summary line and the pairs CSV of ``skewcast fit`` for the
 log-target arm and its three corrected variants, with a tree and a
 linear learner, and the ``backtest``, ``ladder`` and ``sweep`` outputs
@@ -32,6 +33,8 @@ pytestmark = pytest.mark.skipif(np.__version__ != REFERENCE_NUMPY,
                                 reason=f"hashes were taken under numpy {REFERENCE_NUMPY}")
 
 GEN = sc.GenConfig(n_items=12, n_days=220, seed=977)
+
+PANEL_PIN = "3d5f1593c59215cd20ba87ae2857b20862b7b32eb2da261eb485f51a50d7eb61"
 
 LEARNERS = {
     "tree": {"rounds": 8, "max_depth": 3},
@@ -119,6 +122,10 @@ def workdir(tmp_path_factory):
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def test_panel_csv_keeps_its_bytes(workdir):
+    assert _sha((workdir / "panel.csv").read_bytes()) == PANEL_PIN
 
 
 @pytest.mark.parametrize("learner", sorted(LEARNERS))
