@@ -45,9 +45,6 @@ from .datagen import load_gen_config, theoretical_tweedie_power
 from .errors import (
     ConfigError,
     DataError,
-    EmptyInput,
-    InsufficientHistory,
-    IoFailure,
     JsonRecord,
     at_least,
     read_json,
@@ -181,13 +178,13 @@ def version_origins(panel: SalesPanel, plan: BacktestPlan) -> list[dt.date]:
     """Weekly origins anchored so the longest horizon ends at the panel end; the
     history they need is checked on day ordinals, before any date is built."""
     if len(panel) == 0:
-        raise EmptyInput("panel has no rows")
+        raise DataError("panel has no rows")
     first_day, last_day = panel.date_range
     last_origin = last_day.toordinal() - ForecastVersion.window_length(max(plan.horizons)).days
     first_origin = last_origin - 7 * (plan.n_versions - 1)
     if first_origin - plan.train_window_days < first_day.toordinal():
         needed = last_day.toordinal() - first_origin + plan.train_window_days + 1
-        raise InsufficientHistory(
+        raise DataError(
             f"panel starts {first_day}, but the plan (n_versions {plan.n_versions}, "
             f"a {max(plan.horizons)}-week horizon, a {plan.train_window_days}-day "
             f"window) needs {needed} days of history up to {last_day}"
@@ -253,9 +250,9 @@ def _preflight(groups: list[list[ExperimentArm]], windows) -> None:
         for origin, train, test in windows:
             try:
                 if len(train) == 0:
-                    raise EmptyInput("empty training window")
+                    raise DataError("empty training window")
                 if len(test) == 0:
-                    raise EmptyInput("empty test window")
+                    raise DataError("empty test window")
                 fit_targets(lead.transform, lead.loss, train.sales)
             except (ConfigError, DataError) as exc:
                 problems.append((_arms_at(group, origin), exc))
@@ -452,7 +449,7 @@ def make_out_dir(out_dir) -> None:
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
-        raise IoFailure(f"cannot create output directory {out_dir}: {exc}") from exc
+        raise DataError(f"cannot create output directory {out_dir}: {exc}") from exc
 
 
 def write_backtest_outputs(report: BacktestReport | TrendReport, out_dir) -> None:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InsufficientData, JsonRecord, LengthMismatch
+from .errors import ConfigError, DataError, JsonRecord
 from .transform import TargetTransform, forward, inverse
 
 KINDS = ("none", "variance_based", "smearing", "prediction_binned")
@@ -95,21 +95,21 @@ def check_corrector(kind: str, transform: TargetTransform) -> None:
 
 def fit_corrector(kind: str, y_raw, pred_transformed, transform: TargetTransform) -> BiasCorrector:
     """Fit a corrector of ``kind`` (see the module docstring) from actuals
-    and transformed predictions; a non-finite one is a ``DomainError``."""
+    and transformed predictions; a non-finite one is a ``DataError``."""
     check_corrector(kind, transform)
     y_raw = np.asarray(y_raw, dtype=np.float64)
     pred_transformed = np.asarray(pred_transformed, dtype=np.float64)
     if y_raw.shape != pred_transformed.shape:
-        raise LengthMismatch("actuals and predictions differ in shape")
+        raise DataError("actuals and predictions differ in shape")
     for values, what in ((y_raw, "actuals"), (pred_transformed, "transformed predictions")):
         if not np.isfinite(values).all():
-            raise DomainError(f"a {kind} corrector needs finite {what}")
+            raise DataError(f"a {kind} corrector needs finite {what}")
     if kind == "none":
         return BiasCorrector()
     needed = 2 if kind == "variance_based" else 1
     if y_raw.size < needed:
-        raise InsufficientData(f"a {kind} corrector needs at least {needed} rows, "
-                               f"got {y_raw.size}")
+        raise DataError(f"a {kind} corrector needs at least {needed} rows, "
+                        f"got {y_raw.size}")
     residuals = forward(transform, y_raw) - pred_transformed
     if kind == "variance_based":
         return BiasCorrector(kind, (float(np.exp(0.5 * np.var(residuals))),))

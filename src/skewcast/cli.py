@@ -22,7 +22,7 @@ import numpy as np
 
 from . import backtest as bt
 from .datagen import generate, load_gen_config
-from .errors import ConfigError, DataError, IoFailure, read_json, real
+from .errors import ConfigError, DataError, read_json, real
 from .learner import (
     LearnerConfig,
     in_sample_fit_report,
@@ -57,14 +57,14 @@ def _load_learner(path: str | None) -> LearnerConfig:
 
 
 def _check_out_path(path) -> None:
-    """``IoFailure`` unless ``path`` can name a file in an existing directory."""
+    """``DataError`` unless ``path`` can name a file in an existing directory."""
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path) or not os.path.isdir(parent):
-        raise IoFailure(f"cannot write {path}: not a file in an existing directory")
+        raise DataError(f"cannot write {path}: not a file in an existing directory")
 
 
 def _check_out_dir(path) -> None:
-    """``IoFailure`` unless ``path`` is, or could be made, a directory.
+    """``DataError`` unless ``path`` is, or could be made, a directory.
 
     Nothing is created: the nearest existing ancestor of ``path`` (or
     ``path`` itself) must be a directory this process may write in.
@@ -73,7 +73,7 @@ def _check_out_dir(path) -> None:
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)
     if not os.path.isdir(existing) or not os.access(existing, os.W_OK | os.X_OK):
-        raise IoFailure(f"cannot create output directory {path}: "
+        raise DataError(f"cannot create output directory {path}: "
                         f"{existing} is not a writable directory")
 
 

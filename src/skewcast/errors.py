@@ -1,10 +1,13 @@
-"""Exception hierarchy shared across the package, and the one type rule,
-JSON reader and JSON writer of its configs, trees and saved models
-(``JsonRecord``): a field's declared type, checked as a frozen record is built.
+"""The package's two error families, and the one type rule, JSON reader and
+JSON writer of its configs, trees and saved models (``JsonRecord``): a
+field's declared type, checked as a frozen record is built.
 
-Two broad families matter to callers (and to the CLI exit codes):
-configuration problems (bad knobs, incompatible choices) and data
-problems (malformed files, values outside a valid domain).
+Every failure the package reports is a ``ConfigError`` (a bad or
+incompatible setting, plan, arm or saved model; CLI exit 2) or a
+``DataError`` (a panel, array or file the run cannot use, a failed read or
+write, a value outside a loss's or transform's domain; CLI exit 3), both
+under ``SkewcastError``. Callers tell failures apart by family; the message
+names the cause: the file, line, field, arm or origin.
 """
 
 import datetime as dt
@@ -33,36 +36,13 @@ class DataError(SkewcastError):
     """Input data violates a contract."""
 
 
-class MalformedRow(DataError):
-    def __init__(self, line_no: int, detail: str):
-        super().__init__(f"line {line_no}: {detail}")
-        self.line_no = line_no
-
-
-class NegativeSales(DataError):
-    def __init__(self, line_no: int, value: float):
-        super().__init__(f"line {line_no}: negative sales {value}")
-        self.line_no = line_no
-
-
-class DuplicateKey(DataError):
-    def __init__(self, item_id: str, day):
-        super().__init__(f"duplicate (item, day) pair: ({item_id!r}, {day})")
-        self.item_id = item_id
-        self.day = day
-
-
-class IoFailure(DataError):
-    """Filesystem write failed."""
-
-
 def write_text(path, text: str) -> None:
-    """Write a whole text file as UTF-8; an ``OSError`` becomes ``IoFailure``."""
+    """Write a whole text file as UTF-8; an ``OSError`` becomes a ``DataError``."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 def read_json(path, what: str):
@@ -256,39 +236,3 @@ def real(value, name: str) -> float:
     if not is_real(value):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
-
-
-class DomainError(DataError):
-    """Value outside the valid domain of a transform or loss."""
-
-
-class EmptyInput(DataError):
-    pass
-
-
-class LengthMismatch(DataError):
-    pass
-
-
-class ShapeMismatch(DataError):
-    pass
-
-
-class InsufficientData(DataError):
-    pass
-
-
-class InsufficientHistory(DataError):
-    pass
-
-
-class DegenerateData(DataError):
-    pass
-
-
-class NoValidItems(DataError):
-    pass
-
-
-class DegenerateBaseline(DataError):
-    pass

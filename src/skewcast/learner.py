@@ -41,11 +41,7 @@ from .biascorr import BiasCorrector, check_corrector
 from .errors import (
     ConfigError,
     DataError,
-    DegenerateData,
-    DomainError,
-    EmptyInput,
     JsonRecord,
-    ShapeMismatch,
     at_least,
     json_object,
     read_json,
@@ -121,9 +117,15 @@ class FitModel(JsonRecord):
         problem = _feature_name_problem(self.feature_names)
         if problem:
             raise ConfigError(f"feature_names: {problem}")
-        foreign = "betas" if self.learner.base == "tree" else "trees"
+        own, foreign = ("trees", "betas") if self.learner.base == "tree" else ("betas", "trees")
         if getattr(self, foreign):
             raise ConfigError(f"a {self.learner.base} model holds no {foreign}")
+        rounds, steps = self.learner.rounds, len(getattr(self, own))
+        if steps != rounds:
+            raise ConfigError(f"{own} must number learner.rounds ({rounds}), got {steps}")
+        if len(self.training_loss) != rounds + 1:
+            raise ConfigError(f"training_loss must hold learner.rounds + 1 ({rounds + 1}) "
+                              f"values, got {len(self.training_loss)}")
         check_corrector(self.bias_corrector.kind, self.transform)
         n_features = len(self.feature_names)
         for tree in self.trees:
@@ -173,7 +175,7 @@ class FitModel(JsonRecord):
 def _check_matrix(X, n_features: int) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != n_features:
-        raise ShapeMismatch(
+        raise DataError(
             f"feature matrix must be (n, {n_features}), got {X.shape}"
         )
     if not np.isfinite(X).all():
@@ -224,15 +226,15 @@ def fit_arrays(
     """
     y = np.asarray(y, dtype=np.float64)
     if y.size == 0:
-        raise EmptyInput("cannot fit on an empty panel")
+        raise DataError("cannot fit on an empty panel")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
-        raise ShapeMismatch(f"feature matrix must be 2-D, got shape {X.shape}")
+        raise DataError(f"feature matrix must be 2-D, got shape {X.shape}")
     if feature_names is None:
         feature_names = [f"f{j}" for j in range(X.shape[1])]
     X = _check_matrix(X, len(feature_names))
     if len(X) != len(y):
-        raise ShapeMismatch(f"{len(X)} feature rows vs {len(y)} targets")
+        raise DataError(f"{len(X)} feature rows vs {len(y)} targets")
 
     z = fit_targets(transform, loss, y)
     w = weights_for(weight_scheme, y)
@@ -241,8 +243,8 @@ def fit_arrays(
     with np.errstate(over="ignore", invalid="ignore"):  # a loss that is not finite is named below
         try:
             base = constant_score(loss, z, w)
-        except DomainError as exc:
-            raise DegenerateData(f"cannot initialize fit: {exc}") from None
+        except DataError as exc:
+            raise DataError(f"cannot initialize fit: {exc}") from None
         objective = Objective(loss, z, w)
         scores = np.full(len(y), base, dtype=np.float64)
         Xa = _augment(X) if config.base == "linear" else None
@@ -297,7 +299,7 @@ def fit_targets(transform: TargetTransform, loss: LossSpec, y: np.ndarray) -> np
         )
     z = forward(transform, y)
     if np.all(z == z[0]):
-        raise DegenerateData("all target values are identical; nothing to fit")
+        raise DataError("all target values are identical; nothing to fit")
     check_targets(loss, z)
     return z
 
@@ -339,7 +341,7 @@ def _solve_step(A: np.ndarray, Xa: np.ndarray, g: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
-        raise DegenerateData(
+        raise DataError(
             "singular normal equations in linear step; increase l2_reg"
         ) from None
 
@@ -353,7 +355,7 @@ def in_sample_fit_report(model: FitModel, panel) -> dict:
     X = panel.feature_matrix
     y = panel.sales
     if y.size == 0:
-        raise EmptyInput("cannot report on an empty panel")
+        raise DataError("cannot report on an empty panel")
     z = forward(model.transform, y)
     zhat = model.predict_transformed(X)
     yhat = model.bias_corrector.correct(model.transform, zhat)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, JsonRecord, LengthMismatch
+from .errors import ConfigError, DataError, JsonRecord
 from .panel import write_csv
 
 HESS_FLOOR = 1e-16
@@ -146,7 +146,7 @@ def weights_for(scheme: WeightScheme, ys) -> np.ndarray:
     """Evaluate a weight scheme on raw sales; strictly positive output."""
     y = np.asarray(ys, dtype=np.float64)
     if np.any(y < 0):
-        raise DomainError("sales weights need non-negative sales")
+        raise DataError("sales weights need non-negative sales")
     if scheme.kind == "unit":
         return np.ones_like(y)
     if scheme.kind == "log_sales":
@@ -157,30 +157,30 @@ def weights_for(scheme: WeightScheme, ys) -> np.ndarray:
 
 
 def check_targets(spec: LossSpec, y) -> None:
-    """``DomainError`` unless every target lies in the loss's domain.
+    """``DataError`` unless every target lies in the loss's domain.
 
     A fit's targets never change, so a fit checks them once, before its
     first round, and the grid checks every training window this way
     before its first fit.
     """
     if np.any(y < 0):
-        raise DomainError("targets must be non-negative")
+        raise DataError("targets must be non-negative")
     if spec.kind == "gamma" and np.any(y <= 0):
-        raise DomainError("gamma deviance needs y > 0")
+        raise DataError("gamma deviance needs y > 0")
 
 
 def _check_mean(spec: LossSpec, mu) -> None:
     if spec.log_link and np.any(mu <= 0):
-        raise DomainError(f"{spec.kind} deviance needs mu > 0")
+        raise DataError(f"{spec.kind} deviance needs mu > 0")
 
 
 def _check_weights(w: np.ndarray, y: np.ndarray, mu: np.ndarray) -> None:
     if not (w.shape == y.shape == mu.shape):
-        raise LengthMismatch(
+        raise DataError(
             f"weights/ys/mus lengths differ: {w.shape} vs {y.shape} vs {mu.shape}"
         )
     if np.any(w <= 0):
-        raise DomainError("weights must be strictly positive")
+        raise DataError("weights must be strictly positive")
 
 
 def _ylog_ratio(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -323,7 +323,7 @@ def grad_hess(spec: LossSpec, y, score, terms: LossTerms | None = None):
     """
     score = np.asarray(score, dtype=np.float64)
     if not np.all(np.isfinite(score)):
-        raise DomainError("scores must be finite")
+        raise DataError("scores must be finite")
     if terms is None:
         y = np.asarray(y, dtype=np.float64)
         mu = np.asarray(mean_from_score(spec, score))
@@ -376,7 +376,7 @@ def constant_score(spec: LossSpec, targets, weights) -> float:
     mean = float(np.average(t, weights=w))
     if spec.log_link:
         if mean <= 0:
-            raise DomainError("log link needs a positive weighted mean target")
+            raise DataError("log link needs a positive weighted mean target")
         return float(np.log(mean))
     return mean
 

@@ -20,13 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    DegenerateBaseline,
-    DomainError,
-    EmptyInput,
-    LengthMismatch,
-    NoValidItems,
-)
+from .errors import DataError
 from .panel import ForecastVersion, SalesPanel, write_csv
 
 
@@ -84,11 +78,11 @@ def version_metrics(forecasts, panel: SalesPanel, version: ForecastVersion) -> V
     """
     forecasts = np.asarray(forecasts, dtype=np.float64)
     if forecasts.shape != panel.sales.shape:
-        raise LengthMismatch(f"{forecasts.shape} forecasts for {len(panel)} panel rows")
+        raise DataError(f"{forecasts.shape} forecasts for {len(panel)} panel rows")
     if not np.isfinite(forecasts).all():
-        raise DomainError("a forecast is not finite")
+        raise DataError("a forecast is not finite")
     if not len(panel):
-        raise NoValidItems("no items to score")
+        raise DataError("no items to score")
     days = panel.day_ordinals
     inside = (days >= version.window_start.toordinal()) & (days <= version.window_end.toordinal())
     codes, n_items = panel.item_codes[inside], len(panel.item_ids)
@@ -108,7 +102,7 @@ def version_metrics(forecasts, panel: SalesPanel, version: ForecastVersion) -> V
         signed_sum += a_i * pe
         total_actual += a_i
     if total_actual <= 0.0:
-        raise NoValidItems("every item has zero actuals over the horizon")
+        raise DataError("every item has zero actuals over the horizon")
     return VersionMetrics(
         version=version,
         wmape=abs_sum / total_actual,
@@ -131,7 +125,7 @@ def aggregate_versions(per_version: list[VersionMetrics]) -> dict[int, Aggregate
     """Sales-weighted average of wmape and wbias, one summary per horizon;
     each sum runs over the versions in the order given."""
     if not per_version:
-        raise EmptyInput("no version metrics to aggregate")
+        raise DataError("no version metrics to aggregate")
     out: dict[int, AggregateMetrics] = {}
     for h in sorted({vm.horizon_weeks for vm in per_version}):
         group = [vm for vm in per_version if vm.horizon_weeks == h]
@@ -151,9 +145,9 @@ def relativize(target: AggregateMetrics, baseline: AggregateMetrics,
                baseline_id: str) -> RelativeMetrics:
     """Target metrics over baseline metrics; wbias keeps the target's sign."""
     if baseline.wmape <= 0.0:
-        raise DegenerateBaseline("baseline wmape is zero; ratios are undefined")
+        raise DataError("baseline wmape is zero; ratios are undefined")
     if baseline.wbias == 0.0:
-        raise DegenerateBaseline("baseline wbias is zero; ratios are undefined")
+        raise DataError("baseline wbias is zero; ratios are undefined")
     return RelativeMetrics(
         wmape_rel=target.wmape / baseline.wmape,
         wbias_rel=target.wbias / abs(baseline.wbias),

@@ -29,10 +29,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     DataError,
-    DuplicateKey,
-    IoFailure,
-    MalformedRow,
-    NegativeSales,
     parse_day,
     write_text,
 )
@@ -74,9 +70,9 @@ class SalesPanel:
     checks that the columns agree in length, item ids are distinct and
     CSV names, feature names are distinct CSV names, (item,
     day) pairs are unique, sales and features are finite, sales are
-    non-negative, and every day lies inside ``date_range``.  Instances
-    are treated as immutable after construction and are safe to share
-    across threads.
+    non-negative, and every day lies inside ``date_range``.  The four
+    column arrays are read-only after construction, so instances are safe
+    to share across threads.
     """
 
     item_ids: list[str]
@@ -122,7 +118,7 @@ class SalesPanel:
 
         repeated = (codes[1:] == codes[:-1]) & (days[1:] == days[:-1])
         if repeated.any():
-            raise DuplicateKey(*first_key(repeated))
+            raise DataError("duplicate (item, day) pair: (%r, %s)" % first_key(repeated))
         bad = ~np.isfinite(sales) | ~np.isfinite(X).all(axis=1)
         if bad.any():
             raise DataError("non-finite value for (%s, %s)" % first_key(bad))
@@ -135,6 +131,8 @@ class SalesPanel:
         outside = (days < first.toordinal()) | (days > last.toordinal())
         if outside.any():
             raise DataError("(%s, %s) lies outside %s..%s" % (*first_key(outside), first, last))
+        for column in (codes, days, sales, X):  # fresh arrays from the row sort
+            column.setflags(write=False)
         self.item_codes, self.day_ordinals, self.sales, self.feature_matrix = codes, days, sales, X
         self.feature_names = list(self.feature_names)
 
@@ -182,33 +180,34 @@ class ForecastVersion:
 def read_panel(path) -> SalesPanel:
     """Parse and validate a panel CSV, a block of lines at a time.
 
-    Raises MalformedRow / NegativeSales with 1-based line numbers (a
-    byte that is not UTF-8 included, wherever it is, before any row
-    error), and DuplicateKey for repeated (item, day) pairs.
+    Every failure is a ``DataError``: a malformed row's message starts
+    with its 1-based ``line N:`` (a byte that is not UTF-8 included,
+    wherever it is, before any row error), and a repeated (item, day)
+    pair's names the pair.
     """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+        raise DataError(f"cannot read {path}: {exc}") from exc
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise MalformedRow(raw.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+        raise DataError("line %d: not UTF-8 text" % (raw.count(b"\n", 0, exc.start) + 1)) from None
     del raw
     if not text:
-        raise MalformedRow(1, "empty file, expected a header row")
+        raise DataError("line 1: empty file, expected a header row")
     end = len(text) - text.endswith("\n")  # a final line break ends the last row
     header_end = text.find("\n", 0, end)
     if header_end < 0:
         header_end = end
     header = text[:header_end].split(",")
     if tuple(header[:3]) != PANEL_COLUMNS:
-        raise MalformedRow(1, f"header must start with {','.join(PANEL_COLUMNS)} "
-                              f"(got {text[:header_end]!r})")
+        raise DataError(f"line 1: header must start with {','.join(PANEL_COLUMNS)} "
+                        f"(got {text[:header_end]!r})")
     problem = _feature_name_problem(header[3:])
     if problem:
-        raise MalformedRow(1, problem)
+        raise DataError(f"line 1: {problem}")
     ncol = len(header)
     n = text.count("\n", 0, end)
     item_codes = np.empty(n, dtype=np.int64)
@@ -268,21 +267,21 @@ def _check_rows(lines: list[str], line_no: int, ncol: int) -> None:
     for line_no, line in enumerate(lines, start=line_no):
         parts = line.split(",")
         if len(parts) != ncol:
-            raise MalformedRow(line_no, f"expected {ncol} columns, got {len(parts)}")
+            raise DataError(f"line {line_no}: expected {ncol} columns, got {len(parts)}")
         if not parts[0]:
-            raise MalformedRow(line_no, "empty item_id")
+            raise DataError(f"line {line_no}: empty item_id")
         try:
             parse_day(parts[1])
         except ValueError:
-            raise MalformedRow(line_no, f"bad date {parts[1]!r}") from None
+            raise DataError(f"line {line_no}: bad date {parts[1]!r}") from None
         try:
             row = [float(p) for p in parts[2:]]
         except ValueError as exc:
-            raise MalformedRow(line_no, str(exc)) from None
+            raise DataError(f"line {line_no}: {exc}") from None
         if not all(math.isfinite(v) for v in row):
-            raise MalformedRow(line_no, "non-finite value")
+            raise DataError(f"line {line_no}: non-finite value")
         if row[0] < 0:
-            raise NegativeSales(line_no, row[0])
+            raise DataError(f"line {line_no}: negative sales {row[0]}")
 
 
 def write_csv(path, header, rows) -> None:

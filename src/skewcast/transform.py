@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, EmptyInput, JsonRecord
+from .errors import ConfigError, DataError, JsonRecord
 
 _KINDS = ("identity", "log", "sqrt")
 
@@ -53,7 +53,7 @@ def forward(t: TargetTransform, y):
     """Apply the transform to non-negative targets (scalar or array)."""
     y = np.asarray(y, dtype=np.float64)
     if np.any(y < 0):
-        raise DomainError("targets must be non-negative")
+        raise DataError("targets must be non-negative")
     if t.kind == "identity":
         out = y.copy()
     elif t.kind == "log":
@@ -84,7 +84,7 @@ def jensen_gap(t: TargetTransform, ys) -> JensenGapReport:
     """
     ys = np.asarray(ys, dtype=np.float64)
     if ys.size == 0:
-        raise EmptyInput("jensen_gap needs a non-empty sample")
+        raise DataError("jensen_gap needs a non-empty sample")
     mean_raw = float(np.mean(ys))
     backmapped = float(inverse(t, float(np.mean(forward(t, ys)))))
     gap = mean_raw - backmapped

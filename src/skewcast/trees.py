@@ -75,7 +75,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, IntArray, JsonRecord, ShapeMismatch
+from .errors import ConfigError, DataError, IntArray, JsonRecord
 
 _LEAF = -1
 
@@ -123,7 +123,7 @@ class Tree(JsonRecord):
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or self.feature.max() >= X.shape[1]:
-            raise ShapeMismatch(
+            raise DataError(
                 f"tree splits on feature {self.feature.max()}, X has shape {X.shape}"
             )
         leaf = self.feature == _LEAF

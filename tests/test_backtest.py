@@ -4,6 +4,7 @@ import dataclasses
 import datetime as dt
 import json
 import math
+import re
 import threading
 
 import numpy as np
@@ -22,15 +23,7 @@ from skewcast.backtest import (
     write_trend_outputs,
 )
 from skewcast import backtest
-from skewcast.errors import (
-    ConfigError,
-    DataError,
-    DegenerateData,
-    DomainError,
-    EmptyInput,
-    InsufficientHistory,
-    IoFailure,
-)
+from skewcast.errors import ConfigError, DataError
 from skewcast.metrics import METRICS_CSV_HEADER
 
 FAST_LEARNER = sc.LearnerConfig(rounds=12, max_depth=3)
@@ -97,7 +90,9 @@ class TestScheduling:
     def test_short_panel_rejected(self):
         panel = _flat_panel(n_days=120)
         plan = sc.BacktestPlan(train_window_days=100, n_versions=2, horizons=(6,))
-        with pytest.raises(InsufficientHistory):
+        with pytest.raises(DataError, match=r"^panel starts 2020-01-06, but the plan \(n_versions 2, "
+                                            r"a 6-week horizon, a 100-day window\) needs 150 "
+                                            "days of history up to 2020-05-04$"):
             version_origins(panel, plan)
 
     def test_just_long_enough_panel_is_accepted(self):
@@ -107,12 +102,12 @@ class TestScheduling:
         start = dt.date(2020, 1, 6)
         origins = version_origins(_flat_panel(n_days=150, start=start), plan)
         assert origins[0] == start + dt.timedelta(days=100)
-        with pytest.raises(InsufficientHistory, match="needs 150 days of history"):
+        with pytest.raises(DataError, match="needs 150 days of history"):
             version_origins(_flat_panel(n_days=149, start=start), plan)
 
     def test_empty_panel_is_empty_input(self):
         panel = sc.SalesPanel([], [], [], [], np.empty((0, 1)), ["f"])
-        with pytest.raises(EmptyInput, match="panel has no rows"):
+        with pytest.raises(DataError, match="panel has no rows"):
             version_origins(panel, sc.BacktestPlan(train_window_days=100, n_versions=2,
                                                    horizons=(6,)))
 
@@ -126,7 +121,7 @@ class TestScheduling:
     def test_history_outside_the_calendar_is_insufficient(self, start, plan):
         # each of these once reached past date.min and overflowed
         panel = _flat_panel(n_days=160, start=start)
-        with pytest.raises(InsufficientHistory, match=f"panel starts {start}, .* needs "):
+        with pytest.raises(DataError, match=f"panel starts {start}, .* needs "):
             version_origins(panel, plan)
 
     def test_training_slice_never_touches_origin(self):
@@ -365,10 +360,12 @@ class TestGridRuns:
     def test_unwritable_outputs_are_io_failures(self, oracle_report, tmp_path):
         afile = tmp_path / "afile"
         afile.write_text("", encoding="utf-8")
-        with pytest.raises(IoFailure):
+        with pytest.raises(DataError, match="^cannot create output directory "
+                                            f"{re.escape(str(afile / 'sub'))}: "):
             write_backtest_outputs(oracle_report, afile / "sub")
-        (tmp_path / "out" / "report.json").mkdir(parents=True)
-        with pytest.raises(IoFailure):
+        report_json = tmp_path / "out" / "report.json"
+        report_json.mkdir(parents=True)
+        with pytest.raises(DataError, match=f"^cannot write {re.escape(str(report_json))}: "):
             write_backtest_outputs(oracle_report, tmp_path / "out")
 
     def test_baseline_must_be_in_plan(self):
@@ -514,7 +511,8 @@ class TestGridErrors:
         assert not isinstance(info.value, ConfigError)
         assert "arm GAMMA at origin " in str(info.value)
         assert first_origin.isoformat() in str(info.value)
-        assert isinstance(info.value.__cause__, DomainError)
+        assert isinstance(info.value.__cause__, DataError)
+        assert str(info.value.__cause__) == "gamma deviance needs y > 0"
 
     def test_config_error_names_every_arm_of_the_group(self, small_panel):
         log = sc.TargetTransform(kind="log")
@@ -546,7 +544,8 @@ class TestPreflight:
             sc.run_backtest(plan, panel=small_panel)
         assert counter.calls == 0
         assert not isinstance(info.value, ConfigError)
-        assert isinstance(info.value.__cause__, DomainError)
+        assert isinstance(info.value.__cause__, DataError)
+        assert str(info.value.__cause__) == message
         for origin in version_origins(small_panel, plan):
             assert f"arm BAD at origin {origin}: {message}" in str(info.value)
         assert "E1" not in str(info.value)
@@ -560,7 +559,8 @@ class TestPreflight:
         with pytest.raises(DataError, match="all target values are identical") as info:
             sc.run_backtest(plan, panel=panel)
         assert counter.calls == 0
-        assert isinstance(info.value.__cause__, DegenerateData)
+        assert isinstance(info.value.__cause__, DataError)
+        assert str(info.value.__cause__) == "all target values are identical; nothing to fit"
 
     def test_one_row_training_window_fails_before_any_fit(self, monkeypatch):
         """A window that passes holds at least two rows, not all equal, so
@@ -640,7 +640,8 @@ class TestTrendRuns:
 
     def test_unwritable_trend_outputs_are_io_failures(self, control_ladder, tmp_path):
         (tmp_path / "ladder.csv").mkdir()
-        with pytest.raises(IoFailure):
+        with pytest.raises(DataError,
+                           match=f"^cannot write {re.escape(str(tmp_path / 'ladder.csv'))}: "):
             write_trend_outputs(control_ladder, tmp_path, "ladder.csv")
 
     def test_sweep_reports_best_and_theoretical_power(self, tmp_path, small_panel, monkeypatch):

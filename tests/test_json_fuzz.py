@@ -60,7 +60,7 @@ TREE_MODEL = {
     "transform": {"kind": "log"},
     "loss": {"kind": "mse"},
     "weight_scheme": {"kind": "sqrt_sales"},
-    "learner": LEARNER,
+    "learner": {**LEARNER, "rounds": 1},  # one tree, and a loss before and after it
     "feature_names": ["f0", "f1"],
     "base_score": 1.5,
     "trees": [{"feature": [1, -1, -1], "threshold": [0.5, 0.0, 0.0],
@@ -72,9 +72,10 @@ TREE_MODEL = {
 LINEAR_MODEL = {
     **TREE_MODEL,
     "loss": {"kind": "gamma"},
-    "learner": {**LEARNER, "base": "linear"},
+    "learner": {**LEARNER, "base": "linear", "rounds": 2},
     "trees": [],
     "betas": [[0.1, -0.2, 1.0], [0.0, 0.5, -1]],
+    "training_loss": [0.5, 0.25, 0.125],
     "bias_corrector": {"kind": "variance_based", "factors": [1.2]},
 }
 

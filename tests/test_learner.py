@@ -4,6 +4,7 @@ prediction contracts, and serialization."""
 import dataclasses
 import datetime as dt
 import json
+import re
 import warnings
 
 import numpy as np
@@ -12,15 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewcast as sc
-from skewcast.errors import (
-    ConfigError,
-    DataError,
-    DegenerateData,
-    DomainError,
-    EmptyInput,
-    IoFailure,
-    ShapeMismatch,
-)
+from skewcast.errors import ConfigError, DataError
 from skewcast import learner
 from skewcast.learner import (
     MAX_ROUNDS,
@@ -248,7 +241,7 @@ class TestPredictionContracts:
             base_score=-5.0,
             trees=[],
             betas=[],
-            training_loss=[],
+            training_loss=[0.0],
             bias_corrector=sc.BiasCorrector(),
         )
         np.testing.assert_array_equal(model.predict(np.zeros((3, 1))), 0.0)
@@ -304,7 +297,8 @@ class TestPredictionContracts:
     def test_wrong_feature_count_rejected(self, small_panel):
         model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT,
                        _quick_config(rounds=1))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DataError,
+                           match=r"^feature matrix must be \(n, 4\), got \(2, 9\)$"):
             model.predict(np.zeros((2, 9)))
 
 
@@ -316,7 +310,7 @@ class TestFitValidation:
     def test_constant_target_is_degenerate(self, rng):
         X = rng.normal(size=(50, 2))
         y = np.full(50, 4.0)
-        with pytest.raises(DegenerateData):
+        with pytest.raises(DataError, match="^all target values are identical; nothing to fit$"):
             sc.fit_arrays(X, y, IDENTITY, sc.LossSpec.mse(), UNIT, _quick_config())
 
     def test_non_finite_features_rejected(self, rng):
@@ -341,15 +335,15 @@ class TestFitValidation:
                           sc.LossSpec.mse(), UNIT, _quick_config(rounds=3))
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="^cannot fit on an empty panel$"):
             sc.fit_arrays(np.zeros((0, 2)), np.zeros(0), IDENTITY,
                           sc.LossSpec.mse(), UNIT, _quick_config())
 
     def test_shape_mismatch(self, rng):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DataError, match=r"^feature matrix must be 2-D, got shape \(30,\)$"):
             sc.fit_arrays(rng.normal(size=30), rng.lognormal(size=30),
                           IDENTITY, sc.LossSpec.mse(), UNIT, _quick_config())
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DataError, match="^30 feature rows vs 29 targets$"):
             sc.fit_arrays(rng.normal(size=(30, 2)), rng.lognormal(size=29),
                           IDENTITY, sc.LossSpec.mse(), UNIT, _quick_config())
 
@@ -444,7 +438,7 @@ class TestLinearStepBits:
         try:
             expected = _reference_linear_step(Xa, g, h, l2_reg)
         except np.linalg.LinAlgError:  # same normal matrix, so both are singular
-            with pytest.raises(DegenerateData):
+            with pytest.raises(DataError, match="^singular normal equations in linear step"):
                 _solve_step(_normal_matrix(Xa, h, l2_reg), Xa, g)
             return
         assert np.array_equal(_solve_step(_normal_matrix(Xa, h, l2_reg), Xa, g), expected)
@@ -507,7 +501,7 @@ class TestLinearStepBits:
         # a feature that is zero on every row leaves a zero row and column
         X = np.column_stack([rng.normal(size=50), np.zeros(50)])
         cfg = sc.LearnerConfig(base="linear", rounds=3, l2_reg=0.0)
-        with pytest.raises(DegenerateData, match="singular normal equations"):
+        with pytest.raises(DataError, match="singular normal equations"):
             sc.fit_arrays(X, rng.lognormal(size=50), IDENTITY, sc.LossSpec.mse(), UNIT, cfg)
 
 
@@ -516,7 +510,7 @@ def _reference_grad_hess(spec, y, score, terms=None):
     y = np.asarray(y, dtype=np.float64)
     score = np.asarray(score, dtype=np.float64)
     if not np.all(np.isfinite(score)):
-        raise DomainError("scores must be finite")
+        raise DataError("scores must be finite")
     mu = np.exp(score) if spec.log_link else score.copy()
     if spec.kind == "mse":
         g = 2.0 * (score - y)
@@ -731,12 +725,18 @@ class TestSerialization:
         ("tree", lambda obj: obj["bias_corrector"].update(factors=[2.0])),
         ("linear", lambda obj: (obj["transform"].update(kind="identity"),
                                 obj["bias_corrector"].update(kind="smearing", factors=[1e37]))),
+        ("tree", lambda obj: obj.__setitem__("training_loss", [])),
+        ("linear", lambda obj: obj["training_loss"].pop()),
+        ("tree", lambda obj: obj["learner"].__setitem__("rounds", 200)),
+        ("linear", lambda obj: obj["betas"].pop()),
     ], ids=["tree-feature-out-of-range", "betas-too-short", "betas-not-1d",
             "betas-not-finite", "betas-not-numeric", "missing-transform", "missing-trees",
             "corrector-not-object", "loss-not-object", "feature-names-not-list",
             "feature-name-repeated", "feature-name-empty", "feature-name-carriage-return",
             "feature-name-comma", "feature-name-panel-column", "tree-with-betas", "linear-with-trees",
-            "corrector-second-factor", "none-corrector-factor", "identity-corrected"])
+            "corrector-second-factor", "none-corrector-factor", "identity-corrected",
+            "training-loss-empty", "training-loss-short", "rounds-beyond-trees",
+            "betas-fewer-than-rounds"])
     def test_corrupt_model_rejected(self, small_panel, base, edit):
         model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT,
                        _quick_config(base=base, rounds=2))
@@ -745,6 +745,20 @@ class TestSerialization:
         edit(obj)
         with pytest.raises(ConfigError):
             FitModel.from_json(obj)
+
+    @pytest.mark.parametrize("base", ["tree", "linear"])
+    def test_steps_and_losses_must_number_the_rounds(self, small_panel, base):
+        """One step per round and one training loss per round and at the start,
+        as a fit makes them; ``in_sample_fit_report`` reads the first and last loss."""
+        model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT,
+                       _quick_config(base=base, rounds=3))
+        with pytest.raises(ConfigError, match=r"^training_loss must hold learner\.rounds \+ 1 "
+                                              r"\(4\) values, got 0$"):
+            dataclasses.replace(model, training_loss=())
+        steps = "trees" if base == "tree" else "betas"
+        with pytest.raises(ConfigError,
+                           match=f"^{steps} must number learner\\.rounds \\(200\\), got 3$"):
+            dataclasses.replace(model, learner=dataclasses.replace(model.learner, rounds=200))
 
     @pytest.mark.parametrize("base", ["tree", "linear"])
     def test_steps_must_match_the_base(self, small_panel, base):
@@ -845,5 +859,5 @@ class TestFitReport:
         lines = path.read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == "actual,predicted"
         assert len(lines) == 1 + len(small_panel)
-        with pytest.raises(IoFailure):
+        with pytest.raises(DataError, match=f"^cannot write {re.escape(str(path))}"):
             write_pairs_csv(report, path / "under-a-file.csv")

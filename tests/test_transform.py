@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import skewcast as sc
-from skewcast.errors import ConfigError, DomainError, EmptyInput
+from skewcast.errors import ConfigError, DataError
 from skewcast.transform import forward, inverse
 
 
@@ -53,7 +53,7 @@ class TestForwardInverse:
         assert isinstance(inverse(t, z), float)
 
     def test_negative_targets_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DataError, match="^targets must be non-negative$"):
             forward(sc.TargetTransform(kind="log"), np.array([1.0, -0.1]))
 
     def test_unknown_kind_rejected(self):
@@ -104,5 +104,5 @@ class TestJensenGap:
         assert report.gap == pytest.approx(expect, rel=1e-12)
 
     def test_empty_sample_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="^jensen_gap needs a non-empty sample$"):
             sc.jensen_gap(sc.TargetTransform(kind="log"), np.array([]))

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 import skewcast as sc
 from skewcast import learner
-from skewcast.errors import ConfigError, ShapeMismatch
+from skewcast.errors import ConfigError, DataError
 from skewcast.losses import HESS_FLOOR, WEIGHT_FLOOR
 from skewcast.trees import Tree, grow_tree, presort
 
@@ -528,7 +528,8 @@ class TestRouting:
         )
         X = np.array([[1.5], [1.5000001], [0.0], [99.0]])
         np.testing.assert_array_equal(tree.predict(X), [10.0, 20.0, 10.0, 20.0])
-        with pytest.raises(ShapeMismatch):  # no column for the split's feature
+        with pytest.raises(DataError,  # no column for the split's feature
+                           match=r"^tree splits on feature 0, X has shape \(4, 0\)$"):
             tree.predict(np.zeros((4, 0)))
 
     def test_deep_tree_routes_like_a_reference_walk(self, rng):
