@@ -26,6 +26,9 @@ fit and names every failing arm and origin.  Jobs run in parallel threads
 (``SKEWCAST_THREADS`` caps the pool); every job is pure and writes to
 its own slot, and the final assembly is sorted, so ``metrics.csv`` and
 ``report.json`` are the same bytes at any thread count.
+
+Study reports are frozen, and a trend report names its own table CSV,
+so one writer, ``write_backtest_outputs``, writes any study's files.
 """
 
 from __future__ import annotations
@@ -331,7 +334,7 @@ def _score_versions(
         ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BacktestReport:
     """Grid results: per-version rows plus per-arm aggregates/relatives."""
 
@@ -444,20 +447,21 @@ def run_backtest(plan: BacktestPlan, panel: SalesPanel | None = None) -> Backtes
     )
 
 
-def make_out_dir(out_dir) -> None:
-    """Create an output directory (and its parents) if it is missing."""
+def write_backtest_outputs(report: BacktestReport | TrendReport, out_dir) -> list[str]:
+    """Write a study's files into out_dir, made if missing; their names, table CSV first."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot create output directory {out_dir}: {exc}") from exc
-
-
-def write_backtest_outputs(report: BacktestReport | TrendReport, out_dir) -> None:
-    """Emit metrics.csv and report.json into out_dir."""
-    make_out_dir(out_dir)
     write_metrics_csv(report.rows, os.path.join(out_dir, "metrics.csv"))
     write_text(os.path.join(out_dir, "report.json"),
                json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
+    if isinstance(report, BacktestReport):
+        return ["metrics.csv", "report.json"]
+    # each trend row: axis, horizon, aggregate
+    write_csv(os.path.join(out_dir, report.csv_name), report.table[0],
+              map(dict.values, report.table))
+    return [report.csv_name, "metrics.csv", "report.json"]
 
 
 def _count_inversions(values: list[float], direction: str) -> int:
@@ -471,7 +475,7 @@ def _count_inversions(values: list[float], direction: str) -> int:
     return bad
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrendReport:
     """Aggregated metrics along an ordered axis plus a monotonicity verdict."""
 
@@ -480,6 +484,7 @@ class TrendReport:
     table: list[dict]  # one entry per (axis value, horizon)
     verdicts: dict[int, dict]
     rows: list[tuple[str, VersionMetrics]]
+    csv_name: str  # the file the table is written to
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -499,6 +504,7 @@ def _trend(
     axis_name: str,
     axis_values: list[str],
     direction: str,
+    csv_name: str,
 ) -> TrendReport:
     _, rows, aggregates = _run_grid(arms, plan, panel)
     table = []
@@ -522,6 +528,7 @@ def _trend(
         table=table,
         verdicts=verdicts,
         rows=rows,
+        csv_name=csv_name,
     )
 
 
@@ -538,7 +545,7 @@ def run_weight_ladder(plan: BacktestPlan, panel: SalesPanel | None = None) -> Tr
         for i, s in enumerate(LADDER_SCHEMES)
     ]
     return _trend(plan, panel, arms, "scheme", [s.kind for s in LADDER_SCHEMES],
-                  direction="non_decreasing")
+                  direction="non_decreasing", csv_name="ladder.csv")
 
 
 def run_power_sweep(plan: BacktestPlan, panel: SalesPanel | None = None) -> TrendReport:
@@ -558,18 +565,12 @@ def run_power_sweep(plan: BacktestPlan, panel: SalesPanel | None = None) -> Tren
         for p in SWEEP_POWERS
     ]
     report = _trend(plan, panel, arms, "power", [f"{p:.1f}" for p in SWEEP_POWERS],
-                    direction="non_increasing")
+                    direction="non_increasing", csv_name="sweep.csv")
     best = {}
     for h in sorted(plan.horizons):
         at_h = [r for r in report.table if r["horizon_weeks"] == h]
         best[str(h)] = min(at_h, key=lambda r: r["wmape"])["power"]
-    report.extra["best_wmape_power"] = best
+    extra = {"best_wmape_power": best}
     if cfg is not None:
-        report.extra["theoretical_tweedie_power"] = theoretical_tweedie_power(cfg)
-    return report
-
-
-def write_trend_outputs(report: TrendReport, out_dir, csv_name: str) -> None:
-    """Emit <csv_name> (each trend row: axis, horizon, aggregate), metrics.csv, report.json."""
-    write_backtest_outputs(report, out_dir)
-    write_csv(os.path.join(out_dir, csv_name), report.table[0], map(dict.values, report.table))
+        extra["theoretical_tweedie_power"] = theoretical_tweedie_power(cfg)
+    return replace(report, extra=extra)

@@ -96,25 +96,19 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-# (command, help, runner, trend CSV name or None); each runs a grid from a plan
+# (command, help, runner); each runs a grid from a plan
 _GRIDS = (
-    ("backtest", "run the rolling-origin experiment grid", bt.run_backtest, None),
-    ("ladder", "weight-escalation study", bt.run_weight_ladder, "ladder.csv"),
-    ("sweep", "Tweedie variance-power study", bt.run_power_sweep, "sweep.csv"),
+    ("backtest", "run the rolling-origin experiment grid", bt.run_backtest),
+    ("ladder", "weight-escalation study", bt.run_weight_ladder),
+    ("sweep", "Tweedie variance-power study", bt.run_power_sweep),
 )
 
 
 def _cmd_grid(args) -> int:
     plan = bt.load_plan(args.plan)
     _check_out_dir(args.out_dir)  # fail before the grid, not after it
-    report = args.runner(plan)
-    written = "metrics.csv and report.json"
-    if args.trend_csv is None:
-        bt.write_backtest_outputs(report, args.out_dir)
-    else:
-        bt.write_trend_outputs(report, args.out_dir, args.trend_csv)
-        written = f"{args.trend_csv}, {written}"
-    print(f"wrote {written} to {args.out_dir}")
+    *names, last = bt.write_backtest_outputs(args.runner(plan), args.out_dir)
+    print(f"wrote {', '.join(names)} and {last} to {args.out_dir}")
     return 0
 
 
@@ -196,11 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional CSV of in-sample (actual, predicted) pairs")
     p.set_defaults(func=_cmd_fit)
 
-    for command, help_text, runner, trend_csv in _GRIDS:
+    for command, help_text, runner in _GRIDS:
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--plan", required=True, help="backtest plan JSON")
         p.add_argument("--out-dir", required=True)
-        p.set_defaults(func=_cmd_grid, runner=runner, trend_csv=trend_csv)
+        p.set_defaults(func=_cmd_grid, runner=runner)
 
     p = sub.add_parser("convexity", help="deviance curves over a prediction grid")
     p.add_argument("--actual", type=float, default=100.0)

@@ -36,7 +36,7 @@ from .errors import ConfigError, JsonRecord, at_least, read_json
 from .panel import SalesPanel
 from .rng import keyed_stream, reseat
 
-FEATURE_NAMES = ["log_price", "weekly_index", "spike_mult", "log_popularity"]
+FEATURE_NAMES = ("log_price", "weekly_index", "spike_mult", "log_popularity")
 
 # counter tag separating item-level draws from the per-day cells
 _ITEM_STREAM = 1 << 32
@@ -158,7 +158,7 @@ def generate(cfg: GenConfig) -> SalesPanel:
         np.tile(np.arange(start, start + n), cfg.n_items),
         sales,
         features,
-        list(FEATURE_NAMES),
+        FEATURE_NAMES,
     )
 
 

@@ -42,7 +42,6 @@ class VersionMetrics:
 # a metrics.csv row is its config id, its version's label, then the rest as its metrics' fields
 _COLUMNS = ("config_id", "version", "horizon_weeks",
             *(f.name for f in fields(VersionMetrics) if f.name != "version"))
-METRICS_CSV_HEADER = ",".join(_COLUMNS)
 
 
 @dataclass(frozen=True)

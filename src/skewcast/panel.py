@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
 
 import numpy as np
@@ -48,7 +48,7 @@ def is_csv_name(name) -> bool:
     return isinstance(name, str) and name != "" and not any(c in name for c in ",\n\r")
 
 
-def _feature_name_problem(names: list[str]) -> str | None:
+def _feature_name_problem(names: tuple[str, ...]) -> str | None:
     """Why a panel cannot have these feature names, or None if it can."""
     for i, name in enumerate(names):
         if name == "" or name in names[:i]:
@@ -60,7 +60,7 @@ def _feature_name_problem(names: list[str]) -> str | None:
     return None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SalesPanel:
     """Validated, canonically ordered panel columns.
 
@@ -70,32 +70,33 @@ class SalesPanel:
     checks that the columns agree in length, item ids are distinct and
     CSV names, feature names are distinct CSV names, (item,
     day) pairs are unique, sales and features are finite, sales are
-    non-negative, and every day lies inside ``date_range``.  The four
-    column arrays are read-only after construction, so instances are safe
-    to share across threads.
+    non-negative, and every day lies inside ``date_range``.  A panel is
+    frozen, with tuples of ids and feature names and read-only columns, so
+    instances are safe to share across threads.
     """
 
-    item_ids: list[str]
+    item_ids: tuple[str, ...]
     item_codes: np.ndarray
     day_ordinals: np.ndarray
     sales: np.ndarray
     feature_matrix: np.ndarray
-    feature_names: list[str]
+    feature_names: tuple[str, ...]
     date_range: tuple[dt.date, dt.date] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         ids = list(self.item_ids)
+        names = tuple(self.feature_names)
         codes = np.asarray(self.item_codes, dtype=np.int64)
         days = np.asarray(self.day_ordinals, dtype=np.int64)
         sales = np.asarray(self.sales, dtype=np.float64)
         X = np.asarray(self.feature_matrix, dtype=np.float64)
-        n, k = len(codes), len(self.feature_names)
+        n, k = len(codes), len(names)
         if days.shape != (n,) or sales.shape != (n,) or X.shape != (n, k):
             raise DataError(f"{n} rows with {k} features expected, got days {days.shape}, "
                             f"sales {sales.shape}, features {X.shape}")
         if len(set(ids)) != len(ids):
             raise DataError("item ids are not distinct")
-        problem = _feature_name_problem(list(self.feature_names))
+        problem = _feature_name_problem(names)
         if problem:
             raise DataError(problem)
         if n and (codes.min() < 0 or codes.max() >= len(ids)):
@@ -104,8 +105,8 @@ class SalesPanel:
                       key=ids.__getitem__)
         recode = np.zeros(len(ids), dtype=np.int64)
         recode[keep] = np.arange(len(keep))
-        self.item_ids = [ids[c] for c in keep]
-        for item in self.item_ids:
+        ids = tuple(ids[c] for c in keep)
+        for item in ids:
             if not is_csv_name(item):
                 raise DataError(f"item_id {item!r} is not representable in panel CSV")
         codes = recode[codes]
@@ -114,7 +115,7 @@ class SalesPanel:
 
         def first_key(mask) -> tuple[str, dt.date]:
             r = int(np.argmax(mask))
-            return self.item_ids[codes[r]], dt.date.fromordinal(int(days[r]))
+            return ids[codes[r]], dt.date.fromordinal(int(days[r]))
 
         repeated = (codes[1:] == codes[:-1]) & (days[1:] == days[:-1])
         if repeated.any():
@@ -124,17 +125,18 @@ class SalesPanel:
             raise DataError("non-finite value for (%s, %s)" % first_key(bad))
         if (sales < 0).any():
             raise DataError("negative sales for (%s, %s)" % first_key(sales < 0))
-        if self.date_range is None:
+        date_range = self.date_range
+        if date_range is None:
             ends = (int(days.min()), int(days.max())) if n else (1, 1)  # 1 is date.min
-            self.date_range = tuple(dt.date.fromordinal(d) for d in ends)
-        first, last = self.date_range
+            date_range = tuple(dt.date.fromordinal(d) for d in ends)
+        first, last = date_range
         outside = (days < first.toordinal()) | (days > last.toordinal())
         if outside.any():
             raise DataError("(%s, %s) lies outside %s..%s" % (*first_key(outside), first, last))
         for column in (codes, days, sales, X):  # fresh arrays from the row sort
             column.setflags(write=False)
-        self.item_codes, self.day_ordinals, self.sales, self.feature_matrix = codes, days, sales, X
-        self.feature_names = list(self.feature_names)
+        for f, value in zip(fields(self), (ids, codes, days, sales, X, names, date_range)):
+            object.__setattr__(self, f.name, value)  # each field once, in declared order
 
     def __len__(self) -> int:
         return len(self.sales)
@@ -201,8 +203,8 @@ def read_panel(path) -> SalesPanel:
     header_end = text.find("\n", 0, end)
     if header_end < 0:
         header_end = end
-    header = text[:header_end].split(",")
-    if tuple(header[:3]) != PANEL_COLUMNS:
+    header = tuple(text[:header_end].split(","))
+    if header[:3] != PANEL_COLUMNS:
         raise DataError(f"line 1: header must start with {','.join(PANEL_COLUMNS)} "
                         f"(got {text[:header_end]!r})")
     problem = _feature_name_problem(header[3:])

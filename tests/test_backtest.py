@@ -20,11 +20,9 @@ from skewcast.backtest import (
     version_origins,
     worker_count,
     write_backtest_outputs,
-    write_trend_outputs,
 )
 from skewcast import backtest
 from skewcast.errors import ConfigError, DataError
-from skewcast.metrics import METRICS_CSV_HEADER
 
 FAST_LEARNER = sc.LearnerConfig(rounds=12, max_depth=3)
 
@@ -349,7 +347,8 @@ class TestGridRuns:
     def test_output_files(self, oracle_report, tmp_path):
         write_backtest_outputs(oracle_report, tmp_path)
         csv_lines = (tmp_path / "metrics.csv").read_text().strip().split("\n")
-        assert csv_lines[0] == METRICS_CSV_HEADER
+        assert csv_lines[0] == ("config_id,version,horizon_weeks,wmape,wbias,total_actual,"
+                                "skipped_items")
         assert len(csv_lines) == 1 + len(oracle_report.rows)
         obj = json.loads((tmp_path / "report.json").read_text())
         assert obj["baseline_id"] == "E1"
@@ -595,6 +594,39 @@ def control_ladder():
     return sc.run_weight_ladder(plan, panel=panel)
 
 
+@pytest.fixture(scope="module")
+def control_sweep():
+    plan = sc.BacktestPlan(train_window_days=100, n_versions=2,
+                           horizons=(6,), learner=FAST_LEARNER)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backtest, "SWEEP_POWERS", (1.3, 1.7))
+        return sc.run_power_sweep(plan, panel=_symmetric_panel())
+
+
+_STUDIES = pytest.mark.parametrize("study, names", [
+    ("oracle_report", ["metrics.csv", "report.json"]),
+    ("control_ladder", ["ladder.csv", "metrics.csv", "report.json"]),
+    ("control_sweep", ["sweep.csv", "metrics.csv", "report.json"]),
+])
+
+
+class TestStudyOutputs:
+    """One writer for every study; each report names its own files."""
+
+    @_STUDIES
+    def test_the_writer_returns_the_names_it_wrote(self, request, tmp_path, study, names):
+        out = tmp_path / "out"
+        assert write_backtest_outputs(request.getfixturevalue(study), out) == names
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
+    @_STUDIES
+    def test_a_report_is_frozen(self, request, study, names):
+        report = request.getfixturevalue(study)
+        for f in dataclasses.fields(report):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(report, f.name, getattr(report, f.name))
+
+
 class TestTrendRuns:
     def test_ladder_table_shape(self, control_ladder):
         assert control_ladder.axis_name == "scheme"
@@ -615,7 +647,7 @@ class TestTrendRuns:
         assert max(series) - min(series) < 0.02
 
     def test_trend_outputs(self, control_ladder, tmp_path):
-        write_trend_outputs(control_ladder, tmp_path, "ladder.csv")
+        write_backtest_outputs(control_ladder, tmp_path)
         lines = (tmp_path / "ladder.csv").read_text().strip().split("\n")
         assert lines[0] == "scheme,horizon_weeks,wmape,wbias,total_actual,n_versions,skipped_items"
         assert len(lines) == 1 + len(control_ladder.table)
@@ -633,7 +665,7 @@ class TestTrendRuns:
         sweep = sc.run_power_sweep(plan, panel=_symmetric_panel())
         aggregate_keys = list(backtest._agg_json(sc.AggregateMetrics(6, 0.1, -0.1, 1.0, 1, 0)))
         for report, name in [(control_ladder, "ladder.csv"), (sweep, "sweep.csv")]:
-            write_trend_outputs(report, tmp_path, name)
+            write_backtest_outputs(report, tmp_path)
             lines = (tmp_path / name).read_text().strip().split("\n")
             assert lines[0].split(",") == [report.axis_name, "horizon_weeks", *aggregate_keys]
             assert [line.split(",")[0] for line in lines[1:]] == report.axis_values
@@ -642,7 +674,7 @@ class TestTrendRuns:
         (tmp_path / "ladder.csv").mkdir()
         with pytest.raises(DataError,
                            match=f"^cannot write {re.escape(str(tmp_path / 'ladder.csv'))}: "):
-            write_trend_outputs(control_ladder, tmp_path, "ladder.csv")
+            write_backtest_outputs(control_ladder, tmp_path)
 
     def test_sweep_reports_best_and_theoretical_power(self, tmp_path, small_panel, monkeypatch):
         cfg = sc.GenConfig(n_items=30, n_days=260, seed=7)

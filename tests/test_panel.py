@@ -1,5 +1,6 @@
 """Panel data model and its CSV round trip."""
 
+import dataclasses
 import datetime as dt
 import math
 import re
@@ -104,20 +105,20 @@ class TestSalesPanel:
         panel = _tiny_panel()
         keys = list(zip(panel.item_codes.tolist(), panel.day_ordinals.tolist()))
         assert keys == sorted(keys)
-        assert panel.item_ids == sorted(panel.item_ids)
+        assert panel.item_ids == tuple(sorted(panel.item_ids))
 
     def test_cached_arrays(self):
         panel = _tiny_panel()
         np.testing.assert_array_equal(panel.sales, [0.0, 2.5, 1.0, 3.0])
         assert panel.feature_matrix.shape == (4, 2)
-        assert panel.item_ids == ["a", "b"]
+        assert panel.item_ids == ("a", "b")
         np.testing.assert_array_equal(panel.item_codes, [0, 0, 1, 1])
         assert panel.date_range == (D0, D0 + dt.timedelta(days=1))
 
     def test_ids_recoded_ascending_and_unused_dropped(self):
         panel = sc.SalesPanel(["z", "unused", "m"], [2, 0, 2], [5, 5, 6], [1.0, 2.0, 3.0],
                               np.zeros((3, 0)), [])
-        assert panel.item_ids == ["m", "z"]
+        assert panel.item_ids == ("m", "z")
         np.testing.assert_array_equal(panel.item_codes, [0, 0, 1])
         np.testing.assert_array_equal(panel.sales, [1.0, 3.0, 2.0])
 
@@ -154,10 +155,26 @@ class TestSalesPanel:
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(panel, name)[0] = 1
 
+    def test_a_panel_is_frozen(self, tmp_path):
+        """Its fields are set once, by its checks: no id, feature name or column changes after."""
+        built = sc.generate(sc.GenConfig(n_items=3, n_days=20))
+        path = tmp_path / "panel.csv"
+        sc.write_panel(built, path)
+        for panel in (built, sc.read_panel(path), built.slice_days(*built.date_range)):
+            with pytest.raises(AttributeError):
+                panel.item_ids.append("zz")
+            with pytest.raises(TypeError):
+                panel.feature_names[0] = "sales"
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                panel.sales = panel.sales * -1
+            assert panel.item_ids == built.item_ids
+            assert panel.feature_names == built.feature_names
+            assert (panel.sales >= 0).all()
+
     def test_slice_days_drops_items_without_rows(self):
         panel = _panel(["a", "b", "b"], [0, 3, 4], [1.0, 2.0, 3.0])
         sub = panel.slice_days(D0 + dt.timedelta(days=2), D0 + dt.timedelta(days=9))
-        assert sub.item_ids == ["b"]
+        assert sub.item_ids == ("b",)
         np.testing.assert_array_equal(sub.item_codes, [0, 0])
 
     def test_duplicate_key_rejected(self):
@@ -497,7 +514,7 @@ class TestBlockReader:
         data = ("\n".join(lines) + end).encode("utf-8")
         got, want = self._both(tmp_path_factory.mktemp("csv"), data, block_chars)
         assert got == want
-        assert isinstance(got[0], list)  # a panel, not an error
+        assert isinstance(got[0], tuple)  # a panel's item ids, not an error
 
     @settings(max_examples=400)
     @given(data=_corrupted_file(), block_chars=_BLOCKS)
