@@ -39,11 +39,12 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
-from .biascorr import BiasCorrector, check_corrector, fit_corrector
+from .biascorr import check_corrector, fit_corrector
 from .datagen import load_gen_config, theoretical_tweedie_power
 from .errors import (
     ConfigError,
@@ -279,7 +280,9 @@ def fit_arm(arms: list[ExperimentArm], train: SalesPanel, learner: LearnerConfig
     """Fit the model a group of arms shares, once, on a training panel;
     each arm's model, with its own bias corrector.
 
-    The training rows are predicted once, and only if some arm corrects.
+    An arm that does not correct gets the fitted model itself, whose
+    corrector is already ``none``.  The training rows are predicted once,
+    and only if some arm corrects.
     """
     if len(_model_groups(arms)) != 1:
         raise ConfigError("fit_arm fits arms that share one transform, loss and weight "
@@ -289,11 +292,12 @@ def fit_arm(arms: list[ExperimentArm], train: SalesPanel, learner: LearnerConfig
     zhat = None
     models = []
     for arm in arms:
-        corrector = BiasCorrector()
-        if arm.corrector_kind != "none":
-            if zhat is None:
-                zhat = model.predict_transformed(train.feature_matrix)
-            corrector = fit_corrector(arm.corrector_kind, train.sales, zhat, arm.transform)
+        if arm.corrector_kind == "none":
+            models.append(model)
+            continue
+        if zhat is None:
+            zhat = model.predict_transformed(train.feature_matrix)
+        corrector = fit_corrector(arm.corrector_kind, train.sales, zhat, arm.transform)
         models.append(replace(model, bias_corrector=corrector))
     return models
 
@@ -334,16 +338,45 @@ def _score_versions(
         ]
 
 
+def _read_only(value):
+    """``value`` with every list a tuple and every dict a read-only mapping,
+    nested ones included."""
+    if isinstance(value, (dict, MappingProxyType)):
+        return MappingProxyType({k: _read_only(v) for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(_read_only(v) for v in value)
+    return value
+
+
+def _plain(value):
+    """What ``_read_only`` made of ``value``, as plain dicts and lists for JSON."""
+    if isinstance(value, MappingProxyType):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+class _FinishedReport:
+    """A frozen report whose containers cannot change either: each field
+    is held as ``_read_only`` makes it, so what a report writes is what
+    its study found."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _read_only(getattr(self, f.name)))
+
+
 @dataclass(frozen=True)
-class BacktestReport:
+class BacktestReport(_FinishedReport):
     """Grid results: per-version rows plus per-arm aggregates/relatives."""
 
     baseline_id: str
     horizons: tuple[int, ...]
-    origins: list[dt.date]
-    rows: list[tuple[str, VersionMetrics]]
-    aggregates: dict[str, dict[int, AggregateMetrics]]
-    relatives: dict[str, dict[int, RelativeMetrics]]
+    origins: tuple[dt.date, ...]
+    rows: tuple[tuple[str, VersionMetrics], ...]
+    aggregates: MappingProxyType[str, MappingProxyType[int, AggregateMetrics]]
+    relatives: MappingProxyType[str, MappingProxyType[int, RelativeMetrics]]
 
     def to_json(self) -> dict:
         arms_obj: dict = {}
@@ -460,7 +493,7 @@ def write_backtest_outputs(report: BacktestReport | TrendReport, out_dir) -> lis
         return ["metrics.csv", "report.json"]
     # each trend row: axis, horizon, aggregate
     write_csv(os.path.join(out_dir, report.csv_name), report.table[0],
-              map(dict.values, report.table))
+              (row.values() for row in report.table))
     return [report.csv_name, "metrics.csv", "report.json"]
 
 
@@ -476,24 +509,24 @@ def _count_inversions(values: list[float], direction: str) -> int:
 
 
 @dataclass(frozen=True)
-class TrendReport:
+class TrendReport(_FinishedReport):
     """Aggregated metrics along an ordered axis plus a monotonicity verdict."""
 
     axis_name: str
-    axis_values: list[str]
-    table: list[dict]  # one entry per (axis value, horizon)
-    verdicts: dict[int, dict]
-    rows: list[tuple[str, VersionMetrics]]
+    axis_values: tuple[str, ...]
+    table: tuple[MappingProxyType, ...]  # one entry per (axis value, horizon)
+    verdicts: MappingProxyType[int, MappingProxyType]
+    rows: tuple[tuple[str, VersionMetrics], ...]
     csv_name: str  # the file the table is written to
-    extra: dict = field(default_factory=dict)
+    extra: MappingProxyType = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
             "axis": self.axis_name,
-            "order": self.axis_values,
-            "table": self.table,
-            "verdicts": {str(h): v for h, v in self.verdicts.items()},
-            **self.extra,
+            "order": _plain(self.axis_values),
+            "table": _plain(self.table),
+            "verdicts": {str(h): _plain(v) for h, v in self.verdicts.items()},
+            **_plain(self.extra),
         }
 
 

@@ -31,6 +31,15 @@ lowest threshold, as a scan of each feature's first maximum would.  A
 NaN gain rules out its whole feature, as it does when it is the first
 maximum of a per-feature argmax and then fails ``> 0``.
 
+Most nodes are small, so a node's cost is mostly its count of numpy
+calls, and each node makes few: gathers are ``ndarray.take`` (flat
+indices, no 2-D fancy indexing), sums ``np.add.reduce``, and the gain
+is scored in place, in the fresh buffer the node's candidate read
+returns, with the same operations in the same order as the formula
+above.  Nothing a node carries (its rows, sorted block, candidates and
+denominators) is written after it is built, so a later tree reads it
+unchanged.
+
 When every row has the same hessian ``c`` and ``c`` is a power of two
 (unit-weight squared error gives 2), each sum of ``j`` hessians is
 exactly ``c * j`` whatever the order of the additions: every partial
@@ -71,6 +80,7 @@ threshold, so the same inputs always grow the same tree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -231,33 +241,20 @@ def grow_tree(
         same_hess = np.array_equal(hess.view(np.uint64), presorted.hess.view(np.uint64))
     unit = _unit_hessian(hess)
     went_left = np.empty(len(grad), dtype=bool)  # per row: side of its node's split
+    add = np.add.reduce  # what ndarray.sum calls
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-
-    def new_node() -> int:
-        feature.append(_LEAF)
-        threshold.append(0.0)
-        left.append(_LEAF)
-        right.append(_LEAF)
-        value.append(0.0)
-        return len(feature) - 1
-
-    root = new_node()
-    # stack of (node_id, node, depth); children pushed right-first so nodes
-    # are numbered in depth-first left-to-right order
-    stack = [(root, root_node, 0)]
+    # per node; a split appends its two children, so nodes are numbered in
+    # depth-first left-to-right order
+    feature, threshold, left, right, value = [_LEAF], [0.0], [_LEAF], [_LEAF], [0.0]
+    stack = [(0, root_node, 0)]  # (node_id, node, depth), right child pushed first
     while stack:
         node_id, node, depth = stack.pop()
         rows = node.rows
-        g_sum = float(grad.take(rows).sum())
+        g_sum = float(add(grad.take(rows)))
         if node.h_sum is None or not same_hess:
-            node.h_sum = unit * len(rows) if unit is not None else float(hess.take(rows).sum())
+            node.h_sum = unit * len(rows) if unit is not None else float(add(hess.take(rows)))
             node.scorable = None
-        value[node_id] = -g_sum / (node.h_sum + l2_reg)
+        value[node_id] = leaf = -g_sum / (node.h_sum + l2_reg)
         split = None
         if depth < max_depth and len(rows) >= 2:
             if node.at is None:
@@ -270,7 +267,7 @@ def grow_tree(
         if split is None:
             node.split = None  # its old children would keep an older tree's sums
             if out is not None:
-                out[rows] = value[node_id]
+                out.put(rows, leaf)
             continue
         feat, n_left, thr = split
         if node.split is None or node.split[:2] != (feat, n_left):
@@ -278,36 +275,41 @@ def grow_tree(
             idx = node.idx
             went_left[idx[feat, :n_left]] = True
             went_left[idx[feat, n_left:]] = False
-            go_left = went_left[rows]
+            go_left = went_left.take(rows)
             left_block = right_block = ()  # children at max_depth never split
             if depth + 1 < max_depth:
-                mask = went_left[idx].reshape(-1)
+                mask = went_left.take(idx)
                 left_block = _keep(mask, idx, node.xs)
                 right_block = _keep(np.logical_not(mask, out=mask), idx, node.xs)
             node.split = (feat, n_left, _Node(rows.compress(go_left), *left_block),
-                          _Node(rows.compress(~go_left), *right_block))
-        feature[node_id] = feat
-        threshold[node_id] = thr
-        left_id = new_node()
-        right_id = new_node()
-        left[node_id] = left_id
-        right[node_id] = right_id
-        stack.append((right_id, node.split[3], depth + 1))
-        stack.append((left_id, node.split[2], depth + 1))
+                          _Node(rows.compress(np.logical_not(go_left, out=go_left)),
+                                *right_block))
+        n = len(feature)
+        feature[node_id], threshold[node_id], left[node_id], right[node_id] = (
+            feat, thr, n, n + 1)
+        feature += (_LEAF, _LEAF)
+        threshold += (0.0, 0.0)
+        left += (_LEAF, _LEAF)
+        right += (_LEAF, _LEAF)
+        value += (0.0, 0.0)
+        stack += ((n + 1, node.split[3], depth + 1), (n, node.split[2], depth + 1))
 
     presorted.root, presorted.hess = root_node, hess.copy()
-    return Tree(
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        value=np.asarray(value, dtype=np.float64),
-    )
+    return Tree(feature=_read_only(feature, np.int64), threshold=_read_only(threshold, np.float64),
+                left=_read_only(left, np.int64), right=_read_only(right, np.int64),
+                value=_read_only(value, np.float64))
+
+
+def _read_only(values: list, dtype) -> np.ndarray:
+    """``values`` as a new read-only array, which a ``Tree`` keeps without a copy."""
+    array = np.array(values, dtype=dtype)
+    array.setflags(write=False)
+    return array
 
 
 def _keep(mask, idx, xs):
-    """The entries of ``idx`` and ``xs`` where ``mask`` holds, row by row."""
-    at = np.flatnonzero(mask)
+    """The entries of ``idx`` and ``xs`` where ``mask`` (their shape) holds, row by row."""
+    at = mask.reshape(-1).nonzero()[0]
     return idx.take(at).reshape(len(idx), -1), xs.take(at).reshape(len(idx), -1)
 
 
@@ -328,7 +330,7 @@ def _candidates(xs):
     flat = xs.reshape(-1)
     cut = flat[1:] != flat[:-1]
     cut[m - 1::m] = False  # a feature's last value against the next one's first
-    return np.flatnonzero(cut)
+    return cut.nonzero()[0]
 
 
 def _scorable(idx, at, hess, unit, h_sum, min_child_weight, l2_reg):
@@ -338,12 +340,14 @@ def _scorable(idx, at, hess, unit, h_sum, min_child_weight, l2_reg):
     if unit is not None:
         h_left = unit * (at % idx.shape[1] + 1)
     else:
-        h_left = np.cumsum(hess[idx], axis=1).reshape(-1)[at]
+        h_left = hess.take(idx).cumsum(axis=1).take(at)
     h_right = h_sum - h_left
     ok = np.minimum(h_left, h_right) >= min_child_weight
     if not ok.all():
-        at, h_left, h_right = (a.compress(ok) for a in (at, h_left, h_right))
-    return at, h_left + l2_reg, h_right + l2_reg
+        at, h_left, h_right = at.compress(ok), h_left.compress(ok), h_right.compress(ok)
+    h_left += l2_reg
+    h_right += l2_reg
+    return at, h_left, h_right
 
 
 def _best_split(idx, xs, grad, g_sum, h_sum, scorable, l2_reg):
@@ -351,33 +355,39 @@ def _best_split(idx, xs, grad, g_sum, h_sum, scorable, l2_reg):
 
     ``idx`` holds the node's rows once per feature, each sorted by that
     feature, and ``xs`` their values; ``scorable`` is what ``_scorable``
-    returns for them.  The first maximum in feature-major order wins; a
-    NaN gain rules out its feature (see the module docstring).  The left
-    side is the first ``rows going left`` entries of ``idx[feature]``.
+    returns for them, which is only read.  The first maximum in
+    feature-major order wins; a NaN gain rules out its feature (see the
+    module docstring).  The left side is the first ``rows going left``
+    entries of ``idx[feature]``.
     """
     at, den_left, den_right = scorable
     if not at.size:
         return None
+    # the gain, in place in the candidates' own buffer, in the order of
+    # 0.5 * (gl * gl / dl + gr * gr / dr - g * g / (h + reg))
+    gain = grad.take(idx).cumsum(axis=1).take(at)
+    g_right = g_sum - gain
+    g_right *= g_right
+    g_right /= den_right
+    gain *= gain
+    gain /= den_left
+    gain += g_right
+    gain -= g_sum * g_sum / (h_sum + l2_reg)
+    gain *= 0.5
+    best = gain.argmax()
+    top = gain.item(best)
     m = idx.shape[1]
-    g_left = np.cumsum(grad[idx], axis=1).reshape(-1)[at]
-    g_right = g_sum - g_left
-    gain = 0.5 * (
-        g_left * g_left / den_left
-        + g_right * g_right / den_right
-        - g_sum * g_sum / (h_sum + l2_reg)
-    )
-    best = int(np.argmax(gain))
-    if np.isnan(gain[best]):  # argmax stops at the first NaN
+    if math.isnan(top):  # argmax stops at the first NaN
         feats = at // m
         gain[np.isin(feats, feats[np.isnan(gain)])] = -np.inf
-        best = int(np.argmax(gain))
-    if not gain[best] > 0.0:
+        best = gain.argmax()
+        top = gain.item(best)
+    if not top > 0.0:
         return None
-    pos = int(at[best])
-    flat = xs.reshape(-1)
-    lo, hi = flat[pos], flat[pos + 1]
+    pos = at.item(best)
+    lo, hi = xs.item(pos), xs.item(pos + 1)
     thr = 0.5 * (lo + hi)
     if not (lo <= thr < hi):
         thr = lo  # guard rounding on adjacent floats
     feat, n_left = divmod(pos + 1, m)
-    return feat, n_left, float(thr)
+    return feat, n_left, thr

@@ -473,6 +473,14 @@ class TestForecastSeam:
                                                           "prediction_binned"]
         assert all(m.trees is models[0].trees for m in models)
 
+    def test_uncorrected_arms_get_the_fitted_model_itself(self, small_panel):
+        e4 = sc.arm_by_id("E4")
+        arms = [e4, sc.arm_by_id("E4-S"), dataclasses.replace(e4, id="E4-copy")]
+        models = backtest.fit_arm(arms, small_panel, FAST_LEARNER)
+        assert models[0] is models[2]
+        assert models[0].bias_corrector == sc.BiasCorrector()
+        assert models[1] is not models[0]
+
     def test_fit_arm_needs_one_shared_model(self, small_panel):
         with pytest.raises(ConfigError, match=r"share one transform, loss and weight scheme, "
                                               r"got \['E4', 'E5'\]"):
@@ -626,11 +634,37 @@ class TestStudyOutputs:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(report, f.name, getattr(report, f.name))
 
+    @pytest.mark.parametrize("study, change", [
+        ("oracle_report", lambda r: r.rows.clear()),
+        ("oracle_report", lambda r: r.origins.append(dt.date(2021, 1, 1))),
+        ("oracle_report", lambda r: r.aggregates.clear()),
+        ("oracle_report", lambda r: r.aggregates["E1"].pop(6)),
+        ("oracle_report", lambda r: r.relatives.__setitem__("E1", {})),
+        ("control_ladder", lambda r: r.table.clear()),
+        ("control_ladder", lambda r: r.table[0].__setitem__("wmape", 0.0)),
+        ("control_ladder", lambda r: r.axis_values.append("x")),
+        ("control_ladder", lambda r: r.verdicts[6].__setitem__("monotone", False)),
+        ("control_ladder", lambda r: r.verdicts[6]["wbias_series"].append(0.0)),
+        ("control_sweep", lambda r: r.extra["best_wmape_power"].__setitem__("6", "9.9")),
+        ("control_sweep", lambda r: r.extra.clear()),
+    ], ids=["rows", "origins", "aggregates", "aggregates-of-an-arm", "relatives", "table",
+            "table-row", "axis-values", "verdict", "wbias-series", "extra-nested", "extra"])
+    def test_a_finished_report_cannot_change(self, request, tmp_path, study, change):
+        """Every container a report holds is a tuple or a read-only mapping,
+        so what it writes is what its study found."""
+        report = request.getfixturevalue(study)
+        before = report.to_json()
+        with pytest.raises((AttributeError, TypeError)):
+            change(report)
+        assert report.to_json() == before
+        assert json.loads(json.dumps(before)) == before  # plain JSON values
+        write_backtest_outputs(report, tmp_path)
+
 
 class TestTrendRuns:
     def test_ladder_table_shape(self, control_ladder):
         assert control_ladder.axis_name == "scheme"
-        assert control_ladder.axis_values == [s.kind for s in LADDER_SCHEMES]
+        assert control_ladder.axis_values == tuple(s.kind for s in LADDER_SCHEMES)
         assert {arm_id for arm_id, _ in control_ladder.rows} == {
             "W0-unit", "W1-log_sales", "W2-sqrt_sales", "W3-linear_sales"}
         assert len(control_ladder.table) == len(LADDER_SCHEMES)
@@ -668,7 +702,7 @@ class TestTrendRuns:
             write_backtest_outputs(report, tmp_path)
             lines = (tmp_path / name).read_text().strip().split("\n")
             assert lines[0].split(",") == [report.axis_name, "horizon_weeks", *aggregate_keys]
-            assert [line.split(",")[0] for line in lines[1:]] == report.axis_values
+            assert tuple(line.split(",")[0] for line in lines[1:]) == report.axis_values
 
     def test_unwritable_trend_outputs_are_io_failures(self, control_ladder, tmp_path):
         (tmp_path / "ladder.csv").mkdir()
@@ -687,7 +721,7 @@ class TestTrendRuns:
         report = sc.run_power_sweep(plan, panel=small_panel)
         assert report.extra["theoretical_tweedie_power"] == pytest.approx(1.5)
         assert report.extra["best_wmape_power"]["6"] in {"1.3", "1.7"}
-        assert report.axis_values == ["1.3", "1.7"]
+        assert report.axis_values == ("1.3", "1.7")
         assert {r["power"] for r in report.table} == {"1.3", "1.7"}
 
     def test_sweep_with_a_missing_generator_config_fails_before_any_fit(

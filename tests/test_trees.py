@@ -394,6 +394,12 @@ def _carried_nodes(sorted_):
     return found
 
 
+def _node_arrays(node):
+    """Every array a carried node holds: its partition, candidates and scorable parts."""
+    parts = [node.rows, node.idx, node.xs, node.at, *(node.scorable or ())]
+    return [a for a in parts if a is not None]
+
+
 class TestCarriedPartitions:
     """A presort carries each tree's partitions to the next ``grow_tree``
     call; every tree must still be the one a fresh reference grows."""
@@ -448,6 +454,31 @@ class TestCarriedPartitions:
         assert len(after) == first.n_nodes
         assert all(after[path] is node for path, node in before.items())
         assert all(after[path].scorable is parts for path, parts in scorable.items())
+
+    @pytest.mark.parametrize("hessian", ["unit", "general"])
+    def test_a_later_tree_writes_nothing_it_was_handed(self, rng, hessian):
+        """Scoring works in buffers of its own: a carried node's partition,
+        candidates and denominators, which the next tree reuses under the
+        same hessian, keep their bits."""
+        n = 300
+        X = np.column_stack([rng.normal(size=n), rng.integers(0, 5, size=n),
+                             rng.uniform(size=n)])
+        hess = np.full(n, 2.0) if hessian == "unit" else rng.uniform(0.5, 2.0, size=n)
+        sorted_ = presort(X, 4, 1.0, 1.0)
+        grow_tree(X, rng.normal(size=n), hess, sorted_)
+        handed = [(node, [a.copy() for a in _node_arrays(node)])
+                  for node in _carried_nodes(sorted_).values()]
+        assert sorted_.root.scorable is not None  # scored above the deepest level
+        grow_tree(X, rng.normal(size=n), hess.copy(), sorted_)
+        carried = [node for node in _carried_nodes(sorted_).values()
+                   if any(node is old for old, _ in handed)]
+        assert carried  # the root at least
+        for node, copies in handed:
+            if any(node is kept for kept in carried):
+                arrays = _node_arrays(node)
+                assert len(arrays) == len(copies)
+                assert all(np.array_equal(a.view(np.uint8), b.view(np.uint8))
+                           for a, b in zip(arrays, copies))
 
     def test_a_changed_hessian_carries_less(self, rng):
         X = rng.normal(size=(200, 3))
@@ -608,6 +639,28 @@ class TestSerialization:
         if request.node.callspec.id not in ("nan-value", "inf-threshold"):
             with pytest.raises(ConfigError):
                 in_code(obj)
+
+    @pytest.mark.parametrize("feature, left, right", [
+        ([0, -1, 0, -1, -1], [1, 3, 2, -1, -1], [2, -1, 4, -1, -1]),
+        ([0, 0, -1, -1, -1], [1, 1, 3, -1, -1], [2, 4, -1, -1, -1]),
+    ], ids=["leaf-with-child-then-self-loop", "self-loop-then-leaf-with-child"])
+    def test_the_first_bad_node_is_named(self, feature, left, right):
+        """Nodes 1 and 2 are both bad; the error names node 1."""
+        obj = {"feature": feature, "threshold": [0.0] * 5, "left": left, "right": right,
+               "value": [0.0] * 5}
+        match = "^tree node 1 must be a leaf"
+        with pytest.raises(ConfigError, match=match):
+            Tree.from_json(obj)
+        with pytest.raises(ConfigError, match=match):
+            Tree(**{name: np.asarray(value) for name, value in obj.items()})
+
+    def test_grown_arrays_are_read_only(self, rng):
+        X = rng.normal(size=(60, 3))
+        tree = grow_tree(X, rng.normal(size=60), np.ones(60),
+                         presort(X, max_depth=3, min_child_weight=1.0, l2_reg=1.0))
+        assert tree.n_nodes > 1
+        for field in TREE_FIELDS:
+            assert not getattr(tree, field).flags.writeable, field
 
     def test_tree_is_frozen(self):
         tree = Tree.from_json({"feature": [-1], "threshold": [0.0], "left": [-1],
