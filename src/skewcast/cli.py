@@ -36,18 +36,26 @@ from .panel import read_panel, write_panel
 def _cmd_gen(args) -> int:
     cfg = load_gen_config(args.config)
     _check_out_path(args.out)  # fail before generating, not after it
+    _check_outputs([("--out", args.out)], [("--config", args.config)])
     panel = generate(cfg)
     write_panel(panel, args.out)
     print(f"wrote {len(panel)} rows to {args.out}")
     return 0
 
 
-def _load_arm(spec: str) -> bt.ExperimentArm:
-    """A standard grid id always names that arm; any other spec is a path
-    to an arm JSON, or else an unknown arm id."""
+def _arm_file(spec: str) -> str | None:
+    """The arm JSON path ``spec`` names: None for a standard grid id, which
+    always names that arm, or for a spec that is no path (an unknown arm id)."""
     if not os.path.exists(spec) or spec in {arm.id for arm in bt.standard_arms()}:
+        return None
+    return spec
+
+
+def _load_arm(spec: str) -> bt.ExperimentArm:
+    path = _arm_file(spec)
+    if path is None:
         return bt.arm_by_id(spec)
-    return bt.ExperimentArm.from_json(read_json(spec, "arm"))
+    return bt.ExperimentArm.from_json(read_json(path, "arm"))
 
 
 def _load_learner(path: str | None) -> LearnerConfig:
@@ -61,6 +69,22 @@ def _check_out_path(path) -> None:
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path) or not os.path.isdir(parent):
         raise DataError(f"cannot write {path}: not a file in an existing directory")
+
+
+def _check_outputs(outputs, inputs) -> None:
+    """``ConfigError`` if an output would write over another output or an input file.
+
+    Both are lists of (option, path) pairs, with None for an option not
+    given; paths are compared by ``os.path.realpath``, and an input only
+    if it exists.
+    """
+    outputs = [(option, path) for option, path in outputs if path is not None]
+    inputs = [(option, path) for option, path in inputs
+              if path is not None and os.path.exists(path)]
+    for i, (option, path) in enumerate(outputs):
+        for other, other_path in outputs[i + 1:] + inputs:
+            if os.path.realpath(path) == os.path.realpath(other_path):
+                raise ConfigError(f"{option} {path} is the {other} file")
 
 
 def _check_out_dir(path) -> None:
@@ -83,8 +107,9 @@ def _cmd_fit(args) -> int:
     for path in (args.model_out, args.report):
         if path is not None:  # fail before the fit, not after it
             _check_out_path(path)
-    if args.report and os.path.realpath(args.report) == os.path.realpath(args.model_out):
-        raise ConfigError(f"--report {args.report} is the --model-out file")
+    _check_outputs([("--report", args.report), ("--model-out", args.model_out)],
+                   [("--panel", args.panel), ("--arm", _arm_file(args.arm)),
+                    ("--learner", args.learner)])
     panel = read_panel(args.panel)
     (model,) = bt.fit_arm([arm], panel, learner_cfg)
     save_model(model, args.model_out)

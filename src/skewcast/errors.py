@@ -36,13 +36,20 @@ class DataError(SkewcastError):
     """Input data violates a contract."""
 
 
-def write_text(path, text: str) -> None:
-    """Write a whole text file as UTF-8; an ``OSError`` becomes a ``DataError``."""
+def write_blocks(path, blocks) -> None:
+    """Write a text file as UTF-8, each of ``blocks`` (read once, lazily) as it comes;
+    an ``OSError``, partway through too, becomes a ``DataError`` naming the file."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for block in blocks:
+                fh.write(block)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write a whole text file as UTF-8: one block of ``write_blocks``."""
+    write_blocks(path, (text,))
 
 
 def read_json(path, what: str):

@@ -15,6 +15,11 @@ block's cells at once, converts each number column with one
 cell), parses each distinct date string once and checks the row rules on
 whole arrays.  Only a block that breaks a rule is read again row by row,
 to raise the first bad row's error with its line number.
+
+``write_csv`` streams: it reads its rows once, lazily, and formats and
+writes ``_BLOCK_ROWS`` lines at a time, and ``write_panel`` turns its
+columns into Python values one such slice at a time, so a write holds one
+block, not the file's text or whole-column lists.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass, field, fields
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -30,7 +35,7 @@ from .errors import (
     ConfigError,
     DataError,
     parse_day,
-    write_text,
+    write_blocks,
 )
 
 HORIZONS = (6, 12, 24)
@@ -41,6 +46,11 @@ _FLOATS = (float, np.floating)  # the cells write_csv writes at 12 significant d
 # after this many characters; a block's cells are about 7 times its text in
 # memory, and 1 << 20 added 8 MB to the peak RSS of a default-panel read
 _BLOCK_CHARS = 1 << 16
+# write_csv formats and writes this many lines at a time, and write_panel
+# turns this many rows of its columns into Python values at a time, so a
+# write holds one block of text, not the whole file (which took 72 MB for
+# the default panel)
+_BLOCK_ROWS = 1024
 
 
 def is_csv_name(name) -> bool:
@@ -287,17 +297,37 @@ def _check_rows(lines: list[str], line_no: int, ncol: int) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write ``header``, then each of ``rows`` (read once), as lines that end in ``\n``;
-    a float cell (Python or numpy) is written at 12 significant digits, any other by ``str``."""
-    lines = [",".join([f"{c:.12g}" if isinstance(c, _FLOATS) else str(c) for c in row])
-             for row in chain([header], rows)]
-    write_text(path, "\n".join(lines) + "\n")
+    """Write ``header``, then each of ``rows`` (read once, lazily), as lines that end in ``\n``;
+    a float cell (Python or numpy) is written at 12 significant digits, any other by ``str``.
+
+    At most ``_BLOCK_ROWS`` lines are formatted at a time, and each block is
+    written before the next is formatted.
+    """
+    lines = chain([header], rows)
+
+    def blocks():
+        while block := [",".join([f"{c:.12g}" if isinstance(c, _FLOATS) else str(c) for c in row])
+                        for row in islice(lines, _BLOCK_ROWS)]:
+            yield "\n".join(block) + "\n"
+
+    write_blocks(path, blocks())
 
 
 def write_panel(panel: SalesPanel, path) -> None:
-    """Write a panel CSV with deterministic (item_id, day) row order."""
-    iso = {d: dt.date.fromordinal(d).isoformat() for d in set(panel.day_ordinals.tolist())}
-    rows = zip(panel.item_codes.tolist(), panel.day_ordinals.tolist(), panel.sales.tolist(),
-               panel.feature_matrix.tolist())
-    write_csv(path, [*PANEL_COLUMNS, *panel.feature_names],
-              ([panel.item_ids[code], iso[day], sales, *x] for code, day, sales, x in rows))
+    """Write a panel CSV with deterministic (item_id, day) row order, its
+    columns turned into Python values one ``_BLOCK_ROWS`` slice at a time."""
+    ids = panel.item_ids
+    iso: dict[int, str] = {}  # day ordinal -> date text
+
+    def rows():
+        for start in range(0, len(panel), _BLOCK_ROWS):
+            part = slice(start, start + _BLOCK_ROWS)
+            days = panel.day_ordinals[part].tolist()
+            for day in set(days).difference(iso):
+                iso[day] = dt.date.fromordinal(day).isoformat()
+            for code, day, sales, x in zip(panel.item_codes[part].tolist(), days,
+                                           panel.sales[part].tolist(),
+                                           panel.feature_matrix[part].tolist()):
+                yield [ids[code], iso[day], sales, *x]
+
+    write_csv(path, [*PANEL_COLUMNS, *panel.feature_names], rows())

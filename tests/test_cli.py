@@ -76,6 +76,13 @@ class TestGen:
         second = (workdir / "panel2.csv").read_bytes()
         assert first == second
 
+    def test_out_on_the_config_file_is_config_error(self, workdir, tmp_path, capsys):
+        config = tmp_path / "gen.json"
+        config.write_bytes((workdir / "gen.json").read_bytes())
+        assert main(["gen", "--config", str(config), "--out", str(config)]) == 2
+        assert capsys.readouterr().err == f"config error: --out {config} is the --config file\n"
+        assert config.read_bytes() == (workdir / "gen.json").read_bytes()
+
     def test_missing_config_is_config_error(self, workdir):
         proc = run_cli("gen", "--config", str(workdir / "nope.json"),
                        "--out", str(workdir / "x.csv"))
@@ -239,6 +246,32 @@ class TestFit:
         assert proc.returncode == 2
         assert proc.stderr == f"config error: --report {report} is the --model-out file\n"
         assert not model_path.exists()
+
+    @pytest.mark.parametrize("output,the_input", [
+        ("--model-out", "--panel"), ("--report", "--panel"), ("--model-out", "--learner"),
+        ("--model-out", "--arm"), ("--report", "--arm"), ("--model-out", "--panel-link"),
+    ])
+    def test_an_output_on_an_input_file_is_config_error(self, workdir, tmp_path, capsys,
+                                                        output, the_input):
+        """The run is refused before any work, and the input keeps its bytes,
+        also when the output reaches the input through a symbolic link."""
+        inputs = {"--panel": tmp_path / "panel.csv", "--learner": tmp_path / "learner.json",
+                  "--arm": tmp_path / "arm.json"}
+        inputs["--panel"].write_bytes((workdir / "panel.csv").read_bytes())
+        inputs["--learner"].write_bytes((workdir / "learner.json").read_bytes())
+        inputs["--arm"].write_text(json.dumps(sc.arm_by_id("E4").to_json()), encoding="utf-8")
+        before = {option: path.read_bytes() for option, path in inputs.items()}
+        target = tmp_path / "link.csv" if the_input == "--panel-link" else inputs[the_input]
+        if the_input == "--panel-link":
+            target.symlink_to(inputs["--panel"])
+        outputs = {"--model-out": str(tmp_path / "model.json"), output: str(target)}
+        argv = ["fit", *(arg for option, path in inputs.items() for arg in (option, str(path))),
+                *(arg for option, path in outputs.items() for arg in (option, path))]
+        assert main(argv) == 2
+        named = "--panel" if the_input == "--panel-link" else the_input
+        assert capsys.readouterr().err == f"config error: {output} {target} is the {named} file\n"
+        assert {option: path.read_bytes() for option, path in inputs.items()} == before
+        assert not (tmp_path / "model.json").exists()  # refused before the fit
 
     def test_unknown_arm_is_config_error(self, workdir):
         proc = run_cli("fit", "--panel", str(workdir / "panel.csv"),
