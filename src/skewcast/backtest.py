@@ -13,18 +13,21 @@ range, log target, log target + sqrt-sales weights) plus bias-corrected
 variants of the log-target arm, a weight-escalation ladder, and a
 Tweedie power sweep.
 
-The grid's unit of work is one (distinct model, origin) job.  Arms that
-share a transform, loss and weight scheme fit the same model, so they
-form one group: the job fits that model once and each arm's own
-corrector on the training predictions (``fit_arm``, which ``skewcast
-fit`` also runs), predicts the test rows once, corrects them per arm
-and scores every arm at every horizon.  Before the pool starts, each
-origin's training and test windows are sliced once and shared by every
-group's job, and every job is checked (non-empty windows, fittable
-training targets), so a plan that cannot work fails before its first
-fit and names every failing arm and origin.  Jobs run in parallel threads
-(``SKEWCAST_THREADS`` caps the pool); every job is pure and writes to
-its own slot, and the final assembly is sorted, so ``metrics.csv`` and
+The grid's unit of work is one origin's job.  Arms that share a
+transform, loss and weight scheme fit the same model, so they form one
+group: for each group in plan order, the job fits that model once and
+each arm's own corrector on the training predictions (``fit_arm``,
+which ``skewcast fit`` also runs), predicts the test rows once, corrects
+them per arm and scores every arm at every horizon.  The job slices its
+origin's training and test windows, shares them among the groups and
+drops them when it returns, so at most ``worker_count()`` origins'
+windows are alive at once.  Before the first job, every (group, origin)
+pair is checked on the panel itself, with no window built (non-empty
+windows, fittable training targets), so a plan that cannot work fails
+before its first fit and names every failing arm and origin.  The
+calling thread runs jobs, with ``SKEWCAST_THREADS - 1`` helper threads
+beside it (none at 1); every job is pure and writes to its own slot,
+and the final assembly is sorted, so ``metrics.csv`` and
 ``report.json`` are the same bytes at any thread count.
 
 Study reports are frozen, and a trend report names its own table CSV,
@@ -37,7 +40,6 @@ import datetime as dt
 import json
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from types import MappingProxyType
@@ -80,7 +82,8 @@ SWEEP_POWERS = (1.1, 1.3, 1.5, 1.7, 1.9)
 
 
 def worker_count() -> int:
-    """Thread-pool size; SKEWCAST_THREADS overrides the default."""
+    """Threads that run grid jobs, the calling one included; SKEWCAST_THREADS
+    overrides the default."""
     raw = os.environ.get("SKEWCAST_THREADS")
     if raw is None:
         return min(8, os.cpu_count() or 1)
@@ -196,33 +199,29 @@ def version_origins(panel: SalesPanel, plan: BacktestPlan) -> list[dt.date]:
     return [dt.date.fromordinal(d) for d in range(first_origin, last_origin + 1, 7)]
 
 
-def _windows(
-    panel: SalesPanel, plan: BacktestPlan, origins: list[dt.date],
-) -> list[tuple[dt.date, SalesPanel, SalesPanel]]:
-    """Each origin's training and test windows, sliced once for every job.
+def _origin_days(plan: BacktestPlan, origin: dt.date) -> tuple[tuple[dt.date, dt.date], ...]:
+    """An origin's (first, last) training days and (first, last) test days.
 
-    The training window is the trailing ``train_window_days`` strictly
-    before the origin (the no-leakage contract is checked here); the test
-    window is the longest horizon's.  An error names its origin.
+    Training is the trailing ``train_window_days`` strictly before the
+    origin; the test window is the longest horizon's.
     """
-    windows = []
-    for origin in origins:
-        with _naming(f"origin {origin}"):
-            train = _train_slice(panel, origin, plan.train_window_days)
-            longest = ForecastVersion(origin, max(plan.horizons))
-            test = panel.slice_days(longest.window_start, longest.window_end)
-        windows.append((origin, train, test))
-    return windows
+    longest = ForecastVersion(origin, max(plan.horizons))
+    return ((origin - dt.timedelta(days=plan.train_window_days), origin - dt.timedelta(days=1)),
+            (longest.window_start, longest.window_end))
 
 
-def _train_slice(panel: SalesPanel, origin: dt.date, window_days: int) -> SalesPanel:
-    train = panel.slice_days(origin - dt.timedelta(days=window_days),
-                             origin - dt.timedelta(days=1))
-    late = train.day_ordinals >= origin.toordinal()  # the no-leakage contract
-    if late.any():
-        day = dt.date.fromordinal(int(train.day_ordinals[late][0]))
-        raise DataError(f"leakage: training row on {day}")
-    return train
+def _windows(panel: SalesPanel, plan: BacktestPlan,
+             origin: dt.date) -> tuple[SalesPanel, SalesPanel]:
+    """An origin's training and test windows; the no-leakage contract is
+    checked here, and an error names the origin."""
+    train_days, test_days = _origin_days(plan, origin)
+    with _naming(f"origin {origin}"):
+        train = panel.slice_days(*train_days)
+        late = train.day_ordinals >= origin.toordinal()  # the no-leakage contract
+        if late.any():
+            day = dt.date.fromordinal(int(train.day_ordinals[late][0]))
+            raise DataError(f"leakage: training row on {day}")
+        return train, panel.slice_days(*test_days)
 
 
 @contextmanager
@@ -240,26 +239,33 @@ def _arms_at(arms: list[ExperimentArm], origin: dt.date) -> str:
     return f"{noun} {', '.join(arm.id for arm in arms)} at origin {origin}"
 
 
-def _preflight(groups: list[list[ExperimentArm]], windows) -> None:
-    """Check that every (model group, origin) job can start, before any fit.
+def _preflight(groups: list[list[ExperimentArm]], plan: BacktestPlan, panel: SalesPanel,
+               origins: list[dt.date]) -> None:
+    """Check that every (model group, origin) pair can run, before any fit.
 
     Both windows must hold rows, and the training targets must pass the
-    fit's own checks (`fit_targets`).  Every problem is reported in one
-    error, a ``ConfigError`` if any problem is one and else a
-    ``DataError``, chained to the first problem of its family.
+    fit's own checks (`fit_targets`).  No window is built: an origin's
+    training sales and test row count are read through the panel's
+    ``days_mask``, the rows its windows will hold.  Every problem is
+    reported in one error, group by group, a ``ConfigError`` if any
+    problem is one and else a ``DataError``, chained to the first problem
+    of its family.
     """
-    problems = []
-    for group in groups:
-        lead = group[0]
-        for origin, train, test in windows:
+    by_group: list[list] = [[] for _ in groups]
+    for origin in origins:
+        train_days, test_days = _origin_days(plan, origin)
+        train_sales = panel.sales[panel.days_mask(*train_days)]
+        test_rows = np.count_nonzero(panel.days_mask(*test_days))
+        for group, found in zip(groups, by_group):
             try:
-                if len(train) == 0:
+                if len(train_sales) == 0:
                     raise DataError("empty training window")
-                if len(test) == 0:
+                if test_rows == 0:
                     raise DataError("empty test window")
-                fit_targets(lead.transform, lead.loss, train.sales)
+                fit_targets(group[0].transform, group[0].loss, train_sales)
             except (ConfigError, DataError) as exc:
-                problems.append((_arms_at(group, origin), exc))
+                found.append((_arms_at(group, origin), exc))
+    problems = [problem for found in by_group for problem in found]
     if problems:
         detail = "; ".join(f"{who}: {exc}" for who, exc in problems)
         first = next((exc for _, exc in problems if isinstance(exc, ConfigError)),
@@ -408,37 +414,61 @@ def _run_grid(
     panel: SalesPanel,
 ) -> tuple[list[dt.date], list[tuple[str, VersionMetrics]],
            dict[str, dict[int, AggregateMetrics]]]:
-    """Run every (distinct model, origin) job; the origins, sorted rows and
-    per-arm aggregates.
+    """Run every origin's job; the origins, sorted rows and per-arm aggregates.
 
-    Each origin's windows are sliced once, and every job is checked,
-    before the pool starts.  The first job to fail, in submission order,
-    is reported, and no job starts after it fails, at any thread count:
-    each job checks, in its worker, that no earlier job has failed.
+    Every (model group, origin) pair is checked before the first job.  A
+    job slices its origin's two windows, runs every model group on them
+    in plan order and drops them, so at most ``worker_count()`` origins'
+    windows are alive at once.  The calling thread runs jobs, and
+    ``worker_count() - 1`` helper threads take origins, in order, from
+    the same iterator, so at most ``min(worker_count(), len(origins))``
+    threads are busy.  The failure of the lowest-index origin is raised,
+    and no fit of a later origin starts after a failure, at any thread
+    count: a job checks before each group's fit that no earlier origin
+    has failed.
     """
     origins = version_origins(panel, plan)
-    windows = _windows(panel, plan, origins)
     groups = _model_groups(arms)
-    _preflight(groups, windows)
-    jobs = [(group, window) for group in groups for window in windows]
-    first_failed = len(jobs)  # the least index of a failed job
+    _preflight(groups, plan, panel, origins)
+    results: list = [None] * len(origins)  # each origin's rows, or its error
+    failed = len(origins)  # the least index of a failed origin
+    todo = enumerate(origins)
     lock = threading.Lock()
 
-    def run(i: int, group: list[ExperimentArm], window) -> list[tuple[str, VersionMetrics]]:
-        nonlocal first_failed
-        if first_failed < i:
-            return []  # never read: the failed job comes first
-        try:
-            return _score_versions(group, plan, *window)
-        except BaseException:
-            with lock:
-                first_failed = min(first_failed, i)
-            raise
+    def job(i: int, origin: dt.date) -> list[tuple[str, VersionMetrics]]:
+        train, test = _windows(panel, plan, origin)
+        rows = []
+        for group in groups:
+            if failed < i:
+                break  # never read: an earlier origin failed
+            rows += _score_versions(group, plan, origin, train, test)
+        return rows
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        futures = [pool.submit(run, i, *job) for i, job in enumerate(jobs)]
-        rows = [row for fut in futures for row in fut.result()]
-    rows.sort(key=row_order)
+    def work() -> None:
+        nonlocal failed
+        while True:
+            with lock:
+                i, origin = next(todo, (len(origins), None))
+            if i >= failed:  # the origins are used up, or an earlier one failed
+                return
+            try:
+                results[i] = job(i, origin)
+            except BaseException as exc:  # raised below, once every thread is done
+                results[i] = exc
+                with lock:
+                    failed = min(failed, i)
+
+    helpers = [threading.Thread(target=work) for _ in range(worker_count() - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failed < len(origins):
+        raise results[failed]
+    rows = sorted((row for part in results for row in part), key=row_order)
     aggregates = {
         arm.id: aggregate_versions([vm for aid, vm in rows if aid == arm.id])
         for arm in arms
@@ -480,21 +510,25 @@ def run_backtest(plan: BacktestPlan, panel: SalesPanel | None = None) -> Backtes
     )
 
 
+_STUDY_FILES = ("metrics.csv", "report.json")  # every study's, after a trend's table CSV
+
+
 def write_backtest_outputs(report: BacktestReport | TrendReport, out_dir) -> list[str]:
     """Write a study's files into out_dir, made if missing; their names, table CSV first."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot create output directory {out_dir}: {exc}") from exc
-    write_metrics_csv(report.rows, os.path.join(out_dir, "metrics.csv"))
-    write_text(os.path.join(out_dir, "report.json"),
+    metrics_csv, report_json = _STUDY_FILES
+    write_metrics_csv(report.rows, os.path.join(out_dir, metrics_csv))
+    write_text(os.path.join(out_dir, report_json),
                json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
     if isinstance(report, BacktestReport):
-        return ["metrics.csv", "report.json"]
+        return list(_STUDY_FILES)
     # each trend row: axis, horizon, aggregate
     write_csv(os.path.join(out_dir, report.csv_name), report.table[0],
               (row.values() for row in report.table))
-    return [report.csv_name, "metrics.csv", "report.json"]
+    return [report.csv_name, *_STUDY_FILES]
 
 
 def _count_inversions(values: list[float], direction: str) -> int:
@@ -578,7 +612,7 @@ def run_weight_ladder(plan: BacktestPlan, panel: SalesPanel | None = None) -> Tr
         for i, s in enumerate(LADDER_SCHEMES)
     ]
     return _trend(plan, panel, arms, "scheme", [s.kind for s in LADDER_SCHEMES],
-                  direction="non_decreasing", csv_name="ladder.csv")
+                  direction="non_decreasing", csv_name=_TABLE_CSVS[run_weight_ladder])
 
 
 def run_power_sweep(plan: BacktestPlan, panel: SalesPanel | None = None) -> TrendReport:
@@ -598,7 +632,7 @@ def run_power_sweep(plan: BacktestPlan, panel: SalesPanel | None = None) -> Tren
         for p in SWEEP_POWERS
     ]
     report = _trend(plan, panel, arms, "power", [f"{p:.1f}" for p in SWEEP_POWERS],
-                    direction="non_increasing", csv_name="sweep.csv")
+                    direction="non_increasing", csv_name=_TABLE_CSVS[run_power_sweep])
     best = {}
     for h in sorted(plan.horizons):
         at_h = [r for r in report.table if r["horizon_weeks"] == h]
@@ -607,3 +641,15 @@ def run_power_sweep(plan: BacktestPlan, panel: SalesPanel | None = None) -> Tren
     if cfg is not None:
         extra["theoretical_tweedie_power"] = theoretical_tweedie_power(cfg)
     return replace(report, extra=extra)
+
+
+# the table CSV each trend study writes
+_TABLE_CSVS = {run_weight_ladder: "ladder.csv", run_power_sweep: "sweep.csv"}
+
+
+def study_files(runner) -> list[str]:
+    """The names ``write_backtest_outputs`` returns for a report of the
+    study ``runner`` runs (``run_backtest``, ``run_weight_ladder`` or
+    ``run_power_sweep``), known before it runs."""
+    table = [_TABLE_CSVS[runner]] if runner in _TABLE_CSVS else []
+    return [*table, *_STUDY_FILES]

@@ -132,6 +132,11 @@ _GRIDS = (
 def _cmd_grid(args) -> int:
     plan = bt.load_plan(args.plan)
     _check_out_dir(args.out_dir)  # fail before the grid, not after it
+    inputs = [("--plan", args.plan), ("panel_path", plan.panel_path),
+              ("gen_config_path", plan.gen_config_path)]
+    _check_outputs([("--out-dir", os.path.join(args.out_dir, name))
+                    for name in bt.study_files(args.runner)],
+                   [(f"{option} {path}", path) for option, path in inputs])
     *names, last = bt.write_backtest_outputs(args.runner(plan), args.out_dir)
     print(f"wrote {', '.join(names)} and {last} to {args.out_dir}")
     return 0

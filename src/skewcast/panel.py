@@ -151,9 +151,13 @@ class SalesPanel:
     def __len__(self) -> int:
         return len(self.sales)
 
+    def days_mask(self, first: dt.date, last: dt.date) -> np.ndarray:
+        """Which rows have first <= day <= last: the rows ``slice_days`` keeps."""
+        return (self.day_ordinals >= first.toordinal()) & (self.day_ordinals <= last.toordinal())
+
     def slice_days(self, first: dt.date, last: dt.date) -> "SalesPanel":
         """Sub-panel of the rows with first <= day <= last."""
-        keep = (self.day_ordinals >= first.toordinal()) & (self.day_ordinals <= last.toordinal())
+        keep = self.days_mask(first, last)
         return SalesPanel(self.item_ids, self.item_codes[keep], self.day_ordinals[keep],
                           self.sales[keep], self.feature_matrix[keep], self.feature_names,
                           (first, last))

@@ -5,7 +5,9 @@ import datetime as dt
 import json
 import math
 import re
+import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from skewcast.backtest import (
     LADDER_SCHEMES,
     SWEEP_POWERS,
     _count_inversions,
-    _train_slice,
     version_origins,
     worker_count,
     write_backtest_outputs,
@@ -125,7 +126,8 @@ class TestScheduling:
     def test_training_slice_never_touches_origin(self):
         panel = _flat_panel(n_days=400)
         origin = dt.date(2020, 10, 5)
-        train = _train_slice(panel, origin, 90)
+        plan = sc.BacktestPlan(train_window_days=90, n_versions=1, horizons=(6,))
+        train, _ = backtest._windows(panel, plan, origin)
         days = train.day_ordinals
         assert days.max() == (origin - dt.timedelta(days=1)).toordinal()
         assert days.min() == (origin - dt.timedelta(days=90)).toordinal()
@@ -496,7 +498,7 @@ class TestForecastSeam:
         origin = version_origins(small_panel, plan)[0]
         test = small_panel.slice_days(origin + dt.timedelta(days=1),
                                       origin + dt.timedelta(days=7 * max(plan.horizons)))
-        train = _train_slice(small_panel, origin, plan.train_window_days)
+        train, _ = backtest._windows(small_panel, plan, origin)
         got = backtest._forecasts(arms, plan, train, test)
         assert len(got) == len(arms)
         for arm, preds in zip(arms, got):
@@ -534,7 +536,7 @@ class TestGridErrors:
 
 
 class TestPreflight:
-    """Every job is checked before the pool starts: a plan that cannot work on
+    """Every job is checked before the first one starts: a plan that cannot work on
     its panel fails before the first fit, naming every failing arm and origin."""
 
     @pytest.mark.parametrize("transform,loss,message", [
@@ -577,8 +579,9 @@ class TestPreflight:
         arms = tuple(sc.arm_by_id(a) for a in ("E4-S", "E4-V", "E4-PB"))
         plan = sc.BacktestPlan(train_window_days=1, n_versions=2, horizons=(6,),
                                arms=arms, baseline_id="E4-S", learner=FAST_LEARNER)
-        windows = backtest._windows(panel, plan, version_origins(panel, plan))
-        assert [len(train) for _, train, _ in windows] == [1, 1]
+        windows = [backtest._windows(panel, plan, origin)
+                   for origin in version_origins(panel, plan)]
+        assert [len(train) for train, _ in windows] == [1, 1]
         counter = _FitCounter(monkeypatch)
         with pytest.raises(DataError, match="all target values are identical"):
             sc.run_backtest(plan, panel=panel)
@@ -592,6 +595,121 @@ class TestPreflight:
             sc.run_backtest(_small_plan([sc.arm_by_id("E1"), arm], FAST_LEARNER),
                             panel=small_panel)
         assert counter.calls == 0
+
+
+class _SliceCounter:
+    """Counts calls to ``SalesPanel.slice_days``, from any thread."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        lock = threading.Lock()
+        real_slice = sc.SalesPanel.slice_days
+
+        def slice_days(panel, first, last):
+            with lock:
+                self.calls += 1
+            return real_slice(panel, first, last)
+
+        monkeypatch.setattr(sc.SalesPanel, "slice_days", slice_days)
+
+
+class TestGridRunner:
+    """A job is one origin: the calling thread runs jobs beside
+    ``SKEWCAST_THREADS - 1`` helpers, and an origin's windows are sliced
+    when its job starts and dropped when it ends."""
+
+    @staticmethod
+    def _plan():
+        # two model groups (E1; E4 and E4-S) at each of 4 origins
+        return sc.BacktestPlan(train_window_days=120, n_versions=4, horizons=(6,),
+                               arms=tuple(sc.arm_by_id(a) for a in ("E1", "E4", "E4-S")),
+                               baseline_id="E1", learner=sc.LearnerConfig(rounds=3, max_depth=2))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_the_calling_thread_runs_fits(self, small_panel, monkeypatch, threads):
+        fit_threads = []
+        real_fit = backtest.fit
+        monkeypatch.setattr(backtest, "fit",
+                            lambda *a: fit_threads.append(threading.get_ident()) or real_fit(*a))
+        started = []
+        real_start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or real_start(thread))
+        monkeypatch.setenv("SKEWCAST_THREADS", threads)
+        sc.run_backtest(self._plan(), panel=small_panel)
+        assert len(fit_threads) == 2 * 4
+        assert threading.get_ident() in fit_threads
+        if threads == "1":
+            assert set(fit_threads) == {threading.get_ident()}
+            assert started == []
+        else:
+            assert len(set(fit_threads)) <= 2
+            assert len(started) == 1
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_each_thread_holds_one_origin_s_windows(self, small_panel, monkeypatch, threads):
+        """Counted at every fit, the training windows alive never outnumber
+        the threads, and each origin's two windows are sliced once."""
+        lock = threading.Lock()
+        alive = 0
+        at_fits = []
+
+        def dropped():
+            nonlocal alive
+            with lock:
+                alive -= 1
+
+        real_windows = backtest._windows
+
+        def windows(*args):
+            nonlocal alive
+            train, test = real_windows(*args)
+            with lock:
+                alive += 1
+            weakref.finalize(train, dropped)
+            return train, test
+
+        real_fit = backtest.fit
+        monkeypatch.setattr(backtest, "_windows", windows)
+        monkeypatch.setattr(backtest, "fit", lambda *a: at_fits.append(alive) or real_fit(*a))
+        slices = _SliceCounter(monkeypatch)
+        monkeypatch.setenv("SKEWCAST_THREADS", threads)
+        plan = self._plan()
+        sc.run_backtest(plan, panel=small_panel)
+        assert len(at_fits) == 2 * 4
+        assert 1 <= max(at_fits) <= int(threads)
+        assert alive == 0
+        assert slices.calls == 2 * plan.n_versions
+
+    def test_more_threads_than_cores_run_each_job_once(self, small_panel, monkeypatch):
+        """Six threads share 8 origins under a short switch interval: no
+        origin is lost or run twice, and the rows are the one-thread rows."""
+        plan = dataclasses.replace(self._plan(), n_versions=8)
+        monkeypatch.setenv("SKEWCAST_THREADS", "1")
+        alone = sc.run_backtest(plan, panel=small_panel)
+        fits = []
+        real_fit = backtest.fit
+        monkeypatch.setattr(backtest, "fit",
+                            lambda train, *a: fits.append((train.date_range, *a[:3]))
+                            or real_fit(train, *a))
+        monkeypatch.setenv("SKEWCAST_THREADS", "6")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = sc.run_backtest(plan, panel=small_panel)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(fits) == len(set(fits)) == 2 * 8
+        assert report.rows == alone.rows
+
+    def test_a_failing_preflight_slices_no_window(self, small_panel, monkeypatch):
+        gamma = sc.ExperimentArm("BAD", sc.TargetTransform(kind="identity"),
+                                 sc.LossSpec.gamma(), sc.WeightScheme(kind="unit"))
+        plan = dataclasses.replace(self._plan(), arms=(sc.arm_by_id("E1"), gamma))
+        slices = _SliceCounter(monkeypatch)
+        with pytest.raises(DataError, match="gamma deviance needs y > 0"):
+            sc.run_backtest(plan, panel=small_panel)
+        assert slices.calls == 0
 
 
 @pytest.fixture(scope="module")
@@ -626,6 +744,16 @@ class TestStudyOutputs:
         out = tmp_path / "out"
         assert write_backtest_outputs(request.getfixturevalue(study), out) == names
         assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
+    @pytest.mark.parametrize("study, runner", [
+        ("oracle_report", sc.run_backtest),
+        ("control_ladder", sc.run_weight_ladder),
+        ("control_sweep", sc.run_power_sweep),
+    ])
+    def test_the_names_are_known_before_the_study_runs(self, request, tmp_path, study, runner):
+        """What the CLI checks against its inputs is what the writer writes."""
+        report = request.getfixturevalue(study)
+        assert backtest.study_files(runner) == write_backtest_outputs(report, tmp_path)
 
     @_STUDIES
     def test_a_report_is_frozen(self, request, study, names):

@@ -439,11 +439,12 @@ class TestBacktest:
                                            "a forecast is not finite\n")
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
     def test_a_failing_grid_starts_no_later_job(self, tmp_path, capsys, monkeypatch, threads):
-        """E3.5 fails at its first origin, the first of 6 jobs: a job already
-        running may finish, but no queued one starts, and the error is the
-        same at any thread count."""
+        """E3.5, the first model group, fails at the first of 2 origins: a job
+        already running may finish its fit, but no later fit starts, and the
+        error is the same at any thread count, also with more helper threads
+        than origins."""
         plan_path, first_origin = self._overflowing_plan(tmp_path)
         fits = []
         real_fit = backtest.fit
@@ -454,6 +455,44 @@ class TestBacktest:
         assert capsys.readouterr().err == (f"data error: arm E3.5 at origin {first_origin}: "
                                            "a forecast is not finite\n")
         assert len(fits) <= 2 * int(threads)
+
+    @pytest.mark.parametrize("command, the_input, name", [
+        ("backtest", "--plan", "report.json"),
+        ("backtest", "panel_path", "metrics.csv"),
+        ("ladder", "panel_path", "ladder.csv"),
+        ("sweep", "gen_config_path", "sweep.csv"),
+        ("sweep", "panel_path-link", "metrics.csv"),
+    ])
+    def test_an_output_on_an_input_file_is_config_error(self, workdir, tmp_path, capsys,
+                                                        monkeypatch, command, the_input, name):
+        """A study that would write one of its files over its plan, panel or
+        generator config is refused before the grid runs, also through a
+        symbolic link, and the input keeps its bytes."""
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        inputs = {"--plan": tmp_path / "plan.json", "panel_path": tmp_path / "panel.csv",
+                  "gen_config_path": tmp_path / "gen.json"}
+        output = out_dir / name
+        if the_input == "panel_path-link":
+            output.symlink_to(inputs["panel_path"])
+        else:
+            inputs[the_input] = output
+        inputs["panel_path"].write_bytes((workdir / "panel.csv").read_bytes())
+        inputs["gen_config_path"].write_bytes((workdir / "gen.json").read_bytes())
+        inputs["--plan"].write_text(json.dumps(_plan(
+            workdir, panel_path=str(inputs["panel_path"]),
+            gen_config_path=str(inputs["gen_config_path"]))), encoding="utf-8")
+        before = {option: path.read_bytes() for option, path in inputs.items()}
+        fits = []
+        real_fit = backtest.fit
+        monkeypatch.setattr(backtest, "fit", lambda *a: fits.append(1) or real_fit(*a))
+        assert main([command, "--plan", str(inputs["--plan"]), "--out-dir", str(out_dir)]) == 2
+        named = "panel_path" if the_input == "panel_path-link" else the_input
+        assert capsys.readouterr().err == (f"config error: --out-dir {output} is the "
+                                           f"{named} {inputs[named]} file\n")
+        assert {option: path.read_bytes() for option, path in inputs.items()} == before
+        assert fits == []
+        assert [p.name for p in out_dir.iterdir()] == [name]
 
     def test_unbounded_rounds_are_config_error(self, workdir):
         """A billion rounds would run for days; the plan is refused at once."""

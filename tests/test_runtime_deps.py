@@ -1,5 +1,5 @@
 """The package runs on numpy and the standard library alone, and does not
-load ``numpy.ma``.
+load ``numpy.ma``, ``concurrent.futures`` or ``logging``.
 
 This test process imports ``scipy`` itself (other tests use
 ``scipy.optimize``), so the check runs a fresh interpreter that imports
@@ -71,3 +71,10 @@ def test_no_scipy_at_run_time(modules):
 
 def test_no_numpy_ma_at_run_time(modules):
     assert "numpy.ma" not in modules
+
+
+def test_no_thread_pool_at_run_time(modules):
+    """The grid starts its own threads; ``concurrent.futures`` and the
+    ``logging`` it loads cost every process about 4.5 ms of import."""
+    assert "concurrent.futures" not in modules
+    assert "logging" not in modules
