@@ -18,6 +18,7 @@ from .backtest import (
     fit_arm,
     run_backtest,
     run_power_sweep,
+    run_study,
     run_weight_ladder,
     standard_arms,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "relativize",
     "run_backtest",
     "run_power_sweep",
+    "run_study",
     "run_weight_ladder",
     "save_model",
     "standard_arms",

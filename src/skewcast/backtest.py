@@ -7,11 +7,10 @@ training residuals, forecasts the horizon windows, and is scored with
 version metrics.  Results aggregate sales-weighted per horizon and are
 reported relative to a baseline arm.
 
-The standard grid covers the five design choices usually compared on
-skewed sales data (raw squared error, pseudo-Huber, the Tweedie power
-range, log target, log target + sqrt-sales weights) plus bias-corrected
-variants of the log-target arm, a weight-escalation ladder, and a
-Tweedie power sweep.
+``STUDIES`` holds the paper's three studies, one row per CLI command:
+the grid of design choices, a weight-escalation ladder and a Tweedie
+power sweep.  ``run_study`` runs any of them on one grid, so a model
+two studies share is fitted once per origin.
 
 The grid's unit of work is one origin's job.  Arms that share a
 transform, loss and weight scheme fit the same model, so they form one
@@ -25,8 +24,8 @@ windows are alive at once.  Before the first job, every (group, origin)
 pair is checked on the panel itself, with no window built (non-empty
 windows, fittable training targets), so a plan that cannot work fails
 before its first fit and names every failing arm and origin.  The
-calling thread runs jobs, with ``SKEWCAST_THREADS - 1`` helper threads
-beside it (none at 1); every job is pure and writes to its own slot,
+calling thread runs jobs, with ``min(SKEWCAST_THREADS, origins) - 1``
+helper threads beside it; every job is pure and writes to its own slot,
 and the final assembly is sorted, so ``metrics.csv`` and
 ``report.json`` are the same bytes at any thread count.
 
@@ -40,6 +39,7 @@ import datetime as dt
 import json
 import os
 import threading
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from types import MappingProxyType
@@ -420,12 +420,11 @@ def _run_grid(
     job slices its origin's two windows, runs every model group on them
     in plan order and drops them, so at most ``worker_count()`` origins'
     windows are alive at once.  The calling thread runs jobs, and
-    ``worker_count() - 1`` helper threads take origins, in order, from
-    the same iterator, so at most ``min(worker_count(), len(origins))``
-    threads are busy.  The failure of the lowest-index origin is raised,
-    and no fit of a later origin starts after a failure, at any thread
-    count: a job checks before each group's fit that no earlier origin
-    has failed.
+    ``min(worker_count(), len(origins)) - 1`` helper threads are started
+    to take origins, in order, from the same iterator.  The failure of
+    the lowest-index origin is raised, and no fit of a later origin
+    starts after a failure, at any thread count: a job checks before
+    each group's fit that no earlier origin has failed.
     """
     origins = version_origins(panel, plan)
     groups = _model_groups(arms)
@@ -458,7 +457,8 @@ def _run_grid(
                 with lock:
                     failed = min(failed, i)
 
-    helpers = [threading.Thread(target=work) for _ in range(worker_count() - 1)]
+    n_helpers = min(worker_count(), len(origins)) - 1
+    helpers = [threading.Thread(target=work) for _ in range(n_helpers)]
     for helper in helpers:
         helper.start()
     try:
@@ -487,11 +487,18 @@ def _panel_of(plan: BacktestPlan, panel: SalesPanel | None) -> SalesPanel:
 
 def run_backtest(plan: BacktestPlan, panel: SalesPanel | None = None) -> BacktestReport:
     """Run the experiment grid and relativize against the baseline arm."""
-    panel = _panel_of(plan, panel)
-    ids = [arm.id for arm in plan.arms]
+    return run_study(plan, panel, ["backtest"])["backtest"]
+
+
+def _grid_arms(plan: BacktestPlan) -> dict[str, ExperimentArm]:
+    """The plan's arms, by id; the baseline must be one of them."""
+    ids = {arm.id: arm for arm in plan.arms}
     if plan.baseline_id not in ids:
         raise ConfigError(f"baseline arm {plan.baseline_id!r} is not in the plan")
-    origins, rows, aggregates = _run_grid(plan.arms, plan, panel)
+    return ids
+
+
+def _grid_report(plan: BacktestPlan, origins, rows, aggregates) -> BacktestReport:
     base = aggregates[plan.baseline_id]
     relatives = {
         arm_id: {
@@ -564,38 +571,31 @@ class TrendReport(_FinishedReport):
         }
 
 
-def _trend(
-    plan: BacktestPlan,
-    panel: SalesPanel,
-    arms: list[ExperimentArm],
-    axis_name: str,
-    axis_values: list[str],
-    direction: str,
-    csv_name: str,
-) -> TrendReport:
-    _, rows, aggregates = _run_grid(arms, plan, panel)
+def _trend(study: Study, plan: BacktestPlan, arms: dict[str, ExperimentArm], rows,
+           aggregates, extra) -> TrendReport:
     table = []
     verdicts: dict[int, dict] = {}
     for h in sorted(plan.horizons):
-        series = [aggregates[arm.id][h] for arm in arms]
-        for value, agg in zip(axis_values, series):
-            table.append({axis_name: value, **asdict(agg)})
+        series = [aggregates[arm.id][h] for arm in arms.values()]
+        for value, agg in zip(arms, series):
+            table.append({study.axis: value, **asdict(agg)})
         wbias_series = [agg.wbias for agg in series]
-        inversions = _count_inversions(wbias_series, direction)
+        inversions = _count_inversions(wbias_series, study.direction)
         verdicts[h] = {
-            "wbias_direction": direction,
+            "wbias_direction": study.direction,
             "inversions": inversions,
             "monotone": inversions == 0,
             "within_tolerance": inversions <= 1,
             "wbias_series": wbias_series,
         }
     return TrendReport(
-        axis_name=axis_name,
-        axis_values=axis_values,
+        axis_name=study.axis,
+        axis_values=list(arms),
         table=table,
         verdicts=verdicts,
         rows=rows,
-        csv_name=csv_name,
+        csv_name=study.csv_name,
+        extra=extra(table) if extra else {},
     )
 
 
@@ -605,14 +605,13 @@ def run_weight_ladder(plan: BacktestPlan, panel: SalesPanel | None = None) -> Tr
     The expected trend: wbias climbs from strongly negative toward zero
     as weights escalate from unit to linear-in-sales.
     """
-    panel = _panel_of(plan, panel)
+    return run_study(plan, panel, ["ladder"])["ladder"]
+
+
+def _ladder_arms(plan: BacktestPlan) -> dict[str, ExperimentArm]:
     log = TargetTransform(kind="log")
-    arms = [
-        ExperimentArm(f"W{i}-{s.kind}", log, LossSpec.mse(), s)
-        for i, s in enumerate(LADDER_SCHEMES)
-    ]
-    return _trend(plan, panel, arms, "scheme", [s.kind for s in LADDER_SCHEMES],
-                  direction="non_decreasing", csv_name=_TABLE_CSVS[run_weight_ladder])
+    return {s.kind: ExperimentArm(f"W{i}-{s.kind}", log, LossSpec.mse(), s)
+            for i, s in enumerate(LADDER_SCHEMES)}
 
 
 def run_power_sweep(plan: BacktestPlan, panel: SalesPanel | None = None) -> TrendReport:
@@ -622,34 +621,91 @@ def run_power_sweep(plan: BacktestPlan, panel: SalesPanel | None = None) -> Tren
     as p rises; wmape bottoms out near the generator's true power, which
     is recorded in the report when the plan points at its config.
     """
-    panel = _panel_of(plan, panel)
-    # a bad generator config must fail before the first fit, not after the last
-    cfg = None if plan.gen_config_path is None else load_gen_config(plan.gen_config_path)
+    return run_study(plan, panel, ["sweep"])["sweep"]
+
+
+def _sweep_arms(plan: BacktestPlan) -> dict[str, ExperimentArm]:
     identity = TargetTransform(kind="identity")
     unit = WeightScheme(kind="unit")
-    arms = [
-        ExperimentArm(f"P{p:.1f}", identity, LossSpec.tweedie(p), unit)
-        for p in SWEEP_POWERS
-    ]
-    report = _trend(plan, panel, arms, "power", [f"{p:.1f}" for p in SWEEP_POWERS],
-                    direction="non_increasing", csv_name=_TABLE_CSVS[run_power_sweep])
-    best = {}
-    for h in sorted(plan.horizons):
-        at_h = [r for r in report.table if r["horizon_weeks"] == h]
-        best[str(h)] = min(at_h, key=lambda r: r["wmape"])["power"]
-    extra = {"best_wmape_power": best}
-    if cfg is not None:
-        extra["theoretical_tweedie_power"] = theoretical_tweedie_power(cfg)
-    return replace(report, extra=extra)
+    return {f"{p:.1f}": ExperimentArm(f"P{p:.1f}", identity, LossSpec.tweedie(p), unit)
+            for p in SWEEP_POWERS}
 
 
-# the table CSV each trend study writes
-_TABLE_CSVS = {run_weight_ladder: "ladder.csv", run_power_sweep: "sweep.csv"}
+def _sweep_extra(plan: BacktestPlan):
+    """The sweep's extra report fields, as a function of its table: the power
+    of least wmape per horizon, and the generator's if the plan names its config."""
+    # a bad generator config must fail before the first fit, not after the last
+    cfg = None if plan.gen_config_path is None else load_gen_config(plan.gen_config_path)
+    theory = {} if cfg is None else {"theoretical_tweedie_power": theoretical_tweedie_power(cfg)}
+
+    def extra(table) -> dict:
+        best = {}
+        for h in sorted(plan.horizons):
+            at_h = [r for r in table if r["horizon_weeks"] == h]
+            best[str(h)] = min(at_h, key=lambda r: r["wmape"])["power"]
+        return {"best_wmape_power": best, **theory}
+
+    return extra
 
 
-def study_files(runner) -> list[str]:
-    """The names ``write_backtest_outputs`` returns for a report of the
-    study ``runner`` runs (``run_backtest``, ``run_weight_ladder`` or
-    ``run_power_sweep``), known before it runs."""
-    table = [_TABLE_CSVS[runner]] if runner in _TABLE_CSVS else []
-    return [*table, *_STUDY_FILES]
+@dataclass(frozen=True)
+class Study:
+    """A row of ``STUDIES``: its command's help, its arms for a plan (by
+    id, or by axis value for a trend study) and, for a trend study, its
+    axis, wbias direction and table CSV, and ``extra``, which is called
+    with the plan before the first fit and maps the table to the report's
+    extra fields."""
+
+    help: str
+    roster: Callable[[BacktestPlan], dict[str, ExperimentArm]]
+    axis: str | None = None
+    direction: str | None = None
+    csv_name: str | None = None
+    extra: Callable | None = None
+
+    @property
+    def files(self) -> list[str]:
+        """The names ``write_backtest_outputs`` returns for this study's report."""
+        return [self.csv_name, *_STUDY_FILES] if self.csv_name else list(_STUDY_FILES)
+
+
+STUDIES = {
+    "backtest": Study("run the rolling-origin experiment grid", _grid_arms),
+    "ladder": Study("weight-escalation study", _ladder_arms, axis="scheme",
+                    direction="non_decreasing", csv_name="ladder.csv"),
+    "sweep": Study("Tweedie variance-power study", _sweep_arms, axis="power",
+                   direction="non_increasing", csv_name="sweep.csv", extra=_sweep_extra),
+}
+
+
+def run_study(plan: BacktestPlan, panel: SalesPanel | None = None,
+              names=tuple(STUDIES)) -> dict[str, BacktestReport | TrendReport]:
+    """Run the named studies of ``STUDIES`` on one grid; their reports, by name.
+
+    A model two studies share is fitted once per origin, and an arm two
+    studies name is one arm.  Each report is sliced from the shared rows:
+    the same bytes as its study run alone.  Each study's own checks, and
+    the check that no arm id has two designs, fail before the first fit.
+    """
+    panel = _panel_of(plan, panel)
+    arms: dict[str, ExperimentArm] = {}
+    rosters, extras = {}, {}
+    for name in names:
+        if name not in STUDIES:
+            raise ConfigError(f"unknown study {name!r}; the studies are {', '.join(STUDIES)}")
+        study = STUDIES[name]
+        rosters[name] = study.roster(plan)
+        extras[name] = study.extra(plan) if study.extra else None
+        for arm in rosters[name].values():
+            if arms.setdefault(arm.id, arm) != arm:
+                raise ConfigError(f"arm id {arm.id!r} has two designs in studies "
+                                  f"{', '.join(rosters)}")
+    origins, rows, aggregates = _run_grid(list(arms.values()), plan, panel)
+    reports = {}
+    for name, roster in rosters.items():
+        own = {arm.id: aggregates[arm.id] for arm in roster.values()}
+        own_rows = [row for row in rows if row[0] in own]
+        study = STUDIES[name]
+        reports[name] = (_grid_report(plan, origins, own_rows, own) if study.axis is None
+                         else _trend(study, plan, roster, own_rows, own, extras[name]))
+    return reports

@@ -3,9 +3,7 @@
 Subcommands:
   gen        synthesize a sales panel from a generator config
   fit        train one arm on a panel and save the model JSON
-  backtest   run the rolling-origin experiment grid
-  ladder     weight-escalation study (log target, Mse)
-  sweep      Tweedie variance-power study
+  backtest, ladder, sweep   the studies of ``backtest.STUDIES``
   convexity  deviance-vs-prediction curves for a fixed actual
 
 Exit codes: 0 success, 2 configuration error, 3 data error.
@@ -121,23 +119,16 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-# (command, help, runner); each runs a grid from a plan
-_GRIDS = (
-    ("backtest", "run the rolling-origin experiment grid", bt.run_backtest),
-    ("ladder", "weight-escalation study", bt.run_weight_ladder),
-    ("sweep", "Tweedie variance-power study", bt.run_power_sweep),
-)
-
-
-def _cmd_grid(args) -> int:
+def _cmd_study(args) -> int:
     plan = bt.load_plan(args.plan)
     _check_out_dir(args.out_dir)  # fail before the grid, not after it
     inputs = [("--plan", args.plan), ("panel_path", plan.panel_path),
               ("gen_config_path", plan.gen_config_path)]
     _check_outputs([("--out-dir", os.path.join(args.out_dir, name))
-                    for name in bt.study_files(args.runner)],
+                    for name in bt.STUDIES[args.command].files],
                    [(f"{option} {path}", path) for option, path in inputs])
-    *names, last = bt.write_backtest_outputs(args.runner(plan), args.out_dir)
+    report = bt.run_study(plan, names=[args.command])[args.command]
+    *names, last = bt.write_backtest_outputs(report, args.out_dir)
     print(f"wrote {', '.join(names)} and {last} to {args.out_dir}")
     return 0
 
@@ -220,11 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional CSV of in-sample (actual, predicted) pairs")
     p.set_defaults(func=_cmd_fit)
 
-    for command, help_text, runner in _GRIDS:
-        p = sub.add_parser(command, help=help_text)
+    for command, study in bt.STUDIES.items():
+        p = sub.add_parser(command, help=study.help)
         p.add_argument("--plan", required=True, help="backtest plan JSON")
         p.add_argument("--out-dir", required=True)
-        p.set_defaults(func=_cmd_grid, runner=runner)
+        p.set_defaults(func=_cmd_study)
 
     p = sub.add_parser("convexity", help="deviance curves over a prediction grid")
     p.add_argument("--actual", type=float, default=100.0)

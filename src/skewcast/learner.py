@@ -16,8 +16,9 @@ holds.  Everything is deterministic: a tree fit sorts each feature
 column once and every round's tree grows from that order, features are
 scanned in order, and the linear step builds its normal equations with
 einsum on the row-major ``(n, k)`` design, which fixes the summation
-order: each entry of the normal matrix is a left-to-right sum over rows
-of ``(x_ij * h_i) * x_ik``, at any row count.  A ``(k, n)`` layout, BLAS
+order: with k >= 2 columns (a feature and the intercept), each entry of
+the normal matrix is a left-to-right sum over rows of
+``(x_ij * h_i) * x_ik``, at any row count.  A ``(k, n)`` layout, BLAS
 (``@``, ``np.dot``, ``tensordot``) or ``optimize=True`` would sum in
 another order, and the bits of the fit would then depend on the row
 count and the library.
@@ -307,11 +308,13 @@ def fit_targets(transform: TargetTransform, loss: LossSpec, y: np.ndarray) -> np
 def _normal_matrix(Xa: np.ndarray, h: np.ndarray, l2_reg: float) -> np.ndarray:
     """The linear step's normal matrix ``Xa' diag(h) Xa + l2 I``.
 
-    ``Xa`` is row-major ``(n, k)``.  Entry (j, k) is the left-to-right
-    sum over rows i of ``(x_ij * h_i) * x_ik``: the hessian scales the
-    rows first, and the two-operand einsum then sums in the same order
-    as the three-operand ``einsum("ij,i,ik->jk", Xa, h, Xa)``, bit for
-    bit at every row count.  A ``(k, n)`` layout, BLAS or
+    ``Xa`` is row-major ``(n, k)``.  For k >= 2, entry (j, k) is the
+    left-to-right sum over rows i of ``(x_ij * h_i) * x_ik``: the hessian
+    scales the rows first, and the two-operand einsum then sums in the
+    same order as the three-operand ``einsum("ij,i,ik->jk", Xa, h, Xa)``,
+    bit for bit at every row count.  With k = 1 (a panel with no feature
+    column) the two einsums can differ in the last bits, and the order
+    is numpy's.  A ``(k, n)`` layout, BLAS or
     ``optimize=True`` would not keep that order.  A fit builds it again
     in each round whose hessian differs in any bit from the previous
     round's, and in no other.

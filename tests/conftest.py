@@ -1,8 +1,9 @@
 """Shared fixtures and the acceptance-summary reporting hook.
 
 Heavy artifacts (the default synthetic panel, the backtest grid, the
-weighting ladder, the power sweep, a full-panel log-target fit) are
-session-scoped so every test module reuses a single instance.
+weighting ladder and the power sweep, all three from one ``run_study``
+grid, and a full-panel log-target fit) are session-scoped so every test
+module reuses a single instance.
 
 Acceptance-level checks register their verdict through
 ``record_criterion``; after the run, a terminal-summary hook prints one
@@ -94,20 +95,28 @@ def acceptance_plan() -> sc.BacktestPlan:
 
 
 @pytest.fixture(scope="session")
-def grid_report(default_panel, acceptance_plan) -> sc.BacktestReport:
+def acceptance_studies(default_panel, acceptance_plan) -> dict:
+    """Every study on the acceptance plan, run as one grid that fits each
+    shared model once: ORACLE, E4 and W0-unit share one, E5 and W2-sqrt_sales
+    another."""
     with pytest.MonkeyPatch.context() as mp:
         scoring_actuals(mp, "ORACLE")
-        return sc.run_backtest(acceptance_plan, panel=default_panel)
+        return sc.run_study(acceptance_plan, panel=default_panel)
 
 
 @pytest.fixture(scope="session")
-def ladder_report(default_panel, acceptance_plan) -> sc.TrendReport:
-    return sc.run_weight_ladder(acceptance_plan, panel=default_panel)
+def grid_report(acceptance_studies) -> sc.BacktestReport:
+    return acceptance_studies["backtest"]
 
 
 @pytest.fixture(scope="session")
-def sweep_report(default_panel, acceptance_plan) -> sc.TrendReport:
-    return sc.run_power_sweep(acceptance_plan, panel=default_panel)
+def ladder_report(acceptance_studies) -> sc.TrendReport:
+    return acceptance_studies["ladder"]
+
+
+@pytest.fixture(scope="session")
+def sweep_report(acceptance_studies) -> sc.TrendReport:
+    return acceptance_studies["sweep"]
 
 
 @pytest.fixture(scope="session")

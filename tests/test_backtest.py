@@ -702,6 +702,24 @@ class TestGridRunner:
         assert len(fits) == len(set(fits)) == 2 * 8
         assert report.rows == alone.rows
 
+    def test_no_more_threads_than_origins(self, small_panel, monkeypatch):
+        """Sixteen threads on two origins build one helper; a second one
+        fails the run before any helper starts."""
+        built = []
+        real_thread = threading.Thread
+
+        def thread(*args, **kwargs):
+            built.append(1)
+            assert len(built) == 1, "a helper thread for an origin that is not there"
+            return real_thread(*args, **kwargs)
+
+        monkeypatch.setattr(backtest.threading, "Thread", thread)
+        monkeypatch.setenv("SKEWCAST_THREADS", "16")
+        plan = dataclasses.replace(self._plan(), n_versions=2)
+        report = sc.run_backtest(plan, panel=small_panel)
+        assert len(built) == 1
+        assert len(report.origins) == 2
+
     def test_a_failing_preflight_slices_no_window(self, small_panel, monkeypatch):
         gamma = sc.ExperimentArm("BAD", sc.TargetTransform(kind="identity"),
                                  sc.LossSpec.gamma(), sc.WeightScheme(kind="unit"))
@@ -745,15 +763,15 @@ class TestStudyOutputs:
         assert write_backtest_outputs(request.getfixturevalue(study), out) == names
         assert sorted(p.name for p in out.iterdir()) == sorted(names)
 
-    @pytest.mark.parametrize("study, runner", [
-        ("oracle_report", sc.run_backtest),
-        ("control_ladder", sc.run_weight_ladder),
-        ("control_sweep", sc.run_power_sweep),
+    @pytest.mark.parametrize("study, command", [
+        ("oracle_report", "backtest"),
+        ("control_ladder", "ladder"),
+        ("control_sweep", "sweep"),
     ])
-    def test_the_names_are_known_before_the_study_runs(self, request, tmp_path, study, runner):
+    def test_the_names_are_known_before_the_study_runs(self, request, tmp_path, study, command):
         """What the CLI checks against its inputs is what the writer writes."""
         report = request.getfixturevalue(study)
-        assert backtest.study_files(runner) == write_backtest_outputs(report, tmp_path)
+        assert backtest.STUDIES[command].files == write_backtest_outputs(report, tmp_path)
 
     @_STUDIES
     def test_a_report_is_frozen(self, request, study, names):
@@ -872,3 +890,123 @@ class TestTrendRuns:
 
     def test_sweep_powers_are_the_five_classics(self):
         assert SWEEP_POWERS == (1.1, 1.3, 1.5, 1.7, 1.9)
+
+
+def _files(report, out_dir) -> dict:
+    """The bytes of each file ``write_backtest_outputs`` writes for ``report``."""
+    return {name: (out_dir / name).read_bytes()
+            for name in write_backtest_outputs(report, out_dir)}
+
+
+def _fit_keys(monkeypatch) -> list:
+    """Records each ``backtest.fit`` call as (training days, transform, loss,
+    weights), from any thread."""
+    keys = []
+    real_fit = backtest.fit
+    monkeypatch.setattr(backtest, "fit", lambda train, *a: keys.append((train.date_range, *a[:3]))
+                        or real_fit(train, *a))
+    return keys
+
+
+class TestStudies:
+    """``run_study`` runs the studies on one grid: each shared model is
+    fitted once, and each report is the one its study gives alone."""
+
+    _RUNNERS = {"backtest": sc.run_backtest, "ladder": sc.run_weight_ladder,
+                "sweep": sc.run_power_sweep}
+
+    @staticmethod
+    def _plan():
+        truth = dataclasses.replace(sc.arm_by_id("E4"), id="TRUTH")  # E4's design
+        return _small_plan([sc.arm_by_id("E4"), sc.arm_by_id("E5"), truth], FAST_LEARNER,
+                           baseline_id="E5")
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_each_study_writes_the_bytes_it_writes_alone(self, small_panel, monkeypatch,
+                                                         tmp_path, threads):
+        monkeypatch.setenv("SKEWCAST_THREADS", threads)
+        scoring_actuals(monkeypatch, "TRUTH")
+        plan = self._plan()
+        keys = _fit_keys(monkeypatch)
+        together = sc.run_study(plan, panel=small_panel)
+        # E4, TRUTH and W0-unit share a model, as do E5 and W2-sqrt_sales:
+        # 2 + 2 + 5 distinct models at each of 2 origins
+        assert len(keys) == len(set(keys)) == 9 * 2
+        assert list(together) == list(backtest.STUDIES)
+        for name, runner in self._RUNNERS.items():
+            assert (_files(together[name], tmp_path / "together" / name)
+                    == _files(runner(plan, panel=small_panel), tmp_path / "alone" / name)), name
+
+    def test_scoring_actuals_replaces_only_the_named_arm(self, small_panel, monkeypatch):
+        """TRUTH shares its fit with E4 and W0-unit, but only TRUTH scores the actuals."""
+        plan = self._plan()
+        alone = sc.run_backtest(dataclasses.replace(plan, arms=plan.arms[:2]), panel=small_panel)
+        scoring_actuals(monkeypatch, "TRUTH")
+        reports = sc.run_study(plan, panel=small_panel, names=["backtest", "ladder"])
+        truth_rows = _arm_rows(reports["backtest"], "TRUTH")
+        assert len(truth_rows) == 2 * 2
+        assert all(vm.wmape == 0.0 and vm.wbias == 0.0 for vm in truth_rows)
+        e4_rows = _arm_rows(reports["backtest"], "E4")
+        assert e4_rows == _arm_rows(alone, "E4")
+        assert e4_rows[0].wmape > 0.0
+        assert _arm_rows(reports["ladder"], "W0-unit") == e4_rows  # E4's design
+
+    def test_the_acceptance_studies_fit_each_model_once(self, default_panel, acceptance_plan,
+                                                        monkeypatch):
+        """The acceptance plan's 4 arms, the ladder's 4 and the sweep's 5 are
+        10 models (ORACLE, E4 and W0-unit share one; E5 and W2-sqrt_sales
+        another) at each of 4 origins: 40 fits, not 48."""
+        # the count does not depend on the learner, and a one-round linear fit is quick
+        plan = dataclasses.replace(acceptance_plan, learner=sc.LearnerConfig(base="linear",
+                                                                             rounds=1))
+        keys = _fit_keys(monkeypatch)
+        sc.run_study(plan, panel=default_panel)
+        assert len(keys) == len(set(keys)) == 10 * 4
+
+    def test_an_arm_id_with_two_designs_fails_before_any_fit(self, small_panel, monkeypatch):
+        not_w0 = sc.ExperimentArm("W0-unit", sc.TargetTransform(kind="identity"),
+                                  sc.LossSpec.mse(), sc.WeightScheme(kind="unit"))
+        plan = _small_plan([sc.arm_by_id("E4"), not_w0], FAST_LEARNER)
+        counter = _FitCounter(monkeypatch)
+        with pytest.raises(ConfigError, match="^arm id 'W0-unit' has two designs in studies "
+                                              "backtest, ladder$"):
+            sc.run_study(plan, panel=small_panel)
+        assert counter.calls == 0
+        sc.run_backtest(plan, panel=small_panel)  # each study alone is fine
+
+    def test_an_arm_two_studies_name_is_fitted_and_scored_once(self, small_panel,
+                                                              monkeypatch, tmp_path):
+        w0 = sc.ExperimentArm("W0-unit", sc.TargetTransform(kind="log"), sc.LossSpec.mse(),
+                              sc.WeightScheme(kind="unit"))  # the ladder's own
+        plan = _small_plan([sc.arm_by_id("E1"), w0], FAST_LEARNER)
+        ladder = sc.run_weight_ladder(plan, panel=small_panel)
+        scored = []
+        real_score = backtest._score_versions
+
+        def score(*args):
+            rows = real_score(*args)
+            scored.extend(rows)
+            return rows
+
+        monkeypatch.setattr(backtest, "_score_versions", score)
+        keys = _fit_keys(monkeypatch)
+        reports = sc.run_study(plan, panel=small_panel, names=["backtest", "ladder"])
+        assert len(keys) == len(set(keys)) == 5 * 2  # E1 and the ladder's 4
+        assert sum(arm_id == "W0-unit" for arm_id, _ in scored) == 2 * 2
+        assert _arm_rows(reports["backtest"], "W0-unit") == _arm_rows(ladder, "W0-unit")
+        assert _files(reports["ladder"], tmp_path / "a") == _files(ladder, tmp_path / "b")
+
+    def test_an_unknown_study_is_a_config_error(self, small_panel):
+        with pytest.raises(ConfigError, match="^unknown study 'grid'; the studies are "
+                                              "backtest, ladder, sweep$"):
+            sc.run_study(self._plan(), panel=small_panel, names=["grid"])
+
+    def test_a_study_check_fails_before_any_fit(self, small_panel, monkeypatch, tmp_path):
+        plan = dataclasses.replace(self._plan(), baseline_id="E1",
+                                   gen_config_path=str(tmp_path / "missing.json"))
+        counter = _FitCounter(monkeypatch)
+        with pytest.raises(ConfigError, match="baseline arm 'E1' is not in the plan"):
+            sc.run_study(plan, panel=small_panel)
+        with pytest.raises(ConfigError, match="missing.json"):
+            sc.run_study(plan, panel=small_panel, names=["ladder", "sweep"])
+        assert counter.calls == 0

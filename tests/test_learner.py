@@ -443,6 +443,22 @@ class TestLinearStepBits:
             return
         assert np.array_equal(_solve_step(_normal_matrix(Xa, h, l2_reg), Xa, g), expected)
 
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_normal_matrix_sums_each_entry_left_to_right(self, data):
+        """Checked against a sequential sum of the per-row products, not
+        another einsum, for k >= 2 columns (with k = 1 the two einsums differ)."""
+        n = data.draw(st.one_of(st.integers(1, 20_000),
+                                st.sampled_from([8191, 8192, 8193, 12_000, 20_000])), label="n")
+        k = data.draw(st.integers(2, 9), label="k")
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        Xa = np.hstack([gen.normal(size=(n, k - 1)) * 10.0 ** gen.uniform(-3, 3, k - 1),
+                        np.ones((n, 1))])
+        h = 10.0 ** gen.uniform(-6, 6, size=n)
+        products = (Xa * h[:, None])[:, :, None] * Xa[:, None, :]  # (n, k, k)
+        expected = np.add.accumulate(products, axis=0)[-1] + np.eye(k)
+        assert np.array_equal(_normal_matrix(Xa, h, 1.0), expected)
+
     @pytest.fixture(scope="class")
     def year_panel(self):
         """10,950 rows: more than 8,192."""
