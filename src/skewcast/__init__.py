@@ -17,9 +17,7 @@ from .backtest import (
     TrendReport,
     fit_arm,
     run_backtest,
-    run_power_sweep,
     run_study,
-    run_weight_ladder,
     standard_arms,
 )
 from .biascorr import BiasCorrector, fit_corrector
@@ -99,9 +97,7 @@ __all__ = [
     "read_panel",
     "relativize",
     "run_backtest",
-    "run_power_sweep",
     "run_study",
-    "run_weight_ladder",
     "save_model",
     "standard_arms",
     "theoretical_tweedie_power",

@@ -10,7 +10,8 @@ reported relative to a baseline arm.
 ``STUDIES`` holds the paper's three studies, one row per CLI command:
 the grid of design choices, a weight-escalation ladder and a Tweedie
 power sweep.  ``run_study`` runs any of them on one grid, so a model
-two studies share is fitted once per origin.
+two studies share is fitted once per origin; a study is added as a
+roster function and a row.
 
 The grid's unit of work is one origin's job.  Arms that share a
 transform, loss and weight scheme fit the same model, so they form one
@@ -29,8 +30,8 @@ helper threads beside it; every job is pure and writes to its own slot,
 and the final assembly is sorted, so ``metrics.csv`` and
 ``report.json`` are the same bytes at any thread count.
 
-Study reports are frozen, and a trend report names its own table CSV,
-so one writer, ``write_backtest_outputs``, writes any study's files.
+Study reports are frozen, and one writer, ``write_backtest_outputs``,
+writes any study's files: the ones its row's ``files`` names.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .errors import (
     read_json,
     write_text,
 )
-from .learner import FitModel, LearnerConfig, fit, fit_targets
+from .learner import FitModel, LearnerConfig, fit, fit_targets, forecasts
 from .losses import LossSpec, WeightScheme
 from .metrics import (
     AggregateMetrics,
@@ -315,12 +316,8 @@ def _forecasts(
     test: SalesPanel,
 ) -> list[np.ndarray]:
     """Fit one group's model on a training window; each arm's forecast of the test rows."""
-    models = fit_arm(arms, train, plan.learner)
-    # the test rows are scored once; a forecast that overflows is named by
-    # version_metrics, not warned about by numpy
-    with np.errstate(over="ignore"):
-        zhat = models[0].predict_transformed(test.feature_matrix)
-        return [model.bias_corrector.correct(model.transform, zhat) for model in models]
+    # a forecast that overflows is named by version_metrics
+    return forecasts(fit_arm(arms, train, plan.learner), test.feature_matrix)[1]
 
 
 def _score_versions(
@@ -476,15 +473,6 @@ def _run_grid(
     return origins, rows, aggregates
 
 
-def _panel_of(plan: BacktestPlan, panel: SalesPanel | None) -> SalesPanel:
-    """The supplied panel, else the one at the plan's panel_path."""
-    if panel is not None:
-        return panel
-    if plan.panel_path is None:
-        raise ConfigError("plan has no panel_path and no panel was supplied")
-    return read_panel(plan.panel_path)
-
-
 def run_backtest(plan: BacktestPlan, panel: SalesPanel | None = None) -> BacktestReport:
     """Run the experiment grid and relativize against the baseline arm."""
     return run_study(plan, panel, ["backtest"])["backtest"]
@@ -520,8 +508,8 @@ def _grid_report(plan: BacktestPlan, origins, rows, aggregates) -> BacktestRepor
 _STUDY_FILES = ("metrics.csv", "report.json")  # every study's, after a trend's table CSV
 
 
-def write_backtest_outputs(report: BacktestReport | TrendReport, out_dir) -> list[str]:
-    """Write a study's files into out_dir, made if missing; their names, table CSV first."""
+def write_backtest_outputs(report: BacktestReport | TrendReport, out_dir) -> None:
+    """Write a study's files, its ``Study.files``, into out_dir, made if missing."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -530,12 +518,10 @@ def write_backtest_outputs(report: BacktestReport | TrendReport, out_dir) -> lis
     write_metrics_csv(report.rows, os.path.join(out_dir, metrics_csv))
     write_text(os.path.join(out_dir, report_json),
                json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
-    if isinstance(report, BacktestReport):
-        return list(_STUDY_FILES)
-    # each trend row: axis, horizon, aggregate
-    write_csv(os.path.join(out_dir, report.csv_name), report.table[0],
-              (row.values() for row in report.table))
-    return [report.csv_name, *_STUDY_FILES]
+    if isinstance(report, TrendReport):
+        # each trend row: axis, horizon, aggregate
+        write_csv(os.path.join(out_dir, report.csv_name), report.table[0],
+                  (row.values() for row in report.table))
 
 
 def _count_inversions(values: list[float], direction: str) -> int:
@@ -599,32 +585,16 @@ def _trend(study: Study, plan: BacktestPlan, arms: dict[str, ExperimentArm], row
     )
 
 
-def run_weight_ladder(plan: BacktestPlan, panel: SalesPanel | None = None) -> TrendReport:
-    """Log-target Mse arms with increasingly sales-proportional weights.
-
-    The expected trend: wbias climbs from strongly negative toward zero
-    as weights escalate from unit to linear-in-sales.
-    """
-    return run_study(plan, panel, ["ladder"])["ladder"]
-
-
 def _ladder_arms(plan: BacktestPlan) -> dict[str, ExperimentArm]:
+    """Log-target Mse arms under escalating sales weights: wbias should climb toward 0."""
     log = TargetTransform(kind="log")
     return {s.kind: ExperimentArm(f"W{i}-{s.kind}", log, LossSpec.mse(), s)
             for i, s in enumerate(LADDER_SCHEMES)}
 
 
-def run_power_sweep(plan: BacktestPlan, panel: SalesPanel | None = None) -> TrendReport:
-    """Identity-transform Tweedie arms across the variance-power range.
-
-    The expected trend: wbias falls (from positive toward or past zero)
-    as p rises; wmape bottoms out near the generator's true power, which
-    is recorded in the report when the plan points at its config.
-    """
-    return run_study(plan, panel, ["sweep"])["sweep"]
-
-
 def _sweep_arms(plan: BacktestPlan) -> dict[str, ExperimentArm]:
+    """Identity-transform Tweedie arms across the power range: wbias should fall as p
+    rises, and wmape bottom out near the generator's power (see ``_sweep_extra``)."""
     identity = TargetTransform(kind="identity")
     unit = WeightScheme(kind="unit")
     return {f"{p:.1f}": ExperimentArm(f"P{p:.1f}", identity, LossSpec.tweedie(p), unit)
@@ -665,7 +635,7 @@ class Study:
 
     @property
     def files(self) -> list[str]:
-        """The names ``write_backtest_outputs`` returns for this study's report."""
+        """The files ``write_backtest_outputs`` writes for this study, in the CLI's order."""
         return [self.csv_name, *_STUDY_FILES] if self.csv_name else list(_STUDY_FILES)
 
 
@@ -680,14 +650,18 @@ STUDIES = {
 
 def run_study(plan: BacktestPlan, panel: SalesPanel | None = None,
               names=tuple(STUDIES)) -> dict[str, BacktestReport | TrendReport]:
-    """Run the named studies of ``STUDIES`` on one grid; their reports, by name.
+    """Run the named studies of ``STUDIES`` on one grid over ``panel``, else the
+    panel at the plan's panel_path; their reports, by name.
 
     A model two studies share is fitted once per origin, and an arm two
     studies name is one arm.  Each report is sliced from the shared rows:
     the same bytes as its study run alone.  Each study's own checks, and
     the check that no arm id has two designs, fail before the first fit.
     """
-    panel = _panel_of(plan, panel)
+    if panel is None:
+        if plan.panel_path is None:
+            raise ConfigError("plan has no panel_path and no panel was supplied")
+        panel = read_panel(plan.panel_path)
     arms: dict[str, ExperimentArm] = {}
     rosters, extras = {}, {}
     for name in names:

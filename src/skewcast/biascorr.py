@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, JsonRecord
+from .errors import ConfigError, DataError, JsonRecord, finite
 from .transform import TargetTransform, forward, inverse
 
 KINDS = ("none", "variance_based", "smearing", "prediction_binned")
@@ -95,7 +95,7 @@ def check_corrector(kind: str, transform: TargetTransform) -> None:
 
 def fit_corrector(kind: str, y_raw, pred_transformed, transform: TargetTransform) -> BiasCorrector:
     """Fit a corrector of ``kind`` (see the module docstring) from actuals
-    and transformed predictions; a non-finite one is a ``DataError``."""
+    and transformed predictions; a factor that is not finite is a ``DataError``."""
     check_corrector(kind, transform)
     y_raw = np.asarray(y_raw, dtype=np.float64)
     pred_transformed = np.asarray(pred_transformed, dtype=np.float64)
@@ -110,13 +110,21 @@ def fit_corrector(kind: str, y_raw, pred_transformed, transform: TargetTransform
     if y_raw.size < needed:
         raise DataError(f"a {kind} corrector needs at least {needed} rows, "
                         f"got {y_raw.size}")
-    residuals = forward(transform, y_raw) - pred_transformed
-    if kind == "variance_based":
-        return BiasCorrector(kind, (float(np.exp(0.5 * np.var(residuals))),))
-    smearing = float(np.mean(np.exp(residuals)))
-    if kind == "smearing":
-        return BiasCorrector(kind, (smearing,))
+    with np.errstate(over="ignore", invalid="ignore"):  # a factor that is not finite is named below
+        residuals = forward(transform, y_raw) - pred_transformed
+        if kind == "variance_based":
+            factors = [float(np.exp(0.5 * np.var(residuals)))]
+        else:
+            smearing = float(np.mean(np.exp(residuals)))
+            factors = ([smearing] if kind == "smearing"
+                       else _binned_factors(y_raw, pred_transformed, transform, smearing))
+    return BiasCorrector(kind, tuple(finite(factors, f"a {kind} corrector's factor")))
 
+
+def _binned_factors(y_raw, pred_transformed, transform: TargetTransform,
+                    smearing: float) -> list[float]:
+    """A prediction_binned corrector's factors; each falls back as the module
+    docstring says, so every one is positive and finite."""
     fallback = smearing if smearing > 0.0 and math.isfinite(smearing) else 1.0
     backmapped = inverse(transform, pred_transformed)
     n_bins = max(1, int(np.floor(np.max(pred_transformed) / BIN_WIDTH)) + 1)
@@ -127,4 +135,4 @@ def fit_corrector(kind: str, y_raw, pred_transformed, transform: TargetTransform
         denom = float(np.mean(backmapped[mask])) if np.sum(mask) >= MIN_BIN_COUNT else 0.0
         factor = float(np.mean(y_raw[mask])) / denom if denom > 0.0 else fallback
         factors.append(factor if factor > 0.0 and math.isfinite(factor) else fallback)
-    return BiasCorrector("prediction_binned", tuple(factors))
+    return factors

@@ -110,8 +110,8 @@ def _cmd_fit(args) -> int:
                     ("--learner", args.learner)])
     panel = read_panel(args.panel)
     (model,) = bt.fit_arm([arm], panel, learner_cfg)
+    report = in_sample_fit_report(model, panel)  # its checks come before any write
     save_model(model, args.model_out)
-    report = in_sample_fit_report(model, panel)
     if args.report is not None:
         write_pairs_csv(report, args.report)
     del report["pairs"]
@@ -121,14 +121,15 @@ def _cmd_fit(args) -> int:
 
 def _cmd_study(args) -> int:
     plan = bt.load_plan(args.plan)
+    files = bt.STUDIES[args.command].files
     _check_out_dir(args.out_dir)  # fail before the grid, not after it
     inputs = [("--plan", args.plan), ("panel_path", plan.panel_path),
               ("gen_config_path", plan.gen_config_path)]
-    _check_outputs([("--out-dir", os.path.join(args.out_dir, name))
-                    for name in bt.STUDIES[args.command].files],
+    _check_outputs([("--out-dir", os.path.join(args.out_dir, name)) for name in files],
                    [(f"{option} {path}", path) for option, path in inputs])
     report = bt.run_study(plan, names=[args.command])[args.command]
-    *names, last = bt.write_backtest_outputs(report, args.out_dir)
+    bt.write_backtest_outputs(report, args.out_dir)
+    *names, last = files
     print(f"wrote {', '.join(names)} and {last} to {args.out_dir}")
     return 0
 

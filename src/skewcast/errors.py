@@ -237,6 +237,14 @@ _CHECKS = {int: is_integer, float: is_real,
            IntArray: lambda value: isinstance(value, np.ndarray) and value.dtype.kind == "i"}
 
 
+def finite(values, what: str):
+    """``values`` if every one is a finite number; else a ``DataError``
+    saying that ``what`` is not finite."""
+    if not np.isfinite(values).all():
+        raise DataError(f"{what} is not finite")
+    return values
+
+
 def real(value, name: str) -> float:
     """``value`` as a float if it is a finite real number; else a
     ``ConfigError`` naming ``name``."""

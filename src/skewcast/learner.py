@@ -44,6 +44,7 @@ from .errors import (
     DataError,
     JsonRecord,
     at_least,
+    finite,
     json_object,
     read_json,
     write_text,
@@ -158,8 +159,10 @@ class FitModel(JsonRecord):
         return mean_from_score(self.loss, self.score(X))
 
     def predict(self, X) -> np.ndarray:
-        """Raw-sales prediction: back-transformed and bias-corrected."""
-        return self.bias_corrector.correct(self.transform, self.predict_transformed(X))
+        """Raw-sales prediction: back-transformed and bias-corrected; one that
+        is not finite is a ``DataError``."""
+        (yhat,) = forecasts([self], X)[1]
+        return finite(yhat, "a forecast")
 
     def to_json(self) -> dict:
         return {"version": MODEL_FORMAT, **super().to_json()}
@@ -171,6 +174,16 @@ class FitModel(JsonRecord):
         if version != MODEL_FORMAT:
             raise ConfigError(f"unsupported model version {version!r}, expected {MODEL_FORMAT!r}")
         return super().from_json({k: v for k, v in obj.items() if k != "version"})
+
+
+def forecasts(models: list[FitModel], X) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The transformed prediction of the rows ``X``, made once by the first
+    of ``models``, which differ at most in their bias correctors, and each
+    model's raw-sales forecast from it.  A forecast that overflows is
+    ``inf``, with no numpy warning, for the caller to refuse."""
+    with np.errstate(over="ignore"):
+        zhat = models[0].predict_transformed(X)
+        return zhat, [model.bias_corrector.correct(model.transform, zhat) for model in models]
 
 
 def _check_matrix(X, n_features: int) -> np.ndarray:
@@ -353,26 +366,33 @@ def in_sample_fit_report(model: FitModel, panel) -> dict:
     """Residual summary in transformed and raw units, with (y, yhat) pairs.
 
     The "pairs" entry is plot-ready: one (actual, predicted) tuple per
-    row, raw units, after any bias correction.
+    row, raw units, after any bias correction.  A forecast or summary that
+    is not finite is a ``DataError``: JSON has no NaN or infinity.
     """
     X = panel.feature_matrix
     y = panel.sales
     if y.size == 0:
         raise DataError("cannot report on an empty panel")
     z = forward(model.transform, y)
-    zhat = model.predict_transformed(X)
-    yhat = model.bias_corrector.correct(model.transform, zhat)
+    zhat, (yhat,) = forecasts([model], X)
+    finite(yhat, "a forecast")
     rz = z - zhat
     ry = y - yhat
+    with np.errstate(over="ignore", invalid="ignore"):  # a summary that overflows is named below
+        summary = {
+            "mean_transformed_residual": float(np.mean(rz)),
+            "var_transformed_residual": float(np.var(rz)),
+            "mean_raw_residual": float(np.mean(ry)),
+            "var_raw_residual": float(np.var(ry)),
+        }
+    for name, value in summary.items():
+        finite(value, f"the {name}")
     return {
         "n_rows": int(len(y)),
         "rounds": len(model.training_loss) - 1,
         "initial_training_loss": model.training_loss[0],
         "final_training_loss": model.training_loss[-1],
-        "mean_transformed_residual": float(np.mean(rz)),
-        "var_transformed_residual": float(np.var(rz)),
-        "mean_raw_residual": float(np.mean(ry)),
-        "var_raw_residual": float(np.var(ry)),
+        **summary,
         "pairs": list(zip(y.tolist(), yhat.tolist())),
     }
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, JsonRecord
+from .errors import ConfigError, DataError, JsonRecord, finite
 from .panel import write_csv
 
 HESS_FLOOR = 1e-16
@@ -339,10 +339,9 @@ def grad_hess(spec: LossSpec, y, score, terms: LossTerms | None = None):
 def total_loss(spec: LossSpec, weights, ys, mus, terms: LossTerms | None = None) -> float:
     """Weighted sum of per-sample deviances.
 
-    numpy's pairwise summation keeps the total independent of chunking,
-    so serial and parallel evaluations agree to ~1e-12 relative.  A fit
-    passes ``terms``, the kernel its `Objective` already evaluated at
-    ``mus`` on the targets ``ys``, whose weights it checked once.
+    The sum is one numpy pairwise sum over all samples.  A fit passes
+    ``terms``, the kernel its `Objective` already evaluated at ``mus`` on
+    the targets ``ys``, whose weights it checked once.
     """
     w = np.asarray(weights, dtype=np.float64)
     if terms is None:
@@ -399,12 +398,14 @@ def convexity_profile(specs: list[LossSpec], actual: float, mu_grid) -> Convexit
 
     Reproduces the cost-function comparison at a fixed actual: lower
     Tweedie powers are visibly more convex, and squared error dwarfs them
-    all.
+    all.  A deviance that is not finite is a ``DataError`` naming its loss.
     """
     grid = np.asarray(mu_grid, dtype=np.float64)
     values = np.empty((len(specs), grid.size))
     for i, spec in enumerate(specs):
-        values[i] = deviance(spec, actual, grid)
+        with np.errstate(over="ignore", invalid="ignore"):  # named below
+            values[i] = deviance(spec, actual, grid)
+        finite(values[i], f"the {spec.label()} deviance")
     return ConvexityTable(
         actual=float(actual),
         mu_grid=grid,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, finite
 from .panel import ForecastVersion, SalesPanel, write_csv
 
 
@@ -78,8 +78,7 @@ def version_metrics(forecasts, panel: SalesPanel, version: ForecastVersion) -> V
     forecasts = np.asarray(forecasts, dtype=np.float64)
     if forecasts.shape != panel.sales.shape:
         raise DataError(f"{forecasts.shape} forecasts for {len(panel)} panel rows")
-    if not np.isfinite(forecasts).all():
-        raise DataError("a forecast is not finite")
+    finite(forecasts, "a forecast")
     if not len(panel):
         raise DataError("no items to score")
     days = panel.day_ordinals

@@ -735,7 +735,7 @@ def control_ladder():
     panel = _symmetric_panel()
     plan = sc.BacktestPlan(train_window_days=100, n_versions=2,
                            horizons=(6,), learner=FAST_LEARNER)
-    return sc.run_weight_ladder(plan, panel=panel)
+    return sc.run_study(plan, panel, ["ladder"])["ladder"]
 
 
 @pytest.fixture(scope="module")
@@ -744,23 +744,26 @@ def control_sweep():
                            horizons=(6,), learner=FAST_LEARNER)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(backtest, "SWEEP_POWERS", (1.3, 1.7))
-        return sc.run_power_sweep(plan, panel=_symmetric_panel())
+        return sc.run_study(plan, _symmetric_panel(), ["sweep"])["sweep"]
 
 
+# each study's report, with the files its row of STUDIES names
 _STUDIES = pytest.mark.parametrize("study, names", [
-    ("oracle_report", ["metrics.csv", "report.json"]),
-    ("control_ladder", ["ladder.csv", "metrics.csv", "report.json"]),
-    ("control_sweep", ["sweep.csv", "metrics.csv", "report.json"]),
+    ("oracle_report", backtest.STUDIES["backtest"].files),
+    ("control_ladder", backtest.STUDIES["ladder"].files),
+    ("control_sweep", backtest.STUDIES["sweep"].files),
 ])
 
 
 class TestStudyOutputs:
-    """One writer for every study; each report names its own files."""
+    """One writer for every study; each study's row names its files."""
 
     @_STUDIES
     def test_the_writer_returns_the_names_it_wrote(self, request, tmp_path, study, names):
+        """The writer returns nothing: the names it wrote are the files it
+        leaves in out_dir, exactly the study's row's files."""
         out = tmp_path / "out"
-        assert write_backtest_outputs(request.getfixturevalue(study), out) == names
+        assert write_backtest_outputs(request.getfixturevalue(study), out) is None
         assert sorted(p.name for p in out.iterdir()) == sorted(names)
 
     @pytest.mark.parametrize("study, command", [
@@ -769,9 +772,11 @@ class TestStudyOutputs:
         ("control_sweep", "sweep"),
     ])
     def test_the_names_are_known_before_the_study_runs(self, request, tmp_path, study, command):
-        """What the CLI checks against its inputs is what the writer writes."""
-        report = request.getfixturevalue(study)
-        assert backtest.STUDIES[command].files == write_backtest_outputs(report, tmp_path)
+        """The files the CLI checks against its inputs, and prints, are
+        the ones the writer writes, and no others."""
+        write_backtest_outputs(request.getfixturevalue(study), tmp_path)
+        assert sorted(backtest.STUDIES[command].files) == sorted(
+            p.name for p in tmp_path.iterdir())
 
     @_STUDIES
     def test_a_report_is_frozen(self, request, study, names):
@@ -842,7 +847,7 @@ class TestTrendRuns:
         monkeypatch.setattr(backtest, "SWEEP_POWERS", (1.3, 1.7))
         plan = sc.BacktestPlan(train_window_days=100, n_versions=2,
                                horizons=(6,), learner=FAST_LEARNER)
-        sweep = sc.run_power_sweep(plan, panel=_symmetric_panel())
+        sweep = sc.run_study(plan, _symmetric_panel(), ["sweep"])["sweep"]
         aggregate_keys = list(backtest._agg_json(sc.AggregateMetrics(6, 0.1, -0.1, 1.0, 1, 0)))
         for report, name in [(control_ladder, "ladder.csv"), (sweep, "sweep.csv")]:
             write_backtest_outputs(report, tmp_path)
@@ -864,7 +869,7 @@ class TestTrendRuns:
                                horizons=(6,), learner=FAST_LEARNER,
                                gen_config_path=str(cfg_path))
         monkeypatch.setattr(backtest, "SWEEP_POWERS", (1.3, 1.7))
-        report = sc.run_power_sweep(plan, panel=small_panel)
+        report = sc.run_study(plan, small_panel, ["sweep"])["sweep"]
         assert report.extra["theoretical_tweedie_power"] == pytest.approx(1.5)
         assert report.extra["best_wmape_power"]["6"] in {"1.3", "1.7"}
         assert report.axis_values == ("1.3", "1.7")
@@ -885,7 +890,7 @@ class TestTrendRuns:
                                horizons=(6,), learner=FAST_LEARNER,
                                gen_config_path=str(tmp_path / "missing.json"))
         with pytest.raises(ConfigError, match="missing.json"):
-            sc.run_power_sweep(plan, panel=small_panel)
+            sc.run_study(plan, small_panel, ["sweep"])
         assert calls == []
 
     def test_sweep_powers_are_the_five_classics(self):
@@ -893,9 +898,9 @@ class TestTrendRuns:
 
 
 def _files(report, out_dir) -> dict:
-    """The bytes of each file ``write_backtest_outputs`` writes for ``report``."""
-    return {name: (out_dir / name).read_bytes()
-            for name in write_backtest_outputs(report, out_dir)}
+    """The bytes of each file ``write_backtest_outputs`` writes for ``report``, by name."""
+    write_backtest_outputs(report, out_dir)
+    return {path.name: path.read_bytes() for path in out_dir.iterdir()}
 
 
 def _fit_keys(monkeypatch) -> list:
@@ -911,9 +916,6 @@ def _fit_keys(monkeypatch) -> list:
 class TestStudies:
     """``run_study`` runs the studies on one grid: each shared model is
     fitted once, and each report is the one its study gives alone."""
-
-    _RUNNERS = {"backtest": sc.run_backtest, "ladder": sc.run_weight_ladder,
-                "sweep": sc.run_power_sweep}
 
     @staticmethod
     def _plan():
@@ -933,9 +935,10 @@ class TestStudies:
         # 2 + 2 + 5 distinct models at each of 2 origins
         assert len(keys) == len(set(keys)) == 9 * 2
         assert list(together) == list(backtest.STUDIES)
-        for name, runner in self._RUNNERS.items():
+        for name in backtest.STUDIES:
+            alone = sc.run_study(plan, small_panel, [name])[name]
             assert (_files(together[name], tmp_path / "together" / name)
-                    == _files(runner(plan, panel=small_panel), tmp_path / "alone" / name)), name
+                    == _files(alone, tmp_path / "alone" / name)), name
 
     def test_scoring_actuals_replaces_only_the_named_arm(self, small_panel, monkeypatch):
         """TRUTH shares its fit with E4 and W0-unit, but only TRUTH scores the actuals."""
@@ -979,7 +982,7 @@ class TestStudies:
         w0 = sc.ExperimentArm("W0-unit", sc.TargetTransform(kind="log"), sc.LossSpec.mse(),
                               sc.WeightScheme(kind="unit"))  # the ladder's own
         plan = _small_plan([sc.arm_by_id("E1"), w0], FAST_LEARNER)
-        ladder = sc.run_weight_ladder(plan, panel=small_panel)
+        ladder = sc.run_study(plan, small_panel, ["ladder"])["ladder"]
         scored = []
         real_score = backtest._score_versions
 

@@ -297,6 +297,26 @@ class TestFitCorrector:
         with pytest.raises(DataError, match=f"a {kind} corrector needs finite {where}$"):
             sc.fit_corrector(kind, y, z, LOG)
 
+    @pytest.mark.parametrize("kind, y, z", [
+        ("variance_based", [0.0, 1e300, 0.0, 1e300], [0.0] * 4),
+        ("smearing", [1e300, 1e300], [-20.0, -20.0]),  # residuals above log(float max)
+    ], ids=["variance_based", "smearing"])
+    def test_a_factor_that_is_not_finite_is_data_error(self, kind, y, z):
+        """An overflowing factor is a data problem, named with its kind and
+        with no numpy warning; it used to be a ConfigError from the record's
+        type check."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"^a {kind} corrector's factor is not finite$"):
+                sc.fit_corrector(kind, y, z, LOG)
+
+    def test_an_overflowing_smearing_fallback_warns_of_nothing(self):
+        """A binned corrector whose smearing fallback overflows falls back to 1."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            corr = sc.fit_corrector("prediction_binned", [1e300, 1e300], [-20.0, -20.0], LOG)
+        assert corr.factors == (1.0,)
+
     def test_unknown_field_is_config_error(self):
         with pytest.raises(ConfigError, match="bias corrector JSON has unknown field 'factr'"):
             BiasCorrector.from_json({"kind": "none", "factr": 2})

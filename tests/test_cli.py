@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import skewcast as sc
@@ -235,6 +236,31 @@ class TestFit:
         assert proc.stderr == (f"data error: the training loss of pseudo_huber(d={delta:g}) "
                                "is not finite at round 0\n")
         assert not (workdir / "m.json").exists()
+
+    @pytest.mark.parametrize("arm, message", [
+        ("E4-S", "a forecast is not finite"),
+        ("E4-PB", "a forecast is not finite"),
+        ("E4-V", "a variance_based corrector's factor is not finite"),
+        ("E4", "the mean_raw_residual is not finite"),
+    ], ids=["E4-S", "E4-PB", "E4-V", "E4"])
+    def test_a_result_that_is_not_finite_is_data_error(self, workdir, tmp_path, arm, message):
+        """Sales near the largest float, every 7th row 0: a corrected forecast
+        (or E4's residual sum) overflows.  The fit fails as the grid does,
+        with no numpy warning and no output written; the summary line used
+        to print ``Infinity`` or ``NaN``, which is not JSON."""
+        rng = np.random.default_rng(0)
+        sales = np.exp(rng.uniform(700.0, 709.0, size=3 * 60))
+        sales[::7] = 0.0
+        sc.write_panel(sc.SalesPanel(["a", "b", "c"], np.repeat(np.arange(3), 60),
+                                     np.tile(dt.date(2020, 1, 6).toordinal() + np.arange(60), 3),
+                                     sales, np.repeat(np.arange(3.0), 60)[:, None], ["item"]),
+                       tmp_path / "panel.csv")
+        model, report = tmp_path / "m.json", tmp_path / "pairs.csv"
+        proc = run_cli("fit", "--panel", str(tmp_path / "panel.csv"), "--arm", arm,
+                       "--model-out", str(model), "--learner", str(workdir / "learner.json"),
+                       "--report", str(report))
+        assert (proc.returncode, proc.stderr) == (3, f"data error: {message}\n")
+        assert not model.exists() and not report.exists()
 
     def test_report_on_the_model_file_is_config_error(self, workdir):
         """The pairs CSV would overwrite the saved model; the run is refused
@@ -716,6 +742,15 @@ class TestConvexity:
         proc = run_cli("convexity", "--grid", "oops",
                        "--out", str(workdir / "c.csv"))
         assert proc.returncode == 2
+
+    def test_a_deviance_that_is_not_finite_is_data_error(self, tmp_path):
+        """(1e300 - 1e299)**2 overflows: the loss is named, no numpy warning
+        is printed and no CSV of ``inf`` cells is written."""
+        out = tmp_path / "c.csv"
+        proc = run_cli("convexity", "--actual", "1e300", "--grid", "1e299:1e300:1e299",
+                       "--losses", "tweedie:1.5,mse", "--out", str(out))
+        assert (proc.returncode, proc.stderr) == (3, "data error: the mse deviance is not finite\n")
+        assert not out.exists()
 
     def test_unknown_loss_is_config_error(self, workdir):
         proc = run_cli("convexity", "--losses", "hinge",

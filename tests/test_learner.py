@@ -278,6 +278,18 @@ class TestPredictionContracts:
         with pytest.raises(ConfigError, match=f"^{name} must hold finite numbers$"):
             dataclasses.replace(model, **steps)
 
+    def test_a_forecast_that_is_not_finite_is_data_error(self):
+        """exp(710) overflows: the forecast is refused with the grid's message,
+        and numpy's overflow warning is not raised above it."""
+        model = FitModel(LOG, sc.LossSpec.mse(), UNIT, _quick_config(rounds=0), ["f0"],
+                         709.0, [], [], [0.0], sc.BiasCorrector())
+        X = np.zeros((1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert model.predict(X)[0] == np.expm1(709.0)
+            with pytest.raises(DataError, match="^a forecast is not finite$"):
+                dataclasses.replace(model, base_score=710.0).predict(X)
+
     def test_log_target_prediction_is_inverse_of_score(self, small_panel):
         model = sc.fit(small_panel, LOG, sc.LossSpec.mse(), UNIT,
                        _quick_config(rounds=5))
