@@ -22,9 +22,10 @@ them per arm and scores every arm at every horizon.  The job slices its
 origin's training and test windows, shares them among the groups and
 drops them when it returns, so at most ``worker_count()`` origins'
 windows are alive at once.  Before the first job, every (group, origin)
-pair is checked on the panel itself, with no window built (non-empty
-windows, fittable training targets), so a plan that cannot work fails
-before its first fit and names every failing arm and origin.  The
+pair is checked on the panel itself, with no window built (a non-empty
+training window, a sale in every horizon's window, fittable training
+targets), so a plan that cannot work fails before its first fit and
+names every failing arm and origin.  The
 calling thread runs jobs, with ``min(SKEWCAST_THREADS, origins) - 1``
 helper threads beside it; every job is pure and writes to its own slot,
 and the final assembly is sorted, so ``metrics.csv`` and
@@ -244,25 +245,27 @@ def _preflight(groups: list[list[ExperimentArm]], plan: BacktestPlan, panel: Sal
                origins: list[dt.date]) -> None:
     """Check that every (model group, origin) pair can run, before any fit.
 
-    Both windows must hold rows, and the training targets must pass the
+    The training window must hold rows, each horizon's window a positive
+    sale to weight its scores, and the training targets must pass the
     fit's own checks (`fit_targets`).  No window is built: an origin's
-    training sales and test row count are read through the panel's
-    ``days_mask``, the rows its windows will hold.  Every problem is
-    reported in one error, group by group, a ``ConfigError`` if any
-    problem is one and else a ``DataError``, chained to the first problem
-    of its family.
+    sales are read through the panel's ``days_mask``, the rows its
+    windows will hold.  Every problem is reported in one error, group by
+    group, a ``ConfigError`` if any problem is one and else a
+    ``DataError``, chained to the first problem of its family.
     """
     by_group: list[list] = [[] for _ in groups]
     for origin in origins:
-        train_days, test_days = _origin_days(plan, origin)
+        train_days, _ = _origin_days(plan, origin)
         train_sales = panel.sales[panel.days_mask(*train_days)]
-        test_rows = np.count_nonzero(panel.days_mask(*test_days))
+        windows = [ForecastVersion(origin, h) for h in sorted(plan.horizons)]
+        unsold = [w.horizon_weeks for w in windows
+                  if not panel.sales[panel.days_mask(w.window_start, w.window_end)].any()]
         for group, found in zip(groups, by_group):
             try:
                 if len(train_sales) == 0:
                     raise DataError("empty training window")
-                if test_rows == 0:
-                    raise DataError("empty test window")
+                if unsold:
+                    raise DataError(f"no sales in the {unsold[0]}-week horizon window")
                 fit_targets(group[0].transform, group[0].loss, train_sales)
             except (ConfigError, DataError) as exc:
                 found.append((_arms_at(group, origin), exc))
@@ -409,9 +412,9 @@ def _run_grid(
     arms: tuple[ExperimentArm, ...] | list[ExperimentArm],
     plan: BacktestPlan,
     panel: SalesPanel,
-) -> tuple[list[dt.date], list[tuple[str, VersionMetrics]],
-           dict[str, dict[int, AggregateMetrics]]]:
-    """Run every origin's job; the origins, sorted rows and per-arm aggregates.
+) -> tuple[list[dt.date], list[tuple[str, VersionMetrics]]]:
+    """Run every origin's job; the origins and every arm's version rows,
+    in ``row_order``.  Each study aggregates its own arms' rows.
 
     Every (model group, origin) pair is checked before the first job.  A
     job slices its origin's two windows, runs every model group on them
@@ -465,12 +468,7 @@ def _run_grid(
             helper.join()
     if failed < len(origins):
         raise results[failed]
-    rows = sorted((row for part in results for row in part), key=row_order)
-    aggregates = {
-        arm.id: aggregate_versions([vm for aid, vm in rows if aid == arm.id])
-        for arm in arms
-    }
-    return origins, rows, aggregates
+    return origins, sorted((row for part in results for row in part), key=row_order)
 
 
 def run_backtest(plan: BacktestPlan, panel: SalesPanel | None = None) -> BacktestReport:
@@ -654,9 +652,10 @@ def run_study(plan: BacktestPlan, panel: SalesPanel | None = None,
     panel at the plan's panel_path; their reports, by name.
 
     A model two studies share is fitted once per origin, and an arm two
-    studies name is one arm.  Each report is sliced from the shared rows:
-    the same bytes as its study run alone.  Each study's own checks, and
-    the check that no arm id has two designs, fail before the first fit.
+    studies name is one arm.  Each study aggregates its own arms' rows of
+    the shared ones: the same bytes as its study run alone.  Each study's
+    own checks, and the check that no arm id has two designs, fail before
+    the first fit.
     """
     if panel is None:
         if plan.panel_path is None:
@@ -674,10 +673,13 @@ def run_study(plan: BacktestPlan, panel: SalesPanel | None = None,
             if arms.setdefault(arm.id, arm) != arm:
                 raise ConfigError(f"arm id {arm.id!r} has two designs in studies "
                                   f"{', '.join(rosters)}")
-    origins, rows, aggregates = _run_grid(list(arms.values()), plan, panel)
+    origins, rows = _run_grid(list(arms.values()), plan, panel)
     reports = {}
     for name, roster in rosters.items():
-        own = {arm.id: aggregates[arm.id] for arm in roster.values()}
+        own = {}
+        for arm in roster.values():
+            with _naming(f"arm {arm.id}"):
+                own[arm.id] = aggregate_versions([vm for aid, vm in rows if aid == arm.id])
         own_rows = [row for row in rows if row[0] in own]
         study = STUDIES[name]
         reports[name] = (_grid_report(plan, origins, own_rows, own) if study.axis is None

@@ -12,6 +12,9 @@ Versions aggregate into one summary per horizon via sales-weighted
 averaging, and summaries are reported relative to a baseline
 configuration: wmape_rel = wmape / baseline wmape, wbias_rel = wbias /
 |baseline wbias| (sign of the target preserved).
+
+Items within a version and versions within a horizon are weighted by
+one rule, ``_weighted_mean``, which refuses a sum that overflows.
 """
 
 from __future__ import annotations
@@ -65,6 +68,19 @@ class RelativeMetrics:
     baseline_id: str
 
 
+def _weighted_mean(weights, values, what: str) -> tuple[float, float]:
+    """The total of ``weights`` and the mean of ``values`` under them, each
+    sum taken left to right (``sum()`` compensates its rounding from Python
+    3.12 on); a total or mean that is not finite is a ``DataError`` naming
+    ``what``, the mean."""
+    total = weighted = 0.0
+    for w, v in zip(weights, values):
+        total += w
+        weighted += w * v
+    finite(total, f"the sales total of {what}")
+    return total, finite(weighted / total, what)
+
+
 def version_metrics(forecasts, panel: SalesPanel, version: ForecastVersion) -> VersionMetrics:
     """Actual-weighted |PE| and PE across items for one version.
 
@@ -81,42 +97,20 @@ def version_metrics(forecasts, panel: SalesPanel, version: ForecastVersion) -> V
     finite(forecasts, "a forecast")
     if not len(panel):
         raise DataError("no items to score")
-    days = panel.day_ordinals
-    inside = (days >= version.window_start.toordinal()) & (days <= version.window_end.toordinal())
+    inside = panel.days_mask(version.window_start, version.window_end)
     codes, n_items = panel.item_codes[inside], len(panel.item_ids)
     # bincount adds in row order, as a running sum would; np.sum would not
     actual = np.bincount(codes, weights=panel.sales[inside], minlength=n_items)
     forecast = np.bincount(codes, weights=forecasts[inside], minlength=n_items)
-    abs_sum = 0.0
-    signed_sum = 0.0
-    total_actual = 0.0
-    skipped = 0
-    for a_i, f_i in zip(actual.tolist(), forecast.tolist()):
-        if a_i <= 0.0:
-            skipped += 1
-            continue
-        pe = (f_i - a_i) / a_i
-        abs_sum += a_i * abs(pe)
-        signed_sum += a_i * pe
-        total_actual += a_i
-    if total_actual <= 0.0:
+    scored = actual > 0.0
+    if not scored.any():
         raise DataError("every item has zero actuals over the horizon")
-    return VersionMetrics(
-        version=version,
-        wmape=abs_sum / total_actual,
-        wbias=signed_sum / total_actual,
-        total_actual=total_actual,
-        skipped_items=skipped,
-    )
-
-
-def _running_sum(values) -> float:
-    """Left-to-right float sum, the same bits on every Python: ``sum()``
-    compensates its rounding from Python 3.12 on."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
+    weights = actual[scored].tolist()
+    pe = [(f_i - a_i) / a_i for f_i, a_i in zip(forecast[scored].tolist(), weights)]
+    h = version.horizon_weeks
+    total, wmape = _weighted_mean(weights, map(abs, pe), f"the {h}-week wmape")
+    _, wbias = _weighted_mean(weights, pe, f"the {h}-week wbias")
+    return VersionMetrics(version, wmape, wbias, total, n_items - len(weights))
 
 
 def aggregate_versions(per_version: list[VersionMetrics]) -> dict[int, AggregateMetrics]:
@@ -127,15 +121,13 @@ def aggregate_versions(per_version: list[VersionMetrics]) -> dict[int, Aggregate
     out: dict[int, AggregateMetrics] = {}
     for h in sorted({vm.horizon_weeks for vm in per_version}):
         group = [vm for vm in per_version if vm.horizon_weeks == h]
-        weight = _running_sum(vm.total_actual for vm in group)
-        out[h] = AggregateMetrics(
-            horizon_weeks=h,
-            wmape=_running_sum(vm.total_actual * vm.wmape for vm in group) / weight,
-            wbias=_running_sum(vm.total_actual * vm.wbias for vm in group) / weight,
-            total_actual=weight,
-            n_versions=len(group),
-            skipped_items=sum(vm.skipped_items for vm in group),
-        )
+        weights = [vm.total_actual for vm in group]
+        total, wmape = _weighted_mean(weights, (vm.wmape for vm in group),
+                                      f"the {h}-week wmape over {len(group)} versions")
+        _, wbias = _weighted_mean(weights, (vm.wbias for vm in group),
+                                  f"the {h}-week wbias over {len(group)} versions")
+        out[h] = AggregateMetrics(h, wmape, wbias, total, len(group),
+                                  sum(vm.skipped_items for vm in group))
     return out
 
 

@@ -587,6 +587,29 @@ class TestPreflight:
             sc.run_backtest(plan, panel=panel)
         assert counter.calls == 0
 
+    def test_a_horizon_window_without_sales_fails_before_any_fit(self, monkeypatch):
+        """No sale in the last origin's 6-week window leaves its scores no
+        weight: every arm fails there before the first fit, where the grid
+        once failed only after seven of them."""
+        made = sc.generate(sc.GenConfig(n_items=4, n_days=300, seed=3))
+        last = int(made.day_ordinals.max())
+        sales = made.sales.copy()
+        sales[(made.day_ordinals > last - 84) & (made.day_ordinals <= last - 42)] = 0.0
+        panel = sc.SalesPanel(made.item_ids, made.item_codes, made.day_ordinals, sales,
+                              made.feature_matrix, made.feature_names)
+        plan = sc.BacktestPlan(train_window_days=120, n_versions=3, horizons=(6, 12),
+                               arms=tuple(sc.arm_by_id(a) for a in ("E1", "E4", "E5")),
+                               learner=sc.LearnerConfig(rounds=5, max_depth=2))
+        monkeypatch.setenv("SKEWCAST_THREADS", "1")
+        counter = _FitCounter(monkeypatch)
+        with pytest.raises(DataError) as info:
+            sc.run_backtest(plan, panel=panel)
+        assert counter.calls == 0
+        last_origin = version_origins(panel, plan)[-1]
+        assert str(info.value) == "; ".join(
+            f"arm {a} at origin {last_origin}: no sales in the 6-week horizon window"
+            for a in ("E1", "E4", "E5"))
+
     def test_config_problem_fails_before_any_fit(self, small_panel, monkeypatch):
         arm = sc.ExperimentArm("TW-LOG", sc.TargetTransform(kind="log"),
                                sc.LossSpec.tweedie(1.5), sc.WeightScheme(kind="unit"))

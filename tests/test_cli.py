@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -464,6 +465,42 @@ class TestBacktest:
         assert capsys.readouterr().err == (f"data error: arm E3.5 at origin {first_origin}: "
                                            "a forecast is not finite\n")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("draw_sales, horizons, message", [
+        (lambda gen, n: np.exp(gen.uniform(700.0, 709.0, n)), [6, 24],
+         "arm E4 at origin {first_origin}: the sales total of the 6-week wmape is not finite"),
+        (lambda gen, n: gen.uniform(0.8e306, 1.2e306, n), [6],
+         "arm E4: the sales total of the 6-week wmape over 2 versions is not finite"),
+    ], ids=["version", "aggregate"])
+    def test_an_overflowing_score_is_data_error(self, tmp_path, capsys, draw_sales, horizons,
+                                                message):
+        """Sales near the largest float sum past it over one version's window,
+        or over two versions' finite totals: the run names the arm and the
+        origin or horizon and writes neither file, where it once wrote
+        ``nan`` and ``inf`` scores and a report.json no JSON reader takes;
+        numpy does not warn on the way."""
+        gen = np.random.default_rng(1)
+        n_items, n_days = 3, 400
+        sales = draw_sales(gen, n_items * n_days)
+        sales[::7] = 0.0
+        start = dt.date(2019, 7, 1).toordinal()
+        panel = sc.SalesPanel([f"i{k}" for k in range(n_items)],
+                              np.repeat(np.arange(n_items), n_days),
+                              np.tile(start + np.arange(n_days), n_items), sales,
+                              gen.normal(size=(n_items * n_days, 1)), ["f0"])
+        sc.write_panel(panel, tmp_path / "panel.csv")
+        plan = _plan(tmp_path, train_window_days=200, n_versions=2, horizons=horizons)
+        (tmp_path / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
+        first_origin = backtest.version_origins(panel, sc.BacktestPlan.from_json(plan))[0]
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["backtest", "--plan", str(tmp_path / "plan.json"),
+                         "--out-dir", str(out_dir)]) == 3
+        assert capsys.readouterr().err == (
+            "data error: " + message.format(first_origin=first_origin) + "\n")
+        assert not (out_dir / "metrics.csv").exists()
+        assert not (out_dir / "report.json").exists()
 
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     def test_a_failing_grid_starts_no_later_job(self, tmp_path, capsys, monkeypatch, threads):

@@ -1,6 +1,7 @@
 """Accuracy metrics: hand values, algebraic invariants, aggregation, CSV."""
 
 import datetime as dt
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,21 @@ class TestVersionMetrics:
         preds[-1] = bad
         with pytest.raises(DataError, match="a forecast is not finite"):
             sc.version_metrics(preds, panel, V6)
+
+    @pytest.mark.parametrize("forecast, actual, message", [
+        (1e307, 1e307, "the sales total of the 6-week wmape is not finite"),
+        (1e307, 1.0, "the 6-week wmape is not finite"),
+    ], ids=["total", "mean"])
+    def test_an_overflowing_sum_is_data_error(self, forecast, actual, message):
+        """Finite forecasts and actuals whose window sums pass the largest
+        float are refused, not scored as ``nan`` or ``inf``, and numpy
+        does not warn on the way."""
+        preds, panel = _columns({"a": dict.fromkeys(_days(42), forecast)},
+                                {"a": dict.fromkeys(_days(42), actual)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"^{message}$"):
+                sc.version_metrics(preds, panel, V6)
 
     def test_item_relabeling_invariance(self, rng):
         base_f = {f"i{k}": _flat(float(rng.uniform(50, 150))) for k in range(6)}
@@ -304,6 +320,15 @@ class TestAggregateVersions:
         assert agg.total_actual.hex() == "0x1.1c37937e08000p+53"
         assert agg.wmape.hex() == "0x1.99999999999a8p-4"
         assert agg.wbias.hex() == "-0x1.999999999998bp-4"
+
+    def test_an_overflowing_total_is_data_error(self):
+        """Two versions whose finite totals together pass the largest float."""
+        vms = [_vm(1e308, 0.1, -0.1, origin=ORIGIN + dt.timedelta(days=7 * i)) for i in range(2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^the sales total of the 6-week wmape over "
+                                                "2 versions is not finite$"):
+                sc.aggregate_versions(vms)
 
     def test_horizons_grouped_separately(self):
         vms = [_vm(100.0, 0.1, 0.0, horizon=6), _vm(100.0, 0.3, 0.0, horizon=12)]
