@@ -486,13 +486,10 @@ def _grid_arms(plan: BacktestPlan) -> dict[str, ExperimentArm]:
 
 def _grid_report(plan: BacktestPlan, origins, rows, aggregates) -> BacktestReport:
     base = aggregates[plan.baseline_id]
-    relatives = {
-        arm_id: {
-            h: relativize(per_h[h], base[h], plan.baseline_id)
-            for h in per_h
-        }
-        for arm_id, per_h in aggregates.items()
-    }
+    relatives = {}
+    for arm_id, per_h in aggregates.items():
+        with _naming(f"arm {arm_id}"):
+            relatives[arm_id] = {h: relativize(per_h[h], base[h], plan.baseline_id) for h in per_h}
     return BacktestReport(
         baseline_id=plan.baseline_id,
         horizons=tuple(sorted(plan.horizons)),

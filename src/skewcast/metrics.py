@@ -133,16 +133,20 @@ def aggregate_versions(per_version: list[VersionMetrics]) -> dict[int, Aggregate
 
 def relativize(target: AggregateMetrics, baseline: AggregateMetrics,
                baseline_id: str) -> RelativeMetrics:
-    """Target metrics over baseline metrics; wbias keeps the target's sign."""
+    """Target metrics over baseline metrics; wbias keeps the target's sign.
+    A ratio that is not finite is a ``DataError`` naming its horizon and
+    baseline."""
     if baseline.wmape <= 0.0:
         raise DataError("baseline wmape is zero; ratios are undefined")
     if baseline.wbias == 0.0:
         raise DataError("baseline wbias is zero; ratios are undefined")
-    return RelativeMetrics(
-        wmape_rel=target.wmape / baseline.wmape,
-        wbias_rel=target.wbias / abs(baseline.wbias),
-        baseline_id=baseline_id,
-    )
+
+    def ratio(name: str, over: float) -> float:
+        return finite(getattr(target, name) / over,
+                      f"the {target.horizon_weeks}-week {name} relative to {baseline_id}")
+
+    return RelativeMetrics(ratio("wmape", baseline.wmape), ratio("wbias", abs(baseline.wbias)),
+                           baseline_id)
 
 
 def row_order(row: tuple[str, VersionMetrics]) -> tuple[str, str, int]:

@@ -13,8 +13,9 @@ names must too and may not be ``item_id``, ``day`` or ``sales``).
 block's cells at once, converts each number column with one
 ``np.array(cells, dtype=np.float64)`` (which applies ``float()`` to every
 cell), parses each distinct date string once and checks the row rules on
-whole arrays.  Only a block that breaks a rule is read again row by row,
-to raise the first bad row's error with its line number.
+whole arrays.  One parser, ``_parse_block``, states the row rules: a block
+that breaks one is parsed again a line at a time, and the first line that
+fails names the error with its line number.
 
 ``write_csv`` streams: it reads its rows once, lazily, and formats and
 writes ``_BLOCK_ROWS`` lines at a time, and ``write_panel`` turns its
@@ -25,7 +26,6 @@ block, not the file's text or whole-column lists.
 from __future__ import annotations
 
 import datetime as dt
-import math
 from dataclasses import dataclass, field, fields
 from itertools import chain, islice, repeat
 
@@ -177,7 +177,7 @@ class ForecastVersion:
 
     @property
     def label(self) -> str:
-        return f"VDP_{self.origin_day:%Y%m%d}"
+        return "VDP_" + self.origin_day.isoformat().replace("-", "")  # %Y pads no year below 1000
 
     @property
     def window_start(self) -> dt.date:
@@ -241,7 +241,12 @@ def read_panel(path) -> SalesPanel:
         try:
             _parse_block(lines, codes, ordinals, item_codes[rows], days[rows], values[rows])
         except ValueError:
-            _check_rows(lines, row + 2, ncol)
+            for r, line in enumerate(lines, start=row):  # the first bad row names the error
+                one = slice(r, r + 1)
+                try:
+                    _parse_block([line], codes, ordinals, item_codes[one], days[one], values[one])
+                except ValueError as exc:
+                    raise DataError(f"line {r + 2}: {exc}") from None
             raise  # no row broke a rule, so the bulk parse itself is at fault
         start, row = stop + 1, rows.stop
     del text  # the largest object, before the panel sorts its copies
@@ -253,12 +258,14 @@ def _parse_block(lines: list[str], codes: dict[str, int], ordinals: dict[str, in
     """Parse a block of CSV rows into the given row slices, all at once.
 
     New item ids get the next codes and new date strings their ordinals.
-    Any row that breaks a rule of ``_check_rows`` makes this raise
-    ``ValueError``.
+    This is the one statement of the row rules, checked in the order below:
+    a row that breaks one raises ``ValueError``, and on a one-row block its
+    message is that row's error.
     """
     ncol = values.shape[1] + 2
-    if set(map(str.count, lines, repeat(","))) != {ncol - 1}:
-        raise ValueError("a row has the wrong column count")
+    commas = set(map(str.count, lines, repeat(","))) - {ncol - 1}
+    if commas:
+        raise ValueError(f"expected {ncol} columns, got {commas.pop() + 1}")
     cells = ",".join(lines).split(",")
     ids, dates = cells[0::ncol], cells[1::ncol]
     if "" in ids:
@@ -266,38 +273,18 @@ def _parse_block(lines: list[str], codes: dict[str, int], ordinals: dict[str, in
     for item in dict.fromkeys(ids):
         codes.setdefault(item, len(codes))
     for date in set(dates).difference(ordinals):
-        ordinals[date] = parse_day(date).toordinal()
+        try:
+            ordinals[date] = parse_day(date).toordinal()
+        except ValueError:
+            raise ValueError(f"bad date {date!r}") from None
     item_codes[:] = np.fromiter(map(codes.__getitem__, ids), dtype=np.int64, count=len(ids))
     days[:] = np.fromiter(map(ordinals.__getitem__, dates), dtype=np.int64, count=len(dates))
     for j in range(2, ncol):  # float() on every cell
         values[:, j - 2] = np.array(cells[j::ncol], dtype=np.float64)
-    if not np.isfinite(values).all() or (values[:, 0] < 0).any():
-        raise ValueError("a value is non-finite or a sales value negative")
-
-
-def _check_rows(lines: list[str], line_no: int, ncol: int) -> None:
-    """Raise the error of the first row in ``lines`` that breaks a row rule.
-
-    ``line_no`` is the 1-based line number of ``lines[0]``.
-    """
-    for line_no, line in enumerate(lines, start=line_no):
-        parts = line.split(",")
-        if len(parts) != ncol:
-            raise DataError(f"line {line_no}: expected {ncol} columns, got {len(parts)}")
-        if not parts[0]:
-            raise DataError(f"line {line_no}: empty item_id")
-        try:
-            parse_day(parts[1])
-        except ValueError:
-            raise DataError(f"line {line_no}: bad date {parts[1]!r}") from None
-        try:
-            row = [float(p) for p in parts[2:]]
-        except ValueError as exc:
-            raise DataError(f"line {line_no}: {exc}") from None
-        if not all(math.isfinite(v) for v in row):
-            raise DataError(f"line {line_no}: non-finite value")
-        if row[0] < 0:
-            raise DataError(f"line {line_no}: negative sales {row[0]}")
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value")
+    if (values[:, 0] < 0).any():
+        raise ValueError(f"negative sales {values[:, 0].min()}")
 
 
 def write_csv(path, header, rows) -> None:

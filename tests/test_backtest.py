@@ -132,6 +132,16 @@ class TestScheduling:
         assert days.max() == (origin - dt.timedelta(days=1)).toordinal()
         assert days.min() == (origin - dt.timedelta(days=90)).toordinal()
 
+    def test_a_training_row_on_the_origin_is_leakage(self, monkeypatch):
+        panel = _flat_panel(n_days=400)
+        slice_days = sc.SalesPanel.slice_days
+        monkeypatch.setattr(sc.SalesPanel, "slice_days", lambda self, first, last: slice_days(
+            self, first, last + dt.timedelta(days=1)))  # one day too many
+        plan = sc.BacktestPlan(train_window_days=90, n_versions=1, horizons=(6,))
+        with pytest.raises(DataError,
+                           match="^origin 2020-10-05: leakage: training row on 2020-10-05$"):
+            backtest._windows(panel, plan, dt.date(2020, 10, 5))
+
     def test_plan_validation(self):
         with pytest.raises(ConfigError):
             sc.BacktestPlan(train_window_days=0)
@@ -383,6 +393,19 @@ class TestGridRuns:
         with pytest.raises(ConfigError):
             sc.run_backtest(plan)
 
+    def test_versions_before_year_1000_sort_by_origin(self):
+        """Labels are zero-padded, so each arm's rows, and the sums over
+        them, run in origin order across the year 999/1000 boundary."""
+        panel = _wavy_panel(n_items=4, n_days=300, start=dt.date(999, 6, 1))
+        plan = sc.BacktestPlan(train_window_days=60, n_versions=8, horizons=(6,),
+                               arms=(sc.arm_by_id("E1"), sc.arm_by_id("E5")),
+                               learner=FAST_LEARNER)
+        report = sc.run_backtest(plan, panel=panel)
+        for arm_id in ("E1", "E5"):
+            origins = [vm.version.origin_day for vm in _arm_rows(report, arm_id)]
+            assert origins == sorted(origins) == list(report.origins)
+            assert (origins[0].year, origins[-1].year) == (999, 1000)
+
     def test_raw_target_avoids_transformation_bias(self, grid_report):
         """Fitting sales directly has no back-transformation step, so its
         bias stays far closer to zero than the naive log-target arm's."""
@@ -533,6 +556,14 @@ class TestGridErrors:
             sc.run_backtest(_small_plan(arms, FAST_LEARNER), panel=small_panel)
         assert "arms TW-LOG, TW-LOG-S at origin " in str(info.value)
         assert isinstance(info.value.__cause__, ConfigError)
+
+    def test_a_ratio_that_is_not_finite_names_arm_horizon_and_baseline(self):
+        plan = sc.BacktestPlan(horizons=(6,), arms=(sc.arm_by_id("E1"), sc.arm_by_id("E5")))
+        aggregates = {"E5": {6: sc.AggregateMetrics(6, 1e-10, -1e-10, 1.0, 1, 0)},
+                      "E1": {6: sc.AggregateMetrics(6, 1e300, -1e300, 1.0, 1, 0)}}
+        with pytest.raises(DataError,
+                           match="^arm E1: the 6-week wmape relative to E5 is not finite$"):
+            backtest._grid_report(plan, (), [], aggregates)
 
 
 class TestPreflight:

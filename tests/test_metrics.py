@@ -372,6 +372,15 @@ class TestRelativize:
         with pytest.raises(DataError, match="^baseline wbias is zero; ratios are undefined$"):
             sc.relativize(target, sc.AggregateMetrics(6, 0.5, 0.0, 1.0, 1, 0), "b")
 
+    @pytest.mark.parametrize("target, name", [
+        (sc.AggregateMetrics(6, 1e300, -1e300, 1.0, 1, 0), "wmape"),
+        (sc.AggregateMetrics(6, 1e-10, -1e300, 1.0, 1, 0), "wbias"),
+    ])
+    def test_a_ratio_that_is_not_finite_is_a_data_error(self, target, name):
+        baseline = sc.AggregateMetrics(6, 1e-10, -1e-10, 1.0, 1, 0)
+        with pytest.raises(DataError, match=f"^the 6-week {name} relative to E5 is not finite$"):
+            sc.relativize(target, baseline, "E5")
+
 
 class TestMetricsCsv:
     def test_layout_and_ordering(self, tmp_path):

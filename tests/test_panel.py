@@ -461,6 +461,21 @@ class TestCsvErrors:
         with pytest.raises(DataError, match=f"^line 1: {message}$"):
             sc.read_panel(path)
 
+    @pytest.mark.parametrize("row, message", [
+        (",not-a-date,1.0", "expected 4 columns, got 3"),
+        (",2021-03-01,nan,0.5", "empty item_id"),
+        ("a,not-a-date,-1.0,0.5", "bad date 'not-a-date'"),
+        ("a,2021-02-30,abc,0.5", "bad date '2021-02-30'"),
+        ("a,2021-03-02,nan,abc", "could not convert string to float: 'abc'"),
+        ("a,2021-03-02,-1.0,x", "could not convert string to float: 'x'"),
+        ("a,2021-03-02,-1.0,inf", "non-finite value"),
+    ], ids=["columns-then-id", "id-then-number", "date-then-sales", "date-then-number",
+            "number-then-finite", "number-then-sales", "finite-then-sales"])
+    def test_a_row_that_breaks_two_rules_names_the_earlier(self, tmp_path, row, message):
+        path = self._write(tmp_path, f"item_id,day,sales,f1\na,2021-03-01,1.0,0.5\n{row}\n")
+        with pytest.raises(DataError, match=f"^line 3: {re.escape(message)}$"):
+            sc.read_panel(path)
+
     def test_crlf_file_is_named_on_line_one(self, tmp_path):
         """Every row of a CRLF file parses, since ``float`` strips the ``\\r``,
         so only the header's last name shows the line ends."""
@@ -593,6 +608,8 @@ class TestForecastVersion:
         origin = dt.date(2021, 6, 7)
         v = sc.ForecastVersion(origin, 6)
         assert v.label == "VDP_20210607"
+        # zero-padded before year 1000, so labels sort as their origins
+        assert sc.ForecastVersion(dt.date(999, 12, 26), 6).label == "VDP_09991226"
         assert v.window_start == origin + dt.timedelta(days=1)
         assert v.window_end == origin + dt.timedelta(days=42)
         assert sc.ForecastVersion.window_length(24) == dt.timedelta(days=168)
